@@ -60,6 +60,40 @@ def _parse_measures(text: str) -> tuple:
     return items
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            pass
+        else:
+            if value >= low:
+                return value
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
+_nonneg_int = _int_at_least(0)
+_pos_int = _int_at_least(1)
+
+
+def _dims(text: str) -> tuple:
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 2,2, got {text!r}"
+        ) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one line on stderr and exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
         n_samples=args.samples,
@@ -70,13 +104,13 @@ def _search_config(args) -> SearchConfig:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=40000, help="random bases per D evaluation")
+    p.add_argument("--samples", type=_nonneg_int, default=40000, help="random bases per D evaluation")
     p.add_argument("--seed", type=int, default=1, help="search seed")
-    p.add_argument("--refine-steps", type=int, default=200,
+    p.add_argument("--refine-steps", type=_nonneg_int, default=200,
                    help="hill-climb steps after the random search (0 = pure random search)")
     p.add_argument("--partition-cap", type=int, default=measures.DEFAULT_PARTITION_CAP,
                    help="max partition assignments enumerated per subsystem for G")
-    p.add_argument("--chunk-size", type=int, default=8192,
+    p.add_argument("--chunk-size", type=_pos_int, default=8192,
                    help="internal evaluation batch size (never changes results)")
 
 
@@ -167,9 +201,8 @@ def cmd_gen_state(args) -> int:
     else:
         if args.dims is None:
             raise ParamOutOfRange("either --family or --dims is required")
-        dims = tuple(int(d) for d in args.dims.split(","))
-        rank = args.rank if args.rank is not None else int(np.prod(dims))
-        rho = states.random_density_matrix(dims, rank, args.seed)
+        rank = args.rank if args.rank is not None else int(np.prod(args.dims))
+        rho = states.random_density_matrix(args.dims, rank, args.seed)
     states.store_state(rho, args.out)
     return EXIT_OK
 
@@ -191,7 +224,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nccorr",
         description="Correlation measures D, G, D_G, K and negativity on density matrices.",
     )
@@ -216,16 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-state", help="write a state file (family member or random)")
     p.add_argument("--family", choices=("ps", "sigma", "horodecki"))
     p.add_argument("--param", type=float)
-    p.add_argument("--dims", help="comma-separated dims for a random state, e.g. 2,2")
+    p.add_argument("--dims", type=_dims, help="comma-separated dims for a random state, e.g. 2,2")
     p.add_argument("--rank", type=int)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_state)
 
     p = sub.add_parser("verify", help="run the closed-form regression suite")
-    p.add_argument("--samples", type=int, default=40000)
+    p.add_argument("--samples", type=_nonneg_int, default=40000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--refine-steps", type=int, default=200)
+    p.add_argument("--refine-steps", type=_nonneg_int, default=200)
     p.add_argument("--tol", type=float, default=1e-9,
                    help="tolerance for the closed-form sweep checks")
     p.set_defaults(func=cmd_verify)

@@ -144,23 +144,25 @@ def measure_DG(rho: DensityMatrix) -> MeasureReport:
     )
 
 
-def _splitting_spectral_distance(rho: DensityMatrix, side_b: Tuple[int, ...]) -> float:
-    e, _ = qmat.herm_eig(rho.mat)
-    pt = qmat.partial_transpose(rho, side_b)
-    et, _ = qmat.herm_eig(pt)
-    return float(np.sum(np.abs(e.values - et.values)))
+def _splitting_spectral_distance(
+    rho: DensityMatrix, e: np.ndarray, side_b: Tuple[int, ...]
+) -> float:
+    et, _ = qmat.herm_eig(qmat.partial_transpose(rho, side_b))
+    return float(np.sum(np.abs(e - et.values)))
 
 
 def measure_K(rho: DensityMatrix) -> MeasureReport:
     """L1 distance between the sorted spectra of rho and its partial transpose.
 
-    Multipartite inputs take the minimum over all bipartite splittings.
+    Multipartite inputs take the minimum over all bipartite splittings; the
+    spectrum of rho is computed once and shared by every splitting.
     """
+    e = qmat.herm_eig(rho.mat)[0].values
     best = None
     witness = None
     per_split = {}
     for side_a, side_b in _bipartite_splittings(rho.n_subsystems):
-        val = _splitting_spectral_distance(rho, side_b)
+        val = _splitting_spectral_distance(rho, e, side_b)
         per_split[f"{side_a}|{side_b}"] = val
         if best is None or val < best:
             best = val
@@ -188,4 +190,5 @@ def negativity(rho: DensityMatrix) -> MeasureReport:
 def recompute_K_at_witness(rho: DensityMatrix, witness) -> float:
     """Spectral distance at a stored splitting; reproduces the report exactly."""
     _, side_b = witness
-    return _splitting_spectral_distance(rho, tuple(side_b))
+    e = qmat.herm_eig(rho.mat)[0].values
+    return _splitting_spectral_distance(rho, e, tuple(side_b))

@@ -1,11 +1,10 @@
 """Dense complex linear algebra for multipartite operators.
 
-Eigen-decomposition (deterministic cyclic Jacobi), tensor composition,
-partial trace / partial transposition, and base-2 entropies.
+Eigen-decomposition (LAPACK eigh with pinned sort and phase rules), tensor
+composition, partial trace / partial transposition, and base-2 entropies.
 """
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -23,20 +22,19 @@ from .core import (
 )
 
 HERMITICITY_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-13
 # clamping policy: density eigenvalues in [-1e-8, 0) are round-off, below is invalid
 DENSITY_NEG_TOL = 1e-8
 PROB_NEG_TOL = 1e-10
 
 
-def herm_eig(H: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Tuple[Spectrum, np.ndarray]:
-    """Diagonalize a Hermitian matrix with cyclic Jacobi rotations.
+def herm_eig(H: np.ndarray) -> Tuple[Spectrum, np.ndarray]:
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns eigenvalues sorted descending and the matching eigenvector
-    columns.  Output is deterministic: fixed sweep order, stable sort, and
-    each eigenvector is phased so its largest-magnitude component is real
-    and non-negative.
+    columns.  The sort is stable and each eigenvector is phased so its
+    largest-magnitude component is real and non-negative, so the output is
+    reproducible on one machine and numpy/BLAS build.  A LAPACK failure is
+    raised as NoConvergence.
     """
     A = np.array(H, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -49,77 +47,16 @@ def herm_eig(H: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Tuple[Spectr
     if herm_dev > HERMITICITY_TOL * scale:
         raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERMITICITY_TOL:.0e} * max|H|")
     A = (A + A.conj().T) / 2.0
-    norm_f = float(np.linalg.norm(A))
-    V = np.eye(n, dtype=np.complex128)
-
-    if n == 1:
-        vals = np.array([A[0, 0].real])
-        return Spectrum(vals), V
-
-    tiny = 1e-15 * norm_f
-    converged = False
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, norm_f_off_sq(A)))
-        if off <= JACOBI_OFF_TOL * norm_f:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                h = A[p, q]
-                absh = abs(h)
-                if absh <= tiny:
-                    continue
-                a = A[p, p].real
-                b = A[q, q].real
-                w = h / absh
-                tau = (b - a) / (2.0 * absh)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                wc = w.conjugate()
-                # A <- Q^dag A Q with Q acting on columns (p, q)
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - (s * wc) * colq
-                A[:, q] = s * colp + (c * wc) * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - (s * w) * rowq
-                A[q, :] = s * rowp + (c * w) * rowq
-                A[p, p] = a - t * absh
-                A[q, q] = b + t * absh
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - (s * wc) * vq
-                V[:, q] = s * vp + (c * wc) * vq
-    else:
-        converged = math.sqrt(max(0.0, norm_f_off_sq(A))) <= JACOBI_OFF_TOL * norm_f
-    if not converged:
-        raise NoConvergence(f"Jacobi sweep limit ({max_sweeps}) reached")
-
-    vals = np.real(np.diag(A)).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh failed: {exc}") from exc
+    order = np.argsort(-w, kind="stable")
+    vals = w[order]
     V = V[:, order]
-    for j in range(n):
-        col = V[:, j]
-        i = int(np.argmax(np.abs(col)))
-        ph = col[i]
-        m = abs(ph)
-        if m > 0.0:
-            V[:, j] = col * (ph.conjugate() / m)
+    ph = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    V = V * (ph.conj() / np.abs(ph))
     return Spectrum(vals), V
-
-
-def norm_f_off_sq(A: np.ndarray) -> float:
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off) ** 2)
 
 
 def density_spectrum(rho: DensityMatrix) -> Spectrum:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,15 @@ def read_csv(path):
 
 
 FAST_FLAGS = ["--samples", "200", "--refine-steps", "10"]
+SRC = Path(nc.__file__).resolve().parents[1]
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nccorr.cli"] + [str(a) for a in argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestSweep:
@@ -125,6 +138,36 @@ class TestErrorHandling:
         state = tmp_path / "s.json"
         run(["gen-state", "--family", "ps", "--param", 0.5, "--out", state])
         assert run(["measure", state, "--measures", "Q"]) == 2
+
+    SWEEP = ["sweep", "--family", "ps", "--from", 0, "--to", 1, "--steps", 2, "--measures", "D"]
+
+    @pytest.mark.parametrize("argv", [
+        SWEEP + ["--samples", -1],
+        SWEEP + ["--refine-steps", -1],
+        SWEEP + ["--chunk-size", 0],
+        ["gen-state", "--dims", "2,x"],
+        ["gen-state", "--dims", "2,2", "--seed", -5],
+    ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
+            "non-integer-dims", "negative-seed"])
+    def test_bad_flag_value_exit_2(self, tmp_path, argv):
+        if argv[0] == "gen-state":
+            argv = argv + ["--out", tmp_path / "x.json"]
+        proc = run_process(argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "x.json").exists()
+
+    def test_eigensolver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        state = tmp_path / "s.json"
+        run(["gen-state", "--family", "ps", "--param", 0.5, "--out", state])
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert run(["measure", state, "--measures", "K"]) == 3
+        assert capsys.readouterr().err.startswith("numeric error:")
 
 
 class TestVerify:

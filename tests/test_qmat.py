@@ -65,6 +65,16 @@ class TestHermEig:
             assert V1[i, j].real >= 0.0
 
 
+class TestHermEigFailure:
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(nc.NoConvergence):
+            qmat.herm_eig(PAULI_X)
+
+
 class TestTensor:
     def test_identity(self):
         assert np.array_equal(qmat.tensor(np.eye(2), np.eye(3)), np.eye(6))

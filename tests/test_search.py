@@ -99,3 +99,17 @@ class TestMinDiagEntropy:
         rho = nc.random_density_matrix((2, 2), 4, 13)
         val, basis, _ = nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=400, refine_steps=0))
         assert qmat.shannon_entropy(qmat.diag_probs(rho, basis)) == pytest.approx(val, abs=1e-12)
+
+
+class TestMarginalEigenbasis:
+    # both families have marginals exactly I/2, so any basis diagonalises them;
+    # the D_G closed forms hold only for the computational one
+    @pytest.mark.parametrize("make, params", [
+        (nc.make_pseudo_entangled, (0.0, 0.3, 0.5, 1.0)),
+        (nc.make_sigma, (0.0, 0.125, 0.25, 0.5)),
+    ])
+    def test_identity_factors_on_families(self, make, params):
+        for p in params:
+            basis = search.marginal_eigenbasis(make(p))
+            for f in basis.factors:
+                assert np.array_equal(f, np.eye(2))
