@@ -80,11 +80,14 @@ _pos_int = _int_at_least(1)
 
 def _dims(text: str) -> tuple:
     try:
-        return tuple(int(d) for d in text.split(","))
+        dims = tuple(int(d) for d in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers such as 2,2, got {text!r}"
         ) from None
+    if any(d < 2 for d in dims):
+        raise argparse.ArgumentTypeError(f"subsystem dims must all be >= 2, got {text!r}")
+    return dims
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,8 +111,9 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=200,
                    help="hill-climb steps after the random search (0 = pure random search)")
-    p.add_argument("--partition-cap", type=int, default=measures.DEFAULT_PARTITION_CAP,
-                   help="max partition assignments enumerated per subsystem for G")
+    p.add_argument("--partition-cap", type=_pos_int, default=measures.DEFAULT_PARTITION_CAP,
+                   help="G refuses subsystem k when dims[k]^d_tot exceeds this; only the "
+                        "balanced assignments are enumerated")
     p.add_argument("--chunk-size", type=_pos_int, default=8192,
                    help="internal evaluation batch size (never changes results)")
 

@@ -1,12 +1,13 @@
 """The five correlation quantifiers: D, G, D_G, K and negativity N."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, PartitionCapExceeded, ProductBasis
+from .core import DensityMatrix, DimensionMismatch, PartitionCapExceeded, ProductBasis
 from . import qmat
 from .search import SearchConfig, marginal_eigenbasis, min_diag_entropy
 
@@ -43,15 +44,47 @@ def _neg_entropy_seq(vals: np.ndarray) -> np.float64:
     return acc
 
 
+def _grow(
+    counts: np.ndarray, sums: np.ndarray, idx: np.ndarray, e: np.float64, bin_size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extend every row by one digit whose bin has room, in counter order."""
+    d = counts.shape[1]
+    parent, digit = np.divmod(np.flatnonzero(counts < bin_size), d)
+    idx = idx[parent] * d + digit
+    # take() returns new C-contiguous arrays, so ravel() below is a view of
+    # them; flat indexing is several times faster than [rows, digit] here.
+    counts = counts.take(parent, axis=0)
+    sums = sums.take(parent, axis=0)
+    flat = np.arange(0, counts.size, d) + digit
+    counts.ravel()[flat] += 1
+    sums.ravel()[flat] += e
+    return counts, sums, idx
+
+
+def _completions(room: np.ndarray) -> int:
+    """Number of ways to fill the remaining bin room: a multinomial coefficient."""
+    return math.factorial(int(room.sum())) // math.prod(math.factorial(int(r)) for r in room)
+
+
 def _min_balanced_partition(
     e_tot: np.ndarray, e_red: np.ndarray, d: int, cap: int
-) -> Tuple[np.float64, Tuple[int, ...]]:
+) -> Tuple[np.float64, Tuple[int, ...], int]:
     """Minimize |sum etilde log etilde - sum e_red log e_red| over partitions.
 
     Partitions place the d_tot total eigenvalues into d equal-size bins
-    (d_tot/d each); bin sums are the mimic eigenvalues.  Assignments are
-    enumerated as a base-d counter (eigenvalue 0 is the most significant
-    digit) and the first minimum encountered is kept.
+    (d_tot/d each); bin sums are the mimic eigenvalues.  Only balanced
+    assignments are generated, one eigenvalue (digit) at a time and only
+    into bins with room; each row carries its bin counts, bin sums and
+    base-d counter index (eigenvalue 0 is the most significant digit).  A
+    prefix with more than ``_ENUM_CHUNK`` completions is split on its next
+    digit, so at most ``_ENUM_CHUNK`` rows are held at once.
+
+    Bit-identical to a plain counter loop that skips unbalanced assignments
+    (``verify.naive_measure_G``): bin sums accumulate ``e_tot[j]`` for
+    j = 0, 1, ..., and rows are evaluated in counter order, so ``np.argmin``
+    and the strict ``<`` across passes keep the first minimum.  The cap
+    bounds d^d_tot.  Returns the minimum, its assignment and the number of
+    assignments evaluated.
     """
     d_tot = len(e_tot)
     total = d ** d_tot
@@ -63,38 +96,39 @@ def _min_balanced_partition(
 
     best_val: Optional[np.float64] = None
     best_idx = -1
-    for lo in range(0, total, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % d
-        balanced = np.ones(len(idx), dtype=bool)
+    evaluated = 0
+
+    def visit(counts: np.ndarray, sums: np.ndarray, idx: np.ndarray, j: int) -> None:
+        """Evaluate every balanced completion of one prefix row at level j."""
+        nonlocal best_val, best_idx, evaluated
+        if _completions(bin_size - counts[0]) > _ENUM_CHUNK:
+            counts, sums, idx = _grow(counts, sums, idx, e_tot[j], bin_size)
+            for r in range(len(idx)):
+                visit(counts[r : r + 1], sums[r : r + 1], idx[r : r + 1], j + 1)
+            return
+        for jj in range(j, d_tot):
+            counts, sums, idx = _grow(counts, sums, idx, e_tot[jj], bin_size)
+        T = np.zeros(len(idx))
         for b in range(d):
-            balanced &= (digits == b).sum(axis=1) == bin_size
-        if not balanced.any():
-            continue
-        idx = idx[balanced]
-        digits = digits[balanced]
-        n = len(idx)
-        etilde = np.zeros((n, d))
-        rows = np.arange(n)
-        for j in range(d_tot):
-            etilde[rows, digits[:, j]] += e_tot[j]
-        T = np.zeros(n)
-        for b in range(d):
-            x = etilde[:, b]
+            x = sums[:, b]
             T += np.where(x > 0.0, x, 0.0) * np.log2(np.where(x > 0.0, x, 1.0))
         vals = np.abs(T - s_red)
         i = int(np.argmin(vals))
+        evaluated += len(idx)
         if best_val is None or vals[i] < best_val:
             best_val = np.float64(vals[i])
             best_idx = int(idx[i])
+
+    visit(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64), 0)
     assert best_val is not None and best_idx >= 0
     digits = tuple(int((best_idx // int(p)) % d) for p in powers)
-    return best_val, digits
+    return best_val, digits, evaluated
 
 
 def _bipartite_splittings(m: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """All 2^(m-1) - 1 splittings, subsystem 0 always on side A."""
+    if m < 2:
+        raise DimensionMismatch(f"K and N need at least 2 subsystems, got {m}")
     out = []
     for mask in range(1 << (m - 1)):
         side_a = [0] + [k for k in range(1, m) if mask & (1 << (k - 1))]
@@ -124,14 +158,19 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
     """max over subsystems k of the minimal mimic-eigenvalue discrepancy F_k."""
     e_tot = qmat.density_spectrum(rho).values
     f_values = {}
+    evaluated = {}
     witnesses = []
     for k in range(rho.n_subsystems):
         e_red = qmat.density_spectrum(qmat.partial_trace(rho, [k])).values
-        fk, assignment = _min_balanced_partition(e_tot, e_red, rho.dims[k], partition_cap)
+        fk, assignment, evaluated[k] = _min_balanced_partition(
+            e_tot, e_red, rho.dims[k], partition_cap
+        )
         f_values[k] = float(fk)
         witnesses.append(Partition(k, assignment))
     value = max(f_values.values())
-    return MeasureReport("G", value, witnesses, {"F_k": f_values})
+    return MeasureReport(
+        "G", value, witnesses, {"F_k": f_values, "assignments_evaluated": evaluated}
+    )
 
 
 def measure_DG(rho: DensityMatrix) -> MeasureReport:

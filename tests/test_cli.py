@@ -147,8 +147,10 @@ class TestErrorHandling:
         SWEEP + ["--chunk-size", 0],
         ["gen-state", "--dims", "2,x"],
         ["gen-state", "--dims", "2,2", "--seed", -5],
+        ["gen-state", "--dims", "0,2"],
+        SWEEP + ["--partition-cap", -3],
     ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
-            "non-integer-dims", "negative-seed"])
+            "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":
             argv = argv + ["--out", tmp_path / "x.json"]
@@ -157,6 +159,15 @@ class TestErrorHandling:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "x.json").exists()
+
+    def test_single_subsystem_k_n_exit_2(self, tmp_path):
+        state = tmp_path / "s.json"
+        assert run(["gen-state", "--dims", 2, "--out", state]) == 0
+        proc = run_process(["measure", state, "--measures", "K,N"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_eigensolver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         state = tmp_path / "s.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nccorr as nc
-from nccorr import measures, qmat
+from nccorr import measures, qmat, verify
 
 
 def s(x):
@@ -103,6 +103,44 @@ class TestMeasureG:
         assert set(rep.diagnostics["F_k"]) == {0, 1}
         assert rep.value == max(rep.diagnostics["F_k"].values())
 
+    def test_assignments_evaluated_is_balanced_count(self):
+        # d_tot! / ((d_tot/d)!)^d balanced assignments per subsystem, not d^d_tot.
+        expected = {
+            (2, 2, 2, 2): {0: 12870, 1: 12870, 2: 12870, 3: 12870},
+            (3, 3): {0: 1680, 1: 1680},
+            (2, 4): {0: 70, 1: 2520},
+            (2, 2, 2): {0: 70, 1: 70, 2: 70},
+        }
+        for dims, counts in expected.items():
+            rep = nc.measure_G(nc.random_density_matrix(dims, 2, 71))
+            assert rep.diagnostics["assignments_evaluated"] == counts
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3), (2, 2, 2)])
+    def test_matches_brute_force_beyond_two_qubits(self, dims):
+        d_tot = int(np.prod(dims))
+        for i, rank in enumerate((d_tot, 2, 1)):
+            rho = nc.random_density_matrix(dims, rank, 80 + i)
+            rep = nc.measure_G(rho)
+            ref_val, ref_diag = verify.naive_measure_G(rho)
+            assert rep.value == ref_val
+            assert {p.k: p.assignment for p in rep.witness} == ref_diag["assignments"]
+
+    def test_prefix_split_matches_single_pass(self, monkeypatch):
+        # Every (2,4), (3,3) and (2,2,2,2) subsystem has more balanced
+        # assignments than the patched chunk, so the walk splits prefixes.
+        cases = [
+            nc.random_density_matrix(dims, rank, 90)
+            for dims in ((2, 4), (3, 3), (2, 2, 2, 2))
+            for rank in (int(np.prod(dims)), 1)
+        ]
+        whole = [nc.measure_G(rho) for rho in cases]
+        monkeypatch.setattr(measures, "_ENUM_CHUNK", 7)
+        for rho, ref in zip(cases, whole):
+            rep = nc.measure_G(rho)
+            assert rep.value == ref.value
+            assert rep.witness == ref.witness
+            assert rep.diagnostics == ref.diagnostics
+
 
 class TestMeasureDG:
     def test_ps_half(self):
@@ -142,6 +180,12 @@ class TestMeasureK:
         rho = nc.random_density_matrix((2, 2, 2), 8, 61)
         rep = nc.measure_K(rho)
         assert measures.recompute_K_at_witness(rho, rep.witness) == rep.value
+
+    def test_single_subsystem_rejected(self):
+        rho = nc.random_density_matrix((3,), 3, 5)
+        for measure in (nc.measure_K, nc.negativity):
+            with pytest.raises(nc.DimensionMismatch):
+                measure(rho)
 
     def test_tripartite_splitting_count(self):
         rep = nc.measure_K(nc.random_density_matrix((2, 2, 2), 8, 62))
