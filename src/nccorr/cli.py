@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -29,7 +30,7 @@ from .core import (
 from . import measures, states, verify
 from .measures import Partition
 from .search import SearchConfig
-from .sweep import MEASURE_ORDER, SweepSpec, run_sweep
+from .sweep import FAMILIES, MEASURE_ORDER, SweepSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -60,22 +61,26 @@ def _parse_measures(text: str) -> tuple:
     return items
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _at_least(low, kind=int):
+    """argparse type: a finite int (or float) >= low; rejects nan and inf."""
+    noun = "an integer" if kind is int else "a finite number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             pass
         else:
-            if value >= low:
+            if low <= value < math.inf:
                 return value
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {noun} >= {low}, got {text!r}")
 
     return parse
 
 
-_nonneg_int = _int_at_least(0)
-_pos_int = _int_at_least(1)
+_nonneg_int = _at_least(0)
+_pos_int = _at_least(1)
+_tolerance = _at_least(0, float)
 
 
 def _dims(text: str) -> tuple:
@@ -106,7 +111,9 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
+def _add_measure_flags(p: argparse.ArgumentParser) -> None:
+    names = ",".join(MEASURE_ORDER)
+    p.add_argument("--measures", default=names, help=f"comma-separated subset of {names}")
     p.add_argument("--samples", type=_nonneg_int, default=40000, help="random bases per D evaluation")
     p.add_argument("--seed", type=int, default=1, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=200,
@@ -173,16 +180,7 @@ def cmd_measure(args) -> int:
     requested = _parse_measures(args.measures)
     out = {}
     for m in requested:
-        if m == "D":
-            rep = measures.measure_D(rho, cfg)
-        elif m == "G":
-            rep = measures.measure_G(rho, args.partition_cap)
-        elif m == "DG":
-            rep = measures.measure_DG(rho)
-        elif m == "K":
-            rep = measures.measure_K(rho)
-        else:
-            rep = measures.negativity(rho)
+        rep = measures.MEASURES[m](rho, cfg, args.partition_cap)
         out[m] = {
             "value": rep.value,
             "witness": _serialize_witness(rep.witness),
@@ -196,15 +194,8 @@ def cmd_gen_state(args) -> int:
     if args.family is not None:
         if args.param is None:
             raise ParamOutOfRange("--param is required with --family")
-        ctor = {
-            "ps": states.make_pseudo_entangled,
-            "sigma": states.make_sigma,
-            "horodecki": states.make_horodecki,
-        }[args.family]
-        rho = ctor(args.param)
+        rho = FAMILIES[args.family][0](args.param)
     else:
-        if args.dims is None:
-            raise ParamOutOfRange("either --family or --dims is required")
         rank = args.rank if args.rank is not None else int(np.prod(args.dims))
         rho = states.random_density_matrix(args.dims, rank, args.seed)
     states.store_state(rho, args.out)
@@ -235,25 +226,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="sweep a state family and write a CSV of measures")
-    p.add_argument("--family", required=True, choices=("ps", "sigma", "horodecki"))
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--from", dest="param_from", type=float, required=True)
     p.add_argument("--to", dest="param_to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--measures", default="D,G,DG,K,N")
     p.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
-    _add_search_flags(p)
+    _add_measure_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("measure", help="measure a stored state, JSON report to stdout")
     p.add_argument("state", help="path to a JSON state file")
-    p.add_argument("--measures", default="D,G,DG,K,N")
-    _add_search_flags(p)
+    _add_measure_flags(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("gen-state", help="write a state file (family member or random)")
-    p.add_argument("--family", choices=("ps", "sigma", "horodecki"))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=tuple(FAMILIES))
+    source.add_argument("--dims", type=_dims, help="comma-separated dims for a random state, e.g. 2,2")
     p.add_argument("--param", type=float)
-    p.add_argument("--dims", type=_dims, help="comma-separated dims for a random state, e.g. 2,2")
     p.add_argument("--rank", type=int)
     p.add_argument("--seed", type=_nonneg_int, default=1)
     p.add_argument("--out", required=True)
@@ -263,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_nonneg_int, default=40000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--refine-steps", type=_nonneg_int, default=200)
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="tolerance for the closed-form sweep checks")
     p.set_defaults(func=cmd_verify)
 

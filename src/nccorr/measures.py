@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,11 +183,22 @@ def measure_DG(rho: DensityMatrix) -> MeasureReport:
     )
 
 
-def _splitting_spectral_distance(
-    rho: DensityMatrix, e: np.ndarray, side_b: Tuple[int, ...]
-) -> float:
-    et, _ = qmat.herm_eig(qmat.partial_transpose(rho, side_b))
-    return float(np.sum(np.abs(e - et.values)))
+def _min_over_splittings(
+    name: str, rho: DensityMatrix, value_of_pt_spectrum: Callable[[np.ndarray], float]
+) -> MeasureReport:
+    """Minimum over all bipartite splittings of a value of the sorted
+    partial-transpose spectrum; the first minimal splitting is the witness."""
+    best = None
+    witness = None
+    per_split = {}
+    for side_a, side_b in _bipartite_splittings(rho.n_subsystems):
+        et, _ = qmat.herm_eig(qmat.partial_transpose(rho, side_b))
+        val = value_of_pt_spectrum(et.values)
+        per_split[f"{side_a}|{side_b}"] = val
+        if best is None or val < best:
+            best = val
+            witness = (side_a, side_b)
+    return MeasureReport(name, best, witness, {"per_splitting": per_split})
 
 
 def measure_K(rho: DensityMatrix) -> MeasureReport:
@@ -197,37 +208,34 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
     spectrum of rho is computed once and shared by every splitting.
     """
     e = qmat.herm_eig(rho.mat)[0].values
-    best = None
-    witness = None
-    per_split = {}
-    for side_a, side_b in _bipartite_splittings(rho.n_subsystems):
-        val = _splitting_spectral_distance(rho, e, side_b)
-        per_split[f"{side_a}|{side_b}"] = val
-        if best is None or val < best:
-            best = val
-            witness = (side_a, side_b)
-    return MeasureReport("K", best, witness, {"per_splitting": per_split})
+    return _min_over_splittings("K", rho, lambda et: float(np.sum(np.abs(e - et))))
+
+
+def _negative_mass(et: np.ndarray) -> float:
+    neg = et[et < 0.0]
+    return float(-neg.sum()) if neg.size else 0.0
 
 
 def negativity(rho: DensityMatrix) -> MeasureReport:
     """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
-    best = None
-    witness = None
-    per_split = {}
-    for side_a, side_b in _bipartite_splittings(rho.n_subsystems):
-        pt = qmat.partial_transpose(rho, side_b)
-        spec, _ = qmat.herm_eig(pt)
-        neg = spec.values[spec.values < 0.0]
-        val = float(-neg.sum()) if neg.size else 0.0
-        per_split[f"{side_a}|{side_b}"] = val
-        if best is None or val < best:
-            best = val
-            witness = (side_a, side_b)
-    return MeasureReport("N", best, witness, {"per_splitting": per_split})
+    return _min_over_splittings("N", rho, _negative_mass)
 
 
 def recompute_K_at_witness(rho: DensityMatrix, witness) -> float:
     """Spectral distance at a stored splitting; reproduces the report exactly."""
     _, side_b = witness
     e = qmat.herm_eig(rho.mat)[0].values
-    return _splitting_spectral_distance(rho, e, tuple(side_b))
+    et, _ = qmat.herm_eig(qmat.partial_transpose(rho, tuple(side_b)))
+    return float(np.sum(np.abs(e - et.values)))
+
+
+# Name -> (rho, cfg, partition_cap) -> report, in CSV column order.  Each entry
+# looks its measure function up when called, so a replaced module attribute
+# (a span tracer, a test stub) is what every caller of the table reaches.
+MEASURES: Dict[str, Callable[[DensityMatrix, SearchConfig, int], MeasureReport]] = {
+    "D": lambda rho, cfg, cap: measure_D(rho, cfg),
+    "G": lambda rho, cfg, cap: measure_G(rho, cap),
+    "DG": lambda rho, cfg, cap: measure_DG(rho),
+    "K": lambda rho, cfg, cap: measure_K(rho),
+    "N": lambda rho, cfg, cap: negativity(rho),
+}

@@ -14,13 +14,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, ProductBasis
+from .core import DensityMatrix, ParamOutOfRange, ProductBasis
 from . import qmat
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _REFINE_TAG = 0x5EEDFACE
+_REFINE_STEP = 0.1  # initial hill-climb step; shrinks by 0.9 per rejected trial
 
 
 @dataclass(frozen=True)
@@ -28,15 +29,13 @@ class SearchConfig:
     n_samples: int = 40000
     seed: int = 1
     refine_steps: int = 200
-    refine_step: float = 0.1
-    include_deterministic_candidates: bool = True
     chunk_size: int = 8192  # evaluation batch size; never affects results
 
     def __post_init__(self):
         if self.n_samples < 0 or self.refine_steps < 0:
-            raise ValueError("n_samples and refine_steps must be >= 0")
+            raise ParamOutOfRange("n_samples and refine_steps must be >= 0")
         if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+            raise ParamOutOfRange("chunk_size must be >= 1")
 
 
 def mix64(x) -> np.ndarray:
@@ -167,10 +166,10 @@ def min_diag_entropy(
     best_basis: Optional[ProductBasis] = None
     best_source = "none"
 
-    candidates: List[Tuple[str, ProductBasis]] = []
-    if cfg.include_deterministic_candidates:
-        candidates.append(("computational", computational_basis(dims)))
-        candidates.append(("marginal-eigenbasis", marginal_eigenbasis(rho)))
+    candidates: List[Tuple[str, ProductBasis]] = [
+        ("computational", computational_basis(dims)),
+        ("marginal-eigenbasis", marginal_eigenbasis(rho)),
+    ]
     for i, basis in enumerate(extra_candidates):
         candidates.append((f"extra:{i}", basis))
 
@@ -198,7 +197,7 @@ def min_diag_entropy(
             np.random.SeedSequence([cfg.seed % (1 << 64), _REFINE_TAG])
         )
         factors = [f.copy() for f in best_basis.factors]
-        step = cfg.refine_step
+        step = _REFINE_STEP
         m = len(dims)
         for _ in range(cfg.refine_steps):
             k = int(rng.integers(0, m))
@@ -223,7 +222,6 @@ def min_diag_entropy(
 
     diagnostics = {
         "samples_evaluated": n,
-        "deterministic_candidates": cfg.include_deterministic_candidates,
         "refine_steps": cfg.refine_steps,
         "refine_accepts": accepts,
         "best_source": best_source,

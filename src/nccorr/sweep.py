@@ -11,8 +11,8 @@ from . import measures as _measures
 from . import states
 from .search import SearchConfig
 
-CSV_HEADER = "param,D,G,DG,K,N"
-MEASURE_ORDER = ("D", "G", "DG", "K", "N")
+MEASURE_ORDER = tuple(_measures.MEASURES)
+CSV_HEADER = ",".join(("param",) + MEASURE_ORDER)
 
 FAMILIES: Dict[str, Tuple[Callable[[float], DensityMatrix], float, float]] = {
     "ps": (states.make_pseudo_entangled, 0.0, 1.0),
@@ -53,18 +53,11 @@ def evaluate_point(
     cfg: SearchConfig,
     partition_cap: int,
 ) -> Dict[str, float]:
-    out = {}
-    if "D" in which:
-        out["D"] = _measures.measure_D(rho, cfg).value
-    if "G" in which:
-        out["G"] = _measures.measure_G(rho, partition_cap).value
-    if "DG" in which:
-        out["DG"] = _measures.measure_DG(rho).value
-    if "K" in which:
-        out["K"] = _measures.measure_K(rho).value
-    if "N" in which:
-        out["N"] = _measures.negativity(rho).value
-    return out
+    return {
+        m: measure(rho, cfg, partition_cap).value
+        for m, measure in _measures.MEASURES.items()
+        if m in which
+    }
 
 
 def sweep_rows(spec: SweepSpec) -> List[Tuple[float, Dict[str, float]]]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .core import DensityMatrix, ProductBasis
 from . import measures, qmat, states
 from .search import SearchConfig, haar_random_product_basis
-from .sweep import SweepSpec, csv_text, run_sweep, sweep_rows
+from .sweep import MEASURE_ORDER, SweepSpec, csv_text, evaluate_point, run_sweep, sweep_rows
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,14 @@ def criterion_1(cfg: SearchConfig, tol: float) -> Tuple[List[Check], str]:
     spec = SweepSpec("ps", 0.0, 1.0, 101, search=cfg)
     rows = sweep_rows(spec)
     elapsed = time.perf_counter() - t0
-    devs = {m: [] for m in ("D", "G", "DG", "K", "N")}
+    devs = {m: [] for m in MEASURE_ORDER}
     for p, vals in rows:
         cf = _ps_closed_forms(p)
         for m in devs:
             devs[m].append(abs(vals[m] - cf[m]))
     checks = [
         _dev_check(f"criterion-1 ps sweep {m} vs closed form", devs[m], tol)
-        for m in ("D", "G", "DG", "K", "N")
+        for m in MEASURE_ORDER
     ]
     at0 = rows[0][1]
     at1 = rows[-1][1]
@@ -171,28 +171,15 @@ def _generic_classical_state(dims: Tuple[int, ...], seed: int):
     raise RuntimeError("could not draw a generic probability tensor")
 
 
-def _all_five(rho: DensityMatrix, cfg: SearchConfig) -> dict:
-    return {
-        "D": measures.measure_D(rho, cfg).value,
-        "G": measures.measure_G(rho).value,
-        "DG": measures.measure_DG(rho).value,
-        "K": measures.measure_K(rho).value,
-        "N": measures.negativity(rho).value,
-    }
-
-
 def criterion_4(cfg: SearchConfig) -> List[Check]:
-    small_cfg = SearchConfig(
-        n_samples=min(cfg.n_samples, 1000),
-        seed=cfg.seed,
-        refine_steps=min(cfg.refine_steps, 50),
-        chunk_size=cfg.chunk_size,
+    small_cfg = replace(
+        cfg, n_samples=min(cfg.n_samples, 1000), refine_steps=min(cfg.refine_steps, 50)
     )
     worst = 0.0
     for i in range(100):
         dims = (2, 2) if i % 2 == 0 else (2, 3)
         rho = _generic_classical_state(dims, 1000 + i)
-        vals = _all_five(rho, small_cfg)
+        vals = evaluate_point(rho, MEASURE_ORDER, small_cfg, measures.DEFAULT_PARTITION_CAP)
         worst = max(worst, max(abs(v) for v in vals.values()))
     return [Check("criterion-4 all measures vanish on classical states", worst <= 1e-8,
                   f"max |measure| {worst:.3e} over 100 states (tol 1e-8)")]
@@ -348,13 +335,7 @@ def criterion_7() -> List[Check]:
 def criterion_8(cfg: SearchConfig, first_csv: str) -> List[Check]:
     spec = SweepSpec("ps", 0.0, 1.0, 101, search=cfg)
     repeat = run_sweep(spec)
-    alt_cfg = SearchConfig(
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        refine_steps=cfg.refine_steps,
-        refine_step=cfg.refine_step,
-        chunk_size=max(1, cfg.chunk_size // 7 + 1),
-    )
+    alt_cfg = replace(cfg, chunk_size=max(1, cfg.chunk_size // 7 + 1))
     rechunked = run_sweep(SweepSpec("ps", 0.0, 1.0, 101, search=alt_cfg))
     return [
         Check("criterion-8 repeated sweep is byte-identical", repeat == first_csv,

@@ -149,8 +149,12 @@ class TestErrorHandling:
         ["gen-state", "--dims", "2,2", "--seed", -5],
         ["gen-state", "--dims", "0,2"],
         SWEEP + ["--partition-cap", -3],
+        ["verify", "--tol", -1],
+        ["verify", "--tol", "nan"],
+        ["gen-state", "--family", "ps", "--param", 0.5, "--dims", "2,3"],
     ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
-            "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap"])
+            "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap",
+            "tol-negative", "tol-nan", "family-and-dims"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":
             argv = argv + ["--out", tmp_path / "x.json"]

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import nccorr as nc
-from nccorr import measures, qmat, verify
+from nccorr import cli, measures, qmat, sweep, verify
 
 
 def s(x):
@@ -17,6 +18,7 @@ def H(x):
 
 FAST = nc.SearchConfig(n_samples=300, seed=2, refine_steps=20)
 TINY = nc.SearchConfig(n_samples=50, seed=2, refine_steps=0)
+BEYOND_TWO_QUBITS = [(2, 4), (3, 3), (2, 2, 2)]
 
 
 def classical_state(dims, seed):
@@ -231,6 +233,27 @@ class TestSharedProperties:
                 assert abs(nc.measure_K(rho).value) <= 1e-8
                 assert abs(nc.negativity(rho).value) <= 1e-8
 
+    @pytest.mark.parametrize("dims", BEYOND_TWO_QUBITS)
+    def test_gkn_local_unitary_invariance(self, dims):
+        for seed in range(3):
+            rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7300 + seed)
+            u = qmat.product_basis_matrix(nc.haar_random_product_basis(dims, 7400 + seed))
+            rho2 = nc.DensityMatrix(dims, u @ rho.mat @ u.conj().T)
+            for measure in (nc.measure_G, nc.measure_K, nc.negativity):
+                assert abs(measure(rho).value - measure(rho2).value) <= 1e-8
+
+    @pytest.mark.parametrize("dims", BEYOND_TWO_QUBITS)
+    def test_all_vanish_on_classical_beyond_two_qubits(self, dims):
+        rho = classical_state(dims, 910)
+        for name, measure in measures.MEASURES.items():
+            assert abs(measure(rho, TINY, measures.DEFAULT_PARTITION_CAP).value) <= 1e-8, name
+
+    @pytest.mark.parametrize("dims", BEYOND_TWO_QUBITS)
+    def test_d_never_exceeds_dg_beyond_two_qubits(self, dims):
+        for seed in range(3):
+            rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7500 + seed)
+            assert nc.measure_D(rho, TINY).value <= nc.measure_DG(rho).value + 1e-9
+
     def test_dg_additive_on_tensor_products(self):
         a = nc.random_density_matrix((2, 2), 4, 501)
         b = nc.random_density_matrix((2, 2), 4, 502)
@@ -238,3 +261,21 @@ class TestSharedProperties:
         assert nc.measure_DG(joint).value == pytest.approx(
             nc.measure_DG(a).value + nc.measure_DG(b).value, abs=1e-8
         )
+
+
+class TestMeasureTable:
+    def test_callers_reach_a_replaced_measure_function(self, monkeypatch, tmp_path, capsys):
+        # MEASURES looks measure_K up at call time, so a replaced module
+        # attribute (a stub here, a span wrapper in perfbench) reaches the
+        # sweep, the CLI and the verify suite alike.
+        stub = measures.MeasureReport("K", 7.0, None)
+        monkeypatch.setattr(measures, "measure_K", lambda rho: stub)
+        rho = nc.make_pseudo_entangled(0.3)
+        assert sweep.evaluate_point(rho, ("K",), TINY, measures.DEFAULT_PARTITION_CAP) == {"K": 7.0}
+        path = tmp_path / "ps.json"
+        nc.store_state(rho, str(path))
+        assert cli.main(["measure", str(path), "--measures", "K"]) == 0
+        assert json.loads(capsys.readouterr().out)["K"]["value"] == 7.0
+        (check,) = verify.criterion_4(nc.SearchConfig(n_samples=0, refine_steps=0))
+        assert not check.passed
+        assert "max |measure| 7.000e+00" in check.detail

@@ -38,6 +38,14 @@ class TestHaarSampling:
         assert len(set(keys.tolist())) == 1000
 
 
+class TestSearchConfig:
+    @pytest.mark.parametrize("field", [{"n_samples": -1}, {"chunk_size": 0}],
+                             ids=["negative-samples", "zero-chunk-size"])
+    def test_bad_value_is_param_out_of_range(self, field):
+        with pytest.raises(nc.ParamOutOfRange):
+            nc.SearchConfig(**field)
+
+
 class TestMinDiagEntropy:
     def test_diagonal_state_exact(self):
         q = np.array([0.4, 0.3, 0.2, 0.1])
