@@ -52,7 +52,8 @@ _NUMERIC_ERRORS = (NoConvergence, NonHermitian)
 
 
 def _parse_measures(text: str) -> tuple:
-    items = tuple(m.strip().upper() for m in text.split(",") if m.strip())
+    """Requested measure names, upper-cased, each once at its first position."""
+    items = tuple(dict.fromkeys(m.strip().upper() for m in text.split(",") if m.strip()))
     bad = [m for m in items if m not in MEASURE_ORDER]
     if bad:
         raise ParamOutOfRange(f"unknown measures {bad}; choose from {','.join(MEASURE_ORDER)}")
@@ -190,14 +191,24 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
+def _reject_flags(source: str, **flags) -> None:
+    """Refuse gen-state flags that do not apply to the chosen state source."""
+    stray = [f"--{name}" for name, value in flags.items() if value is not None]
+    if stray:
+        raise ParamOutOfRange(f"{' and '.join(stray)} cannot be used with {source}")
+
+
 def cmd_gen_state(args) -> int:
     if args.family is not None:
+        _reject_flags("--family", rank=args.rank, seed=args.seed)
         if args.param is None:
             raise ParamOutOfRange("--param is required with --family")
         rho = FAMILIES[args.family][0](args.param)
     else:
+        _reject_flags("--dims", param=args.param)
         rank = args.rank if args.rank is not None else int(np.prod(args.dims))
-        rho = states.random_density_matrix(args.dims, rank, args.seed)
+        seed = args.seed if args.seed is not None else 1
+        rho = states.random_density_matrix(args.dims, rank, seed)
     states.store_state(rho, args.out)
     return EXIT_OK
 
@@ -243,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", choices=tuple(FAMILIES))
     source.add_argument("--dims", type=_dims, help="comma-separated dims for a random state, e.g. 2,2")
-    p.add_argument("--param", type=float)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--seed", type=_nonneg_int, default=1)
+    p.add_argument("--param", type=float, help="family parameter (--family only)")
+    p.add_argument("--rank", type=int, help="rank of the random state (--dims only; default full)")
+    p.add_argument("--seed", type=_nonneg_int, help="seed of the random state (--dims only; default 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_state)
 

@@ -146,12 +146,45 @@ def product_basis_matrix(basis: ProductBasis) -> np.ndarray:
     return B
 
 
+def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """diag(B_s^dag rho B_s) for a batch of product bases B_s = U_1[s] x ... x U_m[s].
+
+    `factor_stacks[k]` has shape (S, d_k, d_k); the result is real with shape
+    (S, d_tot), columns in Kronecker order.  B_s is never formed: rho is
+    reordered as a tensor with one (i_k, j_k) index pair per subsystem, the
+    first subsystem's rank-one projectors conj(U[s,i,c]) U[s,j,c] are
+    contracted against it in one GEMM shared by the batch, and each further
+    subsystem in a batched matmul.  That costs about S d_tot^2 d_1 instead
+    of S d_tot^3.  With two or more subsystems a row comes out the same
+    whether it is computed alone or inside a batch, which keeps the D search
+    independent of its chunk size.
+    """
+    dims = [F.shape[-1] for F in factor_stacks]
+    m = len(dims)
+    S = factor_stacks[0].shape[0]
+    X = rho_mat.reshape(tuple(dims) * 2).transpose([a for k in range(m) for a in (k, m + k)])
+    done, rest = 1, rho_mat.shape[0]
+    for k, F in enumerate(factor_stacks):
+        d = dims[k]
+        rest //= d
+        Ft = F.transpose(0, 2, 1)
+        P = (Ft.conj()[:, :, :, None] * Ft[:, :, None, :]).reshape(S, d, d * d)
+        if k == 0:
+            X = P.reshape(S * d, d * d) @ X.reshape(d * d, rest * rest)
+        else:
+            X = P[:, None] @ X.reshape(S, done, d * d, rest * rest)
+        done *= d
+    return X.reshape(S, done).real
+
+
 def diag_probs(rho: DensityMatrix, basis: ProductBasis) -> np.ndarray:
-    """Diagonal of rho in the given product basis, as a probability vector."""
+    """Diagonal of rho in the given product basis, as a probability vector.
+
+    One-sample call of `product_diagonals`, so no Kronecker basis is formed.
+    """
     if basis.dims != rho.dims:
         raise DimensionMismatch(f"basis dims {basis.dims} != state dims {rho.dims}")
-    B = product_basis_matrix(basis)
-    p = np.einsum("ic,ic->c", B.conj(), rho.mat @ B).real
+    p = product_diagonals(rho.mat, [f[None] for f in basis.factors])[0]
     p = _clamp_probs(p, PROB_NEG_TOL)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:

@@ -95,18 +95,13 @@ def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductB
     return ProductBasis(tuple(f[0] for f in facs))
 
 
-def _batched_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    S, a, b = A.shape
-    _, c, d = B.shape
-    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(S, a * c, b * d)
-
-
 def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np.ndarray:
-    B = factor_stacks[0]
-    for F in factor_stacks[1:]:
-        B = _batched_kron(B, F)
-    M = np.einsum("ik,skc->sic", rho_mat, B)
-    P = np.einsum("sic,sic->sc", B.conj(), M).real
+    """Base-2 Shannon entropy of rho's diagonal in each sampled product basis.
+
+    The diagonals come from `qmat.product_diagonals`, which contracts rho one
+    subsystem at a time and never forms the d_tot x d_tot basis.
+    """
+    P = qmat.product_diagonals(rho_mat, factor_stacks)
     P = np.where(P > 0.0, P, 0.0)
     logs = np.log2(np.where(P > 0.0, P, 1.0))
     return -(P * logs).sum(axis=1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nccorr as nc
-from nccorr import cli
+from nccorr import cli, measures
 
 
 def run(argv, tmp_path=None):
@@ -104,6 +104,20 @@ class TestStateCommands:
         assert report["N"]["value"] <= 1e-12
         assert "witness" in report["K"]
 
+    def test_measure_repeated_name_runs_once(self, tmp_path, capsys, monkeypatch):
+        state = tmp_path / "ps.json"
+        run(["gen-state", "--family", "ps", "--param", 0.3, "--out", state])
+        calls = []
+
+        def counting_negativity(rho):
+            calls.append(rho)
+            return measures.MeasureReport("N", 0.0, None)
+
+        monkeypatch.setattr(measures, "negativity", counting_negativity)
+        assert run(["measure", state, "--measures", "N,K,N"] + FAST_FLAGS) == 0
+        assert len(calls) == 1
+        assert list(json.loads(capsys.readouterr().out)) == ["N", "K"]
+
     def test_measure_closed_form_dg(self, tmp_path, capsys):
         state = tmp_path / "sig.json"
         run(["gen-state", "--family", "sigma", "--param", 0.25, "--out", state])
@@ -152,9 +166,13 @@ class TestErrorHandling:
         ["verify", "--tol", -1],
         ["verify", "--tol", "nan"],
         ["gen-state", "--family", "ps", "--param", 0.5, "--dims", "2,3"],
+        ["gen-state", "--family", "ps", "--param", 0.5, "--rank", 3],
+        ["gen-state", "--family", "ps", "--param", 0.5, "--seed", 3],
+        ["gen-state", "--dims", "2,2", "--param", 0.7],
     ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
             "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap",
-            "tol-negative", "tol-nan", "family-and-dims"])
+            "tol-negative", "tol-nan", "family-and-dims", "family-with-rank",
+            "family-with-seed", "dims-with-param"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":
             argv = argv + ["--out", tmp_path / "x.json"]

@@ -32,13 +32,26 @@ print(nc.run_sweep(nc.SweepSpec("horodecki", 0.0, 1.0, 11, search=cfg)), end="")
 """
 
 
-def run_with_threads(n):
+D_SCRIPT = """
+import hashlib
+import nccorr as nc
+
+cfg = nc.SearchConfig(n_samples=2000, seed=1, refine_steps=50)
+for seed, dims in enumerate([(2, 2, 2), (2, 2, 2, 2)]):
+    rho = nc.random_density_matrix(dims, 2 ** len(dims), 200 + seed)
+    rep = nc.measure_D(rho, cfg)
+    w = hashlib.sha256(b"".join(f.tobytes() for f in rep.witness.factors)).hexdigest()
+    print(dims, float(rep.value).hex(), w, rep.diagnostics["best_source"])
+"""
+
+
+def run_with_threads(n, script=SCRIPT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(n)
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, env=env, timeout=120
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
@@ -48,4 +61,11 @@ def test_blas_thread_count_does_not_change_results():
     one = run_with_threads(1)
     two = run_with_threads(2)
     assert one.count(b"\n") == 8 * 4 + 1 + 11
+    assert one == two
+
+
+def test_blas_thread_count_does_not_change_multipartite_d():
+    one = run_with_threads(1, D_SCRIPT)
+    two = run_with_threads(2, D_SCRIPT)
+    assert one.count(b"\n") == 2
     assert one == two

@@ -36,6 +36,20 @@ def classical_state(dims, seed):
     return nc.make_classically_correlated(basis, q)
 
 
+def separable_mixture(dims, seed, real, terms=4):
+    """Random convex mixture of product pure states; PPT by construction."""
+    rng = np.random.default_rng(seed)
+    mat = 0.0
+    for w in rng.dirichlet(np.ones(terms)):
+        term = np.ones((1, 1))
+        for d in dims:
+            v = rng.standard_normal(d) + (0.0 if real else 1j * rng.standard_normal(d))
+            v /= np.linalg.norm(v)
+            term = np.kron(term, np.outer(v, v.conj()))
+        mat = mat + w * term
+    return nc.DensityMatrix(dims, mat)
+
+
 class TestMeasureD:
     def test_ps_matches_dg_closed_form(self):
         for p in np.linspace(0, 1, 9):
@@ -253,6 +267,17 @@ class TestSharedProperties:
         for seed in range(3):
             rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7500 + seed)
             assert nc.measure_D(rho, TINY).value <= nc.measure_DG(rho).value + 1e-9
+
+    @pytest.mark.parametrize("dims", BEYOND_TWO_QUBITS)
+    def test_k_n_vanish_on_ppt_beyond_two_qubits(self, dims):
+        for seed in range(3):
+            # real product terms: the partial transpose equals rho, so K = N = 0
+            rho = separable_mixture(dims, 7600 + seed, real=True)
+            assert nc.measure_K(rho).value <= 1e-9
+            assert nc.negativity(rho).value <= 1e-9
+            # complex product terms stay PPT, but the partial transpose
+            # conjugates them and its spectrum moves, so only N must vanish
+            assert nc.negativity(separable_mixture(dims, 7700 + seed, real=False)).value <= 1e-9
 
     def test_dg_additive_on_tensor_products(self):
         a = nc.random_density_matrix((2, 2), 4, 501)

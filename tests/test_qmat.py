@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nccorr as nc
-from nccorr import qmat
+from nccorr import qmat, search
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -226,3 +226,33 @@ class TestDiagProbs:
     def test_dimension_mismatch(self):
         with pytest.raises(nc.DimensionMismatch):
             qmat.diag_probs(nc.make_sigma(0.1), nc.computational_basis((2, 3)))
+
+
+class TestProductDiagonals:
+    DIMS = [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)]
+
+    @staticmethod
+    def haar_stacks(dims, n, seed):
+        keys = search.sample_key(seed, np.arange(n, dtype=np.uint64))
+        return search._haar_batch(dims, keys)
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_matches_dense_kronecker_formula(self, dims, n):
+        rho = random_state(dims, 40 + n)
+        stacks = self.haar_stacks(dims, n, 5)
+        got = qmat.product_diagonals(rho.mat, stacks)
+        assert got.shape == (n, rho.d_tot)
+        for s in range(n):
+            B = qmat.product_basis_matrix(nc.ProductBasis(tuple(F[s] for F in stacks)))
+            dense = np.einsum("ic,ic->c", B.conj(), rho.mat @ B).real
+            assert np.max(np.abs(got[s] - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_row_alone_equals_row_in_batch(self, dims):
+        rho = random_state(dims, 61)
+        stacks = self.haar_stacks(dims, 37, 6)
+        batch = qmat.product_diagonals(rho.mat, stacks)
+        for s in range(37):
+            alone = qmat.product_diagonals(rho.mat, [F[s : s + 1] for F in stacks])
+            assert np.array_equal(alone[0], batch[s])

@@ -96,6 +96,18 @@ class TestMinDiagEntropy:
             for fa, fb in zip(basis.factors, base[1].factors):
                 assert np.array_equal(fa, fb)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3)])
+    def test_chunk_size_invariance_multipartite(self, dims):
+        rho = nc.random_density_matrix(dims, int(np.prod(dims)), 78)
+        base = nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=700, seed=3, refine_steps=30))
+        for chunk in (1, 13, 256, 10000):
+            cfg = nc.SearchConfig(n_samples=700, seed=3, refine_steps=30, chunk_size=chunk)
+            val, basis, diag = nc.min_diag_entropy(rho, cfg)
+            assert val == base[0]
+            assert diag == base[2]
+            for fa, fb in zip(basis.factors, base[1].factors):
+                assert np.array_equal(fa, fb)
+
     def test_refinement_never_increases(self):
         rho = nc.random_density_matrix((2, 2), 4, 91)
         v0, _, _ = nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=200, seed=5, refine_steps=0))
