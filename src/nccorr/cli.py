@@ -13,20 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (
-    BadSubsystemIndex,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    NccorrError,
-    NoConvergence,
-    NonHermitian,
-    NotAProbabilityVector,
-    ParamOutOfRange,
-    ParseError,
-    PartitionCapExceeded,
-    ProductBasis,
-    ValidationFailure,
-)
+from .core import NccorrError, NoConvergence, NonHermitian, ParamOutOfRange, ProductBasis
 from . import measures, states, verify
 from .measures import Partition
 from .search import SearchConfig
@@ -36,19 +23,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
-
-_INPUT_ERRORS = (
-    ParamOutOfRange,
-    ParseError,
-    ValidationFailure,
-    DimensionMismatch,
-    BadSubsystemIndex,
-    NotAProbabilityVector,
-    PartitionCapExceeded,
-    DegenerateSpectrum,
-    OSError,
-)
-_NUMERIC_ERRORS = (NoConvergence, NonHermitian)
 
 
 def _parse_measures(text: str) -> tuple:
@@ -276,13 +250,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (_NUMERIC_ERRORS + (FloatingPointError,)) as exc:
+    except (NoConvergence, NonHermitian, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except NccorrError as exc:
+    except (NccorrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

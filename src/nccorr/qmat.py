@@ -154,10 +154,11 @@ def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) 
     reordered as a tensor with one (i_k, j_k) index pair per subsystem, the
     first subsystem's rank-one projectors conj(U[s,i,c]) U[s,j,c] are
     contracted against it in one GEMM shared by the batch, and each further
-    subsystem in a batched matmul.  That costs about S d_tot^2 d_1 instead
-    of S d_tot^3.  With two or more subsystems a row comes out the same
-    whether it is computed alone or inside a batch, which keeps the D search
-    independent of its chunk size.
+    subsystem in a batched matmul (one subsystem: an elementwise multiply
+    and sum).  That costs about S d_tot^2 d_1 instead of S d_tot^3.  A row
+    comes out the same whether it is computed alone or inside a batch of
+    stacks with the same memory layout, which keeps the D search independent
+    of its chunk size.
     """
     dims = [F.shape[-1] for F in factor_stacks]
     m = len(dims)
@@ -169,7 +170,10 @@ def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) 
         rest //= d
         Ft = F.transpose(0, 2, 1)
         P = (Ft.conj()[:, :, :, None] * Ft[:, :, None, :]).reshape(S, d, d * d)
-        if k == 0:
+        if m == 1:
+            # a one-column GEMM goes to gemv, whose rounding depends on S
+            X = (P * X.reshape(d * d)).sum(axis=-1)
+        elif k == 0:
             X = P.reshape(S * d, d * d) @ X.reshape(d * d, rest * rest)
         else:
             X = P[:, None] @ X.reshape(S, done, d * d, rest * rest)

@@ -2,15 +2,16 @@
 
 Random search over Haar product bases with two deterministic seed
 candidates (computational basis and the marginal eigenbases) and an
-optional hill-climb refinement.  All randomness is counter-based: the
-basis for sample i depends only on (seed, i), so results are independent
-of batching and monotone in the number of samples.
+optional hill-climb refinement, all scored by `_batch_entropies`.  The
+samples are counter-based: the basis for sample i depends only on (seed, i),
+so results are independent of batching and monotone in the number of
+samples.  The hill-climb draws from `default_rng(SeedSequence([seed, _REFINE_TAG]))`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -130,7 +131,8 @@ def computational_basis(dims: Sequence[int]) -> ProductBasis:
 
 
 # cache of sampled basis factors keyed by (dims, seed, n_samples); the samples
-# do not depend on the state, so sweeps over a family reuse them
+# do not depend on the state, so sweeps over a family reuse them; read-only,
+# because a witness taken from a sample is a view into them
 _SAMPLE_CACHE: Dict[tuple, List[np.ndarray]] = {}
 _SAMPLE_CACHE_MAX = 4
 
@@ -141,7 +143,10 @@ def _sampled_factors(dims: Tuple[int, ...], seed: int, n_samples: int) -> List[n
         if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_MAX:
             _SAMPLE_CACHE.pop(next(iter(_SAMPLE_CACHE)))
         keys = sample_key(seed, np.arange(n_samples, dtype=np.uint64))
-        _SAMPLE_CACHE[key] = _haar_batch(dims, keys) if n_samples else []
+        stacks = _haar_batch(dims, keys)
+        for F in stacks:
+            F.setflags(write=False)
+        _SAMPLE_CACHE[key] = stacks
     return _SAMPLE_CACHE[key]
 
 
@@ -152,46 +157,43 @@ def min_diag_entropy(
 ) -> Tuple[float, ProductBasis, dict]:
     """Smallest diagonal entropy found over candidate and sampled product bases.
 
+    `_batch_entropies` scores the fixed candidates in one batch (the first
+    minimum wins), the samples chunk by chunk and each hill-climb trial as a
+    batch of one.  Only the extra candidates (up front) and the witness go
+    through the checked `qmat.diag_probs`, and the returned entropy comes
+    from the witness's checked diagonal.
+
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
     regardless of chunk size.
     """
     dims = rho.dims
-    best = math.inf
-    best_basis: Optional[ProductBasis] = None
-    best_source = "none"
-
-    candidates: List[Tuple[str, ProductBasis]] = [
-        ("computational", computational_basis(dims)),
-        ("marginal-eigenbasis", marginal_eigenbasis(rho)),
-    ]
-    for i, basis in enumerate(extra_candidates):
-        candidates.append((f"extra:{i}", basis))
-
-    for source, basis in candidates:
-        h = qmat.shannon_entropy(qmat.diag_probs(rho, basis))
-        if h < best:
-            best, best_basis, best_source = h, basis, source
+    for basis in extra_candidates:
+        qmat.diag_probs(rho, basis)  # same errors for bad caller input as for a witness
+    candidates = [computational_basis(dims), marginal_eigenbasis(rho), *extra_candidates]
+    ent = _batch_entropies(rho.mat, [np.stack(f) for f in zip(*(b.factors for b in candidates))])
+    i = int(np.argmin(ent))
+    best = float(ent[i])
+    factors = candidates[i].factors
+    best_source = ("computational", "marginal-eigenbasis")[i] if i < 2 else f"extra:{i - 2}"
 
     n = cfg.n_samples
     if n > 0:
         stacks = _sampled_factors(dims, cfg.seed, n)
         for lo in range(0, n, cfg.chunk_size):
-            hi = min(lo + cfg.chunk_size, n)
-            chunk = [F[lo:hi] for F in stacks]
+            chunk = [F[lo : lo + cfg.chunk_size] for F in stacks]
             ent = _batch_entropies(rho.mat, chunk)
             i = int(np.argmin(ent))
             if ent[i] < best:
                 best = float(ent[i])
-                best_basis = ProductBasis(tuple(F[i] for F in chunk))
+                factors = [F[i] for F in chunk]
                 best_source = f"sample:{lo + i}"
 
     accepts = 0
-    if cfg.refine_steps > 0 and best_basis is not None:
+    if cfg.refine_steps > 0:
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed % (1 << 64), _REFINE_TAG])
         )
-        factors = [f.copy() for f in best_basis.factors]
         step = _REFINE_STEP
         m = len(dims)
         for _ in range(cfg.refine_steps):
@@ -204,21 +206,20 @@ def min_diag_entropy(
                 continue
             trial = list(factors)
             trial[k] = factors[k] @ unitary_from_antiherm(A * (step / nrm))
-            basis = ProductBasis(tuple(trial))
-            h = qmat.shannon_entropy(qmat.diag_probs(rho, basis))
+            h = float(_batch_entropies(rho.mat, [f[None] for f in trial])[0])
             if h < best:
                 best = h
                 factors = trial
-                best_basis = basis
                 best_source = "refine"
                 accepts += 1
             else:
                 step *= 0.9
 
+    witness = ProductBasis(tuple(factors))
     diagnostics = {
         "samples_evaluated": n,
         "refine_steps": cfg.refine_steps,
         "refine_accepts": accepts,
         "best_source": best_source,
     }
-    return best, best_basis, diagnostics
+    return qmat.shannon_entropy(qmat.diag_probs(rho, witness)), witness, diagnostics

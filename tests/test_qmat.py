@@ -229,7 +229,7 @@ class TestDiagProbs:
 
 
 class TestProductDiagonals:
-    DIMS = [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)]
+    DIMS = [(2,), (3,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)]
 
     @staticmethod
     def haar_stacks(dims, n, seed):

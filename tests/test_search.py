@@ -133,3 +133,61 @@ class TestMarginalEigenbasis:
             basis = search.marginal_eigenbasis(make(p))
             for f in basis.factors:
                 assert np.array_equal(f, np.eye(2))
+
+
+class TestSingleScorer:
+    """Candidates, samples and hill-climb trials share one scorer; only the
+    witness and the caller's extra candidates go through `qmat.diag_probs`."""
+
+    @pytest.mark.parametrize("rho, cfg, source", [
+        (nc.DensityMatrix((2, 2), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)),
+         nc.SearchConfig(n_samples=200, seed=2, refine_steps=0), "computational"),
+        (nc.random_density_matrix((2, 3), 1, 1),
+         nc.SearchConfig(n_samples=200, seed=2, refine_steps=0), "marginal-eigenbasis"),
+        (nc.random_density_matrix((2, 2, 2), 2, 6),
+         nc.SearchConfig(n_samples=2000, seed=3, refine_steps=0), "sample:"),
+        (nc.random_density_matrix((2, 2, 2), 2, 6),
+         nc.SearchConfig(n_samples=400, seed=1, refine_steps=100), "refine"),
+    ], ids=["computational", "marginal-eigenbasis", "sample", "refine"])
+    def test_value_is_entropy_of_checked_witness(self, rho, cfg, source):
+        val, basis, diag = nc.min_diag_entropy(rho, cfg)
+        assert diag["best_source"].startswith(source)
+        assert val == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
+
+    def test_diag_probs_only_for_extras_and_witness(self, monkeypatch):
+        calls = []
+        real = qmat.diag_probs
+
+        def counting(rho, basis):
+            calls.append(basis)
+            return real(rho, basis)
+
+        monkeypatch.setattr(qmat, "diag_probs", counting)
+        rho = nc.random_density_matrix((2, 3), 6, 21)
+        extras = [nc.computational_basis((2, 3)), nc.haar_random_product_basis((2, 3), 5)]
+        cfg = nc.SearchConfig(n_samples=300, seed=4, refine_steps=50)
+        _, basis, _ = nc.min_diag_entropy(rho, cfg, extras)
+        assert len(calls) == 3
+        assert calls[-1] is basis
+
+    @pytest.mark.parametrize("rho, extras, error", [
+        (nc.random_density_matrix((2, 2), 4, 3), [nc.computational_basis((2, 3))],
+         nc.DimensionMismatch),
+        (nc.random_density_matrix((2, 2), 4, 3),
+         [nc.ProductBasis((2 * np.eye(2), np.eye(2)))], nc.NotAProbabilityVector),
+        (nc.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 2), [],
+         nc.NotAProbabilityVector),
+    ], ids=["extra-wrong-dims", "extra-not-unitary", "trace-two-state"])
+    def test_bad_input_still_raises(self, rho, extras, error):
+        cfg = nc.SearchConfig(n_samples=50, seed=1, refine_steps=5)
+        with pytest.raises(error):
+            nc.min_diag_entropy(rho, cfg, extras)
+
+    def test_sample_witness_cannot_edit_the_cache(self):
+        rho = nc.random_density_matrix((2, 2, 2), 2, 6)
+        cfg = nc.SearchConfig(n_samples=2000, seed=3, refine_steps=0)
+        rep = nc.measure_D(rho, cfg)
+        assert rep.diagnostics["best_source"].startswith("sample:")
+        with pytest.raises(ValueError):
+            rep.witness.factors[0][:] = np.eye(2)
+        assert nc.measure_D(rho, cfg).value == rep.value
