@@ -156,10 +156,13 @@ def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) 
     contracted against it in one GEMM shared by the batch, and each further
     subsystem in a batched matmul (one subsystem: an elementwise multiply
     and sum).  That costs about S d_tot^2 d_1 instead of S d_tot^3.  A row
-    comes out the same whether it is computed alone or inside a batch of
-    stacks with the same memory layout, which keeps the D search independent
-    of its chunk size.
+    depends only on the values of its factors: it comes out the same alone
+    or inside a batch, and in any memory layout of the stacks, which keeps
+    the D search independent of its chunk size.
     """
+    # the projectors' strides follow the stacks', and matmul and sum round
+    # differently on different strides, so every stack enters in C order
+    factor_stacks = [np.ascontiguousarray(F) for F in factor_stacks]
     dims = [F.shape[-1] for F in factor_stacks]
     m = len(dims)
     S = factor_stacks[0].shape[0]

@@ -5,17 +5,22 @@ candidates (computational basis and the marginal eigenbases) and an
 optional hill-climb refinement, all scored by `_batch_entropies`.  The
 samples are counter-based: the basis for sample i depends only on (seed, i),
 so results are independent of batching and monotone in the number of
-samples.  The hill-climb draws from `default_rng(SeedSequence([seed, _REFINE_TAG]))`.
+samples.  Each Haar factor is the unitary of a QR decomposition of a complex
+Gaussian matrix, with R's diagonal real and positive; `_haar_batch` computes
+it by Gram–Schmidt in whole-batch elementwise arithmetic, so a sample comes
+out bit-identical whatever batch it is made in.  The hill-climb draws from
+`default_rng(SeedSequence([seed, _REFINE_TAG]))`.
 """
 from __future__ import annotations
 
 import math
+from functools import reduce
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, ParamOutOfRange, ProductBasis
+from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis
 from . import qmat
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -72,20 +77,51 @@ def _normals(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
-    """One Haar-random unitary per subsystem per key; stacks of shape (S, d, d)."""
+    """One Haar-random unitary per subsystem per key; C-ordered stacks of shape (S, d, d).
+
+    Each factor is the Q of a QR decomposition of a complex Ginibre matrix,
+    with the phases fixed so that R has a real, positive diagonal (Mezzadri,
+    Notices AMS 54, 2007).  That Q is computed directly, by Gram–Schmidt on
+    the matrix's columns, each orthogonalised twice against the columns
+    before it and then normalised.  The columns are real and imaginary
+    (d, S) arrays with the samples contiguous, and all arithmetic is
+    elementwise real ufuncs with every d-term sum added in a fixed order, so
+    a sample's factors depend only on its key: they are bit-identical
+    whether the key comes alone, in a slice or in the full batch.  The
+    Ginibre scale is left out, since Gram–Schmidt does not depend on it.  A
+    column whose residual norm is exactly zero raises NoConvergence.
+    """
+    S = len(keys)
     counts = [2 * d * d for d in dims]
     N = _normals(keys, sum(counts))
     factors = []
     off = 0
     for d, cnt in zip(dims, counts):
-        block = N[:, off : off + cnt].reshape(-1, d, d, 2)
+        # G[s, r, c, part] is part (re, im) of entry (r, c); Re/Im[c, r, s]
+        # hold it column by column, and reduce(np.add, ...) sums over r in order
+        G = N[:, off : off + cnt].reshape(S, d, d, 2)
+        Re, Im = np.ascontiguousarray(G.transpose(3, 2, 1, 0))
         off += cnt
-        G = (block[..., 0] + 1j * block[..., 1]) / math.sqrt(2.0)
-        Q, R = np.linalg.qr(G)
-        diag = R[:, np.arange(d), np.arange(d)]
-        mag = np.abs(diag)
-        ph = np.where(mag > 0.0, diag / np.where(mag > 0.0, mag, 1.0), 1.0)
-        factors.append(Q * ph[:, None, :])
+        for c in range(d):
+            vr, vi = Re[c], Im[c]
+            for _ in range(2):
+                for j in range(c):
+                    ar, ai = Re[j], Im[j]
+                    pr = reduce(np.add, ar * vr + ai * vi)  # <u_j, v> = sum_r conj(u_jr) v_r
+                    pi = reduce(np.add, ar * vi - ai * vr)
+                    vr -= pr * ar - pi * ai
+                    vi -= pr * ai + pi * ar
+            nrm = np.sqrt(reduce(np.add, vr * vr + vi * vi))
+            if not nrm.all():
+                raise NoConvergence(
+                    f"Haar sample: zero Gram-Schmidt residual in column {c} of a {d}x{d} matrix"
+                )
+            vr /= nrm
+            vi /= nrm
+        U = np.empty((S, d, d), dtype=np.complex128)
+        U.real = Re.T
+        U.imag = Im.T
+        factors.append(U)
     return factors
 
 

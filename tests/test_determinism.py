@@ -44,6 +44,17 @@ for seed, dims in enumerate([(2, 2, 2), (2, 2, 2, 2)]):
     print(dims, float(rep.value).hex(), w, rep.diagnostics["best_source"])
 """
 
+HAAR_SCRIPT = """
+import hashlib
+import numpy as np
+from nccorr import search
+
+keys = search.sample_key(5, np.arange(5000, dtype=np.uint64))
+for dims in [(2, 4), (2, 2, 2, 2)]:
+    for F in search._haar_batch(dims, keys):
+        print(dims, F.shape, hashlib.sha256(F.tobytes()).hexdigest())
+"""
+
 
 def run_with_threads(n, script=SCRIPT):
     env = dict(os.environ)
@@ -68,4 +79,11 @@ def test_blas_thread_count_does_not_change_multipartite_d():
     one = run_with_threads(1, D_SCRIPT)
     two = run_with_threads(2, D_SCRIPT)
     assert one.count(b"\n") == 2
+    assert one == two
+
+
+def test_blas_thread_count_does_not_change_haar_samples():
+    one = run_with_threads(1, HAAR_SCRIPT)
+    two = run_with_threads(2, HAAR_SCRIPT)
+    assert one.count(b"\n") == 2 + 4
     assert one == two

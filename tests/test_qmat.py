@@ -256,3 +256,20 @@ class TestProductDiagonals:
         for s in range(37):
             alone = qmat.product_diagonals(rho.mat, [F[s : s + 1] for F in stacks])
             assert np.array_equal(alone[0], batch[s])
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_layout_does_not_change_rows(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for seed in range(10):
+            rho = random_state(dims, 70 + seed, rank=int(rng.integers(1, np.prod(dims) + 1)))
+            # herm_eig returns F-ordered eigenvector matrices
+            facs = search.marginal_eigenbasis(rho).factors
+            f_order = [np.asfortranarray(np.stack([f, f[::-1]])) for f in facs]
+            c_order = [np.ascontiguousarray(F) for F in f_order]
+            strided = [np.stack([F, F], axis=-1)[..., 0] for F in f_order]
+            want = qmat.product_diagonals(rho.mat, c_order)
+            assert not strided[0].flags.c_contiguous and not strided[0].flags.f_contiguous
+            for stacks in (f_order, strided):
+                assert np.array_equal(qmat.product_diagonals(rho.mat, stacks), want)
+            alone = qmat.product_diagonals(rho.mat, [f[None] for f in facs])
+            assert np.array_equal(alone[0], want[0])

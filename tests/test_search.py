@@ -33,6 +33,68 @@ class TestHaarSampling:
         mean = float(np.mean(np.abs(us[:, 0, 0]) ** 2))
         assert abs(mean - 0.5) <= 0.02
 
+    HAAR_DIMS = [(2,), (3,), (4,), (2, 4), (3, 3), (2, 2, 2, 2)]
+
+    @staticmethod
+    def batch(dims, n=10000, seed=11):
+        return search._haar_batch(dims, search.sample_key(seed, np.arange(n, dtype=np.uint64)))
+
+    @staticmethod
+    def lapack_oracle(dims, keys):
+        """Q of LAPACK's QR of each Ginibre matrix, phased so R has a positive diagonal."""
+        N = search._normals(keys, sum(2 * d * d for d in dims))
+        out, off = [], 0
+        for d in dims:
+            block = N[:, off : off + 2 * d * d].reshape(-1, d, d, 2)
+            off += 2 * d * d
+            Q, R = np.linalg.qr(block[..., 0] + 1j * block[..., 1])
+            diag = R[:, np.arange(d), np.arange(d)]
+            out.append(Q * (diag / np.abs(diag))[:, None, :])
+        return out
+
+    @pytest.mark.parametrize("dims", HAAR_DIMS)
+    def test_row_alone_in_slice_and_in_batch_identical(self, dims):
+        full = self.batch(dims)
+        keys = search.sample_key(11, np.arange(10000, dtype=np.uint64))
+        part = search._haar_batch(dims, keys[4321:4400])
+        for i in (0, 1, 4321, 4399, 9999):
+            alone = search._haar_batch(dims, keys[i : i + 1])
+            for F, A in zip(full, alone):
+                assert np.array_equal(A[0], F[i])
+        for F, P in zip(full, part):
+            assert F.flags.c_contiguous and P.flags.c_contiguous
+            assert np.array_equal(P, F[4321:4400])
+
+    @pytest.mark.parametrize("dims", HAAR_DIMS)
+    def test_every_sample_unitary(self, dims):
+        for F in self.batch(dims):
+            d = F.shape[-1]
+            gram = np.swapaxes(F.conj(), 1, 2) @ F
+            assert np.max(np.abs(gram - np.eye(d))) <= 1e-14
+
+    @pytest.mark.parametrize("dims", HAAR_DIMS)
+    def test_matches_lapack_qr_with_phase_fix(self, dims):
+        keys = search.sample_key(12, np.arange(2000, dtype=np.uint64))
+        for F, Q in zip(search._haar_batch(dims, keys), self.lapack_oracle(dims, keys)):
+            assert np.max(np.abs(F - Q)) <= 1e-11
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_haar_first_moment_qutrit_and_ququart(self, d):
+        (us,) = self.batch((d,))
+        assert abs(float(np.mean(np.abs(us[:, 0, 0]) ** 2)) - 1.0 / d) <= 0.02
+
+    @pytest.mark.parametrize("columns", [
+        [[1.0, 0.0], [2.0, 0.0]],  # second column a multiple of the first
+        [[0.0, 0.0], [1.0, 0.0]],  # zero first column
+    ], ids=["dependent-column", "zero-column"])
+    def test_rank_deficient_input_raises(self, monkeypatch, columns):
+        # entries (r, c) in the normals' layout: real, imaginary part per entry
+        G = np.array(columns).T
+        normals = np.stack([G, np.zeros_like(G)], axis=-1).reshape(1, -1)
+        monkeypatch.setattr(search, "_normals", lambda keys, count: np.repeat(normals, len(keys), 0))
+        with pytest.raises(nc.NoConvergence):
+            search._haar_batch((2,), search.sample_key(1, np.arange(3, dtype=np.uint64)))
+
     def test_mix64_spreads(self):
         keys = search.sample_key(1, np.arange(1000, dtype=np.uint64))
         assert len(set(keys.tolist())) == 1000
