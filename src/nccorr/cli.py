@@ -86,22 +86,18 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-# the search flags' defaults, so the CLI and the library cannot drift apart
-_DEFAULT_SEARCH = SearchConfig()
-
-
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     names = ",".join(MEASURE_ORDER)
     p.add_argument("--measures", default=names, help=f"comma-separated subset of {names}")
-    p.add_argument("--samples", type=_nonneg_int, default=_DEFAULT_SEARCH.n_samples,
+    p.add_argument("--samples", type=_nonneg_int, default=SearchConfig.n_samples,
                    help="random bases per D evaluation")
-    p.add_argument("--seed", type=int, default=_DEFAULT_SEARCH.seed, help="search seed")
-    p.add_argument("--refine-steps", type=_nonneg_int, default=_DEFAULT_SEARCH.refine_steps,
+    p.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
+    p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps,
                    help="hill-climb steps after the random search (0 = pure random search)")
     p.add_argument("--partition-cap", type=_pos_int, default=measures.DEFAULT_PARTITION_CAP,
                    help="G refuses subsystem k when dims[k]^d_tot exceeds this; only the "
                         "balanced assignments are enumerated")
-    p.add_argument("--chunk-size", type=_pos_int, default=_DEFAULT_SEARCH.chunk_size,
+    p.add_argument("--chunk-size", type=_pos_int, default=SearchConfig.chunk_size,
                    help="internal evaluation batch size (never changes results)")
 
 
@@ -240,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_state)
 
     p = sub.add_parser("verify", help="run the closed-form regression suite")
-    p.add_argument("--samples", type=_nonneg_int, default=_DEFAULT_SEARCH.n_samples)
-    p.add_argument("--seed", type=int, default=_DEFAULT_SEARCH.seed)
-    p.add_argument("--refine-steps", type=_nonneg_int, default=_DEFAULT_SEARCH.refine_steps)
+    p.add_argument("--samples", type=_nonneg_int, default=SearchConfig.n_samples)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps)
     p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="tolerance for the closed-form sweep checks")
     p.set_defaults(func=cmd_verify)

@@ -349,9 +349,9 @@ def criterion_8(cfg: SearchConfig, first_csv: str) -> List[Check]:
 
 
 def run_all(
-    n_samples: int = 40000,
-    seed: int = 1,
-    refine_steps: int = 200,
+    n_samples: int = SearchConfig.n_samples,
+    seed: int = SearchConfig.seed,
+    refine_steps: int = SearchConfig.refine_steps,
     tol: float = 1e-9,
 ) -> List[Check]:
     cfg = SearchConfig(n_samples=n_samples, seed=seed, refine_steps=refine_steps)

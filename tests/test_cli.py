@@ -203,6 +203,21 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("numeric error:")
 
 
+class TestSearchFlagDefaults:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "ps", "--from", "0", "--to", "1", "--steps", "3"],
+        ["measure", "state.json"],
+        ["verify"],
+    ], ids=["sweep", "measure", "verify"])
+    def test_defaults_come_from_search_config(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        want = nc.SearchConfig()
+        assert (args.samples, args.seed, args.refine_steps) == (
+            want.n_samples, want.seed, want.refine_steps)
+        if argv[0] != "verify":
+            assert cli._search_config(args) == want
+
+
 class TestVerify:
     def test_reduced_verify_passes(self, capsys):
         assert run(["verify", "--samples", "200", "--refine-steps", "10"]) == 0

@@ -34,10 +34,7 @@ class TestHaarSampling:
         assert abs(mean - 0.5) <= 0.02
 
     HAAR_DIMS = [(2,), (3,), (4,), (2, 4), (3, 3), (2, 2, 2, 2)]
-
-    @staticmethod
-    def batch(dims, n=10000, seed=11):
-        return search._haar_batch(dims, search.sample_key(seed, np.arange(n, dtype=np.uint64)))
+    KEYS = search.sample_key(11, np.arange(10000, dtype=np.uint64))
 
     @staticmethod
     def lapack_oracle(dims, keys):
@@ -54,11 +51,10 @@ class TestHaarSampling:
 
     @pytest.mark.parametrize("dims", HAAR_DIMS)
     def test_row_alone_in_slice_and_in_batch_identical(self, dims):
-        full = self.batch(dims)
-        keys = search.sample_key(11, np.arange(10000, dtype=np.uint64))
-        part = search._haar_batch(dims, keys[4321:4400])
+        full = search._haar_batch(dims, self.KEYS)
+        part = search._haar_batch(dims, self.KEYS[4321:4400])
         for i in (0, 1, 4321, 4399, 9999):
-            alone = search._haar_batch(dims, keys[i : i + 1])
+            alone = search._haar_batch(dims, self.KEYS[i : i + 1])
             for F, A in zip(full, alone):
                 assert np.array_equal(A[0], F[i])
         for F, P in zip(full, part):
@@ -67,7 +63,7 @@ class TestHaarSampling:
 
     @pytest.mark.parametrize("dims", HAAR_DIMS)
     def test_every_sample_unitary(self, dims):
-        for F in self.batch(dims):
+        for F in search._haar_batch(dims, self.KEYS):
             d = F.shape[-1]
             gram = np.swapaxes(F.conj(), 1, 2) @ F
             assert np.max(np.abs(gram - np.eye(d))) <= 1e-14
@@ -80,7 +76,7 @@ class TestHaarSampling:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_haar_first_moment_qutrit_and_ququart(self, d):
-        (us,) = self.batch((d,))
+        (us,) = search._haar_batch((d,), self.KEYS)
         assert abs(float(np.mean(np.abs(us[:, 0, 0]) ** 2)) - 1.0 / d) <= 0.02
 
     @pytest.mark.parametrize("columns", [
