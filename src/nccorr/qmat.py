@@ -123,15 +123,22 @@ def _clamp_probs(p: np.ndarray, neg_tol: float) -> np.ndarray:
     return np.where(p < 0.0, 0.0, p)
 
 
+def entropy_bits(P: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis of non-negative P, zeros kept (0 log 0 = 0).
+
+    Keeping the zeros fixes how the terms are grouped in the sum, so a row
+    gives the same bits alone as inside a batch.
+    """
+    return -(P * np.log2(np.where(P > 0.0, P, 1.0))).sum(axis=-1)
+
+
 def shannon_entropy(p: np.ndarray) -> float:
     """Base-2 Shannon entropy with the 0 log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-8:
         raise NotAProbabilityVector(f"probabilities sum to {total!r}")
-    p = _clamp_probs(p, PROB_NEG_TOL)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return float(entropy_bits(_clamp_probs(p, PROB_NEG_TOL)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

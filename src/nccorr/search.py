@@ -2,21 +2,24 @@
 
 Random search over Haar product bases with two deterministic seed
 candidates (computational basis and the marginal eigenbases) and an
-optional hill-climb refinement, all scored by `_batch_entropies`.  The
-samples are counter-based: the basis for sample i depends only on (seed, i),
-so results are independent of batching and monotone in the number of
-samples.  Each Haar factor is the unitary of a QR decomposition of a complex
-Gaussian matrix, with R's diagonal real and positive; `_haar_batch` computes
-it by Gram–Schmidt in whole-batch elementwise arithmetic, so a sample comes
-out bit-identical whatever batch it is made in.  The hill-climb draws from
-`default_rng(SeedSequence([seed, _REFINE_TAG]))`.
+optional hill-climb refinement.  Every basis is scored by
+`_batch_entropies`, a batch at a time, and one keep-the-first-minimum rule
+decides which basis is kept.  The samples are counter-based: the basis for
+sample i depends only on (seed, i), so results are independent of batching
+and monotone in the number of samples.  Each Haar factor is the unitary of
+a QR decomposition of a complex Gaussian matrix, with R's diagonal real and
+positive; `_haar_batch` computes it by Gram–Schmidt in whole-batch
+elementwise arithmetic, so a sample comes out bit-identical whatever batch
+it is made in.  Hill-climb trial j draws from the same counter at index
+n_samples + j, with I/step added to the Gaussian matrix so its factors lie
+within about `step` of the identity.
 """
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,8 +29,8 @@ from . import qmat
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
-_REFINE_TAG = 0x5EEDFACE
-_REFINE_STEP = 0.1  # initial hill-climb step; shrinks by 0.9 per rejected trial
+_REFINE_STEP = 0.05  # initial hill-climb step; shrinks by 0.8 after a round with no gain
+_REFINE_BATCH = 8  # hill-climb trials per round, scored in one kernel call
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def _normals(keys: np.ndarray, count: int) -> np.ndarray:
     return out[:, :count]
 
 
-def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
+def _haar_batch(dims: Sequence[int], keys: np.ndarray, shift: float = 0.0) -> List[np.ndarray]:
     """One Haar-random unitary per subsystem per key; C-ordered stacks of shape (S, d, d).
 
     Each factor is the Q of a QR decomposition of a complex Ginibre matrix,
@@ -89,7 +92,9 @@ def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
     a sample's factors depend only on its key: they are bit-identical
     whether the key comes alone, in a slice or in the full batch.  The
     Ginibre scale is left out, since Gram–Schmidt does not depend on it.  A
-    column whose residual norm is exactly zero raises NoConvergence.
+    nonzero `shift` is added to each Gaussian matrix's diagonal first, so
+    the factors lie within about 1/shift of the identity.  A column whose
+    residual norm is exactly zero raises NoConvergence.
     """
     S = len(keys)
     counts = [2 * d * d for d in dims]
@@ -102,6 +107,9 @@ def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
         G = N[:, off : off + cnt].reshape(S, d, d, 2)
         Re, Im = np.ascontiguousarray(G.transpose(3, 2, 1, 0))
         off += cnt
+        if shift:
+            for c in range(d):
+                Re[c, c] += shift
         for c in range(d):
             vr, vi = Re[c], Im[c]
             for _ in range(2):
@@ -139,17 +147,7 @@ def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np
     subsystem at a time and never forms the d_tot x d_tot basis.
     """
     P = qmat.product_diagonals(rho_mat, factor_stacks)
-    P = np.where(P > 0.0, P, 0.0)
-    logs = np.log2(np.where(P > 0.0, P, 1.0))
-    return -(P * logs).sum(axis=1)
-
-
-def unitary_from_antiherm(A: np.ndarray) -> np.ndarray:
-    """exp(A) for anti-Hermitian A via the eigendecomposition of -iA."""
-    Hm = -1j * A
-    Hm = (Hm + Hm.conj().T) / 2.0
-    w, V = np.linalg.eigh(Hm)
-    return (V * np.exp(1j * w)) @ V.conj().T
+    return qmat.entropy_bits(np.where(P > 0.0, P, 0.0))
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
@@ -166,24 +164,18 @@ def computational_basis(dims: Sequence[int]) -> ProductBasis:
     return ProductBasis(tuple(np.eye(int(d), dtype=np.complex128) for d in dims))
 
 
-# cache of sampled basis factors keyed by (dims, seed, n_samples); the samples
-# do not depend on the state, so sweeps over a family reuse them; read-only,
-# because a witness taken from a sample is a view into them
-_SAMPLE_CACHE: Dict[tuple, List[np.ndarray]] = {}
-_SAMPLE_CACHE_MAX = 4
+@lru_cache(maxsize=4)
+def _sampled_factors(dims: Tuple[int, ...], seed: int, n_samples: int) -> Tuple[np.ndarray, ...]:
+    """Factor stacks of samples 0 .. n_samples-1, cached for the last four (dims, seed, n_samples).
 
-
-def _sampled_factors(dims: Tuple[int, ...], seed: int, n_samples: int) -> List[np.ndarray]:
-    key = (dims, seed, n_samples)
-    if key not in _SAMPLE_CACHE:
-        if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_MAX:
-            _SAMPLE_CACHE.pop(next(iter(_SAMPLE_CACHE)))
-        keys = sample_key(seed, np.arange(n_samples, dtype=np.uint64))
-        stacks = _haar_batch(dims, keys)
-        for F in stacks:
-            F.setflags(write=False)
-        _SAMPLE_CACHE[key] = stacks
-    return _SAMPLE_CACHE[key]
+    The samples do not depend on the state, so sweeps over a family reuse
+    them.  They are read-only, because a witness taken from a sample is a
+    view into them.
+    """
+    stacks = _haar_batch(dims, sample_key(seed, np.arange(n_samples, dtype=np.uint64)))
+    for F in stacks:
+        F.setflags(write=False)
+    return tuple(stacks)
 
 
 def min_diag_entropy(
@@ -193,11 +185,15 @@ def min_diag_entropy(
 ) -> Tuple[float, ProductBasis, dict]:
     """Smallest diagonal entropy found over candidate and sampled product bases.
 
-    `_batch_entropies` scores the fixed candidates in one batch (the first
-    minimum wins), the samples chunk by chunk and each hill-climb trial as a
-    batch of one.  Only the extra candidates (up front) and the witness go
-    through the checked `qmat.diag_probs`, and the returned entropy comes
-    from the witness's checked diagonal.
+    Every basis tried reaches `_batch_entropies` in a batch, and one rule
+    keeps the first minimum of a batch if it is below the best so far: the
+    fixed candidates in one batch, the samples chunk by chunk, then the
+    hill-climb in rounds of `_REFINE_BATCH` trials.  A trial multiplies each
+    factor of the best basis by a factor near the identity, made by
+    `_haar_batch` at sample index n_samples + j with shift 1/step; after a
+    round with no gain the step shrinks.  Only the extra candidates (up
+    front) and the witness go through the checked `qmat.diag_probs`, and the
+    returned entropy comes from the witness's checked diagonal.
 
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
@@ -206,50 +202,37 @@ def min_diag_entropy(
     dims = rho.dims
     for basis in extra_candidates:
         qmat.diag_probs(rho, basis)  # same errors for bad caller input as for a witness
+    best, factors, best_source = math.inf, None, None
+
+    def keep_first_min(stacks: Sequence[np.ndarray], source) -> bool:
+        nonlocal best, factors, best_source
+        ent = _batch_entropies(rho.mat, stacks)
+        i = int(np.argmin(ent))
+        if not ent[i] < best:
+            return False
+        best, factors, best_source = float(ent[i]), [F[i] for F in stacks], source(i)
+        return True
+
     candidates = [computational_basis(dims), marginal_eigenbasis(rho), *extra_candidates]
-    ent = _batch_entropies(rho.mat, [np.stack(f) for f in zip(*(b.factors for b in candidates))])
-    i = int(np.argmin(ent))
-    best = float(ent[i])
-    factors = candidates[i].factors
-    best_source = ("computational", "marginal-eigenbasis")[i] if i < 2 else f"extra:{i - 2}"
+    keep_first_min(
+        [np.stack(f) for f in zip(*(b.factors for b in candidates))],
+        lambda i: ("computational", "marginal-eigenbasis")[i] if i < 2 else f"extra:{i - 2}",
+    )
 
     n = cfg.n_samples
     if n > 0:
         stacks = _sampled_factors(dims, cfg.seed, n)
         for lo in range(0, n, cfg.chunk_size):
-            chunk = [F[lo : lo + cfg.chunk_size] for F in stacks]
-            ent = _batch_entropies(rho.mat, chunk)
-            i = int(np.argmin(ent))
-            if ent[i] < best:
-                best = float(ent[i])
-                factors = [F[i] for F in chunk]
-                best_source = f"sample:{lo + i}"
+            keep_first_min([F[lo : lo + cfg.chunk_size] for F in stacks], lambda i: f"sample:{lo + i}")
 
-    accepts = 0
-    if cfg.refine_steps > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed % (1 << 64), _REFINE_TAG])
-        )
-        step = _REFINE_STEP
-        m = len(dims)
-        for _ in range(cfg.refine_steps):
-            k = int(rng.integers(0, m))
-            d = dims[k]
-            X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            A = (X - X.conj().T) / 2.0
-            nrm = float(np.linalg.norm(A))
-            if nrm == 0.0:
-                continue
-            trial = list(factors)
-            trial[k] = factors[k] @ unitary_from_antiherm(A * (step / nrm))
-            h = float(_batch_entropies(rho.mat, [f[None] for f in trial])[0])
-            if h < best:
-                best = h
-                factors = trial
-                best_source = "refine"
-                accepts += 1
-            else:
-                step *= 0.9
+    accepts, step = 0, _REFINE_STEP
+    for lo in range(0, cfg.refine_steps, _REFINE_BATCH):
+        idx = np.arange(n + lo, n + min(lo + _REFINE_BATCH, cfg.refine_steps), dtype=np.uint64)
+        near_identity = _haar_batch(dims, sample_key(cfg.seed, idx), shift=1.0 / step)
+        if keep_first_min([F @ Q for F, Q in zip(factors, near_identity)], lambda i: "refine"):
+            accepts += 1
+        else:
+            step *= 0.8
 
     witness = ProductBasis(tuple(factors))
     diagnostics = {

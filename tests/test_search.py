@@ -91,6 +91,18 @@ class TestHaarSampling:
         with pytest.raises(nc.NoConvergence):
             search._haar_batch((2,), search.sample_key(1, np.arange(3, dtype=np.uint64)))
 
+    @pytest.mark.parametrize("dims", HAAR_DIMS)
+    @pytest.mark.parametrize("step", [0.05, 1e-3])
+    def test_shift_gives_unitaries_near_identity(self, dims, step):
+        shifted = search._haar_batch(dims, self.KEYS, shift=1.0 / step)
+        alone = search._haar_batch(dims, self.KEYS[7:8], shift=1.0 / step)
+        for F, A in zip(shifted, alone):
+            d = F.shape[-1]
+            gram = np.swapaxes(F.conj(), 1, 2) @ F
+            assert np.max(np.abs(gram - np.eye(d))) <= 1e-14
+            assert np.max(np.linalg.norm(F - np.eye(d), axis=(1, 2))) <= 4 * d * step
+            assert np.array_equal(A[0], F[7])
+
     def test_mix64_spreads(self):
         keys = search.sample_key(1, np.arange(1000, dtype=np.uint64))
         assert len(set(keys.tolist())) == 1000
@@ -173,6 +185,26 @@ class TestMinDiagEntropy:
         assert v1 <= v0
         assert d1["refine_accepts"] >= 0
 
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3)])
+    def test_refine_leaves_pure_state_optimum_alone(self, dims):
+        # the marginal eigenbasis of a pure state is its Schmidt basis, where
+        # D = D_G = 0 bits above S(rho) = 0; no trial may beat it by rounding
+        for seed in (1, 2, 3):
+            rho = nc.random_density_matrix(dims, 1, seed)
+            rep = nc.measure_D(rho, nc.SearchConfig())
+            assert rep.diagnostics["refine_accepts"] == 0
+            assert rep.diagnostics["best_source"] == "marginal-eigenbasis"
+            assert rep.value == nc.measure_DG(rho).value
+
+    @pytest.mark.parametrize("rho, bound", [
+        (nc.make_horodecki(0.52), 0.50),
+        (nc.random_density_matrix((3, 3), 9, 100), 0.52),
+    ], ids=["horodecki-0.52", "random-3x3-seed100"])
+    def test_refine_gets_away_from_the_samples(self, rho, bound):
+        rep = nc.measure_D(rho, nc.SearchConfig())
+        assert rep.diagnostics["best_source"] == "refine"
+        assert rep.value <= bound
+
     def test_witness_reproduces_value(self):
         rho = nc.random_density_matrix((2, 2), 4, 13)
         val, basis, _ = nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=400, refine_steps=0))
@@ -240,6 +272,30 @@ class TestSingleScorer:
         cfg = nc.SearchConfig(n_samples=50, seed=1, refine_steps=5)
         with pytest.raises(error):
             nc.min_diag_entropy(rho, cfg, extras)
+
+    def test_batch_score_equals_checked_entropy(self):
+        # both sum -p log2 p with the zeros kept, so the grouping is the same
+        cases = [(nc.random_density_matrix((3, 3), 1, 1), None)]
+        for dims in [(2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)]:
+            d = int(np.prod(dims))
+            for seed in range(8):
+                cases.append((nc.random_density_matrix(dims, (1, 2, d)[seed % 3], seed),
+                              nc.SearchConfig(n_samples=500, seed=1, refine_steps=40)))
+        for rho, cfg in cases:
+            basis = search.marginal_eigenbasis(rho) if cfg is None else nc.min_diag_entropy(rho, cfg)[1]
+            score = search._batch_entropies(rho.mat, [f[None] for f in basis.factors])[0]
+            assert score == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
+
+    def test_sample_cache_holds_four_read_only_sets(self):
+        search._sampled_factors.cache_clear()
+        first = search._sampled_factors((2, 2), 1, 50)
+        for seed in range(2, 7):
+            search._sampled_factors((2, 2), seed, 50)
+        assert search._sampled_factors.cache_info().currsize == 4
+        again = search._sampled_factors((2, 2), 1, 50)
+        for F, G in zip(first, again):
+            assert not F.flags.writeable
+            assert F is not G and np.array_equal(F, G)
 
     def test_sample_witness_cannot_edit_the_cache(self):
         rho = nc.random_density_matrix((2, 2, 2), 2, 6)
