@@ -31,6 +31,7 @@ _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _REFINE_STEP = 0.05  # initial hill-climb step; shrinks by 0.8 after a round with no gain
 _REFINE_BATCH = 8  # hill-climb trials per round, scored in one kernel call
+_MAKE_CHUNK = 8192  # samples made per _haar_batch call when filling the cache
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,17 @@ def _sampled_factors(dims: Tuple[int, ...], seed: int, n_samples: int) -> Tuple[
 
     The samples do not depend on the state, so sweeps over a family reuse
     them.  They are read-only, because a witness taken from a sample is a
-    view into them.
+    view into them.  A sample does not depend on its batch, so they are made
+    `_MAKE_CHUNK` at a time: a new set needs the Gaussians of one chunk.
     """
-    stacks = _haar_batch(dims, sample_key(seed, np.arange(n_samples, dtype=np.uint64)))
+    keys = sample_key(seed, np.arange(n_samples, dtype=np.uint64))
+    stacks = tuple(np.empty((n_samples, d, d), dtype=np.complex128) for d in dims)
+    for lo in range(0, n_samples, _MAKE_CHUNK):
+        for F, part in zip(stacks, _haar_batch(dims, keys[lo : lo + _MAKE_CHUNK])):
+            F[lo : lo + _MAKE_CHUNK] = part
     for F in stacks:
         F.setflags(write=False)
-    return tuple(stacks)
+    return stacks
 
 
 def min_diag_entropy(

@@ -286,16 +286,18 @@ class TestSingleScorer:
             score = search._batch_entropies(rho.mat, [f[None] for f in basis.factors])[0]
             assert score == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
 
-    def test_sample_cache_holds_four_read_only_sets(self):
+    def test_sample_cache_holds_four_read_only_sets(self, monkeypatch):
+        monkeypatch.setattr(search, "_MAKE_CHUNK", 16)  # 50 samples made in 4 chunks
         search._sampled_factors.cache_clear()
-        first = search._sampled_factors((2, 2), 1, 50)
+        first = search._sampled_factors((2, 3), 1, 50)
         for seed in range(2, 7):
-            search._sampled_factors((2, 2), seed, 50)
+            search._sampled_factors((2, 3), seed, 50)
         assert search._sampled_factors.cache_info().currsize == 4
-        again = search._sampled_factors((2, 2), 1, 50)
-        for F, G in zip(first, again):
+        again = search._sampled_factors((2, 3), 1, 50)
+        whole = search._haar_batch((2, 3), search.sample_key(1, np.arange(50, dtype=np.uint64)))
+        for F, G, W in zip(first, again, whole):
             assert not F.flags.writeable
-            assert F is not G and np.array_equal(F, G)
+            assert F is not G and np.array_equal(F, G) and np.array_equal(F, W)
 
     def test_sample_witness_cannot_edit_the_cache(self):
         rho = nc.random_density_matrix((2, 2, 2), 2, 6)
