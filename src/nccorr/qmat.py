@@ -117,6 +117,8 @@ def partial_transpose(rho: DensityMatrix, side: Iterable[int]) -> np.ndarray:
 
 def _clamp_probs(p: np.ndarray, neg_tol: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise NotAProbabilityVector("probabilities contain non-finite entries")
     mn = float(p.min()) if p.size else 0.0
     if mn < -neg_tol:
         raise NotAProbabilityVector(f"entry {mn:.3e} below -{neg_tol:.0e}")

@@ -109,8 +109,7 @@ def _haar_batch(dims: Sequence[int], keys: np.ndarray, shift: float = 0.0) -> Li
         Re, Im = np.ascontiguousarray(G.transpose(3, 2, 1, 0))
         off += cnt
         if shift:
-            for c in range(d):
-                Re[c, c] += shift
+            Re[np.diag_indices(d)] += shift
         for c in range(d):
             vr, vi = Re[c], Im[c]
             for _ in range(2):

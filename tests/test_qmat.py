@@ -174,6 +174,8 @@ class TestEntropies:
             qmat.shannon_entropy(np.array([0.5, 0.6]))
         with pytest.raises(nc.NotAProbabilityVector):
             qmat.shannon_entropy(np.array([1.5, -0.5]))
+        with pytest.raises(nc.NotAProbabilityVector):
+            qmat.shannon_entropy(np.array([np.nan, 1.0]))
 
     def test_vn_pure_state(self):
         psi = np.zeros(4, dtype=complex)

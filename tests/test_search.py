@@ -187,8 +187,8 @@ class TestMinDiagEntropy:
 
     @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3)])
     def test_refine_leaves_pure_state_optimum_alone(self, dims):
-        # the marginal eigenbasis of a pure state is its Schmidt basis, where
-        # D = D_G = 0 bits above S(rho) = 0; no trial may beat it by rounding
+        # the marginal eigenbasis of a pure state is its Schmidt basis, which
+        # attains the minimum (D = D_G); no trial may beat it by rounding
         for seed in (1, 2, 3):
             rho = nc.random_density_matrix(dims, 1, seed)
             rep = nc.measure_D(rho, nc.SearchConfig())
@@ -200,7 +200,7 @@ class TestMinDiagEntropy:
         (nc.make_horodecki(0.52), 0.50),
         (nc.random_density_matrix((3, 3), 9, 100), 0.52),
     ], ids=["horodecki-0.52", "random-3x3-seed100"])
-    def test_refine_gets_away_from_the_samples(self, rho, bound):
+    def test_refine_meets_production_bounds(self, rho, bound):
         rep = nc.measure_D(rho, nc.SearchConfig())
         assert rep.diagnostics["best_source"] == "refine"
         assert rep.value <= bound
@@ -267,7 +267,9 @@ class TestSingleScorer:
          [nc.ProductBasis((2 * np.eye(2), np.eye(2)))], nc.NotAProbabilityVector),
         (nc.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 2), [],
          nc.NotAProbabilityVector),
-    ], ids=["extra-wrong-dims", "extra-not-unitary", "trace-two-state"])
+        (nc.random_density_matrix((2, 2), 4, 3),
+         [nc.ProductBasis((np.full((2, 2), np.nan), np.eye(2)))], nc.NotAProbabilityVector),
+    ], ids=["extra-wrong-dims", "extra-not-unitary", "trace-two-state", "extra-nan"])
     def test_bad_input_still_raises(self, rho, extras, error):
         cfg = nc.SearchConfig(n_samples=50, seed=1, refine_steps=5)
         with pytest.raises(error):
