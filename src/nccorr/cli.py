@@ -93,8 +93,8 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
                    help="random bases per D evaluation")
     p.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps,
-                   help="hill-climb trials after the random search, scored 8 at a time "
-                        "(0 = pure random search)")
+                   help="most hill-climb trials after the random search, scored 8 at a "
+                        "time (0 = pure random search)")
     p.add_argument("--partition-cap", type=_pos_int, default=measures.DEFAULT_PARTITION_CAP,
                    help="G refuses subsystem k when dims[k]^d_tot exceeds this; only the "
                         "balanced assignments are enumerated")

@@ -31,6 +31,7 @@ _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _REFINE_STEP = 0.05  # initial hill-climb step; shrinks by 0.8 after a round with no gain
 _REFINE_BATCH = 8  # hill-climb trials per round, scored in one kernel call
+_REFINE_MIN_STEP = 2.0 ** -26  # sqrt(eps): near an optimum a step s moves the entropy by ~s**2
 _MAKE_CHUNK = 8192  # samples made per _haar_batch call when filling the cache
 
 
@@ -196,9 +197,9 @@ def min_diag_entropy(
     hill-climb in rounds of `_REFINE_BATCH` trials.  A trial multiplies each
     factor of the best basis by a factor near the identity, made by
     `_haar_batch` at sample index n_samples + j with shift 1/step; after a
-    round with no gain the step shrinks.  Only the extra candidates (up
-    front) and the witness go through the checked `qmat.diag_probs`, and the
-    returned entropy comes from the witness's checked diagonal.
+    round with no gain the step shrinks, and below sqrt(eps) the climb ends.
+    Only the extra candidates (up front) and the witness go through the
+    checked `qmat.diag_probs`, whose witness diagonal gives the entropy.
 
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
@@ -236,8 +237,8 @@ def min_diag_entropy(
         near_identity = _haar_batch(dims, sample_key(cfg.seed, idx), shift=1.0 / step)
         if keep_first_min([F @ Q for F, Q in zip(factors, near_identity)], lambda i: "refine"):
             accepts += 1
-        else:
-            step *= 0.8
+        elif (step := step * 0.8) < _REFINE_MIN_STEP:
+            break
 
     witness = ProductBasis(tuple(factors))
     diagnostics = {

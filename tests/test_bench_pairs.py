@@ -2,6 +2,8 @@
 import argparse
 import importlib.util
 import json
+import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,18 @@ def test_seeds_and_alternation():
         bench_pairs.parse_seeds("5-3")
     assert bench_pairs.pair_order(911) == ("parent", "change")
     assert bench_pairs.pair_order(912) == ("change", "parent")
+
+
+@pytest.mark.parametrize("data_filter", [True, False], ids=["data-filter", "no-data-filter"])
+def test_extract_writes_the_committed_files(tmp_path, monkeypatch, data_filter):
+    try:
+        head = bench_pairs.resolve("HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    if not data_filter:  # tarfile before Python 3.10.12 / 3.11.4
+        monkeypatch.delattr(tarfile, "data_filter", raising=False)
+    bench_pairs.extract(head, tmp_path)
+    committed = subprocess.run(["git", "-C", str(bench_pairs.ROOT), "show", f"{head}:tools/bench_pairs.py"],
+                               capture_output=True, check=True).stdout
+    assert (tmp_path / "tools" / "bench_pairs.py").read_bytes() == committed
+    assert (tmp_path / "perfbench" / "run.py").is_file()

@@ -196,6 +196,14 @@ class TestMinDiagEntropy:
             assert rep.diagnostics["best_source"] == "marginal-eigenbasis"
             assert rep.value == nc.measure_DG(rho).value
 
+    def test_long_refine_stops_before_the_step_underflows(self):
+        # failed rounds alone would shrink the step to where 1/step overflows
+        # the Gram-Schmidt norm; the climb must end first, with nothing accepted
+        rho = nc.random_density_matrix((2, 3), 1, 1)
+        rep = nc.measure_D(rho, nc.SearchConfig(n_samples=2000, refine_steps=20000))
+        assert rep.diagnostics["refine_accepts"] == 0
+        assert rep.value == nc.measure_DG(rho).value
+
     @pytest.mark.parametrize("rho, bound", [
         (nc.make_horodecki(0.52), 0.50),
         (nc.random_density_matrix((3, 3), 9, 100), 0.52),

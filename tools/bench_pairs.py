@@ -7,8 +7,8 @@
 Each revision's committed files are extracted (`git archive`) into a fresh
 temporary directory, so the runs see exactly what was committed and nothing
 is registered in the repository.  For every workload and seed, both
-checkouts run `perfbench/run.py --workload W --seed S --seconds N --trace 0`
-one after the other: the parent first on odd seeds, the change first on
+checkouts run `perfbench/run.py --workload W --seed S --trace 0` one after
+the other, at the benchmark's own run length: the parent first on odd seeds, the change first on
 even ones, so a steady drift in machine speed favours neither side.  Every
 run's `meta` line and final JSON result are stored.  The summary gives, per
 workload and end-to-end metric of BENCHMARK.json, the parent's median and
@@ -106,12 +106,17 @@ def extract(commit: str, dest: Path) -> None:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        # the "data" filter exists from Python 3.10.12 and 3.11.4 on; git
+        # archive of a commit holds only plain files and links in any case
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(dest, filter="data")
+        else:
+            archive.extractall(dest)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
@@ -125,7 +130,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", required=True,
                    help="perfbench workload; repeat for several")
     p.add_argument("--seeds", type=parse_seeds, required=True, help="seed range, e.g. 911-915")
-    p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
@@ -140,14 +144,16 @@ def main(argv=None) -> int:
         for wl in args.workload:
             for seed in args.seeds:
                 for side in pair_order(seed):
-                    rec = run_once(checkouts[side], wl, seed, args.seconds)
+                    rec = run_once(checkouts[side], wl, seed)
                     runs.append({"side": side, "workload": wl, "seed": seed, "trace": 0, **rec})
                     res = rec["result"]
                     print(f"{wl} seed {seed} {side}: failed {res['failed']}/{res['attempted']}, "
                           + ", ".join(f"{k} {v['value']:.6g}" for k, v in res["metrics"].items()),
                           flush=True)
+    seconds = sorted({r["meta"]["seconds"] for r in runs})
     report = {
-        "description": (f"perfbench/run.py --seconds {args.seconds} --trace 0 as alternating pairs "
+        "description": (f"perfbench/run.py --trace 0, {'/'.join(map(str, seconds))} s per run, "
+                        "as alternating pairs "
                         f"(seeds {args.seeds[0]}-{args.seeds[-1]}, the parent first on odd seeds); "
                         "written by tools/bench_pairs.py"),
         "parent_commit": commits["parent"],
