@@ -99,7 +99,8 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
                    help="G refuses subsystem k when dims[k]^d_tot exceeds this; only the "
                         "balanced assignments are enumerated")
     p.add_argument("--chunk-size", type=_pos_int, default=SearchConfig.chunk_size,
-                   help="internal evaluation batch size (never changes results)")
+                   help="samples scored per work unit of the D search, which runs on "
+                        "every usable CPU (never changes results)")
 
 
 def _serialize_witness(witness) -> object:
@@ -190,17 +191,21 @@ def cmd_gen_state(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    seconds = {}
     checks = verify.run_all(
         n_samples=args.samples,
         seed=args.seed,
         refine_steps=args.refine_steps,
         tol=args.tol,
+        seconds=seconds,
     )
     failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: {c.detail}")
         failed += 0 if c.passed else 1
+    for name, s in seconds.items():
+        print(f"{name}: {s:.2f} s")
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 

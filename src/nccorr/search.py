@@ -13,13 +13,24 @@ elementwise arithmetic, so a sample comes out bit-identical whatever batch
 it is made in.  Hill-climb trial j draws from the same counter at index
 n_samples + j, with I/step added to the Gaussian matrix so its factors lie
 within about `step` of the identity.
+
+Making and scoring the samples is split into work units (`_MAKE_CHUNK`
+samples made, `chunk_size` samples scored per unit) that the caller runs
+together with one helper thread per further usable CPU.  numpy releases the
+GIL in the arithmetic, each unit writes only its own rows or its own
+entropies, and the entropies are reduced in sample order, so the result is
+the same bit for bit on any number of CPUs.  The hill-climb stays serial:
+each round starts from the best basis of the last.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache, reduce
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -32,7 +43,8 @@ _C2 = np.uint64(0x94D049BB133111EB)
 _REFINE_STEP = 0.05  # initial hill-climb step; shrinks by 0.8 after a round with no gain
 _REFINE_BATCH = 8  # hill-climb trials per round, scored in one kernel call
 _REFINE_MIN_STEP = 2.0 ** -26  # sqrt(eps): near an optimum a step s moves the entropy by ~s**2
-_MAKE_CHUNK = 8192  # samples made per _haar_batch call when filling the cache
+_MAKE_CHUNK = 2048  # samples made per work unit when filling the cache
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,7 @@ class SearchConfig:
     n_samples: int = 40000
     seed: int = 1
     refine_steps: int = 200
-    chunk_size: int = 8192  # evaluation batch size; never affects results
+    chunk_size: int = 2048  # samples per work unit; never affects results
 
     def __post_init__(self):
         if self.n_samples < 0 or self.refine_steps < 0:
@@ -165,6 +177,74 @@ def computational_basis(dims: Sequence[int]) -> ProductBasis:
     return ProductBasis(tuple(np.eye(int(d), dtype=np.complex128) for d in dims))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool: Optional[Tuple[Optional[ThreadPoolExecutor], int]] = None
+
+
+def _helper_pool() -> Tuple[Optional[ThreadPoolExecutor], int]:
+    """The helper threads' executor and their number, one per usable CPU beyond the caller's.
+
+    Made on first use.  With one usable CPU there are no helpers and no
+    executor; an executor starts its threads only when work is submitted.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            n = _usable_cpus() - 1
+            _pool = (ThreadPoolExecutor(n, thread_name_prefix="nccorr-search") if n else None, n)
+        return _pool
+
+
+def _in_units(work: Callable[[int], T], starts: Sequence[int]) -> List[T]:
+    """[work(lo) for lo in starts], run by the caller and the helper threads.
+
+    Every thread, the caller included, takes the next unit until none is
+    left, so the caller never waits for a unit nobody has started: with no
+    helpers, or with every helper busy elsewhere, it runs them all itself.
+    Results come back in the order of `starts`.  The first exception stops
+    the handing out of units and is raised in the caller, with its type,
+    once every unit in progress has finished.
+    """
+    results: List[T] = [None] * len(starts)
+    lock = threading.Lock()
+    next_unit = 0
+
+    def drain() -> None:
+        nonlocal next_unit
+        while True:
+            with lock:
+                u, next_unit = next_unit, next_unit + 1
+            if u >= len(starts):
+                return
+            try:
+                results[u] = work(starts[u])
+            except BaseException:
+                with lock:
+                    next_unit = len(starts)
+                raise
+
+    pool, n_helpers = _helper_pool()
+    helpers = [pool.submit(drain) for _ in range(min(n_helpers, len(starts) - 1))]
+    try:
+        drain()
+    finally:
+        for f in helpers:
+            f.cancel()  # still queued: every unit is taken
+        wait(helpers)
+    for f in helpers:
+        if not f.cancelled():
+            f.result()
+    return results
+
+
 @lru_cache(maxsize=4)
 def _sampled_factors(dims: Tuple[int, ...], seed: int, n_samples: int) -> Tuple[np.ndarray, ...]:
     """Factor stacks of samples 0 .. n_samples-1, cached for the last four (dims, seed, n_samples).
@@ -172,13 +252,17 @@ def _sampled_factors(dims: Tuple[int, ...], seed: int, n_samples: int) -> Tuple[
     The samples do not depend on the state, so sweeps over a family reuse
     them.  They are read-only, because a witness taken from a sample is a
     view into them.  A sample does not depend on its batch, so they are made
-    `_MAKE_CHUNK` at a time: a new set needs the Gaussians of one chunk.
+    in units of `_MAKE_CHUNK`, each writing its own rows: a new set needs
+    the Gaussians of one unit per thread.
     """
     keys = sample_key(seed, np.arange(n_samples, dtype=np.uint64))
     stacks = tuple(np.empty((n_samples, d, d), dtype=np.complex128) for d in dims)
-    for lo in range(0, n_samples, _MAKE_CHUNK):
+
+    def make(lo: int) -> None:
         for F, part in zip(stacks, _haar_batch(dims, keys[lo : lo + _MAKE_CHUNK])):
             F[lo : lo + _MAKE_CHUNK] = part
+
+    _in_units(make, range(0, n_samples, _MAKE_CHUNK))
     for F in stacks:
         F.setflags(write=False)
     return stacks
@@ -193,8 +277,9 @@ def min_diag_entropy(
 
     Every basis tried reaches `_batch_entropies` in a batch, and one rule
     keeps the first minimum of a batch if it is below the best so far: the
-    fixed candidates in one batch, the samples chunk by chunk, then the
-    hill-climb in rounds of `_REFINE_BATCH` trials.  A trial multiplies each
+    fixed candidates in one batch, then the samples, scored `chunk_size` at
+    a time in work units and taken in sample order, then the hill-climb in
+    rounds of `_REFINE_BATCH` trials.  A trial multiplies each
     factor of the best basis by a factor near the identity, made by
     `_haar_batch` at sample index n_samples + j with shift 1/step; after a
     round with no gain the step shrinks, and below sqrt(eps) the climb ends.
@@ -203,16 +288,17 @@ def min_diag_entropy(
 
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
-    regardless of chunk size.
+    regardless of chunk size and of the number of CPUs.
     """
     dims = rho.dims
     for basis in extra_candidates:
         qmat.diag_probs(rho, basis)  # same errors for bad caller input as for a witness
     best, factors, best_source = math.inf, None, None
 
-    def keep_first_min(stacks: Sequence[np.ndarray], source) -> bool:
+    def keep_first_min(stacks: Sequence[np.ndarray], source, ent=None) -> bool:
         nonlocal best, factors, best_source
-        ent = _batch_entropies(rho.mat, stacks)
+        if ent is None:
+            ent = _batch_entropies(rho.mat, stacks)
         i = int(np.argmin(ent))
         if not ent[i] < best:
             return False
@@ -225,11 +311,12 @@ def min_diag_entropy(
         lambda i: ("computational", "marginal-eigenbasis")[i] if i < 2 else f"extra:{i - 2}",
     )
 
-    n = cfg.n_samples
+    n, chunk = cfg.n_samples, cfg.chunk_size
     if n > 0:
         stacks = _sampled_factors(dims, cfg.seed, n)
-        for lo in range(0, n, cfg.chunk_size):
-            keep_first_min([F[lo : lo + cfg.chunk_size] for F in stacks], lambda i: f"sample:{lo + i}")
+        scores = _in_units(lambda lo: _batch_entropies(rho.mat, [F[lo : lo + chunk] for F in stacks]),
+                           range(0, n, chunk))
+        keep_first_min(stacks, lambda i: f"sample:{i}", np.concatenate(scores))
 
     accepts, step = 0, _REFINE_STEP
     for lo in range(0, cfg.refine_steps, _REFINE_BATCH):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -353,16 +353,26 @@ def run_all(
     seed: int = SearchConfig.seed,
     refine_steps: int = SearchConfig.refine_steps,
     tol: float = 1e-9,
+    seconds: Optional[Dict[str, float]] = None,
 ) -> List[Check]:
+    """Every check of criteria 1-8; `seconds`, if given, gets each criterion's wall time."""
     cfg = SearchConfig(n_samples=n_samples, seed=seed, refine_steps=refine_steps)
+    seconds = {} if seconds is None else seconds
+
+    def timed(n: int, run, *args):
+        t0 = time.perf_counter()
+        out = run(*args)
+        seconds[f"criterion-{n}"] = time.perf_counter() - t0
+        return out
+
     checks: List[Check] = []
-    c1, csv1 = criterion_1(cfg, tol)
+    c1, csv1 = timed(1, criterion_1, cfg, tol)
     checks.extend(c1)
-    checks.extend(criterion_2(cfg, tol))
-    checks.extend(criterion_3(cfg, tol))
-    checks.extend(criterion_4(cfg))
-    checks.extend(criterion_5())
-    checks.extend(criterion_6())
-    checks.extend(criterion_7())
-    checks.extend(criterion_8(cfg, csv1))
+    checks.extend(timed(2, criterion_2, cfg, tol))
+    checks.extend(timed(3, criterion_3, cfg, tol))
+    checks.extend(timed(4, criterion_4, cfg))
+    checks.extend(timed(5, criterion_5))
+    checks.extend(timed(6, criterion_6))
+    checks.extend(timed(7, criterion_7))
+    checks.extend(timed(8, criterion_8, cfg, csv1))
     return checks

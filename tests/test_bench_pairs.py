@@ -2,6 +2,7 @@
 import argparse
 import importlib.util
 import json
+import os
 import subprocess
 import tarfile
 from pathlib import Path
@@ -55,6 +56,18 @@ def test_unpaired_runs_are_left_out_and_workloads_kept_apart():
     assert out["w"]["metrics"]["ops_per_s"]["parent_quartiles"] == [10.0, 10.0, 10.0]
     assert out["w"]["metrics"]["ops_per_s"]["change_wins"] == 1
     assert out["v"]["metrics"]["op_p50_ms"]["change_wins"] == 0
+
+
+def test_report_records_the_cpus_first():
+    runs = [dict(run(side, 911, 10.0, 5.0), meta={"seconds": 30}) for side in ("parent", "change")]
+    report = bench_pairs.build_report([911], {"parent": "a" * 40, "change": "b" * 40}, runs, BETTER)
+    assert list(report)[:3] == ["description", "cpus_usable", "cpu_count"]
+    assert report["cpus_usable"] == len(os.sched_getaffinity(0))
+    assert report["cpu_count"] == os.cpu_count()
+    assert 1 <= report["cpus_usable"] <= report["cpu_count"]
+    assert "30 s per run" in report["description"] and "seeds 911-911" in report["description"]
+    assert report["summary"]["w"]["pairs"] == 1 and report["runs"] == runs
+    json.dumps(report)
 
 
 def test_parse_output_takes_meta_line_and_last_line():

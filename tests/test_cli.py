@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -223,3 +224,12 @@ class TestVerify:
         assert run(["verify", "--samples", "200", "--refine-steps", "10"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_verify_prints_time_per_criterion(self, capsys):
+        assert run(["verify", "--samples", "200", "--refine-steps", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        timing = [line for line in lines if re.fullmatch(r"criterion-\d: \d+\.\d\d s", line)]
+        assert [line.split(":")[0] for line in timing] == [f"criterion-{n}" for n in range(1, 9)]
+        checks = [line for line in lines if line.startswith("[")]
+        assert len(checks) + len(timing) + 1 == len(lines)
+        assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"

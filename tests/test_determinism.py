@@ -1,12 +1,15 @@
-"""Results do not depend on the number of BLAS threads.
+"""Results do not depend on the number of BLAS threads or of usable CPUs.
 
 The same small computation runs in two fresh interpreters, one with BLAS
-pinned to one thread and one with two, and must print the same bytes.
+pinned to one thread and one with two, or one pinned to a single CPU and
+one free to use all of them, and must print the same bytes.
 """
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nccorr as nc
 
@@ -55,6 +58,24 @@ for dims in [(2, 4), (2, 2, 2, 2)]:
         print(dims, F.shape, hashlib.sha256(F.tobytes()).hexdigest())
 """
 
+# 6000 samples are three units of the D search on every usable CPU
+WORKERS_SCRIPT = """
+import hashlib
+import threading
+import nccorr as nc
+
+cfg = nc.SearchConfig(n_samples=6000, seed=1, refine_steps=50)
+for seed, dims in enumerate([(2, 4), (2, 2, 2), (2, 2, 2, 2)]):
+    rho = nc.random_density_matrix(dims, 2 ** len(dims), 300 + seed)
+    rep = nc.measure_D(rho, cfg)
+    w = hashlib.sha256(b"".join(f.tobytes() for f in rep.witness.factors)).hexdigest()
+    print(dims, float(rep.value).hex(), w, rep.diagnostics["best_source"])
+print(nc.run_sweep(nc.SweepSpec("horodecki", 0.0, 1.0, 11, search=cfg)), end="")
+assert (threading.active_count() > 1) == (len(os.sched_getaffinity(0)) > 1)
+"""
+PIN_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+ALL_CPUS = "import os\n"
+
 
 def run_with_threads(n, script=SCRIPT):
     env = dict(os.environ)
@@ -87,3 +108,12 @@ def test_blas_thread_count_does_not_change_haar_samples():
     two = run_with_threads(2, HAAR_SCRIPT)
     assert one.count(b"\n") == 2 + 4
     assert one == two
+
+
+def test_usable_cpu_count_does_not_change_d():
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs sched_setaffinity and at least two usable CPUs")
+    one = run_with_threads(1, PIN_ONE_CPU + WORKERS_SCRIPT)
+    every = run_with_threads(1, ALL_CPUS + WORKERS_SCRIPT)
+    assert one.count(b"\n") == 3 + 1 + 11
+    assert one == every

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -311,3 +313,86 @@ class TestSingleScorer:
         with pytest.raises(ValueError):
             rep.witness.factors[0][:] = np.eye(2)
         assert nc.measure_D(rho, cfg).value == rep.value
+
+
+class TestWorkerPool:
+    """Sample units run on the caller and the helper threads; errors and
+    concurrent callers must not change what a search returns."""
+
+    @pytest.mark.parametrize("where", ["every-unit", "helper-only"])
+    def test_unit_error_reaches_caller_and_caches_nothing(self, monkeypatch, where):
+        if where == "helper-only" and search._helper_pool()[1] == 0:
+            pytest.skip("one usable CPU: there are no helper threads")
+        real = search._normals
+        G = np.array([[0.0, 0.0], [1.0, 0.0]]).T  # zero first column
+        zero_column = np.stack([G, np.zeros_like(G)], axis=-1).reshape(1, -1)
+        helper_failed = threading.Event()
+
+        def normals(keys, count):
+            if where == "every-unit" or threading.current_thread() is not threading.main_thread():
+                helper_failed.set()
+                return np.repeat(zero_column, len(keys), 0)
+            helper_failed.wait(30)  # hold the caller's unit until a helper has failed
+            return real(keys, count)
+
+        monkeypatch.setattr(search, "_MAKE_CHUNK", 16)  # 50 samples in 4 units
+        monkeypatch.setattr(search, "_normals", normals)
+        search._sampled_factors.cache_clear()
+        with pytest.raises(nc.NoConvergence) as err:
+            search._sampled_factors((2,), 1, 50)
+        assert err.type is nc.NoConvergence
+        assert search._sampled_factors.cache_info().currsize == 0
+        monkeypatch.setattr(search, "_normals", real)
+        (F,) = search._sampled_factors((2,), 1, 50)
+        (W,) = search._haar_batch((2,), search.sample_key(1, np.arange(50, dtype=np.uint64)))
+        assert np.array_equal(F, W)
+
+    def test_every_unit_runs_once_under_stress(self, monkeypatch):
+        # more helpers and callers than cores, switching threads as often as possible
+        pool = search.ThreadPoolExecutor(6)
+        monkeypatch.setattr(search, "_pool", (pool, 6))
+        starts = [range(1000 * k, 1000 * k + 300) for k in range(4)]
+        runs, results, interval = [], [None] * 4, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def call(k):
+                results[k] = search._in_units(lambda lo: runs.append(lo) or 2 * lo, starts[k])
+
+            callers = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+            for th in callers:
+                th.start()
+            for th in callers:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in callers), "deadlock"
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert sorted(runs) == [lo for s in starts for lo in s]
+        assert results == [[2 * lo for lo in s] for s in starts]
+
+    def test_concurrent_callers_get_serial_results(self):
+        jobs = [
+            (nc.random_density_matrix((2, 4), 8, 41), nc.SearchConfig(n_samples=7000, seed=11, refine_steps=40)),
+            (nc.random_density_matrix((2, 2, 2), 8, 42),
+             nc.SearchConfig(n_samples=7000, seed=12, refine_steps=40, chunk_size=1000)),
+        ]
+        serial = [nc.measure_D(rho, cfg) for rho, cfg in jobs]
+        search._sampled_factors.cache_clear()
+        start = threading.Barrier(len(jobs))
+        reports = [None] * len(jobs)
+
+        def call(k):
+            start.wait()
+            reports[k] = nc.measure_D(*jobs[k])
+
+        threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads), "deadlock"
+        for got, want in zip(reports, serial):
+            assert got.value == want.value
+            assert got.diagnostics == want.diagnostics
+            for fa, fb in zip(got.witness.factors, want.witness.factors):
+                assert np.array_equal(fa, fb)

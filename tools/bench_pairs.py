@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -96,6 +97,26 @@ def parse_output(stdout: str) -> dict:
     return {"meta": meta, "result": json.loads(lines[-1])}
 
 
+def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[dict],
+                 better: Dict[str, str]) -> dict:
+    """The BENCH_<pr>.json document.  The D search runs on every usable CPU,
+    so the CPUs this process may use are recorded beside the machine's count
+    (perfbench's meta.nproc is the latter)."""
+    seconds = sorted({r["meta"]["seconds"] for r in runs})
+    return {
+        "description": (f"perfbench/run.py --trace 0, {'/'.join(map(str, seconds))} s per run, "
+                        "as alternating pairs "
+                        f"(seeds {seeds[0]}-{seeds[-1]}, the parent first on odd seeds); "
+                        "written by tools/bench_pairs.py"),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "cpu_count": os.cpu_count(),
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
+        "summary": summarize(runs, better),
+        "runs": list(runs),
+    }
+
+
 def resolve(rev: str) -> str:
     done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
                           capture_output=True, text=True, check=True)
@@ -150,17 +171,7 @@ def main(argv=None) -> int:
                     print(f"{wl} seed {seed} {side}: failed {res['failed']}/{res['attempted']}, "
                           + ", ".join(f"{k} {v['value']:.6g}" for k, v in res["metrics"].items()),
                           flush=True)
-    seconds = sorted({r["meta"]["seconds"] for r in runs})
-    report = {
-        "description": (f"perfbench/run.py --trace 0, {'/'.join(map(str, seconds))} s per run, "
-                        "as alternating pairs "
-                        f"(seeds {args.seeds[0]}-{args.seeds[-1]}, the parent first on odd seeds); "
-                        "written by tools/bench_pairs.py"),
-        "parent_commit": commits["parent"],
-        "change_commit": commits["change"],
-        "summary": summarize(runs, better),
-        "runs": runs,
-    }
+    report = build_report(args.seeds, commits, runs, better)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
