@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache, reduce
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -186,18 +185,22 @@ def _usable_cpus() -> int:
 
 
 _pool_lock = threading.Lock()
-_pool: Optional[Tuple[Optional[ThreadPoolExecutor], int]] = None
+_pool = None  # (executor or None, helper count), made on first use
 
 
-def _helper_pool() -> Tuple[Optional[ThreadPoolExecutor], int]:
+def _helper_pool() -> tuple:
     """The helper threads' executor and their number, one per usable CPU beyond the caller's.
 
     Made on first use.  With one usable CPU there are no helpers and no
     executor; an executor starts its threads only when work is submitted.
+    concurrent.futures is imported here, as it pulls in logging, which a
+    process with no D search need not load.
     """
     global _pool
     with _pool_lock:
         if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             n = _usable_cpus() - 1
             _pool = (ThreadPoolExecutor(n, thread_name_prefix="nccorr-search") if n else None, n)
         return _pool
@@ -236,12 +239,11 @@ def _in_units(work: Callable[[int], T], starts: Sequence[int]) -> List[T]:
     try:
         drain()
     finally:
-        for f in helpers:
-            f.cancel()  # still queued: every unit is taken
-        wait(helpers)
-    for f in helpers:
-        if not f.cancelled():
-            f.result()
+        started = [f for f in helpers if not f.cancel()]  # one still queued would find no unit
+        for f in started:
+            f.exception()  # waits for its unit in progress
+    for f in started:
+        f.result()
     return results
 
 

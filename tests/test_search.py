@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ class TestWorkerPool:
 
     def test_every_unit_runs_once_under_stress(self, monkeypatch):
         # more helpers and callers than cores, switching threads as often as possible
-        pool = search.ThreadPoolExecutor(6)
+        pool = ThreadPoolExecutor(6)
         monkeypatch.setattr(search, "_pool", (pool, 6))
         starts = [range(1000 * k, 1000 * k + 300) for k in range(4)]
         runs, results, interval = [], [None] * 4, sys.getswitchinterval()
