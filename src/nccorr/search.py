@@ -210,11 +210,13 @@ def _in_units(work: Callable[[int], T], starts: Sequence[int]) -> List[T]:
     """[work(lo) for lo in starts], run by the caller and the helper threads.
 
     Every thread, the caller included, takes the next unit until none is
-    left, so the caller never waits for a unit nobody has started: with no
-    helpers, or with every helper busy elsewhere, it runs them all itself.
-    Results come back in the order of `starts`.  The first exception stops
-    the handing out of units and is raised in the caller, with its type,
-    once every unit in progress has finished.
+    left, so no unit waits for a helper: with no helpers, or with every
+    helper busy with another caller's units, the caller runs them all
+    itself.  It then waits for its helpers to return; one that starts after
+    the last unit was taken returns at once.  Results come back in the
+    order of `starts`.  The first exception stops the handing out of units
+    and is raised in the caller, with its type, once every helper has
+    returned.
     """
     results: List[T] = [None] * len(starts)
     lock = threading.Lock()
@@ -239,10 +241,9 @@ def _in_units(work: Callable[[int], T], starts: Sequence[int]) -> List[T]:
     try:
         drain()
     finally:
-        started = [f for f in helpers if not f.cancel()]  # one still queued would find no unit
-        for f in started:
-            f.exception()  # waits for its unit in progress
-    for f in started:
+        for f in helpers:
+            f.exception()  # waits; a helper still queued finds no unit left
+    for f in helpers:
         f.result()
     return results
 
