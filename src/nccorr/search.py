@@ -16,10 +16,11 @@ within about `step` of the identity.
 
 Making and scoring the samples is split into work units (`_MAKE_CHUNK`
 samples made, `chunk_size` samples scored per unit) that the caller runs
-together with one helper thread per further usable CPU.  numpy releases the
-GIL in the arithmetic, each unit writes only its own rows or its own
-entropies, and the entropies are reduced in sample order, so the result is
-the same bit for bit on any number of CPUs.  The hill-climb stays serial:
+together with one helper thread per further usable CPU, at most
+`_MAX_THREADS` threads in all.  numpy releases the GIL in the arithmetic,
+each unit writes only its own rows or its own entropies, and the entropies
+are reduced in sample order, so the result is the same bit for bit on any
+number of CPUs.  The hill-climb stays serial:
 each round starts from the best basis of the last.
 """
 from __future__ import annotations
@@ -43,6 +44,7 @@ _REFINE_STEP = 0.05  # initial hill-climb step; shrinks by 0.8 after a round wit
 _REFINE_BATCH = 8  # hill-climb trials per round, scored in one kernel call
 _REFINE_MIN_STEP = 2.0 ** -26  # sqrt(eps): near an optimum a step s moves the entropy by ~s**2
 _MAKE_CHUNK = 2048  # samples made per work unit when filling the cache
+_MAX_THREADS = 3  # D-search threads per call; each holds one unit's temporaries
 T = TypeVar("T")
 
 
@@ -184,67 +186,42 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool_lock = threading.Lock()
-_pool = None  # (executor or None, helper count), made on first use
-
-
-def _helper_pool() -> tuple:
-    """The helper threads' executor and their number, one per usable CPU beyond the caller's.
-
-    Made on first use.  With one usable CPU there are no helpers and no
-    executor; an executor starts its threads only when work is submitted.
-    concurrent.futures is imported here, as it pulls in logging, which a
-    process with no D search need not load.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            n = _usable_cpus() - 1
-            _pool = (ThreadPoolExecutor(n, thread_name_prefix="nccorr-search") if n else None, n)
-        return _pool
-
-
 def _in_units(work: Callable[[int], T], starts: Sequence[int]) -> List[T]:
-    """[work(lo) for lo in starts], run by the caller and the helper threads.
+    """[work(lo) for lo in starts], run by the caller and one helper thread per further usable CPU.
 
-    Every thread, the caller included, takes the next unit until none is
-    left, so no unit waits for a helper: with no helpers, or with every
-    helper busy with another caller's units, the caller runs them all
-    itself.  It then waits for its helpers to return; one that starts after
-    the last unit was taken returns at once.  Results come back in the
-    order of `starts`.  The first exception stops the handing out of units
-    and is raised in the caller, with its type, once every helper has
-    returned.
+    At most `_MAX_THREADS` threads run, the caller included, and never more
+    than there are units.  Each takes the next unit until none is left; the
+    helpers are started here and joined before returning, so no thread
+    outlives the call.  Results come in the order of `starts`.  The first
+    exception stops the handing out of units and is raised in the caller,
+    with its type, once every thread has stopped.
     """
     results: List[T] = [None] * len(starts)
+    units = iter(range(len(starts)))
     lock = threading.Lock()
-    next_unit = 0
+    errors: List[BaseException] = []
 
     def drain() -> None:
-        nonlocal next_unit
         while True:
             with lock:
-                u, next_unit = next_unit, next_unit + 1
-            if u >= len(starts):
+                u = None if errors else next(units, None)
+            if u is None:
                 return
             try:
                 results[u] = work(starts[u])
-            except BaseException:
-                with lock:
-                    next_unit = len(starts)
-                raise
+            except BaseException as exc:
+                errors.append(exc)
+                return
 
-    pool, n_helpers = _helper_pool()
-    helpers = [pool.submit(drain) for _ in range(min(n_helpers, len(starts) - 1))]
-    try:
-        drain()
-    finally:
-        for f in helpers:
-            f.exception()  # waits; a helper still queued finds no unit left
-    for f in helpers:
-        f.result()
+    helpers = [threading.Thread(target=drain, name="nccorr-search", daemon=True)
+               for _ in range(min(_usable_cpus(), _MAX_THREADS, len(starts)) - 1)]
+    for th in helpers:
+        th.start()
+    drain()
+    for th in helpers:
+        th.join()
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -298,10 +275,8 @@ def min_diag_entropy(
         qmat.diag_probs(rho, basis)  # same errors for bad caller input as for a witness
     best, factors, best_source = math.inf, None, None
 
-    def keep_first_min(stacks: Sequence[np.ndarray], source, ent=None) -> bool:
+    def keep_first_min(stacks: Sequence[np.ndarray], ent: np.ndarray, source) -> bool:
         nonlocal best, factors, best_source
-        if ent is None:
-            ent = _batch_entropies(rho.mat, stacks)
         i = int(np.argmin(ent))
         if not ent[i] < best:
             return False
@@ -309,8 +284,10 @@ def min_diag_entropy(
         return True
 
     candidates = [computational_basis(dims), marginal_eigenbasis(rho), *extra_candidates]
+    stacks = [np.stack(f) for f in zip(*(b.factors for b in candidates))]
     keep_first_min(
-        [np.stack(f) for f in zip(*(b.factors for b in candidates))],
+        stacks,
+        _batch_entropies(rho.mat, stacks),
         lambda i: ("computational", "marginal-eigenbasis")[i] if i < 2 else f"extra:{i - 2}",
     )
 
@@ -319,13 +296,14 @@ def min_diag_entropy(
         stacks = _sampled_factors(dims, cfg.seed, n)
         scores = _in_units(lambda lo: _batch_entropies(rho.mat, [F[lo : lo + chunk] for F in stacks]),
                            range(0, n, chunk))
-        keep_first_min(stacks, lambda i: f"sample:{i}", np.concatenate(scores))
+        keep_first_min(stacks, np.concatenate(scores), lambda i: f"sample:{i}")
 
     accepts, step = 0, _REFINE_STEP
     for lo in range(0, cfg.refine_steps, _REFINE_BATCH):
         idx = np.arange(n + lo, n + min(lo + _REFINE_BATCH, cfg.refine_steps), dtype=np.uint64)
         near_identity = _haar_batch(dims, sample_key(cfg.seed, idx), shift=1.0 / step)
-        if keep_first_min([F @ Q for F, Q in zip(factors, near_identity)], lambda i: "refine"):
+        trials = [F @ Q for F, Q in zip(factors, near_identity)]
+        if keep_first_min(trials, _batch_entropies(rho.mat, trials), lambda i: "refine"):
             accepts += 1
         elif (step := step * 0.8) < _REFINE_MIN_STEP:
             break

@@ -62,12 +62,19 @@ def test_report_records_the_cpus_first():
     runs = [dict(run(side, 911, 10.0, 5.0), meta={"seconds": 30}) for side in ("parent", "change")]
     report = bench_pairs.build_report([911], {"parent": "a" * 40, "change": "b" * 40}, runs, BETTER)
     assert list(report)[:3] == ["description", "cpus_usable", "cpu_count"]
-    assert report["cpus_usable"] == len(os.sched_getaffinity(0))
+    assert report["cpus_usable"] == bench_pairs.usable_cpus()
     assert report["cpu_count"] == os.cpu_count()
     assert 1 <= report["cpus_usable"] <= report["cpu_count"]
     assert "30 s per run" in report["description"] and "seeds 911-911" in report["description"]
     assert report["summary"]["w"]["pairs"] == 1 and report["runs"] == runs
     json.dumps(report)
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert bench_pairs.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert bench_pairs.usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_parse_output_takes_meta_line_and_last_line():

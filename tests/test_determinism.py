@@ -64,6 +64,10 @@ import hashlib
 import threading
 import nccorr as nc
 
+helpers = []
+start = threading.Thread.start
+threading.Thread.start = lambda th: helpers.append(th.name) or start(th)
+
 cfg = nc.SearchConfig(n_samples=6000, seed=1, refine_steps=50)
 for seed, dims in enumerate([(2, 4), (2, 2, 2), (2, 2, 2, 2)]):
     rho = nc.random_density_matrix(dims, 2 ** len(dims), 300 + seed)
@@ -71,7 +75,7 @@ for seed, dims in enumerate([(2, 4), (2, 2, 2), (2, 2, 2, 2)]):
     w = hashlib.sha256(b"".join(f.tobytes() for f in rep.witness.factors)).hexdigest()
     print(dims, float(rep.value).hex(), w, rep.diagnostics["best_source"])
 print(nc.run_sweep(nc.SweepSpec("horodecki", 0.0, 1.0, 11, search=cfg)), end="")
-assert (threading.active_count() > 1) == (len(os.sched_getaffinity(0)) > 1)
+assert bool(helpers) == (len(os.sched_getaffinity(0)) > 1)
 """
 PIN_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 ALL_CPUS = "import os\n"

@@ -1,7 +1,9 @@
+import dataclasses
 import math
+import multiprocessing
+import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -316,13 +318,13 @@ class TestSingleScorer:
         assert nc.measure_D(rho, cfg).value == rep.value
 
 
-class TestWorkerPool:
-    """Sample units run on the caller and the helper threads; errors and
-    concurrent callers must not change what a search returns."""
+class TestWorkerThreads:
+    """Sample units run on the caller and the helper threads; errors, forks
+    and concurrent callers must not change what a search returns."""
 
     @pytest.mark.parametrize("where", ["every-unit", "helper-only"])
     def test_unit_error_reaches_caller_and_caches_nothing(self, monkeypatch, where):
-        if where == "helper-only" and search._helper_pool()[1] == 0:
+        if where == "helper-only" and search._usable_cpus() < 2:
             pytest.skip("one usable CPU: there are no helper threads")
         real = search._normals
         G = np.array([[0.0, 0.0], [1.0, 0.0]]).T  # zero first column
@@ -349,9 +351,9 @@ class TestWorkerPool:
         assert np.array_equal(F, W)
 
     def test_every_unit_runs_once_under_stress(self, monkeypatch):
-        # more helpers and callers than cores, switching threads as often as possible
-        pool = ThreadPoolExecutor(6)
-        monkeypatch.setattr(search, "_pool", (pool, 6))
+        # more threads and callers than cores, switching threads as often as possible
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(search, "_MAX_THREADS", 6)
         starts = [range(1000 * k, 1000 * k + 300) for k in range(4)]
         runs, results, interval = [], [None] * 4, sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -367,9 +369,28 @@ class TestWorkerPool:
             assert not any(th.is_alive() for th in callers), "deadlock"
         finally:
             sys.setswitchinterval(interval)
-            pool.shutdown()
         assert sorted(runs) == [lo for s in starts for lo in s]
         assert results == [[2 * lo for lo in s] for s in starts]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_a_search(self, monkeypatch):
+        # a child forked after a threaded search, e.g. a multiprocessing worker
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        rho = nc.random_density_matrix((2, 3), 6, 7)
+        cfg = nc.SearchConfig(n_samples=3000, seed=21, refine_steps=8, chunk_size=1000)
+        nc.measure_D(rho, cfg)
+        later = dataclasses.replace(cfg, seed=22)  # a new sample set: made and scored in the child
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(nc.measure_D(rho, later).value), daemon=True)
+        child.start()
+        got = receive.recv() if receive.poll(60) else None
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+        assert got is not None, "the forked child's search did not return"
+        assert child.exitcode == 0
+        assert got == nc.measure_D(rho, later).value
 
     def test_concurrent_callers_get_serial_results(self):
         jobs = [

@@ -97,6 +97,14 @@ def parse_output(stdout: str) -> dict:
     return {"meta": meta, "result": json.loads(lines[-1])}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[dict],
                  better: Dict[str, str]) -> dict:
     """The BENCH_<pr>.json document.  The D search runs on every usable CPU,
@@ -108,7 +116,7 @@ def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[d
                         "as alternating pairs "
                         f"(seeds {seeds[0]}-{seeds[-1]}, the parent first on odd seeds); "
                         "written by tools/bench_pairs.py"),
-        "cpus_usable": len(os.sched_getaffinity(0)),
+        "cpus_usable": usable_cpus(),
         "cpu_count": os.cpu_count(),
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
