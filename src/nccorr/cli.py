@@ -100,7 +100,7 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
                         "balanced assignments are enumerated")
     p.add_argument("--chunk-size", type=_pos_int, default=SearchConfig.chunk_size,
                    help="samples scored per work unit of the D search, which runs on "
-                        "every usable CPU (never changes results)")
+                        "every usable CPU, up to three (never changes results)")
 
 
 def _serialize_witness(witness) -> object:

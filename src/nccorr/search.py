@@ -20,8 +20,8 @@ together with one helper thread per further usable CPU, at most
 `_MAX_THREADS` threads in all.  numpy releases the GIL in the arithmetic,
 each unit writes only its own rows or its own entropies, and the entropies
 are reduced in sample order, so the result is the same bit for bit on any
-number of CPUs.  The hill-climb stays serial:
-each round starts from the best basis of the last.
+number of CPUs.  The hill-climb stays serial: each round starts from the
+best basis of the last.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -371,6 +372,20 @@ class TestWorkerThreads:
             sys.setswitchinterval(interval)
         assert sorted(runs) == [lo for s in starts for lo in s]
         assert results == [[2 * lo for lo in s] for s in starts]
+
+    def test_threads_are_capped_and_joined(self, monkeypatch):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 8)
+        before = threading.active_count()
+        ran = []
+
+        def work(lo):
+            ran.append(threading.get_ident())
+            time.sleep(0.02)  # every thread gets a unit before the units run out
+            return lo
+
+        assert search._in_units(work, range(12)) == list(range(12))
+        assert len(set(ran)) == search._MAX_THREADS == 3
+        assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_runs_a_search(self, monkeypatch):
