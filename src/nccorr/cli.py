@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import List, Optional
 
@@ -36,26 +35,24 @@ def _parse_measures(text: str) -> tuple:
     return items
 
 
-def _at_least(low, kind=int):
-    """argparse type: a finite int (or float) >= low; rejects nan and inf."""
-    noun = "an integer" if kind is int else "a finite number"
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
 
-    def parse(text: str):
+    def parse(text: str) -> int:
         try:
-            value = kind(text)
+            value = int(text)
         except ValueError:
             pass
         else:
-            if low <= value < math.inf:
+            if value >= low:
                 return value
-        raise argparse.ArgumentTypeError(f"expected {noun} >= {low}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
 
     return parse
 
 
 _nonneg_int = _at_least(0)
 _pos_int = _at_least(1)
-_tolerance = _at_least(0, float)
 
 
 def _dims(text: str) -> tuple:
@@ -86,15 +83,19 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _add_measure_flags(p: argparse.ArgumentParser) -> None:
-    names = ",".join(MEASURE_ORDER)
-    p.add_argument("--measures", default=names, help=f"comma-separated subset of {names}")
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_nonneg_int, default=SearchConfig.n_samples,
                    help="random bases per D evaluation")
     p.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps,
                    help="most hill-climb trials after the random search, scored 8 at a "
                         "time (0 = pure random search)")
+
+
+def _add_measure_flags(p: argparse.ArgumentParser) -> None:
+    names = ",".join(MEASURE_ORDER)
+    p.add_argument("--measures", default=names, help=f"comma-separated subset of {names}")
+    _add_search_flags(p)
     p.add_argument("--partition-cap", type=_pos_int, default=measures.DEFAULT_PARTITION_CAP,
                    help="G refuses subsystem k when dims[k]^d_tot exceeds this; only the "
                         "balanced assignments are enumerated")
@@ -121,16 +122,6 @@ def _serialize_witness(witness) -> object:
     if isinstance(witness, tuple) and len(witness) == 2:
         return {"type": "splitting", "side_a": list(witness[0]), "side_b": list(witness[1])}
     return witness
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def cmd_sweep(args) -> int:
@@ -162,7 +153,7 @@ def cmd_measure(args) -> int:
         out[m] = {
             "value": rep.value,
             "witness": _serialize_witness(rep.witness),
-            "diagnostics": _jsonable(rep.diagnostics),
+            "diagnostics": rep.diagnostics,
         }
     sys.stdout.write(json.dumps(out, indent=2) + "\n")
     return EXIT_OK
@@ -192,13 +183,8 @@ def cmd_gen_state(args) -> int:
 
 def cmd_verify(args) -> int:
     seconds = {}
-    checks = verify.run_all(
-        n_samples=args.samples,
-        seed=args.seed,
-        refine_steps=args.refine_steps,
-        tol=args.tol,
-        seconds=seconds,
-    )
+    cfg = SearchConfig(n_samples=args.samples, seed=args.seed, refine_steps=args.refine_steps)
+    checks = verify.run_all(cfg, seconds)
     failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -242,11 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_state)
 
     p = sub.add_parser("verify", help="run the closed-form regression suite")
-    p.add_argument("--samples", type=_nonneg_int, default=SearchConfig.n_samples)
-    p.add_argument("--seed", type=int, default=SearchConfig.seed)
-    p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps)
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="tolerance for the closed-form sweep checks")
+    _add_search_flags(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

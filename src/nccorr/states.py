@@ -148,6 +148,13 @@ def store_state(rho: DensityMatrix, path) -> None:
         fh.write(text)
 
 
+def _entry(e) -> complex:
+    """One matrix entry: a list of exactly two JSON numbers, [real, imag]."""
+    if type(e) is not list or len(e) != 2 or any(type(x) not in (int, float) for x in e):
+        raise ValueError(f"entry {e!r} is not a [real, imag] pair of numbers")
+    return complex(*e)
+
+
 def load_state(path) -> DensityMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
@@ -157,16 +164,14 @@ def load_state(path) -> DensityMatrix:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise ParseError(f"{path}: expected an object with 'dims' and 'matrix'")
+    dims = obj["dims"]
+    if type(dims) is not list or any(type(d) is not int for d in dims):
+        raise ParseError(f"{path}: 'dims' must be a list of integers, got {dims!r}")
     try:
-        dims = tuple(int(d) for d in obj["dims"])
-        rows = obj["matrix"]
-        mat = np.array(
-            [[complex(float(e[0]), float(e[1])) for e in row] for row in rows],
-            dtype=np.complex128,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        mat = np.array([[_entry(e) for e in row] for row in obj["matrix"]], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed matrix data ({exc})") from exc
-    rho = DensityMatrix(dims, mat)
+    rho = DensityMatrix(tuple(dims), mat)
     report = validate(rho)
     if not report.passed:
         raise ValidationFailure(

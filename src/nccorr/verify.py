@@ -17,6 +17,9 @@ from . import measures, qmat, states
 from .search import SearchConfig, haar_random_product_basis
 from .sweep import MEASURE_ORDER, SweepSpec, csv_text, evaluate_point, run_sweep, sweep_rows
 
+# the pinned tolerance of the closed-form sweep checks (criteria 1-3)
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Check:
@@ -52,7 +55,7 @@ def _ps_closed_forms(p: float) -> dict:
     }
 
 
-def criterion_1(cfg: SearchConfig, tol: float) -> Tuple[List[Check], str]:
+def criterion_1(cfg: SearchConfig) -> Tuple[List[Check], str]:
     t0 = time.perf_counter()
     spec = SweepSpec("ps", 0.0, 1.0, 101, search=cfg)
     rows = sweep_rows(spec)
@@ -63,7 +66,7 @@ def criterion_1(cfg: SearchConfig, tol: float) -> Tuple[List[Check], str]:
         for m in devs:
             devs[m].append(abs(vals[m] - cf[m]))
     checks = [
-        _dev_check(f"criterion-1 ps sweep {m} vs closed form", devs[m], tol)
+        _dev_check(f"criterion-1 ps sweep {m} vs closed form", devs[m], TOL)
         for m in MEASURE_ORDER
     ]
     at0 = rows[0][1]
@@ -79,8 +82,8 @@ def criterion_1(cfg: SearchConfig, tol: float) -> Tuple[List[Check], str]:
     checks.append(
         Check(
             "criterion-1 spot values at p=0 and p=1",
-            spot_dev <= tol,
-            f"max deviation {spot_dev:.3e} (tol {tol:.1e})",
+            spot_dev <= TOL,
+            f"max deviation {spot_dev:.3e} (tol {TOL:.1e})",
         )
     )
     checks.append(
@@ -104,7 +107,7 @@ def _sigma_K(p: float) -> float:
     return 8 * p - 2
 
 
-def criterion_2(cfg: SearchConfig, tol: float) -> List[Check]:
+def criterion_2(cfg: SearchConfig) -> List[Check]:
     spec = SweepSpec("sigma", 0.0, 0.5, 101, search=cfg)
     rows = sweep_rows(spec)
     devs = {m: [] for m in ("G", "DG", "K", "N")}
@@ -116,9 +119,9 @@ def criterion_2(cfg: SearchConfig, tol: float) -> List[Check]:
         devs["K"].append(abs(vals["K"] - _sigma_K(p)))
         devs["N"].append(abs(vals["N"] - abs(min(0.0, 0.5 - 2 * p))))
         d_ok &= -1e-9 <= vals["D"] <= vals["DG"] + 1e-9
-        sep_ok &= (vals["N"] <= tol) if p <= 0.25 else (vals["N"] > tol)
+        sep_ok &= (vals["N"] <= TOL) if p <= 0.25 else (vals["N"] > TOL)
     checks = [
-        _dev_check(f"criterion-2 sigma sweep {m} vs closed form", devs[m], tol)
+        _dev_check(f"criterion-2 sigma sweep {m} vs closed form", devs[m], TOL)
         for m in ("G", "DG", "K", "N")
     ]
     checks.append(Check("criterion-2 sigma D bounded by D_G", d_ok, "0 <= D <= D_G + 1e-9 at all 101 points"))
@@ -129,7 +132,7 @@ def criterion_2(cfg: SearchConfig, tol: float) -> List[Check]:
 # ---------------------------------------------------------------- criterion 3
 
 
-def criterion_3(cfg: SearchConfig, tol: float) -> List[Check]:
+def criterion_3(cfg: SearchConfig) -> List[Check]:
     spec = SweepSpec("horodecki", 0.0, 1.0, 51, search=cfg)
     rows = sweep_rows(spec)
     kn_dev = max(max(vals["K"], vals["N"]) for _, vals in rows)
@@ -142,8 +145,8 @@ def criterion_3(cfg: SearchConfig, tol: float) -> List[Check]:
         for _, vals in rows
     )
     return [
-        Check("criterion-3 horodecki K and N vanish (PPT)", kn_dev <= tol,
-              f"max K/N {kn_dev:.3e} (tol {tol:.1e})"),
+        Check("criterion-3 horodecki K and N vanish (PPT)", kn_dev <= TOL,
+              f"max K/N {kn_dev:.3e} (tol {TOL:.1e})"),
         Check("criterion-3 horodecki states pass validation", valid_ok, "51 grid points"),
         Check("criterion-3 horodecki b=0 product limit", b0_dev <= 1e-6,
               f"max measure {b0_dev:.3e} (tol 1e-6)"),
@@ -348,15 +351,8 @@ def criterion_8(cfg: SearchConfig, first_csv: str) -> List[Check]:
 # --------------------------------------------------------------------- driver
 
 
-def run_all(
-    n_samples: int = SearchConfig.n_samples,
-    seed: int = SearchConfig.seed,
-    refine_steps: int = SearchConfig.refine_steps,
-    tol: float = 1e-9,
-    seconds: Optional[Dict[str, float]] = None,
-) -> List[Check]:
+def run_all(cfg: SearchConfig = SearchConfig(), seconds: Optional[Dict[str, float]] = None) -> List[Check]:
     """Every check of criteria 1-8; `seconds`, if given, gets each criterion's wall time."""
-    cfg = SearchConfig(n_samples=n_samples, seed=seed, refine_steps=refine_steps)
     seconds = {} if seconds is None else seconds
 
     def timed(n: int, run, *args):
@@ -366,10 +362,10 @@ def run_all(
         return out
 
     checks: List[Check] = []
-    c1, csv1 = timed(1, criterion_1, cfg, tol)
+    c1, csv1 = timed(1, criterion_1, cfg)
     checks.extend(c1)
-    checks.extend(timed(2, criterion_2, cfg, tol))
-    checks.extend(timed(3, criterion_3, cfg, tol))
+    checks.extend(timed(2, criterion_2, cfg))
+    checks.extend(timed(3, criterion_3, cfg))
     checks.extend(timed(4, criterion_4, cfg))
     checks.extend(timed(5, criterion_5))
     checks.extend(timed(6, criterion_6))

@@ -5,12 +5,12 @@ run with `pytest -s tests/test_acceptance.py` to see them live.
 """
 import pytest
 
-from nccorr import verify
+from nccorr import SearchConfig, verify
 
 
 @pytest.fixture(scope="session")
 def all_checks():
-    checks = verify.run_all(n_samples=40000, seed=1, refine_steps=200, tol=1e-9)
+    checks = verify.run_all(SearchConfig(n_samples=40000, seed=1, refine_steps=200))
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
     return checks

@@ -137,6 +137,16 @@ class TestErrorHandling:
         bad.write_text("{not json")
         assert run(["measure", bad, "--measures", "K"]) == 2
 
+    def test_non_integer_state_dims_exit_2(self, tmp_path):
+        state = tmp_path / "s.json"
+        run(["gen-state", "--family", "ps", "--param", 0.5, "--out", state])
+        state.write_text(state.read_text().replace('"dims": [2, 2]', '"dims": [2.7, 2]'))
+        proc = run_process(["measure", state, "--measures", "K"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_invalid_density_matrix_exit_2(self, tmp_path):
         bad = tmp_path / "nonpsd.json"
         bad.write_text(json.dumps({
@@ -164,15 +174,14 @@ class TestErrorHandling:
         ["gen-state", "--dims", "2,2", "--seed", -5],
         ["gen-state", "--dims", "0,2"],
         SWEEP + ["--partition-cap", -3],
-        ["verify", "--tol", -1],
-        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "1e-3"],
         ["gen-state", "--family", "ps", "--param", 0.5, "--dims", "2,3"],
         ["gen-state", "--family", "ps", "--param", 0.5, "--rank", 3],
         ["gen-state", "--family", "ps", "--param", 0.5, "--seed", 3],
         ["gen-state", "--dims", "2,2", "--param", 0.7],
     ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
             "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap",
-            "tol-negative", "tol-nan", "family-and-dims", "family-with-rank",
+            "tol-removed", "family-and-dims", "family-with-rank",
             "family-with-seed", "dims-with-param"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":
@@ -224,10 +233,7 @@ class TestVerify:
         assert run(["verify", "--samples", "200", "--refine-steps", "10"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-
-    def test_verify_prints_time_per_criterion(self, capsys):
-        assert run(["verify", "--samples", "200", "--refine-steps", "10"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        lines = out.splitlines()
         timing = [line for line in lines if re.fullmatch(r"criterion-\d: \d+\.\d\d s", line)]
         assert [line.split(":")[0] for line in timing] == [f"criterion-{n}" for n in range(1, 9)]
         checks = [line for line in lines if line.startswith("[")]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nccorr as nc
 from nccorr import cli, measures, qmat, sweep, verify
@@ -286,6 +287,49 @@ class TestSharedProperties:
         assert nc.measure_DG(joint).value == pytest.approx(
             nc.measure_DG(a).value + nc.measure_DG(b).value, abs=1e-8
         )
+
+
+@st.composite
+def dims_rank_seed(draw):
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)]))
+    return dims, draw(st.integers(1, math.prod(dims))), draw(st.integers(0, 2**32 - 1))
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(dims_rank_seed())
+    def test_gkn_local_unitary_invariance(self, case):
+        dims, rank, seed = case
+        rho = nc.random_density_matrix(dims, rank, seed)
+        u = qmat.product_basis_matrix(nc.haar_random_product_basis(dims, seed))
+        rho2 = nc.DensityMatrix(dims, u @ rho.mat @ u.conj().T)
+        for measure in (nc.measure_G, nc.measure_K, nc.negativity):
+            assert abs(measure(rho).value - measure(rho2).value) <= 1e-8
+
+    @PROPERTY
+    @given(dims_rank_seed())
+    def test_d_never_exceeds_dg(self, case):
+        dims, rank, seed = case
+        rho = nc.random_density_matrix(dims, rank, seed)
+        cfg = nc.SearchConfig(n_samples=64, seed=seed, refine_steps=16)
+        assert nc.measure_D(rho, cfg).value <= nc.measure_DG(rho).value + 1e-9
+
+    @PROPERTY
+    @given(dims_rank_seed())
+    def test_all_vanish_on_classical(self, case):
+        dims, _, seed = case
+        rho = classical_state(dims, seed)
+        for name, measure in measures.MEASURES.items():
+            assert abs(measure(rho, TINY, measures.DEFAULT_PARTITION_CAP).value) <= 1e-8, name
+
+    @PROPERTY
+    @given(dims_rank_seed())
+    def test_n_vanishes_on_separable_mixtures(self, case):
+        dims, rank, seed = case
+        assert nc.negativity(separable_mixture(dims, seed, real=False, terms=rank)).value <= 1e-9
 
 
 class TestMeasureTable:

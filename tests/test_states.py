@@ -163,6 +163,27 @@ class TestValidateAndIO:
         with pytest.raises(nc.ParseError):
             nc.load_state(path)
 
+    @pytest.mark.parametrize("dims, entry", [
+        ([2.7, 2], [0.25, 0.0]),
+        ("22", [0.25, 0.0]),
+        ([True, 2], [0.25, 0.0]),
+        ([2, 2], "10"),
+        ([2, 2], [0.25, 0.0, 1.0]),
+        ([2, 2], [0.25]),
+        ([2, 2], [0.25, None]),
+        ([2, 2], ["0.25", 0.0]),
+        ([2, 2], [True, 0.0]),
+    ], ids=["float-dims", "string-dims", "bool-dims", "string-entry", "three-item-entry",
+            "one-item-entry", "null-part", "string-part", "bool-part"])
+    def test_load_rejects_malformed_file(self, tmp_path, dims, entry):
+        # a valid maximally mixed two-qubit state with one field spoiled
+        mat = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        mat[1][1] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": mat}))
+        with pytest.raises(nc.ParseError):
+            nc.load_state(path)
+
     def test_load_rejects_invalid_state(self, tmp_path):
         path = tmp_path / "nonpsd.json"
         obj = {
