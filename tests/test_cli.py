@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -229,10 +230,22 @@ class TestSearchFlagDefaults:
 
 
 class TestVerify:
-    def test_reduced_verify_passes(self, capsys):
-        assert run(["verify", "--samples", "200", "--refine-steps", "10"]) == 0
-        out = capsys.readouterr().out
+    @pytest.fixture(scope="class")
+    def verify_out(self):
+        """One reduced verify run, shared by the tests of this class."""
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(["verify", "--samples", "200", "--refine-steps", "10"])
+        return code, buf.getvalue()
+
+    def test_reduced_verify_passes(self, verify_out):
+        code, out = verify_out
+        assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    def test_verify_prints_time_per_criterion(self, verify_out):
+        code, out = verify_out
+        assert code == 0
         lines = out.splitlines()
         timing = [line for line in lines if re.fullmatch(r"criterion-\d: \d+\.\d\d s", line)]
         assert [line.split(":")[0] for line in timing] == [f"criterion-{n}" for n in range(1, 9)]
