@@ -85,11 +85,11 @@ def _search_config(args) -> SearchConfig:
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_nonneg_int, default=SearchConfig.n_samples,
-                   help="random bases per D evaluation")
+                   help="random bases per D evaluation; the best 2 start the descent")
     p.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps,
-                   help="most hill-climb trials after the random search, scored 8 at a "
-                        "time (0 = pure random search)")
+                   help="most conjugate-gradient rounds of the D descent per start, each "
+                        "scoring 8 steps (0 = no descent)")
 
 
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
@@ -100,8 +100,8 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
                    help="G refuses subsystem k when dims[k]^d_tot exceeds this; only the "
                         "balanced assignments are enumerated")
     p.add_argument("--chunk-size", type=_pos_int, default=SearchConfig.chunk_size,
-                   help="samples scored per work unit of the D search, which runs on "
-                        "every usable CPU, up to three (never changes results)")
+                   help="samples the D search makes and scores at a time, on one thread; "
+                        "bounds its memory (never changes results)")
 
 
 def _serialize_witness(witness) -> object:

@@ -1,36 +1,21 @@
 """Minimization of the product-basis diagonal entropy.
 
-Random search over Haar product bases with two deterministic seed
-candidates (computational basis and the marginal eigenbases) and an
-optional hill-climb refinement.  Every basis is scored by
-`_batch_entropies`, a batch at a time, and one keep-the-first-minimum rule
-decides which basis is kept.  The samples are counter-based: the basis for
-sample i depends only on (seed, i), so results are independent of batching
-and monotone in the number of samples.  Each Haar factor is the unitary of
-a QR decomposition of a complex Gaussian matrix, with R's diagonal real and
+Haar product bases are sampled, and a descent runs from the best of them and
+from fixed candidates.  The samples are counter-based: the basis for sample i
+depends only on (seed, i), so results are independent of batching and
+monotone in the number of samples.  Each Haar factor is the unitary of a QR
+decomposition of a complex Gaussian matrix, with R's diagonal real and
 positive; `_haar_batch` computes it by Gram–Schmidt in whole-batch
-elementwise arithmetic, so a sample comes out bit-identical whatever batch
-it is made in.  Hill-climb trial j draws from the same counter at index
-n_samples + j, with I/step added to the Gaussian matrix so its factors lie
-within about `step` of the identity.
-
-Making and scoring the samples is split into work units (`_MAKE_CHUNK`
-samples made, `chunk_size` samples scored per unit) that the caller runs
-together with one helper thread per further usable CPU, at most
-`_MAX_THREADS` threads in all.  numpy releases the GIL in the arithmetic,
-each unit writes only its own rows or its own entropies, and the entropies
-are reduced in sample order, so the result is the same bit for bit on any
-number of CPUs.  The hill-climb stays serial: each round starts from the
-best basis of the last.
+elementwise arithmetic, so a sample comes out bit-identical whatever batch it
+is made in.  Every basis is scored by `_batch_entropies`, whose rows do not
+depend on the batch either.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
-from functools import lru_cache, reduce
+from functools import reduce
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,20 +25,19 @@ from . import qmat
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
-_REFINE_STEP = 0.05  # initial hill-climb step; shrinks by 0.8 after a round with no gain
-_REFINE_BATCH = 8  # hill-climb trials per round, scored in one kernel call
-_REFINE_MIN_STEP = 2.0 ** -26  # sqrt(eps): near an optimum a step s moves the entropy by ~s**2
-_MAKE_CHUNK = 2048  # samples made per work unit when filling the cache
-_MAX_THREADS = 3  # D-search threads per call; each holds one unit's temporaries
-T = TypeVar("T")
+_N_STARTS = 2  # best samples the descent starts from, besides the fixed candidates
+_GRAD_TOL = 1e-6  # a start stops once its gradient norm (bits per radian) is this small
+_TRIALS = 2.0 ** np.arange(2, -6, -1)  # line-search steps per round, in units of the last step
+_MIN_STEP = 1e-12  # a start stops when no step down to this one lowers its entropy
+_MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    n_samples: int = 40000
+    n_samples: int = 512
     seed: int = 1
-    refine_steps: int = 200
-    chunk_size: int = 2048  # samples per work unit; never affects results
+    refine_steps: int = 100  # most descent rounds per start
+    chunk_size: int = 2048  # samples made and scored at a time; never affects results
 
     def __post_init__(self):
         if self.n_samples < 0 or self.refine_steps < 0:
@@ -94,7 +78,7 @@ def _normals(keys: np.ndarray, count: int) -> np.ndarray:
     return out[:, :count]
 
 
-def _haar_batch(dims: Sequence[int], keys: np.ndarray, shift: float = 0.0) -> List[np.ndarray]:
+def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
     """One Haar-random unitary per subsystem per key; C-ordered stacks of shape (S, d, d).
 
     Each factor is the Q of a QR decomposition of a complex Ginibre matrix,
@@ -107,9 +91,7 @@ def _haar_batch(dims: Sequence[int], keys: np.ndarray, shift: float = 0.0) -> Li
     a sample's factors depend only on its key: they are bit-identical
     whether the key comes alone, in a slice or in the full batch.  The
     Ginibre scale is left out, since Gram–Schmidt does not depend on it.  A
-    nonzero `shift` is added to each Gaussian matrix's diagonal first, so
-    the factors lie within about 1/shift of the identity.  A column whose
-    residual norm is exactly zero raises NoConvergence.
+    column whose residual norm is exactly zero raises NoConvergence.
     """
     S = len(keys)
     counts = [2 * d * d for d in dims]
@@ -122,8 +104,6 @@ def _haar_batch(dims: Sequence[int], keys: np.ndarray, shift: float = 0.0) -> Li
         G = N[:, off : off + cnt].reshape(S, d, d, 2)
         Re, Im = np.ascontiguousarray(G.transpose(3, 2, 1, 0))
         off += cnt
-        if shift:
-            Re[np.diag_indices(d)] += shift
         for c in range(d):
             vr, vi = Re[c], Im[c]
             for _ in range(2):
@@ -164,6 +144,94 @@ def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np
     return qmat.entropy_bits(np.where(P > 0.0, P, 0.0))
 
 
+def _gradient(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Riemannian gradient of the diagonal entropy, per subsystem, at a batch of product bases.
+
+    Moving factor k as U_k exp(eps A), with A anti-Hermitian, changes the
+    entropy at the rate <A, C_k> = Re tr(A^dag C_k), where
+    C_k = Tr_{not k} [Lambda, rho'], rho' = B^dag rho B and
+    Lambda = diag(log2 p) for the diagonal p of rho'.  The anti-Hermitian
+    C_k are returned, one (S, d_k, d_k) stack per subsystem.
+    """
+    dims = [F.shape[-1] for F in factor_stacks]
+    S, m = len(factor_stacks[0]), len(dims)
+    B = factor_stacks[0]
+    for F in factor_stacks[1:]:
+        a, d = B.shape[-1], F.shape[-1]
+        B = (B[:, :, None, :, None] * F[:, None, :, None, :]).reshape(S, a * d, a * d)
+    R = B.conj().swapaxes(1, 2) @ rho_mat @ B
+    # where p_i = 0, row and column i of rho' vanish, so any finite log2 p_i will do
+    lam = np.log2(np.maximum(R.diagonal(axis1=1, axis2=2).real, 1e-300))
+    C = ((lam[:, :, None] - lam[:, None, :]) * R).reshape(S, *dims, *dims)
+    grads = []
+    for k, d in enumerate(dims):
+        rest = R.shape[-1] // d
+        Ck = np.moveaxis(C, (1 + k, 1 + m + k), (1, 2)).reshape(S, d, d, rest, rest)
+        grads.append(np.trace(Ck, axis1=3, axis2=4))
+    return grads
+
+
+def _dot(X: Sequence[np.ndarray], Y: Sequence[np.ndarray]) -> np.ndarray:
+    """Frobenius inner product Re tr(X^dag Y), summed over subsystems, per start."""
+    return sum((x.conj() * y).real.sum(axis=(1, 2)) for x, y in zip(X, Y))
+
+
+def _expm(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(t A) for anti-Hermitian A (n, d, d) and steps t (n, T): shape (n, T, d, d).
+
+    One eigh of the Hermitian -iA = V diag(w) V^dag serves every step:
+    exp(t A) = V diag(exp(i t w)) V^dag.
+    """
+    w, V = np.linalg.eigh(-1j * A)
+    phase = np.exp(1j * t[:, :, None] * w[:, None, :])
+    return (V[:, None] * phase[:, :, None, :]) @ V.conj().swapaxes(1, 2)[:, None]
+
+
+def _descend(
+    rho_mat: np.ndarray, stacks: Sequence[np.ndarray], h: np.ndarray, max_rounds: int
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Polak–Ribière+ conjugate gradient on the product of unitary groups, from every start at once.
+
+    This is the method of Abrudan, Eriksson & Koivunen (Signal Processing
+    89(9), 2009).  A round moves each live start along its direction D as
+    U_k exp(t D_k) for the steps t = t0 * `_TRIALS`, scored in one call, and
+    takes the lowest if it is below the start's entropy; t0 becomes its step.
+    Otherwise t0 drops below the steps just tried.  A start stops at gradient
+    norm `_GRAD_TOL`, at `max_rounds` rounds, or once t0 is below `_MIN_STEP`.
+    Returns the final factor stacks, entropies, rounds and accepted rounds.
+    """
+    U, h = [np.array(F) for F in stacks], np.array(h)
+    G = _gradient(rho_mat, U)
+    D, gg, t0 = [-g for g in G], _dot(G, G), np.ones(len(h))
+    rounds, accepts = np.zeros(len(h), dtype=int), np.zeros(len(h), dtype=int)
+    live = (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
+    while live.any():
+        a = np.flatnonzero(live)
+        t = t0[a, None] * _TRIALS
+        trials = [Uk[a, None] @ _expm(Dk[a], t) for Uk, Dk in zip(U, D)]
+        ent = _batch_entropies(rho_mat, [X.reshape(-1, *X.shape[2:]) for X in trials]).reshape(t.shape)
+        j = np.argmin(ent, axis=1)
+        ok = ent[np.arange(len(a)), j] < h[a]
+        rounds[a] += 1
+        t0[a[~ok]] *= _TRIALS[-1] / 2
+        a, j = a[ok], j[ok]
+        for Uk, X in zip(U, trials):
+            Uk[a] = X[ok, j]
+        h[a], t0[a] = ent[ok, j], t[ok, j]
+        accepts[a] += 1
+        G_new = _gradient(rho_mat, [Uk[a] for Uk in U])
+        gg_new = _dot(G_new, G_new)
+        beta = np.maximum(0.0, (gg_new - _dot([g[a] for g in G], G_new)) / gg[a])
+        # directions live in the Lie algebra, so D carries over as it is;
+        # where -G + beta D would not descend, restart from -G
+        beta[beta * _dot([Dk[a] for Dk in D], G_new) >= gg_new] = 0.0
+        for Dk, Gk, g in zip(D, G, G_new):
+            Dk[a], Gk[a] = beta[:, None, None] * Dk[a] - g, g
+        gg[a] = gg_new
+        live &= (gg > _GRAD_TOL ** 2) & (t0 >= _MIN_STEP) & (rounds < max_rounds)
+    return U, h, rounds, accepts
+
+
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
     """Product basis formed from each single-subsystem marginal eigenbasis."""
     facs = []
@@ -178,141 +246,60 @@ def computational_basis(dims: Sequence[int]) -> ProductBasis:
     return ProductBasis(tuple(np.eye(int(d), dtype=np.complex128) for d in dims))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _in_units(work: Callable[[int], T], starts: Sequence[int]) -> List[T]:
-    """[work(lo) for lo in starts], run by the caller and one helper thread per further usable CPU.
-
-    At most `_MAX_THREADS` threads run, the caller included, and never more
-    than there are units.  Each takes the next unit until none is left; the
-    helpers are started here and joined before returning, so no thread
-    outlives the call.  Results come in the order of `starts`.  The first
-    exception stops the handing out of units and is raised in the caller,
-    with its type, once every thread has stopped.
-    """
-    results: List[T] = [None] * len(starts)
-    units = iter(range(len(starts)))
-    lock = threading.Lock()
-    errors: List[BaseException] = []
-
-    def drain() -> None:
-        while True:
-            with lock:
-                u = None if errors else next(units, None)
-            if u is None:
-                return
-            try:
-                results[u] = work(starts[u])
-            except BaseException as exc:
-                errors.append(exc)
-                return
-
-    helpers = [threading.Thread(target=drain, name="nccorr-search", daemon=True)
-               for _ in range(min(_usable_cpus(), _MAX_THREADS, len(starts)) - 1)]
-    for th in helpers:
-        th.start()
-    drain()
-    for th in helpers:
-        th.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
-@lru_cache(maxsize=4)
-def _sampled_factors(dims: Tuple[int, ...], seed: int, n_samples: int) -> Tuple[np.ndarray, ...]:
-    """Factor stacks of samples 0 .. n_samples-1, cached for the last four (dims, seed, n_samples).
-
-    The samples do not depend on the state, so sweeps over a family reuse
-    them.  They are read-only, because a witness taken from a sample is a
-    view into them.  A sample does not depend on its batch, so they are made
-    in units of `_MAKE_CHUNK`, each writing its own rows: a new set needs
-    the Gaussians of one unit per thread.
-    """
-    keys = sample_key(seed, np.arange(n_samples, dtype=np.uint64))
-    stacks = tuple(np.empty((n_samples, d, d), dtype=np.complex128) for d in dims)
-
-    def make(lo: int) -> None:
-        for F, part in zip(stacks, _haar_batch(dims, keys[lo : lo + _MAKE_CHUNK])):
-            F[lo : lo + _MAKE_CHUNK] = part
-
-    _in_units(make, range(0, n_samples, _MAKE_CHUNK))
-    for F in stacks:
-        F.setflags(write=False)
-    return stacks
-
-
 def min_diag_entropy(
     rho: DensityMatrix,
     cfg: SearchConfig,
     extra_candidates: Sequence[ProductBasis] = (),
 ) -> Tuple[float, ProductBasis, dict]:
-    """Smallest diagonal entropy found over candidate and sampled product bases.
+    """Smallest diagonal entropy found over candidate, sampled and descended product bases.
 
-    Every basis tried reaches `_batch_entropies` in a batch, and one rule
-    keeps the first minimum of a batch if it is below the best so far: the
-    fixed candidates in one batch, then the samples, scored `chunk_size` at
-    a time in work units and taken in sample order, then the hill-climb in
-    rounds of `_REFINE_BATCH` trials.  A trial multiplies each
-    factor of the best basis by a factor near the identity, made by
-    `_haar_batch` at sample index n_samples + j with shift 1/step; after a
-    round with no gain the step shrinks, and below sqrt(eps) the climb ends.
-    Only the extra candidates (up front) and the witness go through the
-    checked `qmat.diag_probs`, whose witness diagonal gives the entropy.
+    Samples are made and scored `chunk_size` at a time, so memory does not
+    grow with their number, and the best `_N_STARTS` by (entropy, index) are
+    remade from their keys.  The starts are the computational basis, the
+    marginal eigenbasis, the extra candidates and those samples, in that
+    order, and the first lowest of them is the best start.  `_descend` runs
+    from every start; its first lowest basis replaces the best start if it
+    is lower by more than `_MARGIN`.  Only the extra candidates (up front) and
+    the witness go through the checked `qmat.diag_probs`.
 
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
-    regardless of chunk size and of the number of CPUs.
+    regardless of chunk size.
     """
     dims = rho.dims
     for basis in extra_candidates:
         qmat.diag_probs(rho, basis)  # same errors for bad caller input as for a witness
-    best, factors, best_source = math.inf, None, None
 
-    def keep_first_min(stacks: Sequence[np.ndarray], ent: np.ndarray, source) -> bool:
-        nonlocal best, factors, best_source
-        i = int(np.argmin(ent))
-        if not ent[i] < best:
-            return False
-        best, factors, best_source = float(ent[i]), [F[i] for F in stacks], source(i)
-        return True
+    n, best_h, best_i = cfg.n_samples, np.empty(0), np.empty(0, dtype=np.uint64)
+    for lo in range(0, n, cfg.chunk_size):
+        new = np.arange(lo, min(lo + cfg.chunk_size, n), dtype=np.uint64)
+        h = np.concatenate([best_h, _batch_entropies(rho.mat, _haar_batch(dims, sample_key(cfg.seed, new)))])
+        idx = np.concatenate([best_i, new])
+        keep = np.lexsort((idx, h))[:_N_STARTS]
+        best_h, best_i = h[keep], idx[keep]
 
     candidates = [computational_basis(dims), marginal_eigenbasis(rho), *extra_candidates]
-    stacks = [np.stack(f) for f in zip(*(b.factors for b in candidates))]
-    keep_first_min(
-        stacks,
-        _batch_entropies(rho.mat, stacks),
-        lambda i: ("computational", "marginal-eigenbasis")[i] if i < 2 else f"extra:{i - 2}",
-    )
-
-    n, chunk = cfg.n_samples, cfg.chunk_size
-    if n > 0:
-        stacks = _sampled_factors(dims, cfg.seed, n)
-        scores = _in_units(lambda lo: _batch_entropies(rho.mat, [F[lo : lo + chunk] for F in stacks]),
-                           range(0, n, chunk))
-        keep_first_min(stacks, np.concatenate(scores), lambda i: f"sample:{i}")
-
-    accepts, step = 0, _REFINE_STEP
-    for lo in range(0, cfg.refine_steps, _REFINE_BATCH):
-        idx = np.arange(n + lo, n + min(lo + _REFINE_BATCH, cfg.refine_steps), dtype=np.uint64)
-        near_identity = _haar_batch(dims, sample_key(cfg.seed, idx), shift=1.0 / step)
-        trials = [F @ Q for F, Q in zip(factors, near_identity)]
-        if keep_first_min(trials, _batch_entropies(rho.mat, trials), lambda i: "refine"):
-            accepts += 1
-        elif (step := step * 0.8) < _REFINE_MIN_STEP:
-            break
+    sources = ["computational", "marginal-eigenbasis", *(f"extra:{i}" for i in range(len(extra_candidates))),
+               *(f"sample:{i}" for i in best_i)]
+    fixed = [np.stack(f) for f in zip(*(b.factors for b in candidates))]
+    stacks = [np.concatenate(pair) for pair in zip(fixed, _haar_batch(dims, sample_key(cfg.seed, best_i)))]
+    h = _batch_entropies(rho.mat, stacks)
+    descended, h_desc, rounds, accepts = _descend(rho.mat, stacks, h, cfg.refine_steps)
+    first, i = int(np.argmin(h)), int(np.argmin(h_desc))
+    if h_desc[i] < h[first] - _MARGIN:
+        factors, best_source, start = [F[i] for F in descended], "refine", sources[i]
+    else:
+        factors, best_source, start = [F[first] for F in stacks], sources[first], sources[first]
 
     witness = ProductBasis(tuple(factors))
+    grad = _gradient(rho.mat, [f[None] for f in factors])
     diagnostics = {
         "samples_evaluated": n,
-        "refine_steps": cfg.refine_steps,
-        "refine_accepts": accepts,
+        "refine_steps": int(rounds.sum()),
+        "refine_accepts": int(accepts.sum()),
         "best_source": best_source,
+        "start": start,
+        "start_rounds": rounds.tolist(),
+        "gradient_norm": float(np.sqrt(_dot(grad, grad)[0])),
     }
     return qmat.shannon_entropy(qmat.diag_probs(rho, witness)), witness, diagnostics

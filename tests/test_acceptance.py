@@ -1,7 +1,8 @@
 """Acceptance gate: runs the full closed-form verification suite once at its
-production settings (40000 samples, seed 1, 200 refinement steps) and asserts
-every check, grouped by criterion.  One PASS/FAIL line is printed per check;
-run with `pytest -s tests/test_acceptance.py` to see them live.
+production settings (512 samples, seed 1, at most 100 descent rounds per
+start) and asserts every check, grouped by criterion.  One PASS/FAIL line is
+printed per check; run with `pytest -s tests/test_acceptance.py` to see them
+live.
 """
 import pytest
 
@@ -10,7 +11,7 @@ from nccorr import SearchConfig, verify
 
 @pytest.fixture(scope="session")
 def all_checks():
-    checks = verify.run_all(SearchConfig(n_samples=40000, seed=1, refine_steps=200))
+    checks = verify.run_all(SearchConfig(n_samples=512, seed=1, refine_steps=100))
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
     return checks

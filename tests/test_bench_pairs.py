@@ -83,6 +83,29 @@ def test_parse_output_takes_meta_line_and_last_line():
     assert bench_pairs.parse_output(stdout) == {"meta": {"seed": 3}, "result": result}
 
 
+def test_parse_verify_takes_criterion_seconds_and_last_line():
+    stdout = "\n".join([
+        "[PASS] criterion-1 ps D matches D_G closed form: max dev 1.1e-16 over 101 points",
+        "[PASS] criterion-8 sweep invariant under internal batching: byte-identical",
+        "criterion-1: 5.52 s",
+        "criterion-10: 0.06 s",
+        "25/25 checks passed",
+    ])
+    assert bench_pairs.parse_verify(stdout) == {
+        "seconds": {"criterion-1": 5.52, "criterion-10": 0.06}, "summary": "25/25 checks passed"}
+
+
+def test_report_holds_verify_medians_per_side():
+    runs = [dict(run(side, 911, 10.0, 5.0), meta={"seconds": 30}) for side in ("parent", "change")]
+    verify_runs = [{"side": side, "seed": seed, "seconds": {"criterion-1": t}, "summary": "25/25 checks passed"}
+                   for side, seed, t in [("parent", 911, 3.0), ("change", 911, 1.0),
+                                         ("parent", 912, 5.0), ("change", 912, 2.0)]]
+    report = bench_pairs.build_report([911, 912], {"parent": "a" * 40, "change": "b" * 40}, runs, BETTER,
+                                      verify_runs)
+    assert report["verify_median_s"] == {"parent": {"criterion-1": 4.0}, "change": {"criterion-1": 1.5}}
+    assert report["verify_runs"] == verify_runs
+
+
 def test_seeds_and_alternation():
     assert bench_pairs.parse_seeds("911-915") == [911, 912, 913, 914, 915]
     assert bench_pairs.parse_seeds("7") == [7]

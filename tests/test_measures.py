@@ -269,6 +269,23 @@ class TestSharedProperties:
             rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7500 + seed)
             assert nc.measure_D(rho, TINY).value <= nc.measure_DG(rho).value + 1e-9
 
+    @pytest.mark.parametrize("p", [i / 10 for i in range(11)])
+    def test_ghz_with_white_noise_closed_forms(self, p):
+        # p |GHZ><GHZ| + (1 - p) I/8 on three qubits, a test-only state; every
+        # splitting gives the same K and N, and D is reached in the
+        # computational basis
+        psi = np.zeros(8)
+        psi[[0, 7]] = 1.0 / math.sqrt(2.0)
+        mat = p * np.outer(psi, psi) + (1.0 - p) * np.eye(8) / 8
+        rho = nc.DensityMatrix((2, 2, 2), mat.astype(complex))
+        h_diag = 2 * s((1 + 3 * p) / 8) + 6 * s((1 - p) / 8)
+        s_vn = s((1 + 7 * p) / 8) + 7 * s((1 - p) / 8)
+        expected = {"D": h_diag - s_vn, "G": 1 - H((1 + p) / 2), "DG": h_diag - s_vn,
+                    "K": 2 * p, "N": max(0.0, (5 * p - 1) / 8)}
+        for name, measure in measures.MEASURES.items():
+            value = measure(rho, nc.SearchConfig(), measures.DEFAULT_PARTITION_CAP).value
+            assert value == pytest.approx(expected[name], abs=1e-9), name
+
     @pytest.mark.parametrize("dims", BEYOND_TWO_QUBITS)
     def test_k_n_vanish_on_ppt_beyond_two_qubits(self, dims):
         for seed in range(3):

@@ -13,7 +13,9 @@ even ones, so a steady drift in machine speed favours neither side.  Every
 run's `meta` line and final JSON result are stored.  The summary gives, per
 workload and end-to-end metric of BENCHMARK.json, the parent's median and
 quartiles, the change's median, the pairs the change won (strictly better
-in the metric's direction) and the relative change of the medians.
+in the metric's direction) and the relative change of the medians.  For
+every seed, each checkout also runs `nccorr verify` once, in the same order,
+and its per-criterion seconds are stored with their medians per side.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import argparse
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -97,6 +100,13 @@ def parse_output(stdout: str) -> dict:
     return {"meta": meta, "result": json.loads(lines[-1])}
 
 
+def parse_verify(stdout: str) -> dict:
+    """The `criterion-N: X.XX s` lines and the last line of one `nccorr verify` run's output."""
+    matches = (re.fullmatch(r"(criterion-\d+): (\d+\.\d+) s", line) for line in stdout.splitlines())
+    return {"seconds": {m[1]: float(m[2]) for m in matches if m},
+            "summary": stdout.strip().splitlines()[-1]}
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     try:
@@ -106,11 +116,16 @@ def usable_cpus() -> int:
 
 
 def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[dict],
-                 better: Dict[str, str]) -> dict:
-    """The BENCH_<pr>.json document.  The D search runs on every usable CPU,
-    so the CPUs this process may use are recorded beside the machine's count
-    (perfbench's meta.nproc is the latter)."""
+                 better: Dict[str, str], verify_runs: Sequence[dict] = ()) -> dict:
+    """The BENCH_<pr>.json document.  The CPUs this process may use are
+    recorded beside the machine's count (perfbench's meta.nproc is the
+    latter), since either revision may run on more than one."""
     seconds = sorted({r["meta"]["seconds"] for r in runs})
+    verify_median = {}
+    for side in SIDES:
+        mine = [r["seconds"] for r in verify_runs if r["side"] == side]
+        if mine:
+            verify_median[side] = {name: statistics.median(s[name] for s in mine) for name in mine[0]}
     return {
         "description": (f"perfbench/run.py --trace 0, {'/'.join(map(str, seconds))} s per run, "
                         "as alternating pairs "
@@ -121,7 +136,9 @@ def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[d
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "summary": summarize(runs, better),
+        "verify_median_s": verify_median,
         "runs": list(runs),
+        "verify_runs": list(verify_runs),
     }
 
 
@@ -152,6 +169,15 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return parse_output(done.stdout)
 
 
+def run_verify(checkout: Path) -> dict:
+    cmd = [sys.executable, "-c", "import sys; from nccorr.cli import main; sys.exit(main(['verify']))"]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"nccorr verify in {checkout} exited {done.returncode}:\n{done.stdout}{done.stderr}")
+    return parse_verify(done.stdout)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="revision to compare against")
@@ -179,7 +205,12 @@ def main(argv=None) -> int:
                     print(f"{wl} seed {seed} {side}: failed {res['failed']}/{res['attempted']}, "
                           + ", ".join(f"{k} {v['value']:.6g}" for k, v in res["metrics"].items()),
                           flush=True)
-    report = build_report(args.seeds, commits, runs, better)
+        verify_runs = []
+        for seed in args.seeds:
+            for side in pair_order(seed):
+                verify_runs.append({"side": side, "seed": seed, **run_verify(checkouts[side])})
+                print(f"verify seed {seed} {side}: {verify_runs[-1]['summary']}", flush=True)
+    report = build_report(args.seeds, commits, runs, better, verify_runs)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
