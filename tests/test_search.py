@@ -273,7 +273,7 @@ class TestMarginalEigenbasis:
 
 
 class TestSingleScorer:
-    """Candidates, samples and hill-climb trials share one scorer; only the
+    """Candidates, samples and descent steps share one scorer; only the
     witness and the caller's extra candidates go through `qmat.diag_probs`."""
 
     @pytest.mark.parametrize("rho, cfg, source", [
