@@ -213,7 +213,7 @@ def _descend(
         j = np.argmin(ent, axis=1)
         ok = ent[np.arange(len(a)), j] < h[a]
         rounds[a] += 1
-        t0[a[~ok]] *= _TRIALS[-1] / 2
+        t0[a[~ok]] *= 2.0 ** -len(_TRIALS)
         a, j = a[ok], j[ok]
         for Uk, X in zip(U, trials):
             Uk[a] = X[ok, j]
