@@ -117,7 +117,7 @@ def usable_cpus() -> int:
 
 def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[dict],
                  better: Dict[str, str], verify_runs: Sequence[dict] = ()) -> dict:
-    """The BENCH_<pr>.json document.  The CPUs this process may use are
+    """The BENCH_<n>.json document.  The CPUs this process may use are
     recorded beside the machine's count (perfbench's meta.nproc is the
     latter), since either revision may run on more than one."""
     seconds = sorted({r["meta"]["seconds"] for r in runs})
