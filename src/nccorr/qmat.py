@@ -21,10 +21,11 @@ from .core import (
     ValidationFailure,
 )
 
-HERMITICITY_TOL = 1e-10
-# clamping policy: density eigenvalues in [-1e-8, 0) are round-off, below is invalid
-DENSITY_NEG_TOL = 1e-8
-PROB_NEG_TOL = 1e-10
+# round-off a valid density matrix may show, also read by `states.validate`; a
+# product-basis diagonal of rho sums to Tr rho and has no entry below rho's least eigenvalue
+HERM_TOL = 1e-10  # max |H - H^dag| (relative to max |H| in herm_eig)
+TRACE_TOL = 1e-8  # |Tr rho - 1|, and |sum p - 1| for a probability vector
+NEG_TOL = 1e-8  # eigenvalues and probabilities in [-NEG_TOL, 0) are round-off, clamped to 0
 
 
 def herm_eig(H: np.ndarray) -> Tuple[Spectrum, np.ndarray]:
@@ -44,8 +45,8 @@ def herm_eig(H: np.ndarray) -> Tuple[Spectrum, np.ndarray]:
     if scale == 0.0:
         return Spectrum(np.zeros(n)), np.eye(n, dtype=np.complex128)
     herm_dev = float(np.max(np.abs(A - A.conj().T)))
-    if herm_dev > HERMITICITY_TOL * scale:
-        raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERMITICITY_TOL:.0e} * max|H|")
+    if herm_dev > HERM_TOL * scale:
+        raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERM_TOL:.0e} * max|H|")
     A = (A + A.conj().T) / 2.0
     try:
         w, V = np.linalg.eigh(A)
@@ -63,8 +64,8 @@ def density_spectrum(rho: DensityMatrix) -> Spectrum:
     """Spectrum of a density matrix with the round-off clamping policy applied."""
     spec, _ = herm_eig(rho.mat)
     vals = spec.values.copy()
-    if vals.size and vals.min() < -DENSITY_NEG_TOL:
-        raise ValidationFailure(f"eigenvalue {vals.min():.3e} below -{DENSITY_NEG_TOL:.0e}")
+    if vals.size and vals.min() < -NEG_TOL:
+        raise ValidationFailure(f"eigenvalue {vals.min():.3e} below -{NEG_TOL:.0e}")
     neg = vals < 0.0
     vals[neg] = 0.0
     return Spectrum(vals, clamped_count=int(neg.sum()))
@@ -115,14 +116,18 @@ def partial_transpose(rho: DensityMatrix, side: Iterable[int]) -> np.ndarray:
     return np.transpose(T, axes).reshape(d, d).copy()
 
 
-def _clamp_probs(p: np.ndarray, neg_tol: float) -> np.ndarray:
+def _check_probs(p: np.ndarray) -> np.ndarray:
+    """p as floats, checked to be a probability vector up to round-off; not clamped."""
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         raise NotAProbabilityVector("probabilities contain non-finite entries")
     mn = float(p.min()) if p.size else 0.0
-    if mn < -neg_tol:
-        raise NotAProbabilityVector(f"entry {mn:.3e} below -{neg_tol:.0e}")
-    return np.where(p < 0.0, 0.0, p)
+    if mn < -NEG_TOL:
+        raise NotAProbabilityVector(f"entry {mn:.3e} below -{NEG_TOL:.0e}")
+    total = float(p.sum())
+    if abs(total - 1.0) > TRACE_TOL:
+        raise NotAProbabilityVector(f"probabilities sum to {total!r}")
+    return p
 
 
 def entropy_bits(P: np.ndarray) -> np.ndarray:
@@ -135,17 +140,14 @@ def entropy_bits(P: np.ndarray) -> np.ndarray:
 
 
 def shannon_entropy(p: np.ndarray) -> float:
-    """Base-2 Shannon entropy with the 0 log 0 = 0 convention."""
-    p = np.asarray(p, dtype=float)
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise NotAProbabilityVector(f"probabilities sum to {total!r}")
-    return float(entropy_bits(_clamp_probs(p, PROB_NEG_TOL)))
+    """Base-2 Shannon entropy (0 log 0 = 0); p is checked before round-off negatives become 0."""
+    p = _check_probs(p)
+    return float(entropy_bits(np.where(p < 0.0, 0.0, p)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Base-2 von Neumann entropy via the deterministic eigensolver."""
-    return shannon_entropy(density_spectrum(rho).values)
+    return shannon_entropy(herm_eig(rho.mat)[0].values)
 
 
 def product_basis_matrix(basis: ProductBasis) -> np.ndarray:
@@ -194,15 +196,11 @@ def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) 
 
 
 def diag_probs(rho: DensityMatrix, basis: ProductBasis) -> np.ndarray:
-    """Diagonal of rho in the given product basis, as a probability vector.
+    """Diagonal of rho in the given product basis, checked as a probability vector.
 
     One-sample call of `product_diagonals`, so no Kronecker basis is formed.
+    Round-off negatives are kept, so `shannon_entropy` sees the true sum.
     """
     if basis.dims != rho.dims:
         raise DimensionMismatch(f"basis dims {basis.dims} != state dims {rho.dims}")
-    p = product_diagonals(rho.mat, [f[None] for f in basis.factors])[0]
-    p = _clamp_probs(p, PROB_NEG_TOL)
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise NotAProbabilityVector(f"diagonal probabilities sum to {total!r}")
-    return p
+    return _check_probs(product_diagonals(rho.mat, [f[None] for f in basis.factors])[0])

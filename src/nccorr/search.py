@@ -1,18 +1,17 @@
 """Minimization of the product-basis diagonal entropy.
 
 Haar product bases are sampled, and a descent runs from the best of them and
-from fixed candidates.  The samples are counter-based: the basis for sample i
-depends only on (seed, i), so results are independent of batching and
-monotone in the number of samples.  Each Haar factor is the unitary of a QR
-decomposition of a complex Gaussian matrix, with R's diagonal real and
-positive; `_haar_batch` computes it by Gram–Schmidt in whole-batch
-elementwise arithmetic, so a sample comes out bit-identical whatever batch it
-is made in.  Every basis is scored by `_batch_entropies`, whose rows do not
-depend on the batch either.
+from fixed candidates.  The samples come in order from one numpy Generator
+per search, seeded by the search seed, and nothing else draws from it: sample
+i is the i-th draw whatever the chunk size, and results are monotone in the
+number of samples.  Each Haar factor is the unitary of a QR decomposition of
+a complex Gaussian matrix, with R's diagonal real and positive; `_haar_batch`
+computes it by Gram–Schmidt in whole-batch elementwise arithmetic, so a
+sample comes out bit-identical whatever batch it is made in.  Every basis is
+scored by `_batch_entropies`, whose rows do not depend on the batch either.
 """
 from __future__ import annotations
 
-import math
 from functools import reduce
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -22,9 +21,6 @@ import numpy as np
 from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis
 from . import qmat
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_C1 = np.uint64(0xBF58476D1CE4E5B9)
-_C2 = np.uint64(0x94D049BB133111EB)
 _N_STARTS = 2  # best samples the descent starts from, besides the fixed candidates
 _GRAD_TOL = 1e-6  # a start stops once its gradient norm (bits per radian) is this small
 _TRIALS = 2.0 ** np.arange(2, -6, -1)  # line-search steps per round, in units of the last step
@@ -46,40 +42,13 @@ class SearchConfig:
             raise ParamOutOfRange("chunk_size must be >= 1")
 
 
-def mix64(x) -> np.ndarray:
-    """Splitmix64 finalizer, vectorized over uint64 arrays."""
-    with np.errstate(over="ignore"):
-        x = np.asarray(x, dtype=np.uint64)
-        x = (x ^ (x >> np.uint64(30))) * _C1
-        x = (x ^ (x >> np.uint64(27))) * _C2
-        return x ^ (x >> np.uint64(31))
+def _ginibre(rng: np.random.Generator, dims: Sequence[int], S: int) -> np.ndarray:
+    """The next S samples' standard normals from rng: one row of 2 * sum(d_k^2) per sample."""
+    return rng.standard_normal((S, sum(2 * d * d for d in dims)))
 
 
-def sample_key(seed: int, index) -> np.ndarray:
-    """Per-sample key: a 64-bit mix of the master seed and the sample index."""
-    with np.errstate(over="ignore"):
-        s = np.uint64(seed % (1 << 64))
-        idx = np.asarray(index, dtype=np.uint64)
-        return mix64(mix64(s) ^ (idx + _GAMMA))
-
-
-def _normals(keys: np.ndarray, count: int) -> np.ndarray:
-    """(len(keys), count) standard normals from counter-based uniforms."""
-    n_u = count + (count % 2)
-    with np.errstate(over="ignore"):
-        offs = (np.arange(1, n_u + 1, dtype=np.uint64)) * _GAMMA
-        z = mix64(keys[:, None] + offs[None, :])
-    u = ((z >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)  # (0, 1]
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    theta = (2.0 * math.pi) * u[:, 1::2]
-    out = np.empty_like(u)
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
-    return out[:, :count]
-
-
-def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
-    """One Haar-random unitary per subsystem per key; C-ordered stacks of shape (S, d, d).
+def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
+    """One Haar-random unitary per subsystem per row of N; C-ordered stacks of shape (S, d, d).
 
     Each factor is the Q of a QR decomposition of a complex Ginibre matrix,
     with the phases fixed so that R has a real, positive diagonal (Mezzadri,
@@ -88,14 +57,14 @@ def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
     before it and then normalised.  The columns are real and imaginary
     (d, S) arrays with the samples contiguous, and all arithmetic is
     elementwise real ufuncs with every d-term sum added in a fixed order, so
-    a sample's factors depend only on its key: they are bit-identical
-    whether the key comes alone, in a slice or in the full batch.  The
+    a sample's factors depend only on its row of N (the matrices' entries in
+    turn, row-major, real then imaginary part): they are bit-identical
+    whether the row comes alone, in a slice or in the full batch.  The
     Ginibre scale is left out, since Gram–Schmidt does not depend on it.  A
     column whose residual norm is exactly zero raises NoConvergence.
     """
-    S = len(keys)
+    S = len(N)
     counts = [2 * d * d for d in dims]
-    N = _normals(keys, sum(counts))
     factors = []
     off = 0
     for d, cnt in zip(dims, counts):
@@ -128,9 +97,9 @@ def _haar_batch(dims: Sequence[int], keys: np.ndarray) -> List[np.ndarray]:
 
 
 def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductBasis:
-    """Haar-uniform local basis per subsystem, deterministic per sample_seed."""
-    keys = mix64(np.array([sample_seed % (1 << 64)], dtype=np.uint64) + _GAMMA)
-    facs = _haar_batch(tuple(int(d) for d in dims), keys)
+    """Haar-uniform local basis per subsystem, deterministic per sample_seed (any integer)."""
+    dims = tuple(int(d) for d in dims)
+    facs = _haar_batch(dims, _ginibre(np.random.default_rng(sample_seed % 2 ** 64), dims, 1))
     return ProductBasis(tuple(f[0] for f in facs))
 
 
@@ -254,8 +223,8 @@ def min_diag_entropy(
     """Smallest diagonal entropy found over candidate, sampled and descended product bases.
 
     Samples are made and scored `chunk_size` at a time, so memory does not
-    grow with their number, and the best `_N_STARTS` by (entropy, index) are
-    remade from their keys.  The starts are the computational basis, the
+    grow with their number, and the factors of the best `_N_STARTS` by
+    (entropy, index) are kept.  The starts are the computational basis, the
     marginal eigenbasis, the extra candidates and those samples, in that
     order, and the first lowest of them is the best start.  `_descend` runs
     from every start; its first lowest basis replaces the best start if it
@@ -270,19 +239,23 @@ def min_diag_entropy(
     for basis in extra_candidates:
         qmat.diag_probs(rho, basis)  # same errors for bad caller input as for a witness
 
-    n, best_h, best_i = cfg.n_samples, np.empty(0), np.empty(0, dtype=np.uint64)
+    rng = np.random.default_rng(cfg.seed % 2 ** 64)  # the samples' stream; nothing else draws from it
+    n, best_h, best_i = cfg.n_samples, np.empty(0), np.empty(0, dtype=int)
+    best_f = [np.empty((0, d, d), dtype=np.complex128) for d in dims]
     for lo in range(0, n, cfg.chunk_size):
-        new = np.arange(lo, min(lo + cfg.chunk_size, n), dtype=np.uint64)
-        h = np.concatenate([best_h, _batch_entropies(rho.mat, _haar_batch(dims, sample_key(cfg.seed, new)))])
+        new = np.arange(lo, min(lo + cfg.chunk_size, n))
+        facs = _haar_batch(dims, _ginibre(rng, dims, len(new)))
+        h = np.concatenate([best_h, _batch_entropies(rho.mat, facs)])
         idx = np.concatenate([best_i, new])
         keep = np.lexsort((idx, h))[:_N_STARTS]
         best_h, best_i = h[keep], idx[keep]
+        best_f = [np.concatenate(pair)[keep] for pair in zip(best_f, facs)]
 
     candidates = [computational_basis(dims), marginal_eigenbasis(rho), *extra_candidates]
     sources = ["computational", "marginal-eigenbasis", *(f"extra:{i}" for i in range(len(extra_candidates))),
                *(f"sample:{i}" for i in best_i)]
     fixed = [np.stack(f) for f in zip(*(b.factors for b in candidates))]
-    stacks = [np.concatenate(pair) for pair in zip(fixed, _haar_batch(dims, sample_key(cfg.seed, best_i)))]
+    stacks = [np.concatenate(pair) for pair in zip(fixed, best_f)]
     h = _batch_entropies(rho.mat, stacks)
     descended, h_desc, rounds, accepts = _descend(rho.mat, stacks, h, cfg.refine_steps)
     first, i = int(np.argmin(h)), int(np.argmin(h_desc))

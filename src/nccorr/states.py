@@ -20,9 +20,6 @@ from .core import (
 )
 from . import qmat
 
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-8
-MIN_EIG_TOL = 1e-8
 DEGENERACY_GAP = 1e-7
 PRODUCT_PURITY_TOL = 1e-9
 
@@ -76,7 +73,7 @@ def make_classically_correlated(local_bases: ProductBasis, probs: np.ndarray) ->
     flat = probs.reshape(-1)
     if flat.min() < 0.0:
         raise NotAProbabilityVector(f"negative probability {flat.min()!r}")
-    if abs(flat.sum() - 1.0) > 1e-8:
+    if abs(flat.sum() - 1.0) > qmat.TRACE_TOL:
         raise NotAProbabilityVector(f"probabilities sum to {flat.sum()!r}")
     B = qmat.product_basis_matrix(local_bases)
     mat = (B * flat) @ B.conj().T
@@ -109,15 +106,15 @@ class ValidationReport:
 
     @property
     def hermitian_ok(self) -> bool:
-        return self.herm_deviation <= HERM_TOL
+        return self.herm_deviation <= qmat.HERM_TOL
 
     @property
     def trace_ok(self) -> bool:
-        return self.trace_deviation <= TRACE_TOL
+        return self.trace_deviation <= qmat.TRACE_TOL
 
     @property
     def positive_ok(self) -> bool:
-        return self.min_eigenvalue >= -MIN_EIG_TOL
+        return self.min_eigenvalue >= -qmat.NEG_TOL
 
     @property
     def passed(self) -> bool:

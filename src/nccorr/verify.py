@@ -196,6 +196,12 @@ def _local_rotate(rho: DensityMatrix, basis: ProductBasis) -> DensityMatrix:
     return DensityMatrix(rho.dims, U @ rho.mat @ U.conj().T)
 
 
+def _min_marginal_gap(rho: DensityMatrix) -> float:
+    """Smallest gap between two eigenvalues of any one-subsystem marginal."""
+    spectra = (qmat.density_spectrum(qmat.partial_trace(rho, [k])).values for k in range(rho.n_subsystems))
+    return min(float(np.diff(np.sort(w)).min()) for w in spectra)
+
+
 def criterion_5() -> List[Check]:
     gkn_worst = 0.0
     dg_worst = 0.0
@@ -210,11 +216,7 @@ def criterion_5() -> List[Check]:
             abs(measures.measure_K(rho).value - measures.measure_K(rho2).value),
             abs(measures.negativity(rho).value - measures.negativity(rho2).value),
         )
-        gaps = []
-        for k in range(2):
-            w = qmat.density_spectrum(qmat.partial_trace(rho, [k])).values
-            gaps.append(float(np.diff(np.sort(w)).min()))
-        if min(gaps) > 1e-6:
+        if _min_marginal_gap(rho) > 1e-6:
             dg_count += 1
             dg_worst = max(dg_worst, abs(measures.measure_DG(rho).value - measures.measure_DG(rho2).value))
     return [
@@ -231,11 +233,7 @@ def criterion_5() -> List[Check]:
 def _nondegenerate_two_qubit(seed: int) -> DensityMatrix:
     for i in range(100):
         rho = states.random_density_matrix((2, 2), 4, seed + 10000 * i)
-        gaps = []
-        for k in range(2):
-            w = qmat.density_spectrum(qmat.partial_trace(rho, [k])).values
-            gaps.append(float(np.diff(np.sort(w)).min()))
-        if min(gaps) > 1e-3:
+        if _min_marginal_gap(rho) > 1e-3:
             return rho
     raise RuntimeError("could not draw a nondegenerate-marginal state")
 

@@ -156,6 +156,17 @@ class TestErrorHandling:
         }))
         assert run(["measure", bad, "--measures", "K"]) == 2
 
+    @pytest.mark.parametrize("mat", [
+        nc.random_density_matrix((2, 2), 4, 3).mat * (1 + 2e-9),
+        np.diag([0.5 + 5e-10, 0.3, 0.2, -5e-10]),
+        np.diag([0.5 + 1.8e-8, 0.3, 0.2, -9e-9]),
+    ], ids=["trace-off-by-2e-9", "eigenvalue-minus-5e-10", "eigenvalue-minus-9e-9"])
+    def test_round_off_that_validation_accepts_measures_exit_0(self, tmp_path, mat):
+        state = tmp_path / "s.json"
+        nc.store_state(nc.DensityMatrix((2, 2), mat.astype(complex)), state)
+        assert nc.load_state(state).dims == (2, 2)
+        assert run(["measure", state, "--measures", "D,G,DG,K,N", *FAST_FLAGS]) == 0
+
     def test_param_out_of_range_exit_2(self, tmp_path):
         assert run(["gen-state", "--family", "sigma", "--param", 0.7,
                     "--out", tmp_path / "x.json"]) == 2

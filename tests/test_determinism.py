@@ -49,9 +49,9 @@ import hashlib
 import numpy as np
 from nccorr import search
 
-keys = search.sample_key(5, np.arange(5000, dtype=np.uint64))
 for dims in [(2, 4), (2, 2, 2, 2)]:
-    for F in search._haar_batch(dims, keys):
+    N = search._ginibre(np.random.default_rng(5), dims, 5000)
+    for F in search._haar_batch(dims, N):
         print(dims, F.shape, hashlib.sha256(F.tobytes()).hexdigest())
 """
 

@@ -348,6 +348,15 @@ class TestProperties:
         dims, rank, seed = case
         assert nc.negativity(separable_mixture(dims, seed, real=False, terms=rank)).value <= 1e-9
 
+    @PROPERTY
+    @given(dims_rank_seed())
+    def test_k_at_least_twice_n(self, case):
+        # both spectra sum to 1, so the sorted pairing meets every negative
+        # partial-transpose eigenvalue with a non-negative one: K_s >= 2 N_s
+        # on each splitting, and the minima over splittings keep it
+        rho = nc.random_density_matrix(*case)
+        assert nc.measure_K(rho).value >= 2 * nc.negativity(rho).value - 1e-12
+
 
 class TestMeasureTable:
     def test_callers_reach_a_replaced_measure_function(self, monkeypatch, tmp_path, capsys):

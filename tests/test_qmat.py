@@ -235,8 +235,7 @@ class TestProductDiagonals:
 
     @staticmethod
     def haar_stacks(dims, n, seed):
-        keys = search.sample_key(seed, np.arange(n, dtype=np.uint64))
-        return search._haar_batch(dims, keys)
+        return search._haar_batch(dims, search._ginibre(np.random.default_rng(seed), dims, n))
 
     @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("n", [1, 37])

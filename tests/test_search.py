@@ -13,6 +13,11 @@ def s(x):
     return 0.0 if x <= 0 else -x * math.log2(x)
 
 
+def normals(dims, n, seed):
+    """n samples' Ginibre normals for `search._haar_batch`, from default_rng(seed)."""
+    return search._ginibre(np.random.default_rng(seed), dims, n)
+
+
 class TestHaarSampling:
     def test_unitarity(self):
         basis = nc.haar_random_product_basis((2, 2), 4711)
@@ -30,18 +35,15 @@ class TestHaarSampling:
 
     def test_haar_first_moment(self):
         # E |U_00|^2 = 1/d for Haar; check d=2 over 10^4 samples
-        keys = search.sample_key(0, np.arange(10000, dtype=np.uint64))
-        (us,) = search._haar_batch((2,), keys)
+        (us,) = search._haar_batch((2,), normals((2,), 10000, 0))
         mean = float(np.mean(np.abs(us[:, 0, 0]) ** 2))
         assert abs(mean - 0.5) <= 0.02
 
     HAAR_DIMS = [(2,), (3,), (4,), (2, 4), (3, 3), (2, 2, 2, 2)]
-    KEYS = search.sample_key(11, np.arange(10000, dtype=np.uint64))
 
     @staticmethod
-    def lapack_oracle(dims, keys):
+    def lapack_oracle(dims, N):
         """Q of LAPACK's QR of each Ginibre matrix, phased so R has a positive diagonal."""
-        N = search._normals(keys, sum(2 * d * d for d in dims))
         out, off = [], 0
         for d in dims:
             block = N[:, off : off + 2 * d * d].reshape(-1, d, d, 2)
@@ -53,10 +55,11 @@ class TestHaarSampling:
 
     @pytest.mark.parametrize("dims", HAAR_DIMS)
     def test_row_alone_in_slice_and_in_batch_identical(self, dims):
-        full = search._haar_batch(dims, self.KEYS)
-        part = search._haar_batch(dims, self.KEYS[4321:4400])
+        N = normals(dims, 10000, 11)
+        full = search._haar_batch(dims, N)
+        part = search._haar_batch(dims, N[4321:4400])
         for i in (0, 1, 4321, 4399, 9999):
-            alone = search._haar_batch(dims, self.KEYS[i : i + 1])
+            alone = search._haar_batch(dims, N[i : i + 1])
             for F, A in zip(full, alone):
                 assert np.array_equal(A[0], F[i])
         for F, P in zip(full, part):
@@ -65,37 +68,32 @@ class TestHaarSampling:
 
     @pytest.mark.parametrize("dims", HAAR_DIMS)
     def test_every_sample_unitary(self, dims):
-        for F in search._haar_batch(dims, self.KEYS):
+        for F in search._haar_batch(dims, normals(dims, 10000, 11)):
             d = F.shape[-1]
             gram = np.swapaxes(F.conj(), 1, 2) @ F
             assert np.max(np.abs(gram - np.eye(d))) <= 1e-14
 
     @pytest.mark.parametrize("dims", HAAR_DIMS)
     def test_matches_lapack_qr_with_phase_fix(self, dims):
-        keys = search.sample_key(12, np.arange(2000, dtype=np.uint64))
-        for F, Q in zip(search._haar_batch(dims, keys), self.lapack_oracle(dims, keys)):
+        N = normals(dims, 2000, 12)
+        for F, Q in zip(search._haar_batch(dims, N), self.lapack_oracle(dims, N)):
             assert np.max(np.abs(F - Q)) <= 1e-11
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_haar_first_moment_qutrit_and_ququart(self, d):
-        (us,) = search._haar_batch((d,), self.KEYS)
+        (us,) = search._haar_batch((d,), normals((d,), 10000, 11))
         assert abs(float(np.mean(np.abs(us[:, 0, 0]) ** 2)) - 1.0 / d) <= 0.02
 
     @pytest.mark.parametrize("columns", [
         [[1.0, 0.0], [2.0, 0.0]],  # second column a multiple of the first
         [[0.0, 0.0], [1.0, 0.0]],  # zero first column
     ], ids=["dependent-column", "zero-column"])
-    def test_rank_deficient_input_raises(self, monkeypatch, columns):
+    def test_rank_deficient_input_raises(self, columns):
         # entries (r, c) in the normals' layout: real, imaginary part per entry
         G = np.array(columns).T
-        normals = np.stack([G, np.zeros_like(G)], axis=-1).reshape(1, -1)
-        monkeypatch.setattr(search, "_normals", lambda keys, count: np.repeat(normals, len(keys), 0))
+        N = np.stack([G, np.zeros_like(G)], axis=-1).reshape(1, -1)
         with pytest.raises(nc.NoConvergence):
-            search._haar_batch((2,), search.sample_key(1, np.arange(3, dtype=np.uint64)))
-
-    def test_mix64_spreads(self):
-        keys = search.sample_key(1, np.arange(1000, dtype=np.uint64))
-        assert len(set(keys.tolist())) == 1000
+            search._haar_batch((2,), np.repeat(N, 3, 0))
 
 
 class TestSearchConfig:
@@ -207,7 +205,7 @@ class TestDescent:
     @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2)])
     def test_gradient_matches_central_differences(self, dims):
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 5)
-        factors = search._haar_batch(dims, search.sample_key(3, np.arange(1, dtype=np.uint64)))
+        factors = search._haar_batch(dims, normals(dims, 1, 3))
         grads = search._gradient(rho.mat, factors)
         rng = np.random.default_rng(0)
         for k, d in enumerate(dims):
@@ -226,7 +224,7 @@ class TestDescent:
     def test_start_descends_the_same_alone_or_in_a_batch(self, dims):
         # starts stop at different rounds, so a start's path must not depend on its batch
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7)
-        starts = search._haar_batch(dims, search.sample_key(1, np.arange(4, dtype=np.uint64)))
+        starts = search._haar_batch(dims, normals(dims, 4, 1))
         h = search._batch_entropies(rho.mat, starts)
         U, h_end, rounds, _ = search._descend(rho.mat, starts, h, 100)
         assert len(set(rounds.tolist())) > 1
@@ -335,7 +333,7 @@ class TestSingleScorer:
             score = search._batch_entropies(rho.mat, [f[None] for f in basis.factors])[0]
             assert score == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
 
-    def test_sample_witness_cannot_edit_the_cache(self):
+    def test_editing_a_sample_witness_leaves_later_results_alone(self):
         rho = nc.random_density_matrix((2, 2, 2), 2, 6)
         cfg = nc.SearchConfig(n_samples=2000, seed=3, refine_steps=0)
         rep = nc.measure_D(rho, cfg)
@@ -344,7 +342,7 @@ class TestSingleScorer:
         assert nc.measure_D(rho, cfg).value == rep.value
 
 
-class TestWorkerThreads:
+class TestConcurrentCallers:
     """The search keeps no state between calls, so callers on several
     threads get what they would get one after another."""
 
