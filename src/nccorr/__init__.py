@@ -13,7 +13,6 @@ from .core import (
     ParseError,
     PartitionCapExceeded,
     ProductBasis,
-    Spectrum,
     ValidationFailure,
 )
 from .qmat import (

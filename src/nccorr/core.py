@@ -1,7 +1,7 @@
 """Shared domain types and exception hierarchy."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -49,22 +49,6 @@ class DegenerateSpectrum(NccorrError):
 
 class PartitionCapExceeded(NccorrError):
     pass
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted descending.
-
-    clamped_count records how many small negative values were lifted to 0
-    (only nonzero for density-matrix spectra).
-    """
-
-    values: np.ndarray
-    clamped_count: int = 0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,12 @@ def measure_D(
 
 def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) -> MeasureReport:
     """max over subsystems k of the minimal mimic-eigenvalue discrepancy F_k."""
-    e_tot = qmat.density_spectrum(rho).values
+    e_tot = qmat.density_spectrum(rho)
     f_values = {}
     evaluated = {}
     witnesses = []
     for k in range(rho.n_subsystems):
-        e_red = qmat.density_spectrum(qmat.partial_trace(rho, [k])).values
+        e_red = qmat.density_spectrum(qmat.partial_trace(rho, [k]))
         fk, assignment, evaluated[k] = _min_balanced_partition(
             e_tot, e_red, rho.dims[k], partition_cap
         )
@@ -193,7 +193,7 @@ def _min_over_splittings(
     per_split = {}
     for side_a, side_b in _bipartite_splittings(rho.n_subsystems):
         et, _ = qmat.herm_eig(qmat.partial_transpose(rho, side_b))
-        val = value_of_pt_spectrum(et.values)
+        val = value_of_pt_spectrum(et)
         per_split[f"{side_a}|{side_b}"] = val
         if best is None or val < best:
             best = val
@@ -207,7 +207,7 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
     Multipartite inputs take the minimum over all bipartite splittings; the
     spectrum of rho is computed once and shared by every splitting.
     """
-    e = qmat.herm_eig(rho.mat)[0].values
+    e = qmat.herm_eig(rho.mat)[0]
     return _min_over_splittings("K", rho, lambda et: float(np.sum(np.abs(e - et))))
 
 
@@ -219,14 +219,6 @@ def _negative_mass(et: np.ndarray) -> float:
 def negativity(rho: DensityMatrix) -> MeasureReport:
     """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
     return _min_over_splittings("N", rho, _negative_mass)
-
-
-def recompute_K_at_witness(rho: DensityMatrix, witness) -> float:
-    """Spectral distance at a stored splitting; reproduces the report exactly."""
-    _, side_b = witness
-    e = qmat.herm_eig(rho.mat)[0].values
-    et, _ = qmat.herm_eig(qmat.partial_transpose(rho, tuple(side_b)))
-    return float(np.sum(np.abs(e - et.values)))
 
 
 # Name -> (rho, cfg, partition_cap) -> report, in CSV column order.  Each entry

@@ -17,8 +17,6 @@ from .core import (
     NonHermitian,
     NotAProbabilityVector,
     ProductBasis,
-    Spectrum,
-    ValidationFailure,
 )
 
 # round-off a valid density matrix may show, also read by `states.validate`; a
@@ -28,13 +26,13 @@ TRACE_TOL = 1e-8  # |Tr rho - 1|, and |sum p - 1| for a probability vector
 NEG_TOL = 1e-8  # eigenvalues and probabilities in [-NEG_TOL, 0) are round-off, clamped to 0
 
 
-def herm_eig(H: np.ndarray) -> Tuple[Spectrum, np.ndarray]:
+def herm_eig(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Returns eigenvalues sorted descending and the matching eigenvector
-    columns.  The sort is stable and each eigenvector is phased so its
-    largest-magnitude component is real and non-negative, so the output is
-    reproducible on one machine and numpy/BLAS build.  A LAPACK failure is
+    Returns two arrays: the real eigenvalues sorted descending and the
+    matching eigenvector columns.  The sort is stable and each eigenvector
+    is phased so its largest-magnitude component is real and non-negative,
+    so the output is reproducible on one machine and numpy/BLAS build.  A LAPACK failure is
     raised as NoConvergence.
     """
     A = np.array(H, dtype=np.complex128)
@@ -43,7 +41,7 @@ def herm_eig(H: np.ndarray) -> Tuple[Spectrum, np.ndarray]:
     n = A.shape[0]
     scale = float(np.max(np.abs(A))) if n else 0.0
     if scale == 0.0:
-        return Spectrum(np.zeros(n)), np.eye(n, dtype=np.complex128)
+        return np.zeros(n), np.eye(n, dtype=np.complex128)
     herm_dev = float(np.max(np.abs(A - A.conj().T)))
     if herm_dev > HERM_TOL * scale:
         raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERM_TOL:.0e} * max|H|")
@@ -53,22 +51,15 @@ def herm_eig(H: np.ndarray) -> Tuple[Spectrum, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")
-    vals = w[order]
     V = V[:, order]
     ph = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
     V = V * (ph.conj() / np.abs(ph))
-    return Spectrum(vals), V
+    return w[order], V
 
 
-def density_spectrum(rho: DensityMatrix) -> Spectrum:
-    """Spectrum of a density matrix with the round-off clamping policy applied."""
-    spec, _ = herm_eig(rho.mat)
-    vals = spec.values.copy()
-    if vals.size and vals.min() < -NEG_TOL:
-        raise ValidationFailure(f"eigenvalue {vals.min():.3e} below -{NEG_TOL:.0e}")
-    neg = vals < 0.0
-    vals[neg] = 0.0
-    return Spectrum(vals, clamped_count=int(neg.sum()))
+def density_spectrum(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of rho sorted descending, checked and clamped like any probability vector."""
+    return _clamped_probs(herm_eig(rho.mat)[0])
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -130,6 +121,12 @@ def _check_probs(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _clamped_probs(p: np.ndarray) -> np.ndarray:
+    """`_check_probs`, then round-off negatives set to 0."""
+    p = _check_probs(p)
+    return np.where(p < 0.0, 0.0, p)
+
+
 def entropy_bits(P: np.ndarray) -> np.ndarray:
     """-sum p log2 p over the last axis of non-negative P, zeros kept (0 log 0 = 0).
 
@@ -141,13 +138,12 @@ def entropy_bits(P: np.ndarray) -> np.ndarray:
 
 def shannon_entropy(p: np.ndarray) -> float:
     """Base-2 Shannon entropy (0 log 0 = 0); p is checked before round-off negatives become 0."""
-    p = _check_probs(p)
-    return float(entropy_bits(np.where(p < 0.0, 0.0, p)))
+    return float(entropy_bits(_clamped_probs(p)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Base-2 von Neumann entropy via the deterministic eigensolver."""
-    return shannon_entropy(herm_eig(rho.mat)[0].values)
+    """Base-2 von Neumann entropy of the clamped spectrum `density_spectrum`."""
+    return float(entropy_bits(density_spectrum(rho)))
 
 
 def product_basis_matrix(basis: ProductBasis) -> np.ndarray:

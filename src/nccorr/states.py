@@ -125,8 +125,8 @@ def validate(rho: DensityMatrix) -> ValidationReport:
     mat = rho.mat
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     trace_dev = abs(float(np.trace(mat).real) - 1.0)
-    spec, _ = qmat.herm_eig((mat + mat.conj().T) / 2.0)
-    return ValidationReport(herm_dev, trace_dev, float(spec.values[-1]))
+    w, _ = qmat.herm_eig((mat + mat.conj().T) / 2.0)
+    return ValidationReport(herm_dev, trace_dev, float(w[-1]))
 
 
 def store_state(rho: DensityMatrix, path) -> None:
@@ -175,7 +175,8 @@ def load_state(path) -> DensityMatrix:
             f"{path}: herm_dev={report.herm_deviation:.3e} "
             f"trace_dev={report.trace_deviation:.3e} min_eig={report.min_eigenvalue:.3e}"
         )
-    return rho
+    # the Hermitian part: herm_eig bounds |H - H^dag| relative to max|H|, validate absolutely
+    return DensityMatrix(rho.dims, (mat + mat.conj().T) / 2.0)
 
 
 def _vector_marginal_purity(vec: np.ndarray, dims: Tuple[int, ...], k: int) -> float:
@@ -190,8 +191,7 @@ def has_product_eigenbasis_nondegenerate(rho: DensityMatrix) -> bool:
     Only defined for nondegenerate spectra; eigenvectors of (near-)degenerate
     eigenvalues are not unique, so the check raises DegenerateSpectrum there.
     """
-    spec, V = qmat.herm_eig(rho.mat)
-    vals = spec.values
+    vals, V = qmat.herm_eig(rho.mat)
     # group (near-)equal eigenvalues; eigenvectors are only unique within gaps
     groups = [[0]]
     for j in range(1, rho.d_tot):

@@ -198,8 +198,8 @@ def _local_rotate(rho: DensityMatrix, basis: ProductBasis) -> DensityMatrix:
 
 def _min_marginal_gap(rho: DensityMatrix) -> float:
     """Smallest gap between two eigenvalues of any one-subsystem marginal."""
-    spectra = (qmat.density_spectrum(qmat.partial_trace(rho, [k])).values for k in range(rho.n_subsystems))
-    return min(float(np.diff(np.sort(w)).min()) for w in spectra)
+    spectra = (qmat.density_spectrum(qmat.partial_trace(rho, [k])) for k in range(rho.n_subsystems))
+    return min(float((-np.diff(w)).min()) for w in spectra)
 
 
 def criterion_5() -> List[Check]:
@@ -274,14 +274,14 @@ def criterion_6() -> List[Check]:
 
 def naive_measure_G(rho: DensityMatrix) -> Tuple[float, dict]:
     """Brute-force G: plain loops over the same balanced-bin assignments."""
-    e_tot = qmat.density_spectrum(rho).values
+    e_tot = qmat.density_spectrum(rho)
     f_values = {}
     assignments = {}
     for k in range(rho.n_subsystems):
         d = rho.dims[k]
         d_tot = rho.d_tot
         bin_size = d_tot // d
-        e_red = qmat.density_spectrum(qmat.partial_trace(rho, [k])).values
+        e_red = qmat.density_spectrum(qmat.partial_trace(rho, [k]))
         s_red = np.float64(0.0)
         for x in e_red:
             if x > 0.0:

@@ -160,7 +160,9 @@ class TestErrorHandling:
         nc.random_density_matrix((2, 2), 4, 3).mat * (1 + 2e-9),
         np.diag([0.5 + 5e-10, 0.3, 0.2, -5e-10]),
         np.diag([0.5 + 1.8e-8, 0.3, 0.2, -9e-9]),
-    ], ids=["trace-off-by-2e-9", "eigenvalue-minus-5e-10", "eigenvalue-minus-9e-9"])
+        np.eye(4) / 4 + 5e-11 * np.outer(np.eye(4)[0], np.eye(4)[1]),  # rho[0, 1] += 5e-11
+    ], ids=["trace-off-by-2e-9", "eigenvalue-minus-5e-10", "eigenvalue-minus-9e-9",
+            "hermiticity-off-by-5e-11"])
     def test_round_off_that_validation_accepts_measures_exit_0(self, tmp_path, mat):
         state = tmp_path / "s.json"
         nc.store_state(nc.DensityMatrix((2, 2), mat.astype(complex)), state)

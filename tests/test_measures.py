@@ -115,6 +115,13 @@ class TestMeasureG:
         with pytest.raises(nc.PartitionCapExceeded):
             nc.measure_G(nc.make_sigma(0.2), partition_cap=8)
 
+    def test_rejects_what_d_and_dg_reject(self):
+        rho = nc.DensityMatrix((2, 2), np.diag([0.6, 0.3, 0.2, 0.1]))  # trace 1.2
+        cfg = nc.SearchConfig(n_samples=50, seed=1, refine_steps=5)
+        for measure in (nc.measure_G, nc.measure_DG, lambda r: nc.measure_D(r, cfg)):
+            with pytest.raises(nc.NotAProbabilityVector):
+                measure(rho)
+
     def test_fk_per_subsystem_reported(self):
         rep = nc.measure_G(nc.random_density_matrix((2, 2), 4, 19))
         assert set(rep.diagnostics["F_k"]) == {0, 1}
@@ -196,7 +203,8 @@ class TestMeasureK:
     def test_witness_consistency_exact(self):
         rho = nc.random_density_matrix((2, 2, 2), 8, 61)
         rep = nc.measure_K(rho)
-        assert measures.recompute_K_at_witness(rho, rep.witness) == rep.value
+        a, b = rep.witness
+        assert rep.diagnostics["per_splitting"][f"{a}|{b}"] == rep.value
 
     def test_single_subsystem_rejected(self):
         rho = nc.random_density_matrix((3,), 3, 5)

@@ -23,17 +23,17 @@ def random_state(dims, seed, rank=None):
 class TestHermEig:
     def test_identity(self):
         spec, V = qmat.herm_eig(np.eye(4, dtype=complex))
-        assert np.array_equal(spec.values, np.ones(4))
+        assert np.array_equal(spec, np.ones(4))
         assert np.array_equal(V, np.eye(4))
 
     def test_pauli_x(self):
         spec, _ = qmat.herm_eig(PAULI_X)
-        assert np.allclose(spec.values, [1.0, -1.0], atol=1e-14)
+        assert np.allclose(spec, [1.0, -1.0], atol=1e-14)
 
     def test_sigma_eighth_spectrum(self):
         # block structure 1x1 / 2x2 / 1x1 gives (3/8, 3/8, 1/4, 0) by hand
         spec, _ = qmat.herm_eig(nc.make_sigma(0.125).mat)
-        assert np.allclose(spec.values, [0.375, 0.375, 0.25, 0.0], atol=1e-14)
+        assert np.allclose(spec, [0.375, 0.375, 0.25, 0.0], atol=1e-14)
 
     def test_non_hermitian_rejected(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -46,18 +46,18 @@ class TestHermEig:
             n = int(rng.integers(2, 17))
             H = random_hermitian(rng, n)
             spec, V = qmat.herm_eig(H)
-            err = np.linalg.norm((V * spec.values) @ V.conj().T - H)
+            err = np.linalg.norm((V * spec) @ V.conj().T - H)
             assert err <= 1e-10 * max(1.0, np.linalg.norm(H))
             ortho = np.max(np.abs(V.conj().T @ V - np.eye(n)))
             assert ortho <= 1e-10
-            assert np.all(np.diff(spec.values) <= 1e-12)
+            assert np.all(np.diff(spec) <= 1e-12)
 
     def test_deterministic_and_phase_convention(self):
         rng = np.random.default_rng(3)
         H = random_hermitian(rng, 7)
         s1, V1 = qmat.herm_eig(H)
         s2, V2 = qmat.herm_eig(H.copy())
-        assert np.array_equal(s1.values, s2.values)
+        assert np.array_equal(s1, s2)
         assert np.array_equal(V1, V2)
         for j in range(7):
             i = int(np.argmax(np.abs(V1[:, j])))
@@ -127,7 +127,7 @@ class TestPartialTranspose:
         pt = qmat.partial_transpose(nc.make_sigma(p), [1])
         spec, _ = qmat.herm_eig(pt)
         expected = np.sort([0.5, 0.5 - 2 * p, p, p])[::-1]
-        assert np.allclose(spec.values, expected, atol=1e-12)
+        assert np.allclose(spec, expected, atol=1e-12)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -145,14 +145,14 @@ class TestPartialTranspose:
         rho = nc.tensor_state(a, b)
         s0, _ = qmat.herm_eig(rho.mat)
         s1, _ = qmat.herm_eig(qmat.partial_transpose(rho, [1]))
-        assert np.allclose(s0.values, s1.values, atol=1e-10)
+        assert np.allclose(s0, s1, atol=1e-10)
 
     def test_horodecki_spectrum_preserved(self):
         for b in (0.1, 0.5, 0.9):
             rho = nc.make_horodecki(b)
             s0, _ = qmat.herm_eig(rho.mat)
             s1, _ = qmat.herm_eig(qmat.partial_transpose(rho, [1]))
-            assert np.allclose(s0.values, s1.values, atol=1e-12)
+            assert np.allclose(s0, s1, atol=1e-12)
 
     def test_trace_and_hermiticity_preserved(self):
         rho = random_state((2, 2), 17)
