@@ -67,9 +67,9 @@ def _completions(room: np.ndarray) -> int:
 
 
 def _min_balanced_partition(
-    e_tot: np.ndarray, e_red: np.ndarray, d: int, cap: int
-) -> Tuple[np.float64, Tuple[int, ...], int]:
-    """Minimize |sum etilde log etilde - sum e_red log e_red| over partitions.
+    e_tot: np.ndarray, targets: Sequence[np.float64], d: int
+) -> Tuple[List[Tuple[np.float64, Tuple[int, ...]]], int]:
+    """Minimize |sum etilde log etilde - s| over partitions, for each target s.
 
     Partitions place the d_tot total eigenvalues into d equal-size bins
     (d_tot/d each); bin sums are the mimic eigenvalues.  Only balanced
@@ -79,28 +79,27 @@ def _min_balanced_partition(
     prefix with more than ``_ENUM_CHUNK`` completions is split on its next
     digit, so at most ``_ENUM_CHUNK`` rows are held at once.
 
-    Bit-identical to a plain counter loop that skips unbalanced assignments
+    The bin sums depend only on e_tot and d, so one walk serves every
+    target s = sum e_red log e_red of the subsystems of dimension d; each
+    target keeps its own minimum.  Bit-identical to a plain counter loop
+    per target that skips unbalanced assignments
     (``verify.naive_measure_G``): bin sums accumulate ``e_tot[j]`` for
     j = 0, 1, ..., and rows are evaluated in counter order, so ``np.argmin``
-    and the strict ``<`` across passes keep the first minimum.  The cap
-    bounds d^d_tot.  Returns the minimum, its assignment and the number of
-    assignments evaluated.
+    and the strict ``<`` across passes keep the first minimum.  Returns one
+    (minimum, assignment) per target and the number of assignments the walk
+    evaluated.
     """
     d_tot = len(e_tot)
-    total = d ** d_tot
-    if total > cap:
-        raise PartitionCapExceeded(f"{d}^{d_tot} = {total} exceeds cap {cap}")
     bin_size = d_tot // d
-    s_red = _neg_entropy_seq(e_red)
     powers = np.array([d ** (d_tot - 1 - j) for j in range(d_tot)], dtype=np.int64)
 
-    best_val: Optional[np.float64] = None
-    best_idx = -1
+    best_val: List[Optional[np.float64]] = [None] * len(targets)
+    best_idx = [-1] * len(targets)
     evaluated = 0
 
     def visit(counts: np.ndarray, sums: np.ndarray, idx: np.ndarray, j: int) -> None:
         """Evaluate every balanced completion of one prefix row at level j."""
-        nonlocal best_val, best_idx, evaluated
+        nonlocal evaluated
         if _completions(bin_size - counts[0]) > _ENUM_CHUNK:
             counts, sums, idx = _grow(counts, sums, idx, e_tot[j], bin_size)
             for r in range(len(idx)):
@@ -112,17 +111,18 @@ def _min_balanced_partition(
         for b in range(d):
             x = sums[:, b]
             T += np.where(x > 0.0, x, 0.0) * np.log2(np.where(x > 0.0, x, 1.0))
-        vals = np.abs(T - s_red)
-        i = int(np.argmin(vals))
+        for t, s_red in enumerate(targets):
+            vals = np.abs(T - s_red)
+            i = int(np.argmin(vals))
+            if best_val[t] is None or vals[i] < best_val[t]:
+                best_val[t] = np.float64(vals[i])
+                best_idx[t] = int(idx[i])
         evaluated += len(idx)
-        if best_val is None or vals[i] < best_val:
-            best_val = np.float64(vals[i])
-            best_idx = int(idx[i])
 
     visit(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64), 0)
-    assert best_val is not None and best_idx >= 0
-    digits = tuple(int((best_idx // int(p)) % d) for p in powers)
-    return best_val, digits, evaluated
+    assert min(best_idx) >= 0
+    best = [(v, tuple(int((i // int(p)) % d) for p in powers)) for v, i in zip(best_val, best_idx)]
+    return best, evaluated
 
 
 def _bipartite_splittings(m: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -155,16 +155,31 @@ def measure_D(
 
 
 def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) -> MeasureReport:
-    """max over subsystems k of the minimal mimic-eigenvalue discrepancy F_k."""
+    """max over subsystems k of the minimal mimic-eigenvalue discrepancy F_k.
+
+    The cap (on d_k^d_tot) is checked for every subsystem before any walk.
+    Subsystems of one dimension share one walk; F_k, the witnesses and
+    ``assignments_evaluated`` (each subsystem's count) stay in k order.
+    """
     e_tot = qmat.density_spectrum(rho)
+    d_tot = len(e_tot)
+    for d in rho.dims:
+        if d ** d_tot > partition_cap:
+            raise PartitionCapExceeded(f"{d}^{d_tot} = {d ** d_tot} exceeds cap {partition_cap}")
+    targets = [
+        _neg_entropy_seq(qmat.density_spectrum(qmat.partial_trace(rho, [k])))
+        for k in range(rho.n_subsystems)
+    ]
+    walks = {}
     f_values = {}
     evaluated = {}
     witnesses = []
-    for k in range(rho.n_subsystems):
-        e_red = qmat.density_spectrum(qmat.partial_trace(rho, [k]))
-        fk, assignment, evaluated[k] = _min_balanced_partition(
-            e_tot, e_red, rho.dims[k], partition_cap
-        )
+    for k, d in enumerate(rho.dims):
+        if d not in walks:
+            group = [t for t, dt in zip(targets, rho.dims) if dt == d]
+            walks[d] = _min_balanced_partition(e_tot, group, d)
+        best, evaluated[k] = walks[d]
+        fk, assignment = best[rho.dims[:k].count(d)]
         f_values[k] = float(fk)
         witnesses.append(Partition(k, assignment))
     value = max(f_values.values())

@@ -215,6 +215,18 @@ class TestErrorHandling:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_partition_cap_refuses_before_any_walk_exit_2(self, tmp_path, monkeypatch, capsys):
+        # Subsystem 0 (2^12 = 4096) fits the cap; subsystem 1 (3^12) does not.
+        state = tmp_path / "s.json"
+        assert run(["gen-state", "--dims", "2,3,2", "--rank", 3, "--out", state]) == 0
+        walks = []
+        monkeypatch.setattr(measures, "_min_balanced_partition", lambda *a: walks.append(a))
+        assert run(["measure", state, "--measures", "G", "--partition-cap", 4096]) == 2
+        assert walks == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 3^12 = 531441 exceeds cap 4096\n"
+
     def test_eigensolver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         state = tmp_path / "s.json"
         run(["gen-state", "--family", "ps", "--param", 0.5, "--out", state])

@@ -165,6 +165,41 @@ class TestMeasureG:
             assert rep.witness == ref.witness
             assert rep.diagnostics == ref.diagnostics
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2), (3, 3), (2, 2, 2)])
+    def test_shared_walk_matches_one_walk_per_subsystem(self, dims):
+        d_tot = int(np.prod(dims))
+        for i, rank in enumerate((d_tot, 2, 1)):
+            rho = nc.random_density_matrix(dims, rank, 110 + i)
+            rep = nc.measure_G(rho)
+            m = len(dims)
+            assert list(rep.diagnostics["F_k"]) == list(range(m))
+            assert list(rep.diagnostics["assignments_evaluated"]) == list(range(m))
+            e_tot = qmat.density_spectrum(rho)
+            for k in range(m):
+                target = measures._neg_entropy_seq(
+                    qmat.density_spectrum(qmat.partial_trace(rho, [k]))
+                )
+                [(fk, assignment)], count = measures._min_balanced_partition(
+                    e_tot, [target], dims[k]
+                )
+                assert rep.diagnostics["F_k"][k] == fk
+                assert rep.witness[k] == measures.Partition(k, assignment)
+                assert rep.diagnostics["assignments_evaluated"][k] == count
+
+    def test_one_walk_per_subsystem_dimension(self, monkeypatch):
+        walks = []
+        one_walk = measures._min_balanced_partition
+
+        def counting_walk(*args):
+            walks.append(args)
+            return one_walk(*args)
+
+        monkeypatch.setattr(measures, "_min_balanced_partition", counting_walk)
+        for dims, expected in [((2, 2, 2, 2), 1), ((2, 3, 2), 2), ((2, 4), 2)]:
+            walks.clear()
+            nc.measure_G(nc.random_density_matrix(dims, 2, 71))
+            assert len(walks) == expected
+
 
 class TestMeasureDG:
     def test_ps_half(self):
