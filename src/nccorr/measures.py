@@ -7,7 +7,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, DimensionMismatch, PartitionCapExceeded, ProductBasis
+from .core import DensityMatrix, DimensionMismatch, PartitionCapExceeded
 from . import qmat
 from .search import SearchConfig, marginal_eigenbasis, min_diag_entropy
 
@@ -139,16 +139,13 @@ def _bipartite_splittings(m: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]
     return out
 
 
-def measure_D(
-    rho: DensityMatrix,
-    cfg: SearchConfig = SearchConfig(),
-    extra_candidates: Sequence[ProductBasis] = (),
-) -> MeasureReport:
+def measure_D(rho: DensityMatrix, cfg: SearchConfig = SearchConfig()) -> MeasureReport:
     """Minimum product-basis diagonal entropy minus the von Neumann entropy.
 
+    It depends on rho alone; cfg sets how hard `min_diag_entropy` searches.
     Search-based: the reported value is an upper bound on the true D.
     """
-    h_min, basis, diag = min_diag_entropy(rho, cfg, extra_candidates)
+    h_min, basis, diag = min_diag_entropy(rho, cfg)
     s_vn = qmat.von_neumann_entropy(rho)
     diag = dict(diag, min_diag_entropy=h_min, von_neumann_entropy=s_vn)
     return MeasureReport("D", h_min - s_vn, basis, diag)

@@ -1,7 +1,7 @@
 """Minimization of the product-basis diagonal entropy.
 
 Haar product bases are sampled, and a descent runs from the best of them and
-from fixed candidates.  The samples come in order from one numpy Generator
+from two fixed starts.  The samples come in order from one numpy Generator
 per search, seeded by the search seed, and nothing else draws from it: sample
 i is the i-th draw whatever the chunk size, and results are monotone in the
 number of samples.  Each Haar factor is the unitary of a QR decomposition of
@@ -215,30 +215,24 @@ def computational_basis(dims: Sequence[int]) -> ProductBasis:
     return ProductBasis(tuple(np.eye(int(d), dtype=np.complex128) for d in dims))
 
 
-def min_diag_entropy(
-    rho: DensityMatrix,
-    cfg: SearchConfig,
-    extra_candidates: Sequence[ProductBasis] = (),
-) -> Tuple[float, ProductBasis, dict]:
-    """Smallest diagonal entropy found over candidate, sampled and descended product bases.
+def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, ProductBasis, dict]:
+    """Smallest diagonal entropy found over fixed, sampled and descended product bases.
 
     Samples are made and scored `chunk_size` at a time, so memory does not
-    grow with their number, and the factors of the best `_N_STARTS` by
-    (entropy, index) are kept.  The starts are the computational basis, the
-    marginal eigenbasis, the extra candidates and those samples, in that
-    order, and the first lowest of them is the best start.  `_descend` runs
-    from every start; its first lowest basis replaces the best start if it
-    is lower by more than `_MARGIN`.  Only the extra candidates (up front) and
-    the witness go through the checked `qmat.diag_probs`.
+    grow with their number, and the factors and scores of the best
+    `_N_STARTS` by (entropy, index) are kept.  The starts are the
+    computational basis, the marginal eigenbasis and those samples, in that
+    order, and the first lowest of them is the best start; only the two
+    fixed starts are scored here, since a row's score does not depend on its
+    batch.  `_descend` runs from every start; its first lowest basis replaces
+    the best start if it is lower by more than `_MARGIN`.  Only the witness
+    goes through the checked `qmat.diag_probs`.
 
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
     regardless of chunk size.
     """
     dims = rho.dims
-    for basis in extra_candidates:
-        qmat.diag_probs(rho, basis)  # same errors for bad caller input as for a witness
-
     rng = np.random.default_rng(cfg.seed % 2 ** 64)  # the samples' stream; nothing else draws from it
     n, best_h, best_i = cfg.n_samples, np.empty(0), np.empty(0, dtype=int)
     best_f = [np.empty((0, d, d), dtype=np.complex128) for d in dims]
@@ -251,12 +245,10 @@ def min_diag_entropy(
         best_h, best_i = h[keep], idx[keep]
         best_f = [np.concatenate(pair)[keep] for pair in zip(best_f, facs)]
 
-    candidates = [computational_basis(dims), marginal_eigenbasis(rho), *extra_candidates]
-    sources = ["computational", "marginal-eigenbasis", *(f"extra:{i}" for i in range(len(extra_candidates))),
-               *(f"sample:{i}" for i in best_i)]
-    fixed = [np.stack(f) for f in zip(*(b.factors for b in candidates))]
+    sources = ["computational", "marginal-eigenbasis", *(f"sample:{i}" for i in best_i)]
+    fixed = [np.stack(f) for f in zip(computational_basis(dims).factors, marginal_eigenbasis(rho).factors)]
     stacks = [np.concatenate(pair) for pair in zip(fixed, best_f)]
-    h = _batch_entropies(rho.mat, stacks)
+    h = np.concatenate([_batch_entropies(rho.mat, fixed), best_h])
     descended, h_desc, rounds, accepts = _descend(rho.mat, stacks, h, cfg.refine_steps)
     first, i = int(np.argmin(h)), int(np.argmin(h_desc))
     if h_desc[i] < h[first] - _MARGIN:

@@ -153,11 +153,10 @@ def _entry(e) -> complex:
 
 
 def load_state(path) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.loads(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise ParseError(f"{path}: expected an object with 'dims' and 'matrix'")

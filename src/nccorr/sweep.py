@@ -74,7 +74,7 @@ def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
-def csv_text(spec: SweepSpec, rows: List[Tuple[float, Dict[str, float]]]) -> str:
+def csv_text(rows: List[Tuple[float, Dict[str, float]]]) -> str:
     lines = [CSV_HEADER]
     for p, vals in rows:
         cells = [_fmt(p)]
@@ -85,4 +85,4 @@ def csv_text(spec: SweepSpec, rows: List[Tuple[float, Dict[str, float]]]) -> str
 
 
 def run_sweep(spec: SweepSpec) -> str:
-    return csv_text(spec, sweep_rows(spec))
+    return csv_text(sweep_rows(spec))

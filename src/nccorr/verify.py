@@ -93,7 +93,7 @@ def criterion_1(cfg: SearchConfig) -> Tuple[List[Check], str]:
             f"{elapsed:.1f}s for 101 points at {cfg.n_samples} samples (limit 120s)",
         )
     )
-    return checks, csv_text(spec, rows)
+    return checks, csv_text(rows)
 
 
 # ---------------------------------------------------------------- criterion 2

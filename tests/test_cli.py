@@ -138,6 +138,18 @@ class TestErrorHandling:
         bad.write_text("{not json")
         assert run(["measure", bad, "--measures", "K"]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe\x00garbage",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf-8", "nested-100000-deep"])
+    def test_unreadable_state_file_exit_2(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        proc = run_process(["measure", bad, "--measures", "K"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_non_integer_state_dims_exit_2(self, tmp_path):
         state = tmp_path / "s.json"
         run(["gen-state", "--family", "ps", "--param", 0.5, "--out", state])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nccorr as nc
-from nccorr import cli, measures, qmat, sweep, verify
+from nccorr import cli, measures, qmat, search, sweep, verify
 
 
 def s(x):
@@ -66,26 +66,19 @@ class TestMeasureD:
         rho = nc.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
         assert abs(nc.measure_D(rho, TINY).value) <= 1e-9
 
-    def test_local_unitary_invariance_transformed_candidates(self):
-        # evaluate both states over corresponding candidate sets: for each
-        # candidate basis B on rho, the rotated state gets U B, and vice versa
-        rho = nc.random_density_matrix((2, 2), 4, 40)
-        u = nc.haar_random_product_basis((2, 2), 41)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
+    def test_scoring_kernel_is_local_unitary_covariant(self, dims):
+        # D depends on rho alone: the diagonal of rho in F is the diagonal
+        # of U rho U^dag in U F, factor by factor
+        d = int(np.prod(dims))
+        rho = nc.random_density_matrix(dims, d, 40)
+        u = nc.haar_random_product_basis(dims, 41)
         ufull = qmat.product_basis_matrix(u)
-        rho2 = nc.DensityMatrix((2, 2), ufull @ rho.mat @ ufull.conj().T)
-        cfg = nc.SearchConfig(n_samples=0, refine_steps=0)
-
-        def rotate(basis, forward):
-            return nc.ProductBasis(tuple(
-                (uf @ f) if forward else (uf.conj().T @ f)
-                for uf, f in zip(u.factors, basis.factors)
-            ))
-
-        own1 = [nc.computational_basis((2, 2)), nc.marginal_eigenbasis(rho)]
-        own2 = [nc.computational_basis((2, 2)), nc.marginal_eigenbasis(rho2)]
-        d1 = nc.measure_D(rho, cfg, extra_candidates=[rotate(b, False) for b in own2]).value
-        d2 = nc.measure_D(rho2, cfg, extra_candidates=[rotate(b, True) for b in own1]).value
-        assert d1 == pytest.approx(d2, abs=1e-8)
+        rotated = ufull @ rho.mat @ ufull.conj().T
+        F = search._haar_batch(dims, search._ginibre(np.random.default_rng(42), dims, 16))
+        UF = [uk @ Fk for uk, Fk in zip(u.factors, F)]
+        assert np.allclose(qmat.product_diagonals(rotated, UF),
+                           qmat.product_diagonals(rho.mat, F), rtol=0, atol=1e-12)
 
     def test_witness_is_minimizing_basis(self):
         rho = nc.make_pseudo_entangled(0.8)

@@ -271,8 +271,8 @@ class TestMarginalEigenbasis:
 
 
 class TestSingleScorer:
-    """Candidates, samples and descent steps share one scorer; only the
-    witness and the caller's extra candidates go through `qmat.diag_probs`."""
+    """Fixed starts, samples and descent steps share one scorer; only the
+    witness goes through `qmat.diag_probs`."""
 
     @pytest.mark.parametrize("rho, cfg, source", [
         (nc.DensityMatrix((2, 2), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)),
@@ -289,7 +289,7 @@ class TestSingleScorer:
         assert diag["best_source"].startswith(source)
         assert val == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
 
-    def test_diag_probs_only_for_extras_and_witness(self, monkeypatch):
+    def test_diag_probs_only_for_witness(self, monkeypatch):
         calls = []
         real = qmat.diag_probs
 
@@ -299,26 +299,33 @@ class TestSingleScorer:
 
         monkeypatch.setattr(qmat, "diag_probs", counting)
         rho = nc.random_density_matrix((2, 3), 6, 21)
-        extras = [nc.computational_basis((2, 3)), nc.haar_random_product_basis((2, 3), 5)]
         cfg = nc.SearchConfig(n_samples=300, seed=4, refine_steps=50)
-        _, basis, _ = nc.min_diag_entropy(rho, cfg, extras)
-        assert len(calls) == 3
-        assert calls[-1] is basis
+        _, basis, _ = nc.min_diag_entropy(rho, cfg)
+        assert len(calls) == 1
+        assert calls[0] is basis
 
-    @pytest.mark.parametrize("rho, extras, error", [
-        (nc.random_density_matrix((2, 2), 4, 3), [nc.computational_basis((2, 3))],
-         nc.DimensionMismatch),
-        (nc.random_density_matrix((2, 2), 4, 3),
-         [nc.ProductBasis((2 * np.eye(2), np.eye(2)))], nc.NotAProbabilityVector),
-        (nc.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 2), [],
-         nc.NotAProbabilityVector),
-        (nc.random_density_matrix((2, 2), 4, 3),
-         [nc.ProductBasis((np.full((2, 2), np.nan), np.eye(2)))], nc.NotAProbabilityVector),
-    ], ids=["extra-wrong-dims", "extra-not-unitary", "trace-two-state", "extra-nan"])
-    def test_bad_input_still_raises(self, rho, extras, error):
+    def test_every_start_is_scored_once(self, monkeypatch):
+        # 300 samples in chunks of 128, 128 and 44, plus the two fixed
+        # starts; the kept samples' scores are reused, not recomputed
+        rows = []
+        real = search._batch_entropies
+
+        def counting(rho_mat, factor_stacks):
+            rows.append(len(factor_stacks[0]))
+            return real(rho_mat, factor_stacks)
+
+        monkeypatch.setattr(search, "_batch_entropies", counting)
+        rho = nc.random_density_matrix((2, 3), 6, 21)
+        nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=300, seed=4, refine_steps=0, chunk_size=128))
+        assert sum(rows) == 302
+
+    @pytest.mark.parametrize("rho, error", [
+        (nc.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 2), nc.NotAProbabilityVector),
+    ], ids=["trace-two-state"])
+    def test_bad_input_still_raises(self, rho, error):
         cfg = nc.SearchConfig(n_samples=50, seed=1, refine_steps=5)
         with pytest.raises(error):
-            nc.min_diag_entropy(rho, cfg, extras)
+            nc.min_diag_entropy(rho, cfg)
 
     def test_batch_score_equals_checked_entropy(self):
         # both sum -p log2 p with the zeros kept, so the grouping is the same
