@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,16 +31,16 @@ class MeasureReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _neg_entropy_seq(vals: np.ndarray) -> np.float64:
-    """Sum of x log2 x accumulated in index order (0 log 0 = 0).
+def _neg_entropy_seq(vals: np.ndarray) -> np.ndarray:
+    """Sum of x log2 x over the last axis of non-negative vals, added in index order.
 
-    The fixed accumulation order makes the value bit-reproducible against a
-    naive per-assignment loop.
+    0 log 0 = 0.  The fixed accumulation order makes the value
+    bit-reproducible against a naive per-assignment loop; a 1-D input gives
+    an np.float64.
     """
     acc = np.float64(0.0)
-    for x in vals:
-        if x > 0.0:
-            acc += x * np.log2(x)
+    for x in np.moveaxis(vals, -1, 0):
+        acc += x * np.log2(np.where(x > 0.0, x, 1.0))
     return acc
 
 
@@ -66,77 +66,69 @@ def _completions(room: np.ndarray) -> int:
     return math.factorial(int(room.sum())) // math.prod(math.factorial(int(r)) for r in room)
 
 
+def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield (bin sums, counter indices) of every balanced assignment, in counter order.
+
+    An assignment places the d_tot total eigenvalues into d equal-size bins
+    (d_tot/d each).  Only balanced assignments are generated, one eigenvalue
+    (digit) at a time and only into bins with room; each row carries its bin
+    counts, bin sums and base-d counter index (eigenvalue 0 is the most
+    significant digit).  Bin sums accumulate ``e_tot[j]`` for j = 0, 1, ...
+    A prefix with more than ``_ENUM_CHUNK`` completions is split on its
+    next digit, so at most ``_ENUM_CHUNK`` rows are yielded at once.
+    """
+    bin_size = len(e_tot) // d
+    prefixes = [(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64))]
+    while prefixes:
+        counts, sums, idx = prefixes.pop()
+        j = int(counts.sum())
+        if _completions(bin_size - counts[0]) > _ENUM_CHUNK:
+            counts, sums, idx = _grow(counts, sums, idx, e_tot[j], bin_size)
+            # one prefix per row, last row on top, so rows are walked in counter order
+            prefixes.extend(zip(counts[::-1, None], sums[::-1, None], idx[::-1, None]))
+            continue
+        for e in e_tot[j:]:
+            counts, sums, idx = _grow(counts, sums, idx, e, bin_size)
+        yield sums, idx
+
+
 def _min_balanced_partition(
     e_tot: np.ndarray, targets: Sequence[np.float64], d: int
 ) -> Tuple[List[Tuple[np.float64, Tuple[int, ...]]], int]:
     """Minimize |sum etilde log etilde - s| over partitions, for each target s.
 
-    Partitions place the d_tot total eigenvalues into d equal-size bins
-    (d_tot/d each); bin sums are the mimic eigenvalues.  Only balanced
-    assignments are generated, one eigenvalue (digit) at a time and only
-    into bins with room; each row carries its bin counts, bin sums and
-    base-d counter index (eigenvalue 0 is the most significant digit).  A
-    prefix with more than ``_ENUM_CHUNK`` completions is split on its next
-    digit, so at most ``_ENUM_CHUNK`` rows are held at once.
-
-    The bin sums depend only on e_tot and d, so one walk serves every
-    target s = sum e_red log e_red of the subsystems of dimension d; each
-    target keeps its own minimum.  Bit-identical to a plain counter loop
-    per target that skips unbalanced assignments
-    (``verify.naive_measure_G``): bin sums accumulate ``e_tot[j]`` for
-    j = 0, 1, ..., and rows are evaluated in counter order, so ``np.argmin``
-    and the strict ``<`` across passes keep the first minimum.  Returns one
+    The bin sums of `_balanced_assignments` are the mimic eigenvalues.  They
+    depend only on e_tot and d, so one walk serves every target
+    s = sum e_red log e_red of the subsystems of dimension d; each target
+    keeps its own first minimum in counter order, so the result is
+    bit-identical to a plain counter loop per target that skips unbalanced
+    assignments (``verify.naive_measure_G``).  Returns one
     (minimum, assignment) per target and the number of assignments the walk
     evaluated.
     """
-    d_tot = len(e_tot)
-    bin_size = d_tot // d
-    powers = np.array([d ** (d_tot - 1 - j) for j in range(d_tot)], dtype=np.int64)
-
-    best_val: List[Optional[np.float64]] = [None] * len(targets)
-    best_idx = [-1] * len(targets)
+    best = [(np.inf, 0)] * len(targets)
     evaluated = 0
-
-    def visit(counts: np.ndarray, sums: np.ndarray, idx: np.ndarray, j: int) -> None:
-        """Evaluate every balanced completion of one prefix row at level j."""
-        nonlocal evaluated
-        if _completions(bin_size - counts[0]) > _ENUM_CHUNK:
-            counts, sums, idx = _grow(counts, sums, idx, e_tot[j], bin_size)
-            for r in range(len(idx)):
-                visit(counts[r : r + 1], sums[r : r + 1], idx[r : r + 1], j + 1)
-            return
-        for jj in range(j, d_tot):
-            counts, sums, idx = _grow(counts, sums, idx, e_tot[jj], bin_size)
-        T = np.zeros(len(idx))
-        for b in range(d):
-            x = sums[:, b]
-            T += np.where(x > 0.0, x, 0.0) * np.log2(np.where(x > 0.0, x, 1.0))
+    for sums, idx in _balanced_assignments(e_tot, d):
+        T = _neg_entropy_seq(sums)
         for t, s_red in enumerate(targets):
             vals = np.abs(T - s_red)
             i = int(np.argmin(vals))
-            if best_val[t] is None or vals[i] < best_val[t]:
-                best_val[t] = np.float64(vals[i])
-                best_idx[t] = int(idx[i])
+            if vals[i] < best[t][0]:
+                best[t] = (vals[i], idx[i])
         evaluated += len(idx)
-
-    visit(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64), 0)
-    assert min(best_idx) >= 0
-    best = [(v, tuple(int((i // int(p)) % d) for p in powers)) for v, i in zip(best_val, best_idx)]
-    return best, evaluated
+    shape = (d,) * len(e_tot)
+    return [(v, tuple(map(int, np.unravel_index(i, shape)))) for v, i in best], evaluated
 
 
-def _bipartite_splittings(m: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def _bipartite_splittings(m: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """All 2^(m-1) - 1 splittings, subsystem 0 always on side A."""
     if m < 2:
         raise DimensionMismatch(f"K and N need at least 2 subsystems, got {m}")
-    out = []
-    for mask in range(1 << (m - 1)):
+    # the last mask would put every subsystem on side A
+    for mask in range((1 << (m - 1)) - 1):
         side_a = [0] + [k for k in range(1, m) if mask & (1 << (k - 1))]
-        if len(side_a) == m:
-            continue
         side_b = [k for k in range(1, m) if k not in side_a]
-        out.append((tuple(side_a), tuple(side_b)))
-    return out
+        yield tuple(side_a), tuple(side_b)
 
 
 def measure_D(rho: DensityMatrix, cfg: SearchConfig = SearchConfig()) -> MeasureReport:
@@ -200,17 +192,13 @@ def _min_over_splittings(
 ) -> MeasureReport:
     """Minimum over all bipartite splittings of a value of the sorted
     partial-transpose spectrum; the first minimal splitting is the witness."""
-    best = None
-    witness = None
-    per_split = {}
+    vals = {}
     for side_a, side_b in _bipartite_splittings(rho.n_subsystems):
         et, _ = qmat.herm_eig(qmat.partial_transpose(rho, side_b))
-        val = value_of_pt_spectrum(et)
-        per_split[f"{side_a}|{side_b}"] = val
-        if best is None or val < best:
-            best = val
-            witness = (side_a, side_b)
-    return MeasureReport(name, best, witness, {"per_splitting": per_split})
+        vals[side_a, side_b] = value_of_pt_spectrum(et)
+    witness = min(vals, key=vals.get)
+    per_split = {f"{a}|{b}": v for (a, b), v in vals.items()}
+    return MeasureReport(name, vals[witness], witness, {"per_splitting": per_split})
 
 
 def measure_K(rho: DensityMatrix) -> MeasureReport:
@@ -223,14 +211,9 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
     return _min_over_splittings("K", rho, lambda et: float(np.sum(np.abs(e - et))))
 
 
-def _negative_mass(et: np.ndarray) -> float:
-    neg = et[et < 0.0]
-    return float(-neg.sum()) if neg.size else 0.0
-
-
 def negativity(rho: DensityMatrix) -> MeasureReport:
     """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
-    return _min_over_splittings("N", rho, _negative_mass)
+    return _min_over_splittings("N", rho, lambda et: float(abs(et[et < 0.0].sum())))
 
 
 # Name -> (rho, cfg, partition_cap) -> report, in CSV column order.  Each entry

@@ -26,6 +26,17 @@ TRACE_TOL = 1e-8  # |Tr rho - 1|, and |sum p - 1| for a probability vector
 NEG_TOL = 1e-8  # eigenvalues and probabilities in [-NEG_TOL, 0) are round-off, clamped to 0
 
 
+def hermitian_part(M: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(M + M^dag)/2 and max|M - M^dag|, both formed from M/2 so that no entry overflows.
+
+    Halving a normal float is exact, so for normal entries both equal the
+    direct expressions bit for bit.
+    """
+    half = M / 2.0
+    half_dag = half.conj().T
+    return half + half_dag, 2.0 * float(np.max(np.abs(half - half_dag)))
+
+
 def herm_eig(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
@@ -42,10 +53,9 @@ def herm_eig(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     scale = float(np.max(np.abs(A))) if n else 0.0
     if scale == 0.0:
         return np.zeros(n), np.eye(n, dtype=np.complex128)
-    herm_dev = float(np.max(np.abs(A - A.conj().T)))
+    A, herm_dev = hermitian_part(A)
     if herm_dev > HERM_TOL * scale:
         raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERM_TOL:.0e} * max|H|")
-    A = (A + A.conj().T) / 2.0
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:

@@ -12,7 +12,6 @@ from .core import (
     DegenerateSpectrum,
     DensityMatrix,
     DimensionMismatch,
-    NotAProbabilityVector,
     ParamOutOfRange,
     ParseError,
     ProductBasis,
@@ -70,11 +69,7 @@ def make_classically_correlated(local_bases: ProductBasis, probs: np.ndarray) ->
     dims = local_bases.dims
     if probs.shape != dims:
         raise DimensionMismatch(f"probs shape {probs.shape} != dims {dims}")
-    flat = probs.reshape(-1)
-    if flat.min() < 0.0:
-        raise NotAProbabilityVector(f"negative probability {flat.min()!r}")
-    if abs(flat.sum() - 1.0) > qmat.TRACE_TOL:
-        raise NotAProbabilityVector(f"probabilities sum to {flat.sum()!r}")
+    flat = qmat._check_probs(probs.reshape(-1))
     B = qmat.product_basis_matrix(local_bases)
     mat = (B * flat) @ B.conj().T
     return DensityMatrix(dims, mat)
@@ -90,8 +85,7 @@ def random_density_matrix(dims: Sequence[int], rank: int, seed: int) -> DensityM
     G = rng.standard_normal((d_tot, rank)) + 1j * rng.standard_normal((d_tot, rank))
     mat = G @ G.conj().T
     mat /= np.trace(mat).real
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityMatrix(dims, mat)
+    return DensityMatrix(dims, qmat.hermitian_part(mat)[0])
 
 
 def tensor_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -122,10 +116,10 @@ class ValidationReport:
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:
-    mat = rho.mat
-    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-    trace_dev = abs(float(np.trace(mat).real) - 1.0)
-    w, _ = qmat.herm_eig((mat + mat.conj().T) / 2.0)
+    herm, herm_dev = qmat.hermitian_part(rho.mat)
+    # from halves, like the Hermitian part, so that no sum overflows
+    trace_dev = abs(2.0 * float(np.trace(rho.mat / 2.0).real) - 1.0)
+    w, _ = qmat.herm_eig(herm)
     return ValidationReport(herm_dev, trace_dev, float(w[-1]))
 
 
@@ -175,7 +169,7 @@ def load_state(path) -> DensityMatrix:
             f"trace_dev={report.trace_deviation:.3e} min_eig={report.min_eigenvalue:.3e}"
         )
     # the Hermitian part: herm_eig bounds |H - H^dag| relative to max|H|, validate absolutely
-    return DensityMatrix(rho.dims, (mat + mat.conj().T) / 2.0)
+    return DensityMatrix(rho.dims, qmat.hermitian_part(mat)[0])
 
 
 def _vector_marginal_purity(vec: np.ndarray, dims: Tuple[int, ...], k: int) -> float:

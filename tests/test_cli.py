@@ -181,6 +181,26 @@ class TestErrorHandling:
         assert nc.load_state(state).dims == (2, 2)
         assert run(["measure", state, "--measures", "D,G,DG,K,N", *FAST_FLAGS]) == 0
 
+    Z = [0.0, 0.0]
+
+    @pytest.mark.parametrize("matrix", [
+        [[[1e308, 0.0], Z], [Z, [-1e308, 0.0]]],
+        [[[1e308, 0.0], Z], [Z, [1e308, 0.0]]],
+        [[[1.7e308, 0.0], Z], [Z, [-1.7e308, 0.0]]],
+        [[Z, [1e308, 1e308]], [[1e308, -1e308], Z]],
+        [[Z, [1.7e308, 1.7e308]], [[1.7e308, -1.7e308], Z]],
+        [[Z, [1.7e308, 1.7e308]], [[1.7e308, 1.7e308], Z]],
+    ], ids=["diag-1e308-minus-1e308", "diag-1e308-1e308", "diag-1.7e308-minus-1.7e308",
+            "offdiag-1e308", "offdiag-1.7e308", "offdiag-1.7e308-not-hermitian"])
+    def test_entries_near_the_float_maximum_exit_2(self, tmp_path, matrix):
+        # M + M^dag overflows here; validation must still print only its one line
+        state = tmp_path / "big.json"
+        state.write_text(json.dumps({"dims": [2], "matrix": matrix}))
+        proc = run_process(["measure", state, "--measures", "K"])
+        assert proc.returncode == 2
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "Warning" not in proc.stderr
+
     def test_param_out_of_range_exit_2(self, tmp_path):
         assert run(["gen-state", "--family", "sigma", "--param", 0.7,
                     "--out", tmp_path / "x.json"]) == 2

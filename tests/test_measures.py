@@ -158,6 +158,23 @@ class TestMeasureG:
             assert rep.witness == ref.witness
             assert rep.diagnostics == ref.diagnostics
 
+    def test_prefix_split_at_the_production_chunk_size(self, monkeypatch):
+        # The d = 5 walk of (2,5) has 113,400 balanced assignments, more than
+        # the default chunk, so the default splits it; the patched chunk does not.
+        assert measures._ENUM_CHUNK < 113400 <= 1 << 20
+        rho = nc.random_density_matrix((2, 5), 10, 95)
+        split = nc.measure_G(rho)
+        assert split.diagnostics["assignments_evaluated"] == {0: 252, 1: 113400}
+        monkeypatch.setattr(measures, "_ENUM_CHUNK", 1 << 20)
+        whole = nc.measure_G(rho)
+        assert split.value == whole.value
+        assert split.witness == whole.witness
+        assert split.diagnostics == whole.diagnostics
+
+    def test_balanced_count_of_a_split_walk_on_3_4(self):
+        rep = nc.measure_G(nc.random_density_matrix((3, 4), 2, 96))
+        assert rep.diagnostics["assignments_evaluated"] == {0: 34650, 1: 369600}
+
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2), (3, 3), (2, 2, 2)])
     def test_shared_walk_matches_one_walk_per_subsystem(self, dims):
         d_tot = int(np.prod(dims))
@@ -239,6 +256,25 @@ class TestMeasureK:
         for measure in (nc.measure_K, nc.negativity):
             with pytest.raises(nc.DimensionMismatch):
                 measure(rho)
+
+    @pytest.mark.parametrize("rho", [
+        nc.DensityMatrix((2, 2, 2), np.eye(8, dtype=complex) / 8),
+        nc.DensityMatrix((2, 2, 2, 2), np.eye(16, dtype=complex) / 16),
+        nc.DensityMatrix((2, 2, 2), np.diag(np.random.default_rng(63).dirichlet(np.ones(8)))),
+        nc.DensityMatrix((2, 3, 2), np.diag(np.random.default_rng(64).dirichlet(np.ones(12)))),
+    ], ids=["I/8", "I/16", "diagonal-2-2-2", "diagonal-2-3-2"])
+    def test_exact_ties_keep_the_first_splitting(self, rho):
+        # the partial transpose of these states is the state itself, so every
+        # splitting gives exactly 0.0; the first one in splitting order wins
+        m = rho.n_subsystems
+        splittings = list(measures._bipartite_splittings(m))
+        for measure in (nc.measure_K, nc.negativity):
+            rep = measure(rho)
+            assert rep.value == 0.0
+            assert rep.witness == ((0,), tuple(range(1, m)))
+            per_split = rep.diagnostics["per_splitting"]
+            assert list(per_split) == [f"{a}|{b}" for a, b in splittings]
+            assert all(v == 0.0 for v in per_split.values())
 
     def test_tripartite_splitting_count(self):
         rep = nc.measure_K(nc.random_density_matrix((2, 2, 2), 8, 62))

@@ -117,6 +117,17 @@ class TestClassicallyCorrelated:
             nc.make_classically_correlated(nc.computational_basis((2, 2)), np.full((2, 2), 0.3))
         with pytest.raises(nc.DimensionMismatch):
             nc.make_classically_correlated(nc.computational_basis((2, 2)), np.full((2, 3), 1 / 6))
+        with pytest.raises(nc.NotAProbabilityVector):
+            nc.make_classically_correlated(
+                nc.computational_basis((2, 2)), np.array([[0.5, np.nan], [0.25, 0.25]])
+            )
+
+    def test_accepts_round_off_negatives_like_validate(self):
+        # the one probability-vector rule: entries in [-NEG_TOL, 0) are round-off
+        probs = np.array([[0.5 + 5e-9, -5e-9], [0.25, 0.25]])
+        rho = nc.make_classically_correlated(nc.computational_basis((2, 2)), probs)
+        assert np.array_equal(rho.mat, np.diag(probs.ravel()).astype(complex))
+        assert nc.validate(rho).passed
 
 
 class TestRandomDensityMatrix:
