@@ -32,14 +32,15 @@ class MeasureReport:
 
 
 def _neg_entropy_seq(vals: np.ndarray) -> np.ndarray:
-    """Sum of x log2 x over the last axis of non-negative vals, added in index order.
+    """Sum of x log2 x over the last axis of non-negative 1-D or 2-D vals, in index order.
 
-    0 log 0 = 0.  The fixed accumulation order makes the value
-    bit-reproducible against a naive per-assignment loop; a 1-D input gives
-    an np.float64.
+    0 log 0 = 0; vals are `density_spectrum` output, clamped to be
+    non-negative, or bin sums of it.  The fixed accumulation order makes the
+    value bit-reproducible against a naive per-assignment loop; a 1-D input
+    gives an np.float64.
     """
     acc = np.float64(0.0)
-    for x in np.moveaxis(vals, -1, 0):
+    for x in vals.T:
         acc += x * np.log2(np.where(x > 0.0, x, 1.0))
     return acc
 
@@ -81,7 +82,7 @@ def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarra
     prefixes = [(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64))]
     while prefixes:
         counts, sums, idx = prefixes.pop()
-        j = int(counts.sum())
+        j = int(counts.sum())  # digits already placed
         if _completions(bin_size - counts[0]) > _ENUM_CHUNK:
             counts, sums, idx = _grow(counts, sums, idx, e_tot[j], bin_size)
             # one prefix per row, last row on top, so rows are walked in counter order
@@ -99,9 +100,9 @@ def _min_balanced_partition(
 
     The bin sums of `_balanced_assignments` are the mimic eigenvalues.  They
     depend only on e_tot and d, so one walk serves every target
-    s = sum e_red log e_red of the subsystems of dimension d; each target
-    keeps its own first minimum in counter order, so the result is
-    bit-identical to a plain counter loop per target that skips unbalanced
+    s = sum e_red log e_red of the subsystems of dimension d.  Each target
+    keeps its own first minimum in counter order (``np.argmin`` within a
+    chunk, a strict ``<`` across chunks), so the result is bit-identical to a plain counter loop per target that skips unbalanced
     assignments (``verify.naive_measure_G``).  Returns one
     (minimum, assignment) per target and the number of assignments the walk
     evaluated.
