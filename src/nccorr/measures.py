@@ -41,7 +41,9 @@ def _neg_entropy_seq(vals: np.ndarray) -> np.ndarray:
     """
     acc = np.float64(0.0)
     for x in vals.T:
-        acc += x * np.log2(np.where(x > 0.0, x, 1.0))
+        # adding 1 where x == 0 gives log2 1 = 0 there; unlike np.where it
+        # costs no array round trip on the scalars of a 1-D input
+        acc += x * np.log2(x + (x == 0.0))
     return acc
 
 
