@@ -195,10 +195,10 @@ def _min_over_splittings(
 ) -> MeasureReport:
     """Minimum over all bipartite splittings of a value of the sorted
     partial-transpose spectrum; the first minimal splitting is the witness."""
-    vals = {}
-    for side_a, side_b in _bipartite_splittings(rho.n_subsystems):
-        et, _ = qmat.herm_eig(qmat.partial_transpose(rho, side_b))
-        vals[side_a, side_b] = value_of_pt_spectrum(et)
+    splittings = list(_bipartite_splittings(rho.n_subsystems))
+    pts = np.stack([qmat.partial_transpose(rho, side_b) for _, side_b in splittings])
+    spectra, _ = qmat.herm_eig(pts, vectors=False)
+    vals = {s: value_of_pt_spectrum(et) for s, et in zip(splittings, spectra)}
     witness = min(vals, key=vals.get)
     per_split = {f"{a}|{b}": v for (a, b), v in vals.items()}
     return MeasureReport(name, vals[witness], witness, {"per_splitting": per_split})
@@ -210,7 +210,7 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
     Multipartite inputs take the minimum over all bipartite splittings; the
     spectrum of rho is computed once and shared by every splitting.
     """
-    e = qmat.herm_eig(rho.mat)[0]
+    e = qmat.herm_eig(rho.mat, vectors=False)[0]
     return _min_over_splittings("K", rho, lambda et: float(np.sum(np.abs(e - et))))
 
 

@@ -1,11 +1,12 @@
 """Dense complex linear algebra for multipartite operators.
 
-Eigen-decomposition (LAPACK eigh with pinned sort and phase rules), tensor
-composition, partial trace / partial transposition, and base-2 entropies.
+Eigen-decomposition (LAPACK eigh with pinned sort and phase rules; eigvalsh
+on a stack for spectra alone), tensor composition, partial trace / partial
+transposition, and base-2 entropies.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,37 +30,44 @@ NEG_TOL = 1e-8  # eigenvalues and probabilities in [-NEG_TOL, 0) are round-off, 
 def hermitian_part(M: np.ndarray) -> Tuple[np.ndarray, float]:
     """(M + M^dag)/2 and max|M - M^dag|, both formed from M/2 so that no entry overflows.
 
-    Halving a normal float is exact, so for normal entries both equal the
-    direct expressions bit for bit.
+    M may be a stack (k, n, n), whose largest deviation is returned.  Halving a
+    normal float is exact, so for normal entries both equal the direct
+    expressions bit for bit.
     """
     half = M / 2.0
-    half_dag = half.conj().T
+    half_dag = half.conj().swapaxes(-1, -2)
     return half + half_dag, 2.0 * float(np.max(np.abs(half - half_dag)))
 
 
-def herm_eig(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns two arrays: the real eigenvalues sorted descending and the
     matching eigenvector columns.  The sort is stable and each eigenvector
     is phased so its largest-magnitude component is real and non-negative,
-    so the output is reproducible on one machine and numpy/BLAS build.  A LAPACK failure is
-    raised as NoConvergence.
+    so the output is reproducible on one machine and numpy/BLAS build.  With
+    ``vectors=False``, H may be a stack (k, n, n): one ``eigvalsh`` call gives
+    each matrix's eigenvalues, descending along the last axis, and None.  A
+    LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
     """
     A = np.array(H, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in (2, 2 + (not vectors)) or A.shape[-2] != A.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    scale = float(np.max(np.abs(A))) if n else 0.0
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n, dtype=np.complex128)
+    n = A.shape[-1]
+    half_scale = float(np.max(np.abs(A / 2.0))) if A.size else 0.0  # from M/2, as hermitian_part
+    if half_scale == 0.0:
+        return np.zeros(A.shape[:-1]), np.eye(n, dtype=np.complex128) if vectors else None
     A, herm_dev = hermitian_part(A)
-    if herm_dev > HERM_TOL * scale:
+    if herm_dev / 2.0 > HERM_TOL * half_scale:
         raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERM_TOL:.0e} * max|H|")
     try:
-        w, V = np.linalg.eigh(A)
+        w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A)[..., ::-1], None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise NoConvergence("LAPACK returned non-finite eigenvalues")
+    if V is None:
+        return w, None
     order = np.argsort(-w, kind="stable")
     V = V[:, order]
     ph = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
@@ -69,7 +77,7 @@ def herm_eig(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def density_spectrum(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of rho sorted descending, checked and clamped like any probability vector."""
-    return _clamped_probs(herm_eig(rho.mat)[0])
+    return _clamped_probs(herm_eig(rho.mat, vectors=False)[0])
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:

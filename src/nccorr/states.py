@@ -119,8 +119,10 @@ def validate(rho: DensityMatrix) -> ValidationReport:
     herm, herm_dev = qmat.hermitian_part(rho.mat)
     # from halves, like the Hermitian part, so that no sum overflows
     trace_dev = abs(2.0 * float(np.trace(rho.mat / 2.0).real) - 1.0)
-    w, _ = qmat.herm_eig(herm)
-    return ValidationReport(herm_dev, trace_dev, float(w[-1]))
+    # entries scaled to at most 1, so no eigenvalue overflows; one past the float range reads -inf
+    half_max = float(np.max(np.abs(herm / 2.0))) or 1.0
+    w, _ = qmat.herm_eig(herm / 2.0 / half_max, vectors=False)
+    return ValidationReport(herm_dev, trace_dev, 2.0 * (half_max * float(w[-1])))
 
 
 def store_state(rho: DensityMatrix, path) -> None:

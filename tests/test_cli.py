@@ -267,6 +267,7 @@ class TestErrorHandling:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         assert run(["measure", state, "--measures", "K"]) == 3
         assert capsys.readouterr().err.startswith("numeric error:")
 

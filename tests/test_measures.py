@@ -273,6 +273,22 @@ class TestMeasureK:
             assert list(per_split) == [f"{a}|{b}" for a, b in splittings]
             assert all(v == 0.0 for v in per_split.values())
 
+    @pytest.mark.parametrize("rank", [1, 2, None], ids=["rank-1", "rank-2", "full-rank"])
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)], ids=str)
+    def test_per_splitting_follows_the_splitting_order(self, dims, rank):
+        # one stacked spectrum call serves every splitting; each value must be
+        # the one its own partial transpose gives alone
+        rho = nc.random_density_matrix(dims, rank or int(np.prod(dims)), 23)
+        e = qmat.herm_eig(rho.mat, vectors=False)[0]
+        splittings = list(measures._bipartite_splittings(len(dims)))
+        k_rep, n_rep = nc.measure_K(rho), nc.negativity(rho)
+        assert list(k_rep.diagnostics["per_splitting"]) == [f"{a}|{b}" for a, b in splittings]
+        assert list(n_rep.diagnostics["per_splitting"]) == [f"{a}|{b}" for a, b in splittings]
+        for a, b in splittings:
+            et = qmat.herm_eig(qmat.partial_transpose(rho, b), vectors=False)[0]
+            assert k_rep.diagnostics["per_splitting"][f"{a}|{b}"] == float(np.sum(np.abs(e - et)))
+            assert n_rep.diagnostics["per_splitting"][f"{a}|{b}"] == float(abs(et[et < 0.0].sum()))
+
     def test_tripartite_splitting_count(self):
         rep = nc.measure_K(nc.random_density_matrix((2, 2, 2), 8, 62))
         assert len(rep.diagnostics["per_splitting"]) == 3

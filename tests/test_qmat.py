@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,13 +67,59 @@ class TestHermEig:
 
 
 class TestHermEigFailure:
-    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+    @pytest.mark.parametrize("solver, vectors", [("eigh", True), ("eigvalsh", False)])
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, solver, vectors):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, solver, fail)
         with pytest.raises(nc.NoConvergence):
-            qmat.herm_eig(PAULI_X)
+            qmat.herm_eig(PAULI_X, vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_entries_near_the_float_maximum(self, vectors):
+        # |z| overflows, so max|H| must come from H/2 for the Hermiticity
+        # check to hold; the Hermitian matrix's eigenvalues +-|z| overflow
+        z = 1.7e308 * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nc.NonHermitian):
+                qmat.herm_eig(np.array([[0, z], [z, 0]]), vectors=vectors)
+            with pytest.raises(nc.NoConvergence, match="non-finite"):
+                qmat.herm_eig(np.array([[0, z], [np.conj(z), 0]]), vectors=vectors)
+
+
+STACK_DIMS = [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)]
+
+
+class TestHermEigStack:
+    @pytest.mark.parametrize("rank", [1, 2, None], ids=["rank-1", "rank-2", "full-rank"])
+    @pytest.mark.parametrize("dims", STACK_DIMS, ids=str)
+    def test_rows_equal_single_calls(self, dims, rank):
+        rho = random_state(dims, 19, rank)
+        sides = [[]] + [[k for k in range(len(dims)) if mask >> k & 1]
+                        for mask in range(1, 1 << len(dims))]
+        stack = np.stack([qmat.partial_transpose(rho, side) for side in sides])
+        spectra, none = qmat.herm_eig(stack, vectors=False)
+        assert none is None
+        assert spectra.shape == (len(sides), rho.d_tot)
+        for H, row in zip(stack, spectra):
+            single, _ = qmat.herm_eig(H, vectors=False)
+            assert np.array_equal(row, single)
+            assert np.max(np.abs(row - qmat.herm_eig(H)[0])) <= 1e-14
+            assert np.all(np.diff(row) <= 0.0)
+
+    def test_vectors_reject_a_stack(self):
+        stack = np.stack([PAULI_X, PAULI_X])
+        with pytest.raises(nc.DimensionMismatch):
+            qmat.herm_eig(stack)
+        with pytest.raises(nc.DimensionMismatch):
+            qmat.herm_eig(stack[None], vectors=False)
+
+    def test_zero_stack(self):
+        spectra, none = qmat.herm_eig(np.zeros((3, 4, 4)), vectors=False)
+        assert none is None
+        assert np.array_equal(spectra, np.zeros((3, 4)))
 
 
 class TestTensor:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ class TestValidateAndIO:
         path.write_text(json.dumps({"dims": dims, "matrix": mat}))
         with pytest.raises(nc.ParseError):
             nc.load_state(path)
+
+    def test_least_eigenvalue_near_the_float_maximum(self):
+        # herm_eig raises NoConvergence on eigenvalues past the float range, so
+        # validate scales its matrix first; -|z| reads -inf, 1.7e308 - |z| is finite
+        z = 1.7e308 * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            off = nc.validate(nc.DensityMatrix((2,), np.array([[0, z], [np.conj(z), 0]])))
+            diag = nc.validate(nc.DensityMatrix((2,), np.array([[1.7e308, z], [np.conj(z), 1.7e308]])))
+        assert off.min_eigenvalue == -math.inf and not off.passed
+        assert diag.min_eigenvalue == pytest.approx(1.7e308 * (1 - 2 ** 0.5), rel=1e-12)
+        assert not diag.passed
 
     def test_load_rejects_invalid_state(self, tmp_path):
         path = tmp_path / "nonpsd.json"
