@@ -54,7 +54,7 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     if A.ndim not in (2, 2 + (not vectors)) or A.shape[-2] != A.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[-1]
-    half_scale = float(np.max(np.abs(A / 2.0))) if A.size else 0.0  # from M/2, as hermitian_part
+    half_scale = float(np.max(np.abs(A / 2.0))) if A.size else 0.0  # max|H|/2; max|H| may overflow
     if half_scale == 0.0:
         return np.zeros(A.shape[:-1]), np.eye(n, dtype=np.complex128) if vectors else None
     A, herm_dev = hermitian_part(A)
