@@ -113,14 +113,15 @@ def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np
     return qmat.entropy_bits(np.where(P > 0.0, P, 0.0))
 
 
-def _gradient(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Riemannian gradient of the diagonal entropy, per subsystem, at a batch of product bases.
+def _gradient(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Riemannian gradient of the diagonal entropy at a batch of product bases, one flat row per basis.
 
     Moving factor k as U_k exp(eps A), with A anti-Hermitian, changes the
     entropy at the rate <A, C_k> = Re tr(A^dag C_k), where
     C_k = Tr_{not k} [Lambda, rho'], rho' = B^dag rho B and
     Lambda = diag(log2 p) for the diagonal p of rho'.  The anti-Hermitian
-    C_k are returned, one (S, d_k, d_k) stack per subsystem.
+    C_k are returned as one (S, sum d_k^2) array, C_1, ..., C_m in turn and
+    each row-major, so an inner product over all subsystems is one row sum.
     """
     dims = [F.shape[-1] for F in factor_stacks]
     S, m = len(factor_stacks[0]), len(dims)
@@ -132,28 +133,24 @@ def _gradient(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> List[
     # where p_i = 0, row and column i of rho' vanish, so any finite log2 p_i will do
     lam = np.log2(np.maximum(R.diagonal(axis1=1, axis2=2).real, 1e-300))
     C = ((lam[:, :, None] - lam[:, None, :]) * R).reshape(S, *dims, *dims)
-    grads = []
-    for k, d in enumerate(dims):
-        rest = R.shape[-1] // d
-        Ck = np.moveaxis(C, (1 + k, 1 + m + k), (1, 2)).reshape(S, d, d, rest, rest)
-        grads.append(np.trace(Ck, axis1=3, axis2=4))
-    return grads
+    # C's axes are the basis, a row axis per subsystem, then a column axis per
+    # subsystem; C_k traces out every subsystem but k, so every column axis
+    # but k's takes its row axis's label
+    rows = list(range(1, m + 1))
+    traces = [np.einsum(C, [0, *rows, *rows[:k], m + 1, *rows[k + 1 :]], [0, k + 1, m + 1]) for k in range(m)]
+    return np.concatenate([Ck.reshape(S, -1) for Ck in traces], axis=1)
 
 
-def _dot(X: Sequence[np.ndarray], Y: Sequence[np.ndarray]) -> np.ndarray:
-    """Frobenius inner product Re tr(X^dag Y), summed over subsystems, per start."""
-    return sum((x.conj() * y).real.sum(axis=(1, 2)) for x, y in zip(X, Y))
-
-
-def _expm(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(t A) for anti-Hermitian A (n, d, d) and steps t (n, T): shape (n, T, d, d).
+def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """U exp(t A) for U and anti-Hermitian A (S, d, d) and steps t (S, T): shape (S, T, d, d).
 
     One eigh of the Hermitian -iA = V diag(w) V^dag serves every step:
-    exp(t A) = V diag(exp(i t w)) V^dag.
+    U exp(t A) = W diag(exp(i t w)) V^dag with W = U V.  Each (s, step)
+    entry depends only on U[s], A[s] and its step, not on the batch.
     """
     w, V = np.linalg.eigh(-1j * A)
     phase = np.exp(1j * t[:, :, None] * w[:, None, :])
-    return (V[:, None] * phase[:, :, None, :]) @ V.conj().swapaxes(1, 2)[:, None]
+    return np.einsum("sik,stk,sjk->stij", U @ V, phase, V.conj())
 
 
 def _descend(
@@ -166,39 +163,60 @@ def _descend(
     U_k exp(t D_k) for the steps t = t0 * `_TRIALS`, scored in one call, and
     takes the lowest if it is below the start's entropy; t0 becomes its step.
     Otherwise t0 drops below the steps just tried.  A start stops at gradient
-    norm `_GRAD_TOL`, at `max_rounds` rounds, or once t0 is below `_MIN_STEP`.
+    norm `_GRAD_TOL`, at `max_rounds` rounds, or once t0 is below `_MIN_STEP`;
+    it is then written to the outputs once and leaves the working arrays.
+    The working arrays hold only the live starts: the factors of the K
+    subsystems of one dimension d as one (n, K, d, d) stack, which `_rotate`
+    turns in one call, and G and D flat, as `_gradient` returns them.
     Returns the final factor stacks, entropies, rounds and accepted rounds.
     """
-    U, h = [np.array(F) for F in stacks], np.array(h)
-    G = _gradient(rho_mat, U)
-    D, gg, t0 = [-g for g in G], _dot(G, G), np.ones(len(h))
-    rounds, accepts = np.zeros(len(h), dtype=int), np.zeros(len(h), dtype=int)
-    live = (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
-    while live.any():
-        a = np.flatnonzero(live)
-        t = t0[a, None] * _TRIALS
-        trials = [Uk[a, None] @ _expm(Dk[a], t) for Uk, Dk in zip(U, D)]
-        ent = _batch_entropies(rho_mat, [X.reshape(-1, *X.shape[2:]) for X in trials]).reshape(t.shape)
-        j = np.argmin(ent, axis=1)
-        ok = ent[np.arange(len(a)), j] < h[a]
-        rounds[a] += 1
-        t0[a[~ok]] *= 2.0 ** -len(_TRIALS)
-        a, j = a[ok], j[ok]
-        for Uk, X in zip(U, trials):
-            Uk[a] = X[ok, j]
-        h[a], t0[a] = ent[ok, j], t[ok, j]
-        accepts[a] += 1
-        G_new = _gradient(rho_mat, [Uk[a] for Uk in U])
-        gg_new = _dot(G_new, G_new)
-        beta = np.maximum(0.0, (gg_new - _dot([g[a] for g in G], G_new)) / gg[a])
+    dims = [F.shape[-1] for F in stacks]
+    groups = [[k for k, dk in enumerate(dims) if dk == d] for d in dict.fromkeys(dims)]
+    place = sorted((k, g, j) for g, ks in enumerate(groups) for j, k in enumerate(ks))
+    ends = np.cumsum([d * d for d in dims])
+    cols = [np.concatenate([np.arange(ends[k] - dims[k] ** 2, ends[k]) for k in ks]) for ks in groups]
+    n = len(h)
+    U_out, h_out = [np.array(F) for F in stacks], np.array(h)
+    rounds_out, accepts_out = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+
+    start, h, t0, accepts = np.arange(n), np.array(h), np.ones(n), np.zeros(n, dtype=int)
+    U = [np.stack([stacks[k] for k in ks], axis=1) for ks in groups]
+    G = _gradient(rho_mat, stacks)
+    D, gg, rounds = -G, (G.conj() * G).real.sum(1), 0
+    while True:
+        live = (gg > _GRAD_TOL ** 2) & (t0 >= _MIN_STEP) & (rounds < max_rounds)
+        if not live.all():
+            done = ~live
+            i = start[done]
+            for k, g, j in place:
+                U_out[k][i] = U[g][done, j]
+            h_out[i], rounds_out[i], accepts_out[i] = h[done], rounds, accepts[done]
+            if not live.any():
+                return U_out, h_out, rounds_out, accepts_out
+            start, h, t0, accepts, G, D, gg, *U = (x[live] for x in (start, h, t0, accepts, G, D, gg, *U))
+        n, t = len(h), t0[:, None] * _TRIALS
+        trials = []
+        for Ug, c in zip(U, cols):
+            K, d = Ug.shape[1:3]
+            X = _rotate(Ug.reshape(n * K, d, d), D[:, c].reshape(n * K, d, d), np.repeat(t, K, axis=0))
+            trials.append(X.reshape(n, K, *X.shape[1:]))
+        ent = _batch_entropies(rho_mat, [trials[g][:, j].reshape(-1, dims[k], dims[k]) for k, g, j in place])
+        r, step = np.arange(n), np.argmin(ent.reshape(t.shape), axis=1)
+        low = ent.reshape(t.shape)[r, step]
+        ok = low < h
+        rounds += 1
+        accepts += ok
+        U = [np.where(ok[:, None, None, None], X[r, :, step], Ug) for X, Ug in zip(trials, U)]
+        h, t0 = np.where(ok, low, h), np.where(ok, t[r, step], t0 * 2.0 ** -len(_TRIALS))
+        # a start that found no lower step keeps its G and D; only its t0 drops
+        G_new = _gradient(rho_mat, [U[g][:, j] for _, g, j in place])
+        gg_new = (G_new.conj() * G_new).real.sum(1)
+        beta = np.maximum(0.0, (gg_new - (G.conj() * G_new).real.sum(1)) / gg)
         # directions live in the Lie algebra, so D carries over as it is;
         # where -G + beta D would not descend, restart from -G
-        beta[beta * _dot([Dk[a] for Dk in D], G_new) >= gg_new] = 0.0
-        for Dk, Gk, g in zip(D, G, G_new):
-            Dk[a], Gk[a] = beta[:, None, None] * Dk[a] - g, g
-        gg[a] = gg_new
-        live &= (gg > _GRAD_TOL ** 2) & (t0 >= _MIN_STEP) & (rounds < max_rounds)
-    return U, h, rounds, accepts
+        beta[beta * (D.conj() * G_new).real.sum(1) >= gg_new] = 0.0
+        D = np.where(ok[:, None], beta[:, None] * D - G_new, D)
+        G, gg = np.where(ok[:, None], G_new, G), np.where(ok, gg_new, gg)
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
@@ -257,7 +275,7 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
         factors, best_source, start = [F[first] for F in stacks], sources[first], sources[first]
 
     witness = ProductBasis(tuple(factors))
-    grad = _gradient(rho.mat, [f[None] for f in factors])
+    grad = _gradient(rho.mat, [f[None] for f in factors])[0]
     diagnostics = {
         "samples_evaluated": n,
         "refine_steps": int(rounds.sum()),
@@ -265,6 +283,6 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
         "best_source": best_source,
         "start": start,
         "start_rounds": rounds.tolist(),
-        "gradient_norm": float(np.sqrt(_dot(grad, grad)[0])),
+        "gradient_norm": float(np.sqrt((grad.conj() * grad).real.sum())),
     }
     return qmat.shannon_entropy(qmat.diag_probs(rho, witness)), witness, diagnostics

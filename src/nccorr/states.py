@@ -116,13 +116,18 @@ class ValidationReport:
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:
+    return _validate(rho)[0]
+
+
+def _validate(rho: DensityMatrix) -> Tuple[ValidationReport, np.ndarray]:
+    """`validate`'s report, and the Hermitian part it was computed from."""
     herm, herm_dev = qmat.hermitian_part(rho.mat)
     # from halves, like the Hermitian part, so that no sum overflows
     trace_dev = abs(2.0 * float(np.trace(rho.mat / 2.0).real) - 1.0)
     # entries scaled to at most 1, so no eigenvalue overflows; one past the float range reads -inf
     half_max = float(np.max(np.abs(herm / 2.0))) or 1.0
     w, _ = qmat.herm_eig(herm / 2.0 / half_max, vectors=False)
-    return ValidationReport(herm_dev, trace_dev, 2.0 * (half_max * float(w[-1])))
+    return ValidationReport(herm_dev, trace_dev, 2.0 * (half_max * float(w[-1]))), herm
 
 
 def store_state(rho: DensityMatrix, path) -> None:
@@ -164,14 +169,14 @@ def load_state(path) -> DensityMatrix:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed matrix data ({exc})") from exc
     rho = DensityMatrix(tuple(dims), mat)
-    report = validate(rho)
+    report, herm = _validate(rho)
     if not report.passed:
         raise ValidationFailure(
             f"{path}: herm_dev={report.herm_deviation:.3e} "
             f"trace_dev={report.trace_deviation:.3e} min_eig={report.min_eigenvalue:.3e}"
         )
     # the Hermitian part: herm_eig bounds |H - H^dag| relative to max|H|, validate absolutely
-    return DensityMatrix(rho.dims, qmat.hermitian_part(mat)[0])
+    return DensityMatrix(rho.dims, herm)
 
 
 def _vector_marginal_purity(vec: np.ndarray, dims: Tuple[int, ...], k: int) -> float:

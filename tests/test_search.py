@@ -202,11 +202,17 @@ class TestMinDiagEntropy:
 
 
 class TestDescent:
-    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2)])
+    @staticmethod
+    def blocks(flat, dims):
+        """The per-subsystem (S, d, d) views of a flat `_gradient` array."""
+        ends = np.cumsum([d * d for d in dims])
+        return [flat[:, e - d * d : e].reshape(-1, d, d) for d, e in zip(dims, ends)]
+
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_gradient_matches_central_differences(self, dims):
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 5)
         factors = search._haar_batch(dims, normals(dims, 1, 3))
-        grads = search._gradient(rho.mat, factors)
+        grads = self.blocks(search._gradient(rho.mat, factors), dims)
         rng = np.random.default_rng(0)
         for k, d in enumerate(dims):
             X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -214,21 +220,58 @@ class TestDescent:
 
             def entropy(eps):
                 moved = list(factors)
-                moved[k] = factors[k] @ search._expm(A, np.array([[eps]]))[:, 0]
+                moved[k] = search._rotate(factors[k], A, np.array([[eps]]))[:, 0]
                 return search._batch_entropies(rho.mat, moved)[0]
 
             slope = (entropy(1e-5) - entropy(-1e-5)) / 2e-5
-            assert search._dot([A], [grads[k]])[0] == pytest.approx(slope, abs=1e-9)
+            assert (A.conj() * grads[k]).real.sum() == pytest.approx(slope, abs=1e-9)
 
-    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
+    def test_rotate_rows_alone_or_stacked_identical_and_unitary(self, dims):
+        # the descent stacks the factors of same-dimension subsystems, start-major,
+        # and turns them in one call; each (start, step) must not depend on that
+        n, rng = 5, np.random.default_rng(4)
+        U = search._haar_batch(dims, normals(dims, n, 8))
+        A = []
+        for d in dims:
+            X = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            A.append(X - X.conj().swapaxes(1, 2))
+        t = rng.uniform(0.01, 1.0, n)[:, None] * search._TRIALS
+        for d in dict.fromkeys(dims):
+            ks = [k for k, dk in enumerate(dims) if dk == d]
+            stacked = search._rotate(
+                np.stack([U[k] for k in ks], axis=1).reshape(-1, d, d),
+                np.stack([A[k] for k in ks], axis=1).reshape(-1, d, d),
+                np.repeat(t, len(ks), axis=0),
+            ).reshape(n, len(ks), len(search._TRIALS), d, d)
+            gram = stacked.conj().swapaxes(-1, -2) @ stacked
+            assert np.max(np.abs(gram - np.eye(d))) <= 1e-14
+            for j, k in enumerate(ks):
+                assert np.array_equal(search._rotate(U[k], A[k], t), stacked[:, j])
+                for s in range(n):
+                    w, V = np.linalg.eigh(-1j * A[k][s])
+                    for step in range(len(search._TRIALS)):
+                        alone = search._rotate(U[k][s : s + 1], A[k][s : s + 1], t[s : s + 1, step : step + 1])
+                        assert np.array_equal(alone[0, 0], stacked[s, j, step])
+                        want = U[k][s] @ V @ np.diag(np.exp(1j * t[s, step] * w)) @ V.conj().T
+                        assert np.max(np.abs(stacked[s, j, step] - want)) <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_start_descends_the_same_alone_or_in_a_batch(self, dims):
-        # starts stop at different rounds, so a start's path must not depend on its batch
+        # starts stop at different rounds and leave the batch, so a start's path
+        # must not depend on its batch; the stationary third start stops at round 0
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7)
         starts = search._haar_batch(dims, normals(dims, 4, 1))
         h = search._batch_entropies(rho.mat, starts)
+        U, _, _, _ = search._descend(rho.mat, starts, h, 100)
+        norms = np.sqrt((np.abs(search._gradient(rho.mat, U)) ** 2).sum(1))
+        stationary = [F[[np.argmin(norms)]] for F in U]
+        assert norms.min() <= search._GRAD_TOL
+        starts = [np.concatenate([F[:2], S, F[2:]]) for F, S in zip(starts, stationary)]
+        h = search._batch_entropies(rho.mat, starts)
         U, h_end, rounds, _ = search._descend(rho.mat, starts, h, 100)
-        assert len(set(rounds.tolist())) > 1
-        for i in range(4):
+        assert rounds[2] == 0 and len(set(rounds.tolist())) > 2
+        for i in range(5):
             U_i, h_i, rounds_i, _ = search._descend(rho.mat, [F[i : i + 1] for F in starts], h[i : i + 1], 100)
             assert h_i[0] == h_end[i] and rounds_i[0] == rounds[i]
             for F, F_i in zip(U, U_i):
