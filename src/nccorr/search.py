@@ -12,6 +12,7 @@ scored by `_batch_entropies`, whose rows do not depend on the batch either.
 """
 from __future__ import annotations
 
+import math
 from functools import reduce
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -23,8 +24,11 @@ from . import qmat
 
 _N_STARTS = 2  # best samples the descent starts from, besides the fixed candidates
 _GRAD_TOL = 1e-6  # a start stops once its gradient norm (bits per radian) is this small
-_TRIALS = 2.0 ** np.arange(2, -6, -1)  # line-search steps per round, in units of the last step
+_TRIALS = 2.0 ** np.arange(2, -6, -1)  # line-search steps per round, in units of the Newton step
+_RADIUS = 0.5  # longest Newton step (radians, the norm of the coordinates x)
+_EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in the Newton step
 _MIN_STEP = 1e-12  # a start stops when no step down to this one lowers its entropy
+_SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
 _MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
 
 
@@ -113,32 +117,78 @@ def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np
     return qmat.entropy_bits(np.where(P > 0.0, P, 0.0))
 
 
-def _gradient(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Riemannian gradient of the diagonal entropy at a batch of product bases, one flat row per basis.
+def _lie_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the d x d anti-Hermitian matrices with zero diagonal: shape (d^2 - d, d, d).
 
-    Moving factor k as U_k exp(eps A), with A anti-Hermitian, changes the
-    entropy at the rate <A, C_k> = Re tr(A^dag C_k), where
-    C_k = Tr_{not k} [Lambda, rho'], rho' = B^dag rho B and
-    Lambda = diag(log2 p) for the diagonal p of rho'.  The anti-Hermitian
-    C_k are returned as one (S, sum d_k^2) array, C_1, ..., C_m in turn and
-    each row-major, so an inner product over all subsystems is one row sum.
+    For each pair p < q, (E_pq - E_qp)/sqrt(2) and i (E_pq + E_qp)/sqrt(2),
+    orthonormal under Re tr(X^dag Y).  The diagonal ones are left out: they
+    only rephase a factor's columns, which leaves every diagonal alone.
+    """
+    G = np.zeros((d * d - d, d, d), dtype=np.complex128)
+    c = 0.5 ** 0.5
+    for a, (p, q) in enumerate((p, q) for q in range(d) for p in range(q)):
+        G[2 * a, p, q], G[2 * a, q, p] = c, -c
+        G[2 * a + 1, p, q] = G[2 * a + 1, q, p] = 1j * c
+    return G
+
+
+def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the diagonal entropy f(U_k exp(A_k)) at A = 0, for a batch of product bases.
+
+    A factor moves as U_k exp(A_k), and A = sum_a x_a G^_a runs over the
+    `_lie_basis` of each subsystem in turn, lifted to the whole space as
+    G^_a = 1 x G_a x 1: sum(d_k^2 - d_k) coordinates.  With R = B^dag rho B,
+    p = diag R, lambda = log2 p and M_a = [R, G^_a] (the first derivative of R):
+
+        g_a  = -sum_i lambda_i (M_a)_ii
+        H_ab = -1/2 sum_ij (lambda_i - lambda_j) ((M_a)_ij (G^_b)_ji + (M_b)_ij (G^_a)_ji)
+               - sum_i (M_a)_ii (M_b)_ii / (p_i ln 2)
+
+    G^_a is never formed.  M_a = X_a + X_a^dag with X_a = R G^_a, one matmul
+    per subsystem over that subsystem's column axis.  As lambda_i - lambda_j
+    is antisymmetric and G^_b anti-Hermitian, the X_a^dag half of each sum
+    is the conjugate of the X_a half, so X_a alone gives both: (M_a)_ii =
+    2 Re (X_a)_ii, and the sum against G^_b is 2 Re of a partial trace onto
+    b's subsystem and one matmul.  Every product keeps the basis as its
+    batch axis, so a row does not depend on its batch.  Returns g (S, n),
+    H (S, n, n) and p (S, d_tot).
     """
     dims = [F.shape[-1] for F in factor_stacks]
-    S, m = len(factor_stacks[0]), len(dims)
+    S, d_tot = len(factor_stacks[0]), rho_mat.shape[0]
     B = factor_stacks[0]
     for F in factor_stacks[1:]:
         a, d = B.shape[-1], F.shape[-1]
         B = (B[:, :, None, :, None] * F[:, None, :, None, :]).reshape(S, a * d, a * d)
     R = B.conj().swapaxes(1, 2) @ rho_mat @ B
-    # where p_i = 0, row and column i of rho' vanish, so any finite log2 p_i will do
-    lam = np.log2(np.maximum(R.diagonal(axis1=1, axis2=2).real, 1e-300))
-    C = ((lam[:, :, None] - lam[:, None, :]) * R).reshape(S, *dims, *dims)
-    # C's axes are the basis, a row axis per subsystem, then a column axis per
-    # subsystem; C_k traces out every subsystem but k, so every column axis
-    # but k's takes its row axis's label
-    rows = list(range(1, m + 1))
-    traces = [np.einsum(C, [0, *rows, *rows[:k], m + 1, *rows[k + 1 :]], [0, k + 1, m + 1]) for k in range(m)]
-    return np.concatenate([Ck.reshape(S, -1) for Ck in traces], axis=1)
+    p = R.diagonal(axis1=1, axis2=2).real
+    # where p_i = 0, row and column i of R vanish, so any finite floor will do
+    pc = np.maximum(p, 1e-300)
+    lam = np.log2(pc)
+    # each subsystem's dimension, basis and the dimensions before and after it
+    subs = [(d, _lie_basis(d), math.prod(dims[:k]), math.prod(dims[k + 1 :])) for k, d in enumerate(dims)]
+    X = []
+    for d, G, lo, hi in subs:
+        # X_a[i, (l, y, h)] = sum_x R[i, (l, x, h)] G_a[x, y]
+        Rk = R.reshape(S, d_tot, lo, d, hi).transpose(0, 1, 2, 4, 3).reshape(S, 1, -1, d)
+        Xk = (Rk @ G).reshape(S, len(G), d_tot, lo, hi, d).transpose(0, 1, 2, 3, 5, 4)
+        X.append(Xk.reshape(S, len(G), d_tot, d_tot))
+    X = np.concatenate(X, axis=1)
+    J = 2.0 * X.diagonal(axis1=2, axis2=3).real
+    g = -(J @ lam[:, :, None])[:, :, 0]
+    N = (lam[:, :, None] - lam[:, None, :])[:, None] * X
+    W = []
+    for d, G, lo, hi in subs:
+        # sum_ij N_ij (G^_b)_ji = sum_xy Tr_{not k}(N)[x, y] G_b[y, x]
+        Nk = np.einsum("saljhlkh->sajk", N.reshape(S, -1, lo, d, hi, lo, d, hi))
+        W.append(Nk.reshape(S, -1, d * d) @ G.transpose(2, 1, 0).reshape(d * d, -1))
+    W = np.concatenate(W, axis=2).real
+    H = -(W + W.swapaxes(1, 2)) - (J / (pc * np.log(2.0))[:, None]) @ J.swapaxes(1, 2)
+    return g, H, p
+
+
+def _gradient(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """The gradient rows of `_derivatives`."""
+    return _derivatives(rho_mat, factor_stacks)[0]
 
 
 def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -153,21 +203,42 @@ def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.einsum("sik,stk,sjk->stij", U @ V, phase, V.conj())
 
 
+def _newton(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Saddle-free Newton directions at a batch of product bases, flat, and their squared gradient norms.
+
+    The step is -V diag(1/max(|w|, `_EIG_FLOOR`)) V^T g for H = V diag(w) V^T,
+    so it descends at saddles too, and it is scaled back to length `_RADIUS`
+    if longer.  It is returned as the anti-Hermitian A_1, ..., A_m in turn,
+    each row-major: one (S, sum d_k^2) array.
+    """
+    g, H, _ = _derivatives(rho_mat, factor_stacks)
+    w, V = np.linalg.eigh(H)
+    x = -np.einsum("sab,sb->sa", V, np.einsum("sba,sb->sa", V, g) / np.maximum(np.abs(w), _EIG_FLOOR))
+    norm = np.sqrt(np.einsum("sa,sa->s", x, x))
+    x *= np.minimum(1.0, _RADIUS / np.maximum(norm, 1e-300))[:, None]
+    A, off = [], 0
+    for F in factor_stacks:
+        G = _lie_basis(F.shape[-1])
+        A.append(np.einsum("sa,aij->sij", x[:, off : off + len(G)], G).reshape(len(x), -1))
+        off += len(G)
+    return np.concatenate(A, axis=1), np.einsum("sa,sa->s", g, g)
+
+
 def _descend(
     rho_mat: np.ndarray, stacks: Sequence[np.ndarray], h: np.ndarray, max_rounds: int
 ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Polak–Ribière+ conjugate gradient on the product of unitary groups, from every start at once.
+    """Saddle-free Newton descent on the product of unitary groups, from every start at once.
 
-    This is the method of Abrudan, Eriksson & Koivunen (Signal Processing
-    89(9), 2009).  A round moves each live start along its direction D as
+    A round moves each live start along its `_newton` direction D as
     U_k exp(t D_k) for the steps t = t0 * `_TRIALS`, scored in one call, and
-    takes the lowest if it is below the start's entropy; t0 becomes its step.
-    Otherwise t0 drops below the steps just tried.  A start stops at gradient
-    norm `_GRAD_TOL`, at `max_rounds` rounds, or once t0 is below `_MIN_STEP`;
-    it is then written to the outputs once and leaves the working arrays.
-    The working arrays hold only the live starts: the factors of the K
-    subsystems of one dimension d as one (n, K, d, d) stack, which `_rotate`
-    turns in one call, and G and D flat, as `_gradient` returns them.
+    takes the lowest if it is below the start's entropy; t0 is then 1 again
+    and the direction is recomputed there.  Otherwise the start keeps its
+    factors, entropy and direction, and t0 drops below the steps just tried.
+    A start stops at gradient norm `_GRAD_TOL`, at `max_rounds` rounds, or
+    once t0 is below `_MIN_STEP`; it is then written to the outputs once and
+    leaves the working arrays.  The working arrays hold only the live
+    starts: the factors of the K subsystems of one dimension d as one
+    (n, K, d, d) stack, which `_rotate` turns in one call, and D flat.
     Returns the final factor stacks, entropies, rounds and accepted rounds.
     """
     dims = [F.shape[-1] for F in stacks]
@@ -181,8 +252,8 @@ def _descend(
 
     start, h, t0, accepts = np.arange(n), np.array(h), np.ones(n), np.zeros(n, dtype=int)
     U = [np.stack([stacks[k] for k in ks], axis=1) for ks in groups]
-    G = _gradient(rho_mat, stacks)
-    D, gg, rounds = -G, (G.conj() * G).real.sum(1), 0
+    D, gg = _newton(rho_mat, stacks)
+    rounds = 0
     while True:
         live = (gg > _GRAD_TOL ** 2) & (t0 >= _MIN_STEP) & (rounds < max_rounds)
         if not live.all():
@@ -193,7 +264,7 @@ def _descend(
             h_out[i], rounds_out[i], accepts_out[i] = h[done], rounds, accepts[done]
             if not live.any():
                 return U_out, h_out, rounds_out, accepts_out
-            start, h, t0, accepts, G, D, gg, *U = (x[live] for x in (start, h, t0, accepts, G, D, gg, *U))
+            start, h, t0, accepts, D, gg, *U = (x[live] for x in (start, h, t0, accepts, D, gg, *U))
         n, t = len(h), t0[:, None] * _TRIALS
         trials = []
         for Ug, c in zip(U, cols):
@@ -207,16 +278,10 @@ def _descend(
         rounds += 1
         accepts += ok
         U = [np.where(ok[:, None, None, None], X[r, :, step], Ug) for X, Ug in zip(trials, U)]
-        h, t0 = np.where(ok, low, h), np.where(ok, t[r, step], t0 * 2.0 ** -len(_TRIALS))
-        # a start that found no lower step keeps its G and D; only its t0 drops
-        G_new = _gradient(rho_mat, [U[g][:, j] for _, g, j in place])
-        gg_new = (G_new.conj() * G_new).real.sum(1)
-        beta = np.maximum(0.0, (gg_new - (G.conj() * G_new).real.sum(1)) / gg)
-        # directions live in the Lie algebra, so D carries over as it is;
-        # where -G + beta D would not descend, restart from -G
-        beta[beta * (D.conj() * G_new).real.sum(1) >= gg_new] = 0.0
-        D = np.where(ok[:, None], beta[:, None] * D - G_new, D)
-        G, gg = np.where(ok[:, None], G_new, G), np.where(ok, gg_new, gg)
+        h, t0 = np.where(ok, low, h), np.where(ok, 1.0, t0 * 2.0 ** -len(_TRIALS))
+        # a start that found no lower step keeps its D; only its t0 drops
+        if ok.any():
+            D[ok], gg[ok] = _newton(rho_mat, [U[g][ok, j] for _, g, j in place])
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
@@ -275,7 +340,8 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
         factors, best_source, start = [F[first] for F in stacks], sources[first], sources[first]
 
     witness = ProductBasis(tuple(factors))
-    grad = _gradient(rho.mat, [f[None] for f in factors])[0]
+    g, H, p = (x[0] for x in _derivatives(rho.mat, [f[None] for f in factors]))
+    gradient_norm = float(np.sqrt(g @ g))
     diagnostics = {
         "samples_evaluated": n,
         "refine_steps": int(rounds.sum()),
@@ -283,6 +349,9 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
         "best_source": best_source,
         "start": start,
         "start_rounds": rounds.tolist(),
-        "gradient_norm": float(np.sqrt((grad.conj() * grad).real.sum())),
+        "gradient_norm": gradient_norm,
+        "converged": gradient_norm <= _GRAD_TOL,
+        # below the floor the entropy is not smooth there and H is round-off
+        "hessian_min_eig": float(np.linalg.eigvalsh(H)[0]) if p.min() >= _SMOOTH_FLOOR else None,
     }
     return qmat.shannon_entropy(qmat.diag_probs(rho, witness)), witness, diagnostics

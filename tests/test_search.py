@@ -202,24 +202,54 @@ class TestMinDiagEntropy:
 
 
 class TestDescent:
+    @staticmethod
+    def moved_entropies(rho, factors, X):
+        """Entropy at U_k exp(A_k) for each row x of X, A_k from x's `_lie_basis` coordinates."""
+        moved, off = [], 0
+        for F in factors:
+            G = search._lie_basis(F.shape[-1])
+            A = np.einsum("ka,aij->kij", X[:, off : off + len(G)], G)
+            off += len(G)
+            moved.append(search._rotate(np.repeat(F, len(X), axis=0), A, np.ones((len(X), 1)))[:, 0])
+        return search._batch_entropies(rho.mat, moved)
+
     @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_gradient_matches_central_differences(self, dims):
+        # gradient and Hessian of `_derivatives` against central differences
+        # of the scorer, at eps = 1e-6 for g and 1e-4 for H
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 5)
         factors = search._haar_batch(dims, normals(dims, 1, 3))
-        flat = search._gradient(rho.mat, factors)  # C_1, ..., C_m in turn, each row-major
-        grads = [flat[:, e - d * d : e].reshape(-1, d, d) for d, e in zip(dims, np.cumsum([d * d for d in dims]))]
-        rng = np.random.default_rng(0)
-        for k, d in enumerate(dims):
-            X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            A = (X - X.conj().T)[None]  # anti-Hermitian
+        g, H, p = search._derivatives(rho.mat, factors)
+        n = sum(d * d - d for d in dims)
+        assert g.shape == (1, n) and H.shape == (1, n, n)
+        assert np.max(np.abs(p - qmat.product_diagonals(rho.mat, factors))) <= 1e-15
+        E = np.eye(n)
+        f = self.moved_entropies(rho, factors, np.concatenate([1e-6 * E, -1e-6 * E])).reshape(2, n)
+        assert np.max(np.abs(g[0] - (f[0] - f[1]) / 2e-6)) <= 1e-8
+        eps = 1e-4
+        pm = [eps * (E[:, None] + s * E[None]).reshape(n * n, n) for s in (1, -1)]
+        f = self.moved_entropies(rho, factors, np.concatenate([pm[0], pm[1], -pm[1], -pm[0]])).reshape(4, n, n)
+        fd = (f[0] - f[1] - f[2] + f[3]) / (4 * eps * eps)
+        assert np.max(np.abs(H[0] - fd)) <= 1e-6
 
-            def entropy(eps):
-                moved = list(factors)
-                moved[k] = search._rotate(factors[k], A, np.array([[eps]]))[:, 0]
-                return search._batch_entropies(rho.mat, moved)[0]
+    def test_hessian_tells_saddles_from_the_witness(self):
+        # both fixed starts of horodecki 0.52 are stationary saddles; the
+        # descended witness is a strict local minimum
+        rho = nc.make_horodecki(0.52)
+        for basis, least in [(nc.computational_basis(rho.dims), -0.2985), (search.marginal_eigenbasis(rho), -0.01736)]:
+            g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors])
+            assert np.sqrt(g[0] @ g[0]) <= search._GRAD_TOL
+            assert np.linalg.eigvalsh(H[0])[0] == pytest.approx(least, abs=1e-4)
+        diag = nc.measure_D(rho, nc.SearchConfig()).diagnostics
+        assert diag["converged"] is True
+        assert diag["hessian_min_eig"] == pytest.approx(0.0432, abs=1e-3)
 
-            slope = (entropy(1e-5) - entropy(-1e-5)) / 2e-5
-            assert (A.conj() * grads[k]).real.sum() == pytest.approx(slope, abs=1e-9)
+    def test_certificate_is_not_smooth_at_a_zero_diagonal_entry(self):
+        # a pure (2,3) state's witness is its Schmidt basis, where 4 of the 6
+        # diagonal entries vanish
+        diag = nc.measure_D(nc.random_density_matrix((2, 3), 1, 1), nc.SearchConfig()).diagnostics
+        assert diag["best_source"] == "marginal-eigenbasis"
+        assert diag["converged"] is True and diag["hessian_min_eig"] is None
 
     @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_rotate_rows_alone_or_stacked_identical_and_unitary(self, dims):
@@ -271,6 +301,68 @@ class TestDescent:
             assert h_i[0] == h_end[i] and rounds_i[0] == rounds[i]
             for F, F_i in zip(U, U_i):
                 assert np.array_equal(F_i[0], F[i])
+
+    def test_rejected_round_keeps_direction_factors_and_entropy(self, monkeypatch):
+        # rounds 1 and 3 are scored for real, rounds 2 and 4 find nothing
+        # lower.  A rejected round leaves the factors, entropy and direction
+        # as they were, with no new derivatives, and lowers t0 by 2^-8; an
+        # accepted one sets t0 back to 1
+        rho = nc.random_density_matrix((3, 3), 9, 7)
+        starts = search._haar_batch((3, 3), normals((3, 3), 1, 1))
+        h = search._batch_entropies(rho.mat, starts)
+        moves, scores, kernel_at = [], [], []
+        rotate, score, derivatives = search._rotate, search._batch_entropies, search._derivatives
+
+        def spy_rotate(U, A, t):
+            moves.append((U.copy(), A.copy(), t.copy()))
+            return rotate(U, A, t)
+
+        def spy_score(rho_mat, stacks):
+            scores.append(np.full(len(stacks[0]), np.inf) if len(scores) % 2 else score(rho_mat, stacks))
+            return scores[-1]
+
+        def spy_derivatives(rho_mat, stacks):
+            kernel_at.append(len(moves))
+            return derivatives(rho_mat, stacks)
+
+        monkeypatch.setattr(search, "_rotate", spy_rotate)
+        monkeypatch.setattr(search, "_batch_entropies", spy_score)
+        monkeypatch.setattr(search, "_derivatives", spy_derivatives)
+        U, h_end, rounds, accepts = search._descend(rho.mat, starts, h, 4)
+        assert rounds[0] == 4 and accepts[0] == 2 and kernel_at == [0, 1, 3]
+        (U0, A0, t0), (U1, A1, t1), (U2, A2, t2), (U3, A3, t3) = moves
+        for t in (t0, t1, t3):
+            assert np.array_equal(t[0], search._TRIALS)
+        assert not np.array_equal(U1, U0) and not np.array_equal(A1, A0)
+        assert np.array_equal(U2, U1) and np.array_equal(A2, A1)
+        assert np.array_equal(t2, t1 * 2.0 ** -len(search._TRIALS))
+        assert scores[2].min() < scores[0].min() < h[0]
+        assert h_end[0] == scores[2].min()
+        for F, k in zip(U, (0, 1)):
+            assert np.array_equal(F[0], U3[k])
+
+    @pytest.mark.parametrize("seed, bound", [(1, None), (2006, 0.4422745949546236)])
+    def test_every_start_converges_near_horodecki_one(self, monkeypatch, seed, bound):
+        # here the starts once crept along at the 100-round cap, and where the
+        # cap cut decided D
+        ends = []
+        descend = search._descend
+
+        def spy(rho_mat, stacks, h, max_rounds):
+            out = descend(rho_mat, stacks, h, max_rounds)
+            ends.append((rho_mat, out[0], out[2]))
+            return out
+
+        monkeypatch.setattr(search, "_descend", spy)
+        for b in (0.94, 0.95, 0.96, 0.97, 0.98, 0.99):
+            rep = nc.measure_D(nc.make_horodecki(b), nc.SearchConfig(seed=seed))
+            rho_mat, U, rounds = ends[-1]
+            g = search._derivatives(rho_mat, U)[0]
+            assert np.sqrt((g * g).sum(1)).max() <= search._GRAD_TOL
+            assert rounds.max() < 100
+            assert rep.diagnostics["converged"] is True and rep.diagnostics["hessian_min_eig"] > 0
+        if bound is not None:
+            assert rep.value <= bound
 
     def test_diagnostics_certify_the_descended_witness(self):
         rho = nc.make_horodecki(0.28)
