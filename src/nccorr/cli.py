@@ -88,7 +88,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
                    help="random bases per D evaluation; the best 2 start the descent")
     p.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps,
-                   help="most conjugate-gradient rounds of the D descent per start, each "
+                   help="most Newton rounds of the D descent per start, each "
                         "scoring 8 steps (0 = no descent)")
 
 

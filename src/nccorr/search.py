@@ -351,7 +351,7 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
         "start_rounds": rounds.tolist(),
         "gradient_norm": gradient_norm,
         "converged": gradient_norm <= _GRAD_TOL,
-        # below the floor the entropy is not smooth there and H is round-off
+        # the entropy is not smooth where a diagonal entry vanishes
         "hessian_min_eig": float(np.linalg.eigvalsh(H)[0]) if p.min() >= _SMOOTH_FLOOR else None,
     }
     return qmat.shannon_entropy(qmat.diag_probs(rho, witness)), witness, diagnostics
