@@ -85,7 +85,7 @@ def _search_config(args) -> SearchConfig:
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_nonneg_int, default=SearchConfig.n_samples,
-                   help="random bases per D evaluation; the best 2 start the descent")
+                   help="random bases per D evaluation; the best 6 start the descent")
     p.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps,
                    help="most Newton rounds of the D descent per start, each "

@@ -22,10 +22,10 @@ import numpy as np
 from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis
 from . import qmat
 
-_N_STARTS = 2  # best samples the descent starts from, besides the fixed candidates
+_N_STARTS = 6  # best samples the descent starts from, besides the fixed candidates
 _GRAD_TOL = 1e-6  # a start stops once its gradient norm (bits per radian) is this small
 _TRIALS = 2.0 ** np.arange(2, -6, -1)  # line-search steps per round, in units of the Newton step
-_RADIUS = 0.5  # longest Newton step (radians, the norm of the coordinates x)
+_RADIUS = 1.0  # longest Newton step (radians, the norm of the coordinates x)
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in the Newton step
 _MIN_STEP = 1e-12  # a start stops when no step down to this one lowers its entropy
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
@@ -249,6 +249,8 @@ def _descend(
     n = len(h)
     U_out, h_out = [np.array(F) for F in stacks], np.array(h)
     rounds_out, accepts_out = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    if max_rounds == 0:  # no round runs, so no start needs a direction
+        return U_out, h_out, rounds_out, accepts_out
 
     start, h, t0, accepts = np.arange(n), np.array(h), np.ones(n), np.zeros(n, dtype=int)
     U = [np.stack([stacks[k] for k in ks], axis=1) for ks in groups]

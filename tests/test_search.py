@@ -216,7 +216,7 @@ class TestDescent:
     @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_gradient_matches_central_differences(self, dims):
         # gradient and Hessian of `_derivatives` against central differences
-        # of the scorer, at eps = 1e-6 for g and 1e-4 for H
+        # of the scorer, at eps = 1e-5 for g and 1e-4 for H
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 5)
         factors = search._haar_batch(dims, normals(dims, 1, 3))
         g, H, p = search._derivatives(rho.mat, factors)
@@ -224,8 +224,8 @@ class TestDescent:
         assert g.shape == (1, n) and H.shape == (1, n, n)
         assert np.max(np.abs(p - qmat.product_diagonals(rho.mat, factors))) <= 1e-15
         E = np.eye(n)
-        f = self.moved_entropies(rho, factors, np.concatenate([1e-6 * E, -1e-6 * E])).reshape(2, n)
-        assert np.max(np.abs(g[0] - (f[0] - f[1]) / 2e-6)) <= 1e-8
+        f = self.moved_entropies(rho, factors, np.concatenate([1e-5 * E, -1e-5 * E])).reshape(2, n)
+        assert np.max(np.abs(g[0] - (f[0] - f[1]) / 2e-5)) <= 1e-9
         eps = 1e-4
         pm = [eps * (E[:, None] + s * E[None]).reshape(n * n, n) for s in (1, -1)]
         f = self.moved_entropies(rho, factors, np.concatenate([pm[0], pm[1], -pm[1], -pm[0]])).reshape(4, n, n)
