@@ -145,7 +145,8 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tu
                - sum_i (M_a)_ii (M_b)_ii / (p_i ln 2)
 
     G^_a is never formed.  M_a = X_a + X_a^dag with X_a = R G^_a, one matmul
-    per subsystem over that subsystem's column axis.  As lambda_i - lambda_j
+    per subsystem over that subsystem's column axis, against every G_a of
+    the subsystem side by side.  As lambda_i - lambda_j
     is antisymmetric and G^_b anti-Hermitian, the X_a^dag half of each sum
     is the conjugate of the X_a half, so X_a alone gives both: (M_a)_ii =
     2 Re (X_a)_ii, and the sum against G^_b is 2 Re of a partial trace onto
@@ -166,16 +167,18 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tu
     lam = np.log2(pc)
     # each subsystem's dimension, basis and the dimensions before and after it
     subs = [(d, _lie_basis(d), math.prod(dims[:k]), math.prod(dims[k + 1 :])) for k, d in enumerate(dims)]
-    X = []
+    X = np.empty((S, sum(len(G) for _, G, _, _ in subs), d_tot, d_tot), dtype=np.complex128)
+    off = 0
     for d, G, lo, hi in subs:
-        # X_a[i, (l, y, h)] = sum_x R[i, (l, x, h)] G_a[x, y]
-        Rk = R.reshape(S, d_tot, lo, d, hi).transpose(0, 1, 2, 4, 3).reshape(S, 1, -1, d)
-        Xk = (Rk @ G).reshape(S, len(G), d_tot, lo, hi, d).transpose(0, 1, 2, 3, 5, 4)
-        X.append(Xk.reshape(S, len(G), d_tot, d_tot))
-    X = np.concatenate(X, axis=1)
+        # X_a[(i, l), y, h] = sum_x R[(i, l), x, h] G_a[x, y]
+        Rk = R.reshape(S, d_tot * lo, d, hi).transpose(0, 1, 3, 2).reshape(S, -1, d)
+        Y = (Rk @ G.transpose(1, 0, 2).reshape(d, -1)).reshape(S, d_tot * lo, hi, len(G), d)
+        X[:, off : off + len(G)].reshape(S, len(G), d_tot * lo, d, hi)[...] = Y.transpose(0, 3, 1, 4, 2)
+        off += len(G)
     J = 2.0 * X.diagonal(axis1=2, axis2=3).real
     g = -(J @ lam[:, :, None])[:, :, 0]
-    N = (lam[:, :, None] - lam[:, None, :])[:, None] * X
+    N = X
+    N *= (lam[:, :, None] - lam[:, None, :])[:, None]
     W = []
     for d, G, lo, hi in subs:
         # sum_ij N_ij (G^_b)_ji = sum_xy Tr_{not k}(N)[x, y] G_b[y, x]
