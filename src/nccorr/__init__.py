@@ -2,7 +2,6 @@
 
 from .core import (
     BadSubsystemIndex,
-    DegenerateSpectrum,
     DensityMatrix,
     DimensionMismatch,
     NccorrError,
@@ -27,12 +26,12 @@ from .qmat import (
 )
 from .states import (
     ValidationReport,
-    has_product_eigenbasis_nondegenerate,
     load_state,
     make_classically_correlated,
     make_horodecki,
     make_pseudo_entangled,
     make_sigma,
+    product_eigenbasis,
     random_density_matrix,
     store_state,
     tensor_state,

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
-
-import numpy as np
 
 from .core import NccorrError, NoConvergence, NonHermitian, ParamOutOfRange, ProductBasis
 from . import measures, states, verify
@@ -174,7 +173,7 @@ def cmd_gen_state(args) -> int:
         rho = FAMILIES[args.family][0](args.param)
     else:
         _reject_flags("--dims", param=args.param)
-        rank = args.rank if args.rank is not None else int(np.prod(args.dims))
+        rank = args.rank if args.rank is not None else math.prod(args.dims)
         seed = args.seed if args.seed is not None else 1
         rho = states.random_density_matrix(args.dims, rank, seed)
     states.store_state(rho, args.out)

@@ -1,6 +1,7 @@
 """Shared domain types and exception hierarchy."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -43,10 +44,6 @@ class ValidationFailure(NccorrError):
     pass
 
 
-class DegenerateSpectrum(NccorrError):
-    pass
-
-
 class PartitionCapExceeded(NccorrError):
     pass
 
@@ -63,7 +60,7 @@ class DensityMatrix:
         if not dims or any(d < 2 for d in dims):
             raise DimensionMismatch(f"subsystem dims must all be >= 2, got {dims}")
         mat = np.asarray(self.mat, dtype=np.complex128)
-        d_tot = int(np.prod(dims))
+        d_tot = math.prod(dims)
         if mat.shape != (d_tot, d_tot):
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match dims {dims} (d_tot={d_tot})"

@@ -6,6 +6,7 @@ transposition, and base-2 entropies.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,7 +110,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     out = keep_sorted + [m + i for i in keep_sorted]
     red = np.einsum(T, row + col, out)
     new_dims = tuple(rho.dims[i] for i in keep_sorted)
-    d = int(np.prod(new_dims))
+    d = math.prod(new_dims)
     return DensityMatrix(new_dims, red.reshape(d, d))
 
 

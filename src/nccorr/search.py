@@ -189,11 +189,6 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tu
     return g, H, p
 
 
-def _gradient(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """The gradient rows of `_derivatives`."""
-    return _derivatives(rho_mat, factor_stacks)[0]
-
-
 def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """U exp(t A) for U and anti-Hermitian A (S, d, d) and steps t (S, T): shape (S, T, d, d).
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
-    DegenerateSpectrum,
     DensityMatrix,
     DimensionMismatch,
     ParamOutOfRange,
@@ -19,8 +18,11 @@ from .core import (
 )
 from . import qmat
 
-DEGENERACY_GAP = 1e-7
-PRODUCT_PURITY_TOL = 1e-9
+# max |off-diagonal| of rho in `product_eigenbasis`'s basis, relative to max|rho|.
+# Classical states read round-off over the combination's relative eigen-gap,
+# at most 4.1e-11 on 4000 of them; the family grids' nonclassical points read
+# at least 9.9e-3, and a state within eps of a classical one about eps.
+CLASSICAL_TOL = 1e-8
 
 
 def make_pseudo_entangled(p: float) -> DensityMatrix:
@@ -78,9 +80,11 @@ def make_classically_correlated(local_bases: ProductBasis, probs: np.ndarray) ->
 def random_density_matrix(dims: Sequence[int], rank: int, seed: int) -> DensityMatrix:
     """Wishart-style random state: GG^dag normalized, G complex Gaussian."""
     dims = tuple(int(d) for d in dims)
-    d_tot = int(np.prod(dims))
+    d_tot = math.prod(dims)
     if not 1 <= rank <= d_tot:
         raise ParamOutOfRange(f"rank={rank} outside [1, {d_tot}]")
+    if d_tot * d_tot * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
+        raise ParamOutOfRange(f"a {d_tot} x {d_tot} complex matrix is too large for numpy to index")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((d_tot, rank)) + 1j * rng.standard_normal((d_tot, rank))
     mat = G @ G.conj().T
@@ -179,37 +183,31 @@ def load_state(path) -> DensityMatrix:
     return DensityMatrix(rho.dims, herm)
 
 
-def _vector_marginal_purity(vec: np.ndarray, dims: Tuple[int, ...], k: int) -> float:
-    rho_v = DensityMatrix(dims, np.outer(vec, vec.conj()))
-    marg = qmat.partial_trace(rho_v, [k]).mat
-    return float(np.trace(marg @ marg).real)
+def product_eigenbasis(rho: DensityMatrix) -> Optional[ProductBasis]:
+    """A product basis in which rho is diagonal, or None if rho has none.
 
-
-def has_product_eigenbasis_nondegenerate(rho: DensityMatrix) -> bool:
-    """True iff every eigenvector factorizes across all subsystems.
-
-    Only defined for nondegenerate spectra; eigenvectors of (near-)degenerate
-    eigenvalues are not unique, so the check raises DegenerateSpectrum there.
+    rho has a product eigenbasis iff, for every party k, its d_k x d_k blocks
+    <a|rho|b> (a, b running over basis states of the other parties) commute
+    (Chen, Chitambar, Modi and Vacanti, PRA 83, 020101(R), 2011).  Commuting
+    blocks share the eigenbasis E_k of a generic Hermitian combination
+    C + C^dag, C = sum_ab w_ab <a|rho|b>; the weights w come from a fixed seed,
+    so the result is reproducible.  Where E_k has a degenerate eigenspace the
+    blocks act on it as multiples of the identity, so any basis of it serves.
+    (x) E_k is returned iff rho is diagonal in it up to `CLASSICAL_TOL`, so an
+    accepted basis is its own certificate.
     """
-    vals, V = qmat.herm_eig(rho.mat)
-    # group (near-)equal eigenvalues; eigenvectors are only unique within gaps
-    groups = [[0]]
-    for j in range(1, rho.d_tot):
-        if vals[j - 1] - vals[j] <= DEGENERACY_GAP:
-            groups[-1].append(j)
-        else:
-            groups.append([j])
-    isolated = [g[0] for g in groups if len(g) == 1]
-    for j in isolated:
-        vec = V[:, j]
-        for k in range(rho.n_subsystems):
-            if _vector_marginal_purity(vec, rho.dims, k) < 1.0 - PRODUCT_PURITY_TOL:
-                # an eigenvector of an isolated eigenvalue is unique, so a
-                # non-product one settles the question regardless of degeneracy
-                return False
-    if len(isolated) < rho.d_tot:
-        raise DegenerateSpectrum(
-            "degenerate spectrum and all isolated eigenvectors are product "
-            "vectors; the decision is unreliable, use the correlation measures"
-        )
-    return True
+    rng = np.random.default_rng(0)
+    m = rho.n_subsystems
+    T = rho.mat.reshape(rho.dims * 2)
+    factors = []
+    for k, d in enumerate(rho.dims):
+        order = [i for i in range(m) if i != k] + [k]
+        blocks = T.transpose(order + [m + i for i in order]).reshape(-1, d, rho.d_tot // d, d)
+        w = rng.standard_normal(blocks.shape[::2]) + 1j * rng.standard_normal(blocks.shape[::2])
+        C = np.einsum("ab,axby->xy", w, blocks)
+        factors.append(qmat.herm_eig(C + C.conj().T)[1])
+    basis = ProductBasis(tuple(factors))
+    B = qmat.product_basis_matrix(basis)
+    R = B.conj().T @ rho.mat @ B
+    np.fill_diagonal(R, 0.0)
+    return basis if np.max(np.abs(R)) <= CLASSICAL_TOL * np.max(np.abs(rho.mat)) else None

@@ -160,6 +160,17 @@ class TestErrorHandling:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_dims_product_past_int64_exit_2(self, tmp_path):
+        # the product is 2**64 + 4, which int64 arithmetic would wrap to 4
+        state = tmp_path / "s.json"
+        mat = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        state.write_text(json.dumps({"dims": [4611686018427387905, 4], "matrix": mat}))
+        proc = run_process(["measure", state, "--measures", "K,N"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_invalid_density_matrix_exit_2(self, tmp_path):
         bad = tmp_path / "nonpsd.json"
         bad.write_text(json.dumps({
@@ -225,10 +236,12 @@ class TestErrorHandling:
         ["gen-state", "--family", "ps", "--param", 0.5, "--rank", 3],
         ["gen-state", "--family", "ps", "--param", 0.5, "--seed", 3],
         ["gen-state", "--dims", "2,2", "--param", 0.7],
+        ["gen-state", "--dims", "4611686018427387905,4", "--rank", 1],
+        ["gen-state", "--dims", "100000,100000"],
     ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
             "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap",
             "tol-removed", "family-and-dims", "family-with-rank",
-            "family-with-seed", "dims-with-param"])
+            "family-with-seed", "dims-with-param", "dims-product-past-int64", "dims-too-large"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":
             argv = argv + ["--out", tmp_path / "x.json"]

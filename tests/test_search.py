@@ -289,7 +289,7 @@ class TestDescent:
         starts = search._haar_batch(dims, normals(dims, 4, 1))
         h = search._batch_entropies(rho.mat, starts)
         U, _, _, _ = search._descend(rho.mat, starts, h, 100)
-        norms = np.sqrt((np.abs(search._gradient(rho.mat, U)) ** 2).sum(1))
+        norms = np.sqrt((np.abs(search._derivatives(rho.mat, U)[0]) ** 2).sum(1))
         stationary = [F[[np.argmin(norms)]] for F in U]
         assert norms.min() <= search._GRAD_TOL
         starts = [np.concatenate([F[:2], S, F[2:]]) for F, S in zip(starts, stationary)]

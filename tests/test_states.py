@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import nccorr as nc
-from nccorr import qmat
+from nccorr import qmat, states, sweep, verify
 
 
 class TestPseudoEntangled:
@@ -219,10 +220,27 @@ class TestValidateAndIO:
             nc.load_state(path)
 
 
+def offdiagonal(rho, basis):
+    """max |off-diagonal| of rho in the product basis, relative to max|rho|."""
+    B = qmat.product_basis_matrix(basis)
+    R = B.conj().T @ rho.mat @ B
+    np.fill_diagonal(R, 0.0)
+    return np.max(np.abs(R)) / np.max(np.abs(rho.mat))
+
+
+@st.composite
+def classical_weights(draw):
+    # small integer weights, so that ties and zeros are common
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)]))
+    w = draw(st.lists(st.integers(0, 3), min_size=math.prod(dims), max_size=math.prod(dims)))
+    assume(sum(w) > 0)
+    return dims, np.array(w, dtype=float).reshape(dims) / sum(w), draw(st.integers(0, 2**32 - 1))
+
+
 class TestProductEigenbasisDetector:
     def test_sigma_has_none(self):
-        # the isolated 2p eigenvector (|01>+|10>)/sqrt(2) is entangled
-        assert nc.has_product_eigenbasis_nondegenerate(nc.make_sigma(0.125)) is False
+        # the 2p eigenvector (|01>+|10>)/sqrt(2) is entangled
+        assert nc.product_eigenbasis(nc.make_sigma(0.125)) is None
 
     def test_classical_has_one(self):
         rng = np.random.default_rng(12)
@@ -230,13 +248,57 @@ class TestProductEigenbasisDetector:
         q /= q.sum()
         basis = nc.haar_random_product_basis((2, 2), 9)
         rho = nc.make_classically_correlated(basis, q)
-        assert nc.has_product_eigenbasis_nondegenerate(rho) is True
+        found = nc.product_eigenbasis(rho)
+        assert offdiagonal(rho, found) <= 1e-14
+        assert np.allclose(np.sort(nc.diag_probs(rho, found)), np.sort(q.ravel()), atol=1e-14)
 
     def test_generic_random_has_none(self):
         rho = nc.random_density_matrix((2, 2), 4, 100)
-        assert nc.has_product_eigenbasis_nondegenerate(rho) is False
+        assert nc.product_eigenbasis(rho) is None
 
-    def test_degenerate_without_witness_raises(self):
-        rho = nc.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
-        with pytest.raises(nc.DegenerateSpectrum):
-            nc.has_product_eigenbasis_nondegenerate(rho)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)], ids=["I4", "I16"])
+    def test_maximally_mixed_has_one(self, dims):
+        d = math.prod(dims)
+        rho = nc.DensityMatrix(dims, np.eye(d, dtype=complex) / d)
+        found = nc.product_eigenbasis(rho)
+        assert found.dims == dims and offdiagonal(rho, found) == 0.0
+
+    def test_criterion_4_states_have_one(self):
+        for i in range(100):
+            rho = verify._generic_classical_state((2, 2) if i % 2 == 0 else (2, 3), 1000 + i)
+            assert offdiagonal(rho, nc.product_eigenbasis(rho)) <= states.CLASSICAL_TOL, i
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
+    def test_degenerate_and_rank_deficient_classical_have_one(self, dims):
+        # every party in its own random frame, so no party's basis serves another's
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            q = rng.integers(0, 3, dims).astype(float)  # at least 4 weights in {0, 1, 2} tie
+            q.flat[0], q.flat[-1] = 1.0, 0.0
+            rho = nc.make_classically_correlated(nc.haar_random_product_basis(dims, 40 + seed), q / q.sum())
+            assert offdiagonal(rho, nc.product_eigenbasis(rho)) <= states.CLASSICAL_TOL, seed
+
+    @pytest.mark.parametrize("family", sorted(sweep.FAMILIES))
+    def test_family_grids_have_one_only_at_zero(self, family):
+        # on the seed-1 101-point sweeps D is 0 at parameter 0 and at least
+        # 1.4e-4 at every other point
+        ctor, lo, hi = sweep.FAMILIES[family]
+        for p in np.linspace(lo, hi, 101):
+            found = nc.product_eigenbasis(ctor(float(p)))
+            assert (found is None) == (p > 0), p
+
+    def test_ghz_with_white_noise_has_none(self):
+        g = np.zeros(8)
+        g[[0, 7]] = 0.5 ** 0.5
+        for p in (1e-6, 0.6):
+            rho = nc.DensityMatrix((2, 2, 2), p * np.outer(g, g) + (1 - p) * np.eye(8) / 8)
+            assert nc.product_eigenbasis(rho) is None, p
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(classical_weights())
+    def test_every_classical_state_has_one(self, case):
+        dims, q, seed = case
+        rho = nc.make_classically_correlated(nc.haar_random_product_basis(dims, seed), q)
+        found = nc.product_eigenbasis(rho)
+        assert found is not None and found.unitarity_residual() <= 1e-12
+        assert abs(qmat.shannon_entropy(nc.diag_probs(rho, found)) - qmat.von_neumann_entropy(rho)) <= 1e-12
