@@ -12,7 +12,7 @@ import sys
 from typing import List, Optional
 
 from .core import NccorrError, NoConvergence, NonHermitian, ParamOutOfRange, ProductBasis
-from . import measures, states, verify
+from . import measures, search, states, verify
 from .measures import Partition
 from .search import SearchConfig
 from .sweep import FAMILIES, MEASURE_ORDER, SweepSpec, run_sweep
@@ -84,11 +84,11 @@ def _search_config(args) -> SearchConfig:
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_nonneg_int, default=SearchConfig.n_samples,
-                   help="random bases per D evaluation; the best 6 start the descent")
+                   help=f"random bases per D evaluation; the best {search._N_STARTS} start the descent")
     p.add_argument("--seed", type=int, default=SearchConfig.seed, help="search seed")
     p.add_argument("--refine-steps", type=_nonneg_int, default=SearchConfig.refine_steps,
                    help="most Newton rounds of the D descent per start, each "
-                        "scoring 8 steps (0 = no descent)")
+                        f"scoring {len(search._TRIALS)} steps (0 = no descent)")
 
 
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
@@ -241,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NoConvergence, NonHermitian, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NccorrError, OSError) as exc:
+    except (NccorrError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

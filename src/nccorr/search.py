@@ -27,7 +27,6 @@ _GRAD_TOL = 1e-6  # a start stops once its gradient norm (bits per radian) is th
 _TRIALS = 2.0 ** np.arange(2, -6, -1)  # line-search steps per round, in units of the Newton step
 _RADIUS = 1.0  # longest Newton step (radians, the norm of the coordinates x)
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in the Newton step
-_MIN_STEP = 1e-12  # a start stops when no step down to this one lowers its entropy
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
 _MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
 
@@ -190,14 +189,14 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tu
 
 
 def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """U exp(t A) for U and anti-Hermitian A (S, d, d) and steps t (S, T): shape (S, T, d, d).
+    """U exp(t A) for U and anti-Hermitian A (S, d, d) and each step of t (T,): shape (S, T, d, d).
 
     One eigh of the Hermitian -iA = V diag(w) V^dag serves every step:
     U exp(t A) = W diag(exp(i t w)) V^dag with W = U V.  Each (s, step)
     entry depends only on U[s], A[s] and its step, not on the batch.
     """
     w, V = np.linalg.eigh(-1j * A)
-    phase = np.exp(1j * t[:, :, None] * w[:, None, :])
+    phase = np.exp(1j * t[:, None] * w[:, None, :])
     return np.einsum("sik,stk,sjk->stij", U @ V, phase, V.conj())
 
 
@@ -228,16 +227,16 @@ def _descend(
     """Saddle-free Newton descent on the product of unitary groups, from every start at once.
 
     A round moves each live start along its `_newton` direction D as
-    U_k exp(t D_k) for the steps t = t0 * `_TRIALS`, scored in one call, and
-    takes the lowest if it is below the start's entropy; t0 is then 1 again
-    and the direction is recomputed there.  Otherwise the start keeps its
-    factors, entropy and direction, and t0 drops below the steps just tried.
-    A start stops at gradient norm `_GRAD_TOL`, at `max_rounds` rounds, or
-    once t0 is below `_MIN_STEP`; it is then written to the outputs once and
-    leaves the working arrays.  The working arrays hold only the live
-    starts: the factors of the K subsystems of one dimension d as one
-    (n, K, d, d) stack, which `_rotate` turns in one call, and D flat.
-    Returns the final factor stacks, entropies, rounds and accepted rounds.
+    U_k exp(t D_k) for the steps t in `_TRIALS`, scored in one call, and
+    takes the lowest if it is below the start's entropy; D is then
+    recomputed there.  A start stops at gradient norm `_GRAD_TOL`, at
+    `max_rounds` rounds, or after its first round with no lower step, which
+    counts as a round but not as an accepted one and leaves its factors and
+    entropy as they were; it is then written to the outputs once and leaves
+    the working arrays.  The working arrays hold only the live starts: the
+    factors of the K subsystems of one dimension d as one (n, K, d, d)
+    stack, which `_rotate` turns in one call, and D flat.  Returns the
+    final factor stacks, entropies, rounds and accepted rounds.
     """
     dims = [F.shape[-1] for F in stacks]
     groups = [[k for k, dk in enumerate(dims) if dk == d] for d in dict.fromkeys(dims)]
@@ -250,12 +249,12 @@ def _descend(
     if max_rounds == 0:  # no round runs, so no start needs a direction
         return U_out, h_out, rounds_out, accepts_out
 
-    start, h, t0, accepts = np.arange(n), np.array(h), np.ones(n), np.zeros(n, dtype=int)
+    start, h, accepts, ok = np.arange(n), np.array(h), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
     U = [np.stack([stacks[k] for k in ks], axis=1) for ks in groups]
     D, gg = _newton(rho_mat, stacks)
     rounds = 0
     while True:
-        live = (gg > _GRAD_TOL ** 2) & (t0 >= _MIN_STEP) & (rounds < max_rounds)
+        live = ok & (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
         if not live.all():
             done = ~live
             i = start[done]
@@ -264,22 +263,20 @@ def _descend(
             h_out[i], rounds_out[i], accepts_out[i] = h[done], rounds, accepts[done]
             if not live.any():
                 return U_out, h_out, rounds_out, accepts_out
-            start, h, t0, accepts, D, gg, *U = (x[live] for x in (start, h, t0, accepts, D, gg, *U))
-        n, t = len(h), t0[:, None] * _TRIALS
-        trials = []
+            start, h, accepts, D, gg, *U = (x[live] for x in (start, h, accepts, D, gg, *U))
+        n, trials = len(h), []
         for Ug, c in zip(U, cols):
             K, d = Ug.shape[1:3]
-            X = _rotate(Ug.reshape(n * K, d, d), D[:, c].reshape(n * K, d, d), np.repeat(t, K, axis=0))
+            X = _rotate(Ug.reshape(n * K, d, d), D[:, c].reshape(n * K, d, d), _TRIALS)
             trials.append(X.reshape(n, K, *X.shape[1:]))
         ent = _batch_entropies(rho_mat, [trials[g][:, j].reshape(-1, dims[k], dims[k]) for k, g, j in place])
-        r, step = np.arange(n), np.argmin(ent.reshape(t.shape), axis=1)
-        low = ent.reshape(t.shape)[r, step]
+        r, step = np.arange(n), np.argmin(ent.reshape(n, -1), axis=1)
+        low = ent.reshape(n, -1)[r, step]
         ok = low < h
         rounds += 1
         accepts += ok
         U = [np.where(ok[:, None, None, None], X[r, :, step], Ug) for X, Ug in zip(trials, U)]
-        h, t0 = np.where(ok, low, h), np.where(ok, 1.0, t0 * 2.0 ** -len(_TRIALS))
-        # a start that found no lower step keeps its D; only its t0 drops
+        h = np.where(ok, low, h)
         if ok.any():
             D[ok], gg[ok] = _newton(rho_mat, [U[g][ok, j] for _, g, j in place])
 

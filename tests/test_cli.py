@@ -238,10 +238,13 @@ class TestErrorHandling:
         ["gen-state", "--dims", "2,2", "--param", 0.7],
         ["gen-state", "--dims", "4611686018427387905,4", "--rank", 1],
         ["gen-state", "--dims", "100000,100000"],
+        ["gen-state", "--dims", "20000,20000"],
+        SWEEP + ["--samples", 10 ** 17, "--chunk-size", 10 ** 17],
     ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
             "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap",
             "tol-removed", "family-and-dims", "family-with-rank",
-            "family-with-seed", "dims-with-param", "dims-product-past-int64", "dims-too-large"])
+            "family-with-seed", "dims-with-param", "dims-product-past-int64", "dims-too-large",
+            "dims-past-memory", "samples-past-memory"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":
             argv = argv + ["--out", tmp_path / "x.json"]

@@ -184,6 +184,9 @@ class TestMinDiagEntropy:
             rep = nc.measure_D(rho, nc.SearchConfig(refine_steps=refine_steps))
             assert rep.diagnostics["best_source"] == "marginal-eigenbasis"
             assert rep.value == nc.measure_DG(rho).value
+            # each start ends on at most one rejected round
+            diag = rep.diagnostics
+            assert diag["refine_steps"] - diag["refine_accepts"] <= len(diag["start_rounds"])
 
     @pytest.mark.parametrize("rho, bound", [
         (nc.make_horodecki(0.28), 0.5039),
@@ -210,7 +213,7 @@ class TestDescent:
             G = search._lie_basis(F.shape[-1])
             A = np.einsum("ka,aij->kij", X[:, off : off + len(G)], G)
             off += len(G)
-            moved.append(search._rotate(np.repeat(F, len(X), axis=0), A, np.ones((len(X), 1)))[:, 0])
+            moved.append(search._rotate(np.repeat(F, len(X), axis=0), A, np.ones(1))[:, 0])
         return search._batch_entropies(rho.mat, moved)
 
     @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
@@ -261,13 +264,13 @@ class TestDescent:
         for d in dims:
             X = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
             A.append(X - X.conj().swapaxes(1, 2))
-        t = rng.uniform(0.01, 1.0, n)[:, None] * search._TRIALS
+        t = rng.uniform(0.01, 1.0) * search._TRIALS
         for d in dict.fromkeys(dims):
             ks = [k for k, dk in enumerate(dims) if dk == d]
             stacked = search._rotate(
                 np.stack([U[k] for k in ks], axis=1).reshape(-1, d, d),
                 np.stack([A[k] for k in ks], axis=1).reshape(-1, d, d),
-                np.repeat(t, len(ks), axis=0),
+                t,
             ).reshape(n, len(ks), len(search._TRIALS), d, d)
             gram = stacked.conj().swapaxes(-1, -2) @ stacked
             assert np.max(np.abs(gram - np.eye(d))) <= 1e-14
@@ -276,9 +279,9 @@ class TestDescent:
                 for s in range(n):
                     w, V = np.linalg.eigh(-1j * A[k][s])
                     for step in range(len(search._TRIALS)):
-                        alone = search._rotate(U[k][s : s + 1], A[k][s : s + 1], t[s : s + 1, step : step + 1])
+                        alone = search._rotate(U[k][s : s + 1], A[k][s : s + 1], t[step : step + 1])
                         assert np.array_equal(alone[0, 0], stacked[s, j, step])
-                        want = U[k][s] @ V @ np.diag(np.exp(1j * t[s, step] * w)) @ V.conj().T
+                        want = U[k][s] @ V @ np.diag(np.exp(1j * t[step] * w)) @ V.conj().T
                         assert np.max(np.abs(stacked[s, j, step] - want)) <= 1e-13
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 4), (2, 2, 2, 2)])
@@ -302,44 +305,78 @@ class TestDescent:
             for F, F_i in zip(U, U_i):
                 assert np.array_equal(F_i[0], F[i])
 
-    def test_rejected_round_keeps_direction_factors_and_entropy(self, monkeypatch):
-        # rounds 1 and 3 are scored for real, rounds 2 and 4 find nothing
-        # lower.  A rejected round leaves the factors, entropy and direction
-        # as they were, with no new derivatives, and lowers t0 by 2^-8; an
-        # accepted one sets t0 back to 1
-        rho = nc.random_density_matrix((3, 3), 9, 7)
-        starts = search._haar_batch((3, 3), normals((3, 3), 1, 1))
-        h = search._batch_entropies(rho.mat, starts)
-        moves, scores, kernel_at = [], [], []
+    @staticmethod
+    def spied_descend(monkeypatch, rho_mat, starts, h, max_rounds, reject=None):
+        """`_descend` with the rows passed to `_rotate` and `_derivatives` recorded per call.
+
+        reject = (round, start) makes that start's steps score inf in that round.
+        """
+        rotated, derived, rounds = [], [], []
         rotate, score, derivatives = search._rotate, search._batch_entropies, search._derivatives
 
         def spy_rotate(U, A, t):
-            moves.append((U.copy(), A.copy(), t.copy()))
+            rotated.append((U.copy(), A.copy()))
             return rotate(U, A, t)
 
         def spy_score(rho_mat, stacks):
-            scores.append(np.full(len(stacks[0]), np.inf) if len(scores) % 2 else score(rho_mat, stacks))
-            return scores[-1]
+            ent = score(rho_mat, stacks)
+            rounds.append(ent.copy())
+            if reject is not None and len(rounds) == reject[0]:
+                T = len(search._TRIALS)
+                ent[reject[1] * T : (reject[1] + 1) * T] = np.inf
+            return ent
 
         def spy_derivatives(rho_mat, stacks):
-            kernel_at.append(len(moves))
+            derived.append([F.copy() for F in stacks])
             return derivatives(rho_mat, stacks)
 
         monkeypatch.setattr(search, "_rotate", spy_rotate)
         monkeypatch.setattr(search, "_batch_entropies", spy_score)
         monkeypatch.setattr(search, "_derivatives", spy_derivatives)
-        U, h_end, rounds, accepts = search._descend(rho.mat, starts, h, 4)
-        assert rounds[0] == 4 and accepts[0] == 2 and kernel_at == [0, 1, 3]
-        (U0, A0, t0), (U1, A1, t1), (U2, A2, t2), (U3, A3, t3) = moves
-        for t in (t0, t1, t3):
-            assert np.array_equal(t[0], search._TRIALS)
-        assert not np.array_equal(U1, U0) and not np.array_equal(A1, A0)
-        assert np.array_equal(U2, U1) and np.array_equal(A2, A1)
-        assert np.array_equal(t2, t1 * 2.0 ** -len(search._TRIALS))
-        assert scores[2].min() < scores[0].min() < h[0]
-        assert h_end[0] == scores[2].min()
-        for F, k in zip(U, (0, 1)):
-            assert np.array_equal(F[0], U3[k])
+        out = search._descend(rho_mat, starts, h, max_rounds)
+        monkeypatch.undo()
+        return out, rotated, derived, rounds
+
+    def test_start_leaves_at_its_first_rejected_round(self, monkeypatch):
+        # two (3,3) starts share a batch, and start 0 finds nothing lower in
+        # round 2: it leaves with its round-1 factors and entropy, and later
+        # rounds carry only start 1, whose path is that of start 1 alone
+        rho = nc.random_density_matrix((3, 3), 9, 7)
+        starts = search._haar_batch((3, 3), normals((3, 3), 2, 1))
+        h = search._batch_entropies(rho.mat, starts)
+        (U, h_end, rounds, accepts), rotated, derived, scores = self.spied_descend(
+            monkeypatch, rho.mat, starts, h, 100, reject=(2, 0))
+        assert rounds[0] == 2 and accepts[0] == 1
+        assert rounds[1] > 3 and accepts[1] >= rounds[1] - 1
+        T = len(search._TRIALS)
+        assert h_end[0] == scores[0][:T].min() < h[0]
+        # the factors start 0 was turned from in round 2 are its round-1 choice
+        assert np.array_equal(np.stack([U[0][0], U[1][0]]), rotated[1][0][:2])
+        assert [len(U_r) for U_r, _ in rotated] == [4, 4] + [2] * (rounds[1] - 2)
+        assert [len(F[0]) for F in derived] == [2, 2] + [1] * (len(derived) - 2)
+
+        (U_1, h_1, rounds_1, accepts_1), rotated_1, derived_1, _ = self.spied_descend(
+            monkeypatch, rho.mat, [F[1:] for F in starts], h[1:], 100)
+        assert h_1[0] == h_end[1] and rounds_1[0] == rounds[1] and accepts_1[0] == accepts[1]
+        for F, F_1 in zip(U, U_1):
+            assert np.array_equal(F_1[0], F[1])
+        assert len(rotated_1) == len(rotated) and len(derived_1) == len(derived)
+        for (U_r, A_r), (U_s, A_s) in zip(rotated, rotated_1):
+            assert np.array_equal(U_r[-2:], U_s) and np.array_equal(A_r[-2:], A_s)
+        for F_r, F_s in zip(derived, derived_1):
+            for a, b in zip(F_r, F_s):
+                assert np.array_equal(a[-1:], b)
+
+    def test_no_rounds_compute_no_derivatives_and_turn_nothing(self, monkeypatch):
+        rho = nc.random_density_matrix((2, 3), 6, 7)
+        starts = search._haar_batch((2, 3), normals((2, 3), 3, 1))
+        h = search._batch_entropies(rho.mat, starts)
+        (U, h_end, rounds, accepts), rotated, derived, scores = self.spied_descend(
+            monkeypatch, rho.mat, starts, h, 0)
+        assert rotated == derived == scores == []
+        assert np.array_equal(h_end, h) and not rounds.any() and not accepts.any()
+        for F, F_0 in zip(U, starts):
+            assert np.array_equal(F, F_0)
 
     @pytest.mark.parametrize("seed, bound", [(1, None), (2006, 0.4422745949546236)])
     def test_every_start_converges_near_horodecki_one(self, monkeypatch, seed, bound):
