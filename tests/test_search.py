@@ -307,11 +307,11 @@ class TestDescent:
 
     @staticmethod
     def spied_descend(monkeypatch, rho_mat, starts, h, max_rounds, reject=None):
-        """`_descend` with the rows passed to `_rotate` and `_derivatives` recorded per call.
+        """`_descend` with the inputs of `_rotate` and `_derivatives` and the scores recorded per call.
 
         reject = (round, start) makes that start's steps score inf in that round.
         """
-        rotated, derived, rounds = [], [], []
+        rotated, derived, scores = [], [], []
         rotate, score, derivatives = search._rotate, search._batch_entropies, search._derivatives
 
         def spy_rotate(U, A, t):
@@ -320,8 +320,8 @@ class TestDescent:
 
         def spy_score(rho_mat, stacks):
             ent = score(rho_mat, stacks)
-            rounds.append(ent.copy())
-            if reject is not None and len(rounds) == reject[0]:
+            scores.append(ent.copy())
+            if reject is not None and len(scores) == reject[0]:
                 T = len(search._TRIALS)
                 ent[reject[1] * T : (reject[1] + 1) * T] = np.inf
             return ent
@@ -335,7 +335,7 @@ class TestDescent:
         monkeypatch.setattr(search, "_derivatives", spy_derivatives)
         out = search._descend(rho_mat, starts, h, max_rounds)
         monkeypatch.undo()
-        return out, rotated, derived, rounds
+        return out, rotated, derived, scores
 
     def test_start_leaves_at_its_first_rejected_round(self, monkeypatch):
         # two (3,3) starts share a batch, and start 0 finds nothing lower in
