@@ -201,24 +201,19 @@ def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _newton(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Saddle-free Newton directions at a batch of product bases, flat, and their squared gradient norms.
+    """Saddle-free Newton steps at a batch of product bases and their squared gradient norms.
 
     The step is -V diag(1/max(|w|, `_EIG_FLOOR`)) V^T g for H = V diag(w) V^T,
     so it descends at saddles too, and it is scaled back to length `_RADIUS`
-    if longer.  It is returned as the anti-Hermitian A_1, ..., A_m in turn,
-    each row-major: one (S, sum d_k^2) array.
+    if longer.  It is returned in the coordinates x of `_derivatives`: one
+    (S, sum(d_k^2 - d_k)) array.
     """
     g, H, _ = _derivatives(rho_mat, factor_stacks)
     w, V = np.linalg.eigh(H)
     x = -np.einsum("sab,sb->sa", V, np.einsum("sba,sb->sa", V, g) / np.maximum(np.abs(w), _EIG_FLOOR))
     norm = np.sqrt(np.einsum("sa,sa->s", x, x))
     x *= np.minimum(1.0, _RADIUS / np.maximum(norm, 1e-300))[:, None]
-    A, off = [], 0
-    for F in factor_stacks:
-        G = _lie_basis(F.shape[-1])
-        A.append(np.einsum("sa,aij->sij", x[:, off : off + len(G)], G).reshape(len(x), -1))
-        off += len(G)
-    return np.concatenate(A, axis=1), np.einsum("sa,sa->s", g, g)
+    return x, np.einsum("sa,sa->s", g, g)
 
 
 def _descend(
@@ -226,23 +221,27 @@ def _descend(
 ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Saddle-free Newton descent on the product of unitary groups, from every start at once.
 
-    A round moves each live start along its `_newton` direction D as
-    U_k exp(t D_k) for the steps t in `_TRIALS`, scored in one call, and
-    takes the lowest if it is below the start's entropy; D is then
-    recomputed there.  A start stops at gradient norm `_GRAD_TOL`, at
-    `max_rounds` rounds, or after its first round with no lower step, which
-    counts as a round but not as an accepted one and leaves its factors and
-    entropy as they were; it is then written to the outputs once and leaves
-    the working arrays.  The working arrays hold only the live starts: the
-    factors of the K subsystems of one dimension d as one (n, K, d, d)
-    stack, which `_rotate` turns in one call, and D flat.  Returns the
-    final factor stacks, entropies, rounds and accepted rounds.
+    A round moves each live start along its `_newton` step x as
+    U_k exp(t A_k) for the steps t in `_TRIALS`, scored in one call, and
+    takes the lowest if it is below the start's entropy; x is then
+    recomputed there.  x stays in Lie coordinates until the rotation, where
+    A_k = sum_a x_a G_a over subsystem k's `_lie_basis`.  A start stops at
+    gradient norm `_GRAD_TOL`, at `max_rounds` rounds, or after its first
+    round with no lower step, which counts as a round but not as an
+    accepted one and leaves its factors and entropy as they were; it is then
+    written to the outputs once and leaves the working arrays.  The working
+    arrays hold only the live starts: x, and the factors of the K subsystems
+    of one dimension d as one (n, K, d, d) stack, which `_rotate` turns in
+    one call.  Returns the final factor stacks, entropies, rounds and
+    accepted rounds.
     """
     dims = [F.shape[-1] for F in stacks]
     groups = [[k for k, dk in enumerate(dims) if dk == d] for d in dict.fromkeys(dims)]
     place = sorted((k, g, j) for g, ks in enumerate(groups) for j, k in enumerate(ks))
-    ends = np.cumsum([d * d for d in dims])
-    cols = [np.concatenate([np.arange(ends[k] - dims[k] ** 2, ends[k]) for k in ks]) for ks in groups]
+    # each group's Lie basis, and its subsystems' columns of x
+    bases = [_lie_basis(dims[ks[0]]) for ks in groups]
+    ends = np.cumsum([d * d - d for d in dims])
+    cols = [np.concatenate([np.arange(ends[k] - len(G), ends[k]) for k in ks]) for ks, G in zip(groups, bases)]
     n = len(h)
     U_out, h_out = [np.array(F) for F in stacks], np.array(h)
     rounds_out, accepts_out = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -251,7 +250,7 @@ def _descend(
 
     start, h, accepts, ok = np.arange(n), np.array(h), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
     U = [np.stack([stacks[k] for k in ks], axis=1) for ks in groups]
-    D, gg = _newton(rho_mat, stacks)
+    x, gg = _newton(rho_mat, stacks)
     rounds = 0
     while True:
         live = ok & (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
@@ -263,11 +262,12 @@ def _descend(
             h_out[i], rounds_out[i], accepts_out[i] = h[done], rounds, accepts[done]
             if not live.any():
                 return U_out, h_out, rounds_out, accepts_out
-            start, h, accepts, D, gg, *U = (x[live] for x in (start, h, accepts, D, gg, *U))
+            start, h, accepts, x, gg, *U = (a[live] for a in (start, h, accepts, x, gg, *U))
         n, trials = len(h), []
-        for Ug, c in zip(U, cols):
+        for Ug, c, G in zip(U, cols, bases):
             K, d = Ug.shape[1:3]
-            X = _rotate(Ug.reshape(n * K, d, d), D[:, c].reshape(n * K, d, d), _TRIALS)
+            A = np.einsum("sa,aij->sij", x[:, c].reshape(n * K, len(G)), G)
+            X = _rotate(Ug.reshape(n * K, d, d), A, _TRIALS)
             trials.append(X.reshape(n, K, *X.shape[1:]))
         ent = _batch_entropies(rho_mat, [trials[g][:, j].reshape(-1, dims[k], dims[k]) for k, g, j in place])
         r, step = np.arange(n), np.argmin(ent.reshape(n, -1), axis=1)
@@ -278,7 +278,7 @@ def _descend(
         U = [np.where(ok[:, None, None, None], X[r, :, step], Ug) for X, Ug in zip(trials, U)]
         h = np.where(ok, low, h)
         if ok.any():
-            D[ok], gg[ok] = _newton(rho_mat, [U[g][ok, j] for _, g, j in place])
+            x[ok], gg[ok] = _newton(rho_mat, [U[g][ok, j] for _, g, j in place])
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
