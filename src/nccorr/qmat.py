@@ -25,7 +25,7 @@ from .core import (
 # product-basis diagonal of rho sums to Tr rho and has no entry below rho's least eigenvalue
 HERM_TOL = 1e-10  # max |H - H^dag| (relative to max |H| in herm_eig)
 TRACE_TOL = 1e-8  # |Tr rho - 1|, and |sum p - 1| for a probability vector
-NEG_TOL = 1e-8  # eigenvalues and probabilities in [-NEG_TOL, 0) are round-off, clamped to 0
+NEG_TOL = 1e-8  # eigenvalues and probabilities in [-NEG_TOL, 0) are round-off and count as 0
 
 
 def hermitian_part(M: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -77,8 +77,9 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
 
 
 def density_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of rho sorted descending, checked and clamped like any probability vector."""
-    return _clamped_probs(herm_eig(rho.mat, vectors=False)[0])
+    """Eigenvalues of rho sorted descending, checked like any probability vector, round-off negatives set to 0."""
+    w = _check_probs(herm_eig(rho.mat, vectors=False)[0])
+    return np.where(w < 0.0, 0.0, w)
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -140,24 +141,20 @@ def _check_probs(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _clamped_probs(p: np.ndarray) -> np.ndarray:
-    """`_check_probs`, then round-off negatives set to 0."""
-    p = _check_probs(p)
-    return np.where(p < 0.0, 0.0, p)
-
-
 def entropy_bits(P: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over the last axis of non-negative P, zeros kept (0 log 0 = 0).
+    """-sum p log2 p over the last axis of P, zeros kept (0 log 0 = 0).
 
     Keeping the zeros fixes how the terms are grouped in the sum, so a row
-    gives the same bits alone as inside a batch.
+    gives the same bits alone as inside a batch.  An entry <= 0 gives a
+    signed zero term, so a round-off negative scores as if clamped to 0 in a
+    row with a positive sum.
     """
     return -(P * np.log2(np.where(P > 0.0, P, 1.0))).sum(axis=-1)
 
 
 def shannon_entropy(p: np.ndarray) -> float:
-    """Base-2 Shannon entropy (0 log 0 = 0); p is checked before round-off negatives become 0."""
-    return float(entropy_bits(_clamped_probs(p)))
+    """Base-2 Shannon entropy (0 log 0 = 0) of p, checked as a probability vector."""
+    return float(entropy_bits(_check_probs(p)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -110,10 +110,11 @@ def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np
     """Base-2 Shannon entropy of rho's diagonal in each sampled product basis.
 
     The diagonals come from `qmat.product_diagonals`, which contracts rho one
-    subsystem at a time and never forms the d_tot x d_tot basis.
+    subsystem at a time and never forms the d_tot x d_tot basis.  Their
+    round-off negatives need no clamp: `qmat.entropy_bits` gives them a zero
+    term, which changes no bit of a row that sums to 1.
     """
-    P = qmat.product_diagonals(rho_mat, factor_stacks)
-    return qmat.entropy_bits(np.where(P > 0.0, P, 0.0))
+    return qmat.entropy_bits(qmat.product_diagonals(rho_mat, factor_stacks))
 
 
 def _lie_basis(d: int) -> np.ndarray:

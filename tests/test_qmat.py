@@ -229,6 +229,26 @@ class TestEntropies:
         with pytest.raises(nc.NotAProbabilityVector):
             qmat.shannon_entropy(np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_round_off_negatives_score_as_their_clamped_copy(self, dims):
+        # a pure state in its marginal eigenbasis (a Schmidt basis) has zero
+        # diagonal entries, which come out as round-off negatives
+        rows = [
+            qmat.product_diagonals(rho.mat, [f[None] for f in search.marginal_eigenbasis(rho).factors])[0]
+            for rho in (random_state(dims, seed, rank=1) for seed in range(20))
+        ]
+        P = np.array(rows + [[1.0, -1e-17, *([0.0] * (len(rows[0]) - 2))]])
+        assert (P < 0).any(axis=1).sum() >= 5
+        clamped = np.where(P > 0.0, P, 0.0)
+
+        def same_bits(a, b):
+            return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+        assert same_bits(qmat.entropy_bits(P), qmat.entropy_bits(clamped))
+        for p, c in zip(P, clamped):
+            assert same_bits(qmat.shannon_entropy(p), qmat.entropy_bits(c))
+            assert same_bits(qmat.entropy_bits(p), qmat.entropy_bits(c))
+
     def test_vn_pure_state(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / math.sqrt(2)
