@@ -57,45 +57,36 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
     with the phases fixed so that R has a real, positive diagonal (Mezzadri,
     Notices AMS 54, 2007).  That Q is computed directly, by Gram–Schmidt on
     the matrix's columns, each orthogonalised twice against the columns
-    before it and then normalised.  The columns are real and imaginary
-    (d, S) arrays with the samples contiguous, and all arithmetic is
-    elementwise real ufuncs with every d-term sum added in a fixed order, so
-    a sample's factors depend only on its row of N (the matrices' entries in
-    turn, row-major, real then imaginary part): they are bit-identical
-    whether the row comes alone, in a slice or in the full batch.  The
-    Ginibre scale is left out, since Gram–Schmidt does not depend on it.  A
-    column whose residual norm is exactly zero raises NoConvergence.
+    before it and then normalised.  A column is a complex (d, S) array with
+    the samples contiguous, and all arithmetic is elementwise complex and
+    real ufuncs with every d-term sum added in a fixed order, so a sample's
+    factors depend only on its row of N (the matrices' entries in turn,
+    row-major, real then imaginary part): they are bit-identical whether the
+    row comes alone, in a slice or in the full batch.  The Ginibre scale is
+    left out, since Gram–Schmidt does not depend on it.  A column whose
+    residual norm is exactly zero raises NoConvergence.
     """
     S = len(N)
-    counts = [2 * d * d for d in dims]
     factors = []
     off = 0
-    for d, cnt in zip(dims, counts):
-        # G[s, r, c, part] is part (re, im) of entry (r, c); Re/Im[c, r, s]
-        # hold it column by column, and reduce(np.add, ...) sums over r in order
-        G = N[:, off : off + cnt].reshape(S, d, d, 2)
-        Re, Im = np.ascontiguousarray(G.transpose(3, 2, 1, 0))
-        off += cnt
+    for d in dims:
+        # Q[c, r, s] is entry (r, c) of sample s, and reduce(np.add, ...) sums over r in order
+        Q = np.ascontiguousarray(N[:, off : off + 2 * d * d].view(np.complex128).reshape(S, d, d).T)
+        off += 2 * d * d
         for c in range(d):
-            vr, vi = Re[c], Im[c]
+            v = Q[c]
             for _ in range(2):
                 for j in range(c):
-                    ar, ai = Re[j], Im[j]
-                    pr = reduce(np.add, ar * vr + ai * vi)  # <u_j, v> = sum_r conj(u_jr) v_r
-                    pi = reduce(np.add, ar * vi - ai * vr)
-                    vr -= pr * ar - pi * ai
-                    vi -= pr * ai + pi * ar
-            nrm = np.sqrt(reduce(np.add, vr * vr + vi * vi))
+                    v -= reduce(np.add, Q[j].conj() * v) * Q[j]  # <u_j, v> = sum_r conj(u_jr) v_r
+            nrm = np.sqrt(reduce(np.add, v.real * v.real + v.imag * v.imag))
             if not nrm.all():
                 raise NoConvergence(
                     f"Haar sample: zero Gram-Schmidt residual in column {c} of a {d}x{d} matrix"
                 )
-            vr /= nrm
-            vi /= nrm
-        U = np.empty((S, d, d), dtype=np.complex128)
-        U.real = Re.T
-        U.imag = Im.T
-        factors.append(U)
+            # a complex-by-real division rounds differently from dividing each part
+            v.real /= nrm
+            v.imag /= nrm
+        factors.append(np.ascontiguousarray(Q.T))
     return factors
 
 
