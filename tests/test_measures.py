@@ -80,6 +80,33 @@ class TestMeasureD:
         assert np.allclose(qmat.product_diagonals(rotated, UF),
                            qmat.product_diagonals(rho.mat, F), rtol=0, atol=1e-12)
 
+    # the Bell states' (c1, c2, c3), vertices of the tetrahedron of Bell-diagonal states
+    BELL_VERTICES = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+    PAULIS = [np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+
+    @pytest.mark.parametrize("where,first,count,corners", [
+        ("interior", 0, 50, [[0, 1, 2, 3]]),
+        ("faces", 50, 12, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+        ("edges", 62, 12, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]),
+    ], ids=["interior", "faces", "edges"])
+    def test_bell_diagonal_in_random_local_frames_closed_form(self, where, first, count, corners):
+        # rho = (I + sum_i c_i sigma_i x sigma_i)/4 has eigenvalues equal to its
+        # Dirichlet weights on the vertices, and D = 1 + h((1 + c_max)/2) - S(lambda)
+        # (Modi et al., PRL 104, 080501 (2010)); D is local-unitary invariant.
+        # Faces and edges are rank 3 and rank 2.
+        for i in range(first, first + count):
+            vertices = corners[i % len(corners)]
+            w = np.random.default_rng(i).dirichlet(np.ones(len(vertices)))
+            c = w @ self.BELL_VERTICES[vertices]
+            bell = (np.eye(4) + sum(ck * np.kron(P, P) for ck, P in zip(c, self.PAULIS))) / 4
+            B = qmat.product_basis_matrix(nc.haar_random_product_basis((2, 2), 5000 + i))
+            rho = nc.DensityMatrix((2, 2), B @ bell @ B.conj().T)
+            c1, c2, c3 = c
+            lam = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4
+            exact = 1 + H((1 + np.abs(c).max()) / 2) - sum(s(x) for x in lam)
+            got = nc.measure_D(rho, nc.SearchConfig(seed=i + 1)).value
+            assert abs(got - exact) <= 1e-9, (where, i, c, got - exact)
+
     def test_witness_is_minimizing_basis(self):
         rho = nc.make_pseudo_entangled(0.8)
         rep = nc.measure_D(rho, FAST)
