@@ -145,9 +145,8 @@ def entropy_bits(P: np.ndarray) -> np.ndarray:
     """-sum p log2 p over the last axis of P, zeros kept (0 log 0 = 0).
 
     Keeping the zeros fixes how the terms are grouped in the sum, so a row
-    gives the same bits alone as inside a batch.  An entry <= 0 gives a
-    signed zero term, so a round-off negative scores as if clamped to 0 in a
-    row with a positive sum.
+    gives the same bits alone as inside a batch.  An entry <= 0 gives a zero
+    term, so round-off negatives need no clamp.
     """
     return -(P * np.log2(np.where(P > 0.0, P, 1.0))).sum(axis=-1)
 

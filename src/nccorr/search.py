@@ -66,13 +66,10 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
     left out, since Gram–Schmidt does not depend on it.  A column whose
     residual norm is exactly zero raises NoConvergence.
     """
-    S = len(N)
     factors = []
-    off = 0
-    for d in dims:
+    for d, G in zip(dims, np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1)):
         # Q[c, r, s] is entry (r, c) of sample s, and reduce(np.add, ...) sums over r in order
-        Q = np.ascontiguousarray(N[:, off : off + 2 * d * d].view(np.complex128).reshape(S, d, d).T)
-        off += 2 * d * d
+        Q = np.ascontiguousarray(G.view(np.complex128).reshape(-1, d, d).T)
         for c in range(d):
             v = Q[c]
             for _ in range(2):
@@ -101,9 +98,7 @@ def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np
     """Base-2 Shannon entropy of rho's diagonal in each sampled product basis.
 
     The diagonals come from `qmat.product_diagonals`, which contracts rho one
-    subsystem at a time and never forms the d_tot x d_tot basis.  Their
-    round-off negatives need no clamp: `qmat.entropy_bits` gives them a zero
-    term, which changes no bit of a row that sums to 1.
+    subsystem at a time and never forms the d_tot x d_tot basis.
     """
     return qmat.entropy_bits(qmat.product_diagonals(rho_mat, factor_stacks))
 
@@ -213,19 +208,18 @@ def _descend(
 ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Saddle-free Newton descent on the product of unitary groups, from every start at once.
 
-    A round moves each live start along its `_newton` step x as
-    U_k exp(t A_k) for the steps t in `_TRIALS`, scored in one call, and
-    takes the lowest if it is below the start's entropy; x is then
-    recomputed there.  x stays in Lie coordinates until the rotation, where
-    A_k = sum_a x_a G_a over subsystem k's `_lie_basis`.  A start stops at
-    gradient norm `_GRAD_TOL`, at `max_rounds` rounds, or after its first
-    round with no lower step, which counts as a round but not as an
-    accepted one and leaves its factors and entropy as they were; it is then
-    written to the outputs once and leaves the working arrays.  The working
-    arrays hold only the live starts: x, and the factors of the K subsystems
-    of one dimension d as one (n, K, d, d) stack, which `_rotate` turns in
-    one call.  Returns the final factor stacks, entropies, rounds and
-    accepted rounds.
+    A round moves each live start along its `_newton` step x, kept in Lie
+    coordinates until here, as U_k exp(t A_k) with A_k = sum_a x_a G_a over
+    subsystem k's `_lie_basis`, for the steps t in `_TRIALS`, scored in one
+    call, and takes the lowest if it is below the start's entropy; x is then
+    recomputed there.  A start stops at gradient norm `_GRAD_TOL`, at
+    `max_rounds` rounds, or after its first round with no lower step, which
+    counts as a round but not as an accepted one and leaves its factors and
+    entropy as they were; it is then written to the outputs once and leaves
+    the working arrays.  The working arrays hold only the live starts: x, and
+    the factors of the K subsystems of one dimension d as one (n, K, d, d)
+    stack, which `_rotate` turns in one call.  Returns the final factor
+    stacks, entropies, rounds and accepted rounds.
     """
     dims = [F.shape[-1] for F in stacks]
     groups = [[k for k, dk in enumerate(dims) if dk == d] for d in dict.fromkeys(dims)]
