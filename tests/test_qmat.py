@@ -247,7 +247,6 @@ class TestEntropies:
         assert same_bits(qmat.entropy_bits(P), qmat.entropy_bits(clamped))
         for p, c in zip(P, clamped):
             assert same_bits(qmat.shannon_entropy(p), qmat.entropy_bits(c))
-            assert same_bits(qmat.entropy_bits(p), qmat.entropy_bits(c))
 
     def test_vn_pure_state(self):
         psi = np.zeros(4, dtype=complex)
