@@ -215,56 +215,46 @@ def _descend(
     recomputed there.  A start stops at gradient norm `_GRAD_TOL`, at
     `max_rounds` rounds, or after its first round with no lower step, which
     counts as a round but not as an accepted one and leaves its factors and
-    entropy as they were; it is then written to the outputs once and leaves
-    the working arrays.  The working arrays hold only the live starts: x, and
-    the factors of the K subsystems of one dimension d as one (n, K, d, d)
-    stack, which `_rotate` turns in one call.  Returns the final factor
-    stacks, entropies, rounds and accepted rounds.
+    entropy as they were.  Every per-start array is indexed by start number
+    for the whole call.  A round gathers the live starts by index, stacks the
+    factors of their K subsystems of dimension d as one (live, K, d, d) array
+    for one `_rotate` call, and writes the accepted steps back.  Returns new
+    factor stacks, entropies, rounds and accepted rounds.
     """
     dims = [F.shape[-1] for F in stacks]
     groups = [[k for k, dk in enumerate(dims) if dk == d] for d in dict.fromkeys(dims)]
-    place = sorted((k, g, j) for g, ks in enumerate(groups) for j, k in enumerate(ks))
     # each group's Lie basis, and its subsystems' columns of x
     bases = [_lie_basis(dims[ks[0]]) for ks in groups]
     ends = np.cumsum([d * d - d for d in dims])
     cols = [np.concatenate([np.arange(ends[k] - len(G), ends[k]) for k in ks]) for ks, G in zip(groups, bases)]
     n = len(h)
-    U_out, h_out = [np.array(F) for F in stacks], np.array(h)
-    rounds_out, accepts_out = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    if max_rounds == 0:  # no round runs, so no start needs a direction
-        return U_out, h_out, rounds_out, accepts_out
-
-    start, h, accepts, ok = np.arange(n), np.array(h), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
-    U = [np.stack([stacks[k] for k in ks], axis=1) for ks in groups]
-    x, gg = _newton(rho_mat, stacks)
-    rounds = 0
+    U, h, x, gg = [np.array(F) for F in stacks], np.array(h), np.zeros((n, ends[-1])), np.zeros(n)
+    rounds, accepts, live = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(n, max_rounds > 0)
+    a = np.flatnonzero(live)  # the starts whose step is due: all before round 1, then those just accepted
     while True:
-        live = ok & (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
-        if not live.all():
-            done = ~live
-            i = start[done]
-            for k, g, j in place:
-                U_out[k][i] = U[g][done, j]
-            h_out[i], rounds_out[i], accepts_out[i] = h[done], rounds, accepts[done]
-            if not live.any():
-                return U_out, h_out, rounds_out, accepts_out
-            start, h, accepts, x, gg, *U = (a[live] for a in (start, h, accepts, x, gg, *U))
-        n, trials = len(h), []
-        for Ug, c, G in zip(U, cols, bases):
-            K, d = Ug.shape[1:3]
-            A = np.einsum("sa,aij->sij", x[:, c].reshape(n * K, len(G)), G)
-            X = _rotate(Ug.reshape(n * K, d, d), A, _TRIALS)
-            trials.append(X.reshape(n, K, *X.shape[1:]))
-        ent = _batch_entropies(rho_mat, [trials[g][:, j].reshape(-1, dims[k], dims[k]) for k, g, j in place])
-        r, step = np.arange(n), np.argmin(ent.reshape(n, -1), axis=1)
-        low = ent.reshape(n, -1)[r, step]
-        ok = low < h
-        rounds += 1
-        accepts += ok
-        U = [np.where(ok[:, None, None, None], X[r, :, step], Ug) for X, Ug in zip(trials, U)]
-        h = np.where(ok, low, h)
-        if ok.any():
-            x[ok], gg[ok] = _newton(rho_mat, [U[g][ok, j] for _, g, j in place])
+        if len(a):
+            x[a], gg[a] = _newton(rho_mat, [F[a] for F in U])
+        live &= (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
+        i = np.flatnonzero(live)
+        if not len(i):
+            return U, h, rounds, accepts
+        m, trials = len(i), [None] * len(dims)
+        for ks, c, G in zip(groups, cols, bases):
+            d = dims[ks[0]]
+            A = np.einsum("sa,aij->sij", x[i[:, None], c].reshape(m * len(ks), len(G)), G)
+            X = _rotate(np.stack([U[k][i] for k in ks], axis=1).reshape(-1, d, d), A, _TRIALS)
+            for j, k in enumerate(ks):
+                trials[k] = X.reshape(m, len(ks), -1, d, d)[:, j]
+        ent = _batch_entropies(rho_mat, [X.reshape(-1, d, d) for X, d in zip(trials, dims)]).reshape(m, -1)
+        step = np.argmin(ent, axis=1)
+        low = ent[np.arange(m), step]
+        ok = low < h[i]
+        rounds[i] += 1
+        accepts[i] += ok
+        a = i[ok]
+        for F, X in zip(U, trials):
+            F[a] = X[ok, step[ok]]
+        h[a], live[i] = low[ok], ok
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:

@@ -371,6 +371,23 @@ class TestDescent:
             for a, b in zip(F_r, F_s):
                 assert np.array_equal(a[-1:], b)
 
+    @pytest.mark.parametrize("max_rounds", [0, 100])
+    def test_inputs_are_never_written(self, max_rounds):
+        # min_diag_entropy keeps the starts as the witness when no descended
+        # basis wins, so the outputs must be new arrays, at 0 rounds too
+        rho = nc.random_density_matrix((2, 2, 2), 8, 7)
+        starts = search._haar_batch((2, 2, 2), normals((2, 2, 2), 4, 1))
+        h = search._batch_entropies(rho.mat, starts)
+        before = [a.copy() for a in (*starts, h)]
+        for a in (*starts, h):
+            a.setflags(write=False)
+        U, h_end, rounds, _ = search._descend(rho.mat, starts, h, max_rounds)
+        assert rounds.any() == (max_rounds > 0)
+        for a, b in zip((*starts, h), before):
+            assert np.array_equal(a, b)
+        for out in (*U, h_end):
+            assert out.flags.writeable and not any(np.shares_memory(out, a) for a in (*starts, h))
+
     def test_no_rounds_compute_no_derivatives_and_turn_nothing(self, monkeypatch):
         rho = nc.random_density_matrix((2, 3), 6, 7)
         starts = search._haar_batch((2, 3), normals((2, 3), 3, 1))
