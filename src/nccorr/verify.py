@@ -343,11 +343,37 @@ def criterion_8(cfg: SearchConfig, first_csv: str) -> List[Check]:
     ]
 
 
+# ---------------------------------------------------------------- criterion 9
+
+# the Bell states' correlation vectors c, the vertices of the tetrahedron of
+# Bell-diagonal states (I + sum_i c_i sigma_i x sigma_i) / 4
+_BELL_VERTICES = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def criterion_9(cfg: SearchConfig) -> List[Check]:
+    """D of Bell-diagonal states, turned by random local unitaries, against its closed form.
+
+    With weights w on the four Bell states, c = w V and c_max = max_i |c_i|,
+    the least diagonal entropy over product bases is 1 + h((1 + c_max) / 2)
+    and the spectrum is w, so D = 1 + h((1 + c_max) / 2) - S(w).
+    """
+    devs = []
+    for i in range(50):
+        w = np.random.default_rng(7000 + i).dirichlet(np.ones(4))
+        c = w @ _BELL_VERTICES
+        mat = (np.eye(4) + sum(ci * np.kron(P, P) for ci, P in zip(c, _PAULIS))) / 4
+        rho = _local_rotate(DensityMatrix((2, 2), mat), haar_random_product_basis((2, 2), 8000 + i))
+        exact = 1.0 + binary_entropy((1.0 + float(np.abs(c).max())) / 2) - sum(s(float(x)) for x in w)
+        devs.append(abs(measures.measure_D(rho, cfg).value - exact))
+    return [_dev_check("criterion-9 D of Bell-diagonal states in random local frames", devs, TOL)]
+
+
 # --------------------------------------------------------------------- driver
 
 
 def run_all(cfg: SearchConfig = SearchConfig(), seconds: Optional[Dict[str, float]] = None) -> List[Check]:
-    """Every check of criteria 1-8; `seconds`, if given, gets each criterion's wall time."""
+    """Every check of criteria 1-9; `seconds`, if given, gets each criterion's wall time."""
     seconds = {} if seconds is None else seconds
 
     def timed(n: int, run, *args):
@@ -366,4 +392,5 @@ def run_all(cfg: SearchConfig = SearchConfig(), seconds: Optional[Dict[str, floa
     checks.extend(timed(6, criterion_6))
     checks.extend(timed(7, criterion_7))
     checks.extend(timed(8, criterion_8, cfg, csv1))
+    checks.extend(timed(9, criterion_9, cfg))
     return checks

@@ -24,11 +24,11 @@ def _assert_criterion(checks, n):
     assert not failed, "\n".join(failed)
 
 
-@pytest.mark.parametrize("criterion", range(1, 9))
+@pytest.mark.parametrize("criterion", range(1, 10))
 def test_criterion(all_checks, criterion):
     _assert_criterion(all_checks, criterion)
 
 
 def test_no_unexpected_checks(all_checks):
     names = {c.name.split()[0] for c in all_checks}
-    assert names <= {f"criterion-{n}" for n in range(1, 9)}
+    assert names <= {f"criterion-{n}" for n in range(1, 10)}
