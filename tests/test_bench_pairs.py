@@ -128,3 +128,15 @@ def test_extract_writes_the_committed_files(tmp_path, monkeypatch, data_filter):
                                capture_output=True, check=True).stdout
     assert (tmp_path / "tools" / "bench_pairs.py").read_bytes() == committed
     assert (tmp_path / "perfbench" / "run.py").is_file()
+
+
+def test_seeds_differing_counts_the_pairs_that_are_not_equal():
+    parent = [(10.0, 50.0), (12.0, 40.0), (11.0, 45.0)]
+    change = [(10.0, 50.0), (12.5, 40.0), (9.0, 45.0)]
+    runs = [run("parent", s, *v) for s, v in enumerate(parent)]
+    runs += [run("change", s, *v) for s, v in enumerate(change)]
+    metrics = bench_pairs.summarize(runs, BETTER)["w"]["metrics"]
+    assert metrics["ops_per_s"]["seeds_differing"] == 2  # seed 0 ties
+    assert metrics["ops_per_s"]["max_abs_diff"] == 2.0
+    assert metrics["op_p50_ms"]["seeds_differing"] == 0
+    assert metrics["op_p50_ms"]["max_abs_diff"] == 0.0

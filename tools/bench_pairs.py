@@ -13,7 +13,8 @@ even ones, so a steady drift in machine speed favours neither side.  Every
 run's `meta` line and final JSON result are stored.  The summary gives, per
 workload and end-to-end metric of BENCHMARK.json, the parent's median and
 quartiles, the change's median, the pairs the change won (strictly better
-in the metric's direction) and the relative change of the medians.  For
+in the metric's direction), the relative change of the medians, the number
+of seeds whose two values differ and the largest difference among them.  For
 every seed, each checkout also runs `nccorr verify` once, in the same order,
 and its per-criterion seconds are stored with their medians per side.
 """
@@ -77,6 +78,7 @@ def summarize(runs: Sequence[dict], better: Dict[str, str]) -> dict:
             parent = [p for p, _ in pairs]
             change = [c for _, c in pairs]
             p_med, c_med = statistics.median(parent), statistics.median(change)
+            diffs = [abs(c - p) for p, c in pairs if c != p]
             metrics[name] = {
                 "better": direction,
                 "parent_median": p_med,
@@ -84,6 +86,8 @@ def summarize(runs: Sequence[dict], better: Dict[str, str]) -> dict:
                 "change_median": c_med,
                 "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
                 "median_change": (c_med - p_med) / p_med if p_med else None,
+                "seeds_differing": len(diffs),
+                "max_abs_diff": max(diffs, default=0.0),
             }
         out[wl] = {
             "pairs": len(seeds),
