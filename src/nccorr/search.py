@@ -274,37 +274,32 @@ def computational_basis(dims: Sequence[int]) -> ProductBasis:
 def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, ProductBasis, dict]:
     """Smallest diagonal entropy found over fixed, sampled and descended product bases.
 
-    Samples are made and scored `chunk_size` at a time, so memory does not
-    grow with their number, and the factors and scores of the best
-    `_N_STARTS` by (entropy, index) are kept.  The starts are the
-    computational basis, the marginal eigenbasis and those samples, in that
-    order, and the first lowest of them is the best start; only the two
-    fixed starts are scored here, since a row's score does not depend on its
-    batch.  `_descend` runs from every start; its first lowest basis replaces
-    the best start if it is lower by more than `_MARGIN`.  Only the witness
-    goes through the checked `qmat.diag_probs`.
+    The starts are one set of arrays: the computational basis and the
+    marginal eigenbasis, then the best `_N_STARTS` samples by (entropy,
+    index).  Each chunk of `chunk_size` samples is scored once and appended
+    to the set, which is then trimmed back, so memory does not grow with
+    the number of samples.  The first lowest start is the best start.
+    `_descend` runs from every start; its first lowest basis replaces the
+    best start if it is lower by more than `_MARGIN`.  Only the witness goes
+    through the checked `qmat.diag_probs`.
 
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
     regardless of chunk size.
     """
-    dims = rho.dims
+    dims, n = rho.dims, cfg.n_samples
     rng = np.random.default_rng(cfg.seed % 2 ** 64)  # the samples' stream; nothing else draws from it
-    n, best_h, best_i = cfg.n_samples, np.empty(0), np.empty(0, dtype=int)
-    best_f = [np.empty((0, d, d), dtype=np.complex128) for d in dims]
+    stacks = [np.stack(f) for f in zip(computational_basis(dims).factors, marginal_eigenbasis(rho).factors)]
+    h, idx = _batch_entropies(rho.mat, stacks), np.array([-2, -1])
     for lo in range(0, n, cfg.chunk_size):
         new = np.arange(lo, min(lo + cfg.chunk_size, n))
         facs = _haar_batch(dims, _ginibre(rng, dims, len(new)))
-        h = np.concatenate([best_h, _batch_entropies(rho.mat, facs)])
-        idx = np.concatenate([best_i, new])
-        keep = np.lexsort((idx, h))[:_N_STARTS]
-        best_h, best_i = h[keep], idx[keep]
-        best_f = [np.concatenate(pair)[keep] for pair in zip(best_f, facs)]
+        h, idx = np.concatenate([h, _batch_entropies(rho.mat, facs)]), np.concatenate([idx, new])
+        # kept samples precede the chunk's and have lower indices, so a stable sort ties by index
+        keep = np.r_[0, 1, 2 + np.argsort(h[2:], kind="stable")[:_N_STARTS]]
+        h, idx, stacks = h[keep], idx[keep], [np.concatenate(pair)[keep] for pair in zip(stacks, facs)]
 
-    sources = ["computational", "marginal-eigenbasis", *(f"sample:{i}" for i in best_i)]
-    fixed = [np.stack(f) for f in zip(computational_basis(dims).factors, marginal_eigenbasis(rho).factors)]
-    stacks = [np.concatenate(pair) for pair in zip(fixed, best_f)]
-    h = np.concatenate([_batch_entropies(rho.mat, fixed), best_h])
+    sources = ["computational", "marginal-eigenbasis", *(f"sample:{i}" for i in idx[2:])]
     descended, h_desc, rounds, accepts = _descend(rho.mat, stacks, h, cfg.refine_steps)
     first, i = int(np.argmin(h)), int(np.argmin(h_desc))
     if h_desc[i] < h[first] - _MARGIN:
