@@ -170,6 +170,28 @@ class TestMinDiagEntropy:
             for fa, fb in zip(basis.factors, base[1].factors):
                 assert np.array_equal(fa, fb)
 
+    @pytest.mark.parametrize("chunk_size", [1, 7, 2048])
+    def test_start_set_ties_by_sample_index(self, monkeypatch, chunk_size):
+        # scores rounded to 0.1 bits tie often; the starts must be the two
+        # fixed ones, then the best _N_STARTS samples by (score, index)
+        real, real_descend, seen = search._batch_entropies, search._descend, []
+        monkeypatch.setattr(search, "_batch_entropies", lambda m, f: np.round(real(m, f), 1))
+
+        def capture(rho_mat, stacks, h, max_rounds):
+            seen.append([np.array(F) for F in stacks])
+            return real_descend(rho_mat, stacks, h, max_rounds)
+
+        monkeypatch.setattr(search, "_descend", capture)
+        rho, n = nc.random_density_matrix((2, 3), 6, 21), 300
+        nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=n, seed=4, refine_steps=0, chunk_size=chunk_size))
+        facs = search._haar_batch(rho.dims, normals(rho.dims, n, 4))
+        score = np.round(real(rho.mat, facs), 1)
+        best = sorted(range(n), key=lambda i: (score[i], i))[: search._N_STARTS + 1]
+        assert score[best[-2]] == score[best[-1]]  # a tie at the cut
+        fixed = zip(search.computational_basis(rho.dims).factors, search.marginal_eigenbasis(rho).factors)
+        for F, (c, m), S in zip(seen[0], fixed, facs):
+            assert np.array_equal(F, np.stack([c, m, *S[best[:-1]]]))
+
     def test_refinement_never_increases(self):
         rho = nc.random_density_matrix((2, 2), 4, 91)
         v0, _, _ = nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=200, seed=5, refine_steps=0))
