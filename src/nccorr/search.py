@@ -29,6 +29,7 @@ _RADIUS = 1.0  # longest Newton step (radians, the norm of the coordinates x)
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in the Newton step
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
 _MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
+_CLUSTER_TOL = 1e-10  # marginal eigenvalues whose gap is at most this times max|w| share an eigenspace
 
 
 @dataclass(frozen=True)
@@ -257,14 +258,39 @@ def _descend(
         h[a], live[i] = low[ok], ok
 
 
+def _canonical_eigenvectors(H: np.ndarray) -> np.ndarray:
+    """`qmat.herm_eig`'s eigenvectors of H, with each degenerate eigenspace's basis fixed by the eigenspace alone.
+
+    The descending eigenvalues split into clusters wherever a gap exceeds
+    `_CLUSTER_TOL` times max|w|.  A vector alone in its cluster is kept.
+    For a cluster of m, the projector P = V_c V_c^dag does not depend on the
+    basis LAPACK chose: m of its columns are picked by pivoted Cholesky
+    (the largest residual diagonal, the lowest index on ties, then that
+    column's rank-one part is subtracted), and Loewdin's A (A^dag A)^(-1/2)
+    = U V^dag, from the SVD A = U S V^dag, orthonormalises them in index
+    order.  Pivoting keeps equal columns of P from being picked twice.
+    Round-off still decides where two residual diagonals tie and their
+    columns are not parallel, as on the plane orthogonal to (1, 1, -1).
+    """
+    w, V = qmat.herm_eig(H)
+    ends = [*(np.flatnonzero(-np.diff(w) > _CLUSTER_TOL * np.abs(w).max()) + 1), len(w)]
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        if hi - lo > 1:
+            P = V[:, lo:hi] @ V[:, lo:hi].conj().T
+            R, cols = P.copy(), []
+            for _ in range(hi - lo):
+                j = int(np.argmax(R.diagonal().real))
+                R -= np.outer(R[:, j], R[j]) / R[j, j].real
+                cols.append(j)
+            U, _, Vh = np.linalg.svd(P[:, sorted(cols)], full_matrices=False)
+            V[:, lo:hi] = U @ Vh
+    return V
+
+
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
-    """Product basis formed from each single-subsystem marginal eigenbasis."""
-    facs = []
-    for k in range(rho.n_subsystems):
-        marg = qmat.partial_trace(rho, [k])
-        _, V = qmat.herm_eig(marg.mat)
-        facs.append(V)
-    return ProductBasis(tuple(facs))
+    """Product basis formed from each single-subsystem marginal eigenbasis, canonical on degenerate eigenspaces."""
+    margs = (qmat.partial_trace(rho, [k]).mat for k in range(rho.n_subsystems))
+    return ProductBasis(tuple(_canonical_eigenvectors(m) for m in margs))
 
 
 def computational_basis(dims: Sequence[int]) -> ProductBasis:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nccorr as nc
-from nccorr import qmat, search
+from nccorr import qmat, search, sweep
 
 
 def s(x):
@@ -16,6 +16,13 @@ def s(x):
 def normals(dims, n, seed):
     """n samples' Ginibre normals for `search._haar_batch`, from default_rng(seed)."""
     return search._ginibre(np.random.default_rng(seed), dims, n)
+
+
+def perturbed(rho, seed):
+    """rho plus 1e-15 (E + E^dag)/2, E complex Gaussian from default_rng(seed): round-off in a stored state."""
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal(rho.mat.shape) + 1j * rng.standard_normal(rho.mat.shape)
+    return nc.DensityMatrix(rho.dims, rho.mat + 1e-15 * (E + E.conj().T) / 2)
 
 
 class TestHaarSampling:
@@ -478,6 +485,31 @@ class TestMarginalEigenbasis:
             basis = search.marginal_eigenbasis(make(p))
             for f in basis.factors:
                 assert np.array_equal(f, np.eye(2))
+
+    @pytest.mark.parametrize("family", ["ps", "sigma", "horodecki"])
+    def test_dg_does_not_follow_round_off(self, family):
+        # ps and sigma have marginals I/2, and horodecki at b = 1 degenerate
+        # ones: any eigenbasis LAPACK picks there would do, but D_G must not move
+        make, lo, hi = sweep.FAMILIES[family]
+        for i, p in enumerate(np.linspace(lo, hi, 101)):
+            rho = make(float(p))
+            exact = nc.measure_DG(rho).value
+            for k in range(3):
+                assert abs(nc.measure_DG(perturbed(rho, 3 * i + k)).value - exact) <= 1e-9
+
+    def test_tied_projector_diagonal_picks_independent_columns(self):
+        # sigma_A's 0.3-eigenspace span{(|0>+|1>)/sqrt2, (|2>+|3>)/sqrt2} has a
+        # projector with all four diagonal entries 1/2 and columns 0 and 1 equal
+        v = np.array([[1, 1, 0, 0], [0, 0, 1, 1]]).T / 2 ** 0.5
+        P = v @ v.T
+        sigma_a = 0.3 * P + 0.2 * (np.eye(4) - P)
+        rho = nc.DensityMatrix((4, 2), np.kron(sigma_a, np.eye(2) / 2))
+        for r in (rho, perturbed(rho, 1), perturbed(rho, 2)):
+            F = search.marginal_eigenbasis(r).factors[0]
+            assert np.abs(F.conj().T @ F - np.eye(4)).max() <= 1e-12
+            T = F.conj().T @ sigma_a @ F
+            assert np.abs(T - np.diag(np.diag(T))).max() <= 1e-12
+            assert abs(nc.measure_DG(r).value) <= 1e-12
 
 
 class TestSingleScorer:
