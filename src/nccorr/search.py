@@ -262,9 +262,10 @@ def _canonical_eigenvectors(H: np.ndarray) -> np.ndarray:
     """`qmat.herm_eig`'s eigenvectors of H, with each degenerate eigenspace's basis fixed by the eigenspace alone.
 
     The descending eigenvalues split into clusters wherever a gap exceeds
-    `_CLUSTER_TOL` times max|w|.  A vector alone in its cluster is kept.
-    For a cluster of m, the projector P = V_c V_c^dag does not depend on the
-    basis LAPACK chose: m of its columns are picked by pivoted Cholesky
+    `_CLUSTER_TOL` times max|w|.  A vector alone in its cluster is kept,
+    and a single cluster of all d eigenvalues gets the identity.  For a
+    cluster of 1 < m < d, the projector P = V_c V_c^dag does not depend on
+    the basis LAPACK chose: m of its columns are picked by pivoted Cholesky
     (the largest residual diagonal, the lowest index on ties, then that
     column's rank-one part is subtracted), and Loewdin's A (A^dag A)^(-1/2)
     = U V^dag, from the SVD A = U S V^dag, orthonormalises them in index
@@ -273,8 +274,13 @@ def _canonical_eigenvectors(H: np.ndarray) -> np.ndarray:
     columns are not parallel, as on the plane orthogonal to (1, 1, -1).
     """
     w, V = qmat.herm_eig(H)
-    ends = [*(np.flatnonzero(-np.diff(w) > _CLUSTER_TOL * np.abs(w).max()) + 1), len(w)]
-    for lo, hi in zip([0, *ends[:-1]], ends):
+    wl, lo = w.tolist(), 0
+    tol = _CLUSTER_TOL * max(map(abs, wl))
+    for hi in range(1, len(wl) + 1):
+        if hi < len(wl) and wl[hi - 1] - wl[hi] <= tol:
+            continue
+        if hi - lo == len(wl):  # then P = I, which the rule below would return up to rounding
+            return np.eye(len(wl), dtype=np.complex128)
         if hi - lo > 1:
             P = V[:, lo:hi] @ V[:, lo:hi].conj().T
             R, cols = P.copy(), []
@@ -284,6 +290,7 @@ def _canonical_eigenvectors(H: np.ndarray) -> np.ndarray:
                 cols.append(j)
             U, _, Vh = np.linalg.svd(P[:, sorted(cols)], full_matrices=False)
             V[:, lo:hi] = U @ Vh
+        lo = hi
     return V
 
 

@@ -497,19 +497,30 @@ class TestMarginalEigenbasis:
             for k in range(3):
                 assert abs(nc.measure_DG(perturbed(rho, 3 * i + k)).value - exact) <= 1e-9
 
+    # span{(|0>+|1>)/sqrt2, (|2>+|3>)/sqrt2}: its projector has all four diagonal
+    # entries 1/2 and columns 0 and 1 equal, and it is sigma_A's 0.3-eigenspace
+    TIED = np.array([[1, 1, 0, 0], [0, 0, 1, 1]]) / 2 ** 0.5
+    SIGMA_A = 0.3 * TIED.T @ TIED + 0.2 * (np.eye(4) - TIED.T @ TIED)
+
     def test_tied_projector_diagonal_picks_independent_columns(self):
-        # sigma_A's 0.3-eigenspace span{(|0>+|1>)/sqrt2, (|2>+|3>)/sqrt2} has a
-        # projector with all four diagonal entries 1/2 and columns 0 and 1 equal
-        v = np.array([[1, 1, 0, 0], [0, 0, 1, 1]]).T / 2 ** 0.5
-        P = v @ v.T
-        sigma_a = 0.3 * P + 0.2 * (np.eye(4) - P)
-        rho = nc.DensityMatrix((4, 2), np.kron(sigma_a, np.eye(2) / 2))
+        rho = nc.DensityMatrix((4, 2), np.kron(self.SIGMA_A, np.eye(2) / 2))
         for r in (rho, perturbed(rho, 1), perturbed(rho, 2)):
             F = search.marginal_eigenbasis(r).factors[0]
             assert np.abs(F.conj().T @ F - np.eye(4)).max() <= 1e-12
-            T = F.conj().T @ sigma_a @ F
+            T = F.conj().T @ self.SIGMA_A @ F
             assert np.abs(T - np.diag(np.diag(T))).max() <= 1e-12
             assert abs(nc.measure_DG(r).value) <= 1e-12
+
+    def test_dg_does_not_follow_round_off_in_part_of_the_space(self):
+        # the same marginal, but psi is entangled across the degenerate
+        # eigenspace, so D_G depends on the basis taken within it
+        psi = (np.kron(self.TIED[0], [1, 0]) + np.kron(self.TIED[1], [0, 1])) / 2 ** 0.5
+        rest = np.kron(self.SIGMA_A - 0.3 * self.TIED.T @ self.TIED, np.eye(2) / 2)
+        rho = nc.DensityMatrix((4, 2), 0.6 * np.outer(psi, psi) + rest)
+        assert np.allclose(qmat.partial_trace(rho, [0]).mat, self.SIGMA_A)
+        exact = nc.measure_DG(rho).value
+        for seed in range(10):
+            assert abs(nc.measure_DG(perturbed(rho, seed)).value - exact) <= 1e-9
 
 
 class TestSingleScorer:
