@@ -26,6 +26,7 @@ from .core import (
 HERM_TOL = 1e-10  # max |H - H^dag| (relative to max |H| in herm_eig)
 TRACE_TOL = 1e-8  # |Tr rho - 1|, and |sum p - 1| for a probability vector
 NEG_TOL = 1e-8  # eigenvalues and probabilities in [-NEG_TOL, 0) are round-off and count as 0
+TIE_TOL = 1e-10  # eigenvalues or eigenvector magnitudes this close, relative to the largest, count as tied
 
 
 def hermitian_part(M: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -45,8 +46,10 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
 
     Returns two arrays: the real eigenvalues sorted descending and the
     matching eigenvector columns.  The sort is stable and each eigenvector
-    is phased so its largest-magnitude component is real and non-negative,
-    so the output is reproducible on one machine and numpy/BLAS build.  With
+    is phased so that its largest-magnitude component is real and
+    non-negative; of components within `TIE_TOL` of the largest magnitude,
+    the lowest-index one is taken, so round-off cannot choose between tied
+    components.  The output is reproducible on one machine and numpy/BLAS build.  With
     ``vectors=False``, H may be a stack (k, n, n): one ``eigvalsh`` call gives
     each matrix's eigenvalues, descending along the last axis, and None.  A
     LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
@@ -71,7 +74,8 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
         return w, None
     order = np.argsort(-w, kind="stable")
     V = V[:, order]
-    ph = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    a = np.abs(V)
+    ph = V[np.argmax(a >= (1.0 - TIE_TOL) * a.max(axis=0), axis=0), np.arange(n)]
     V = V * (ph.conj() / np.abs(ph))
     return w[order], V
 

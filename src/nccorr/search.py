@@ -29,7 +29,6 @@ _RADIUS = 1.0  # longest Newton step (radians, the norm of the coordinates x)
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in the Newton step
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
 _MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
-_CLUSTER_TOL = 1e-10  # marginal eigenvalues whose gap is at most this times max|w| share an eigenspace
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,7 @@ def _canonical_eigenvectors(H: np.ndarray) -> np.ndarray:
     """`qmat.herm_eig`'s eigenvectors of H, with each degenerate eigenspace's basis fixed by the eigenspace alone.
 
     The descending eigenvalues split into clusters wherever a gap exceeds
-    `_CLUSTER_TOL` times max|w|.  A vector alone in its cluster is kept,
+    `qmat.TIE_TOL` times max|w|.  A vector alone in its cluster is kept,
     and a single cluster of all d eigenvalues gets the identity.  For a
     cluster of 1 < m < d, the projector P = V_c V_c^dag does not depend on
     the basis LAPACK chose: m of its columns are picked by pivoted Cholesky
@@ -275,7 +274,7 @@ def _canonical_eigenvectors(H: np.ndarray) -> np.ndarray:
     """
     w, V = qmat.herm_eig(H)
     wl, lo = w.tolist(), 0
-    tol = _CLUSTER_TOL * max(map(abs, wl))
+    tol = qmat.TIE_TOL * max(map(abs, wl))
     for hi in range(1, len(wl) + 1):
         if hi < len(wl) and wl[hi - 1] - wl[hi] <= tol:
             continue

@@ -65,6 +65,17 @@ class TestHermEig:
             assert abs(V1[i, j].imag) < 1e-14
             assert V1[i, j].real >= 0.0
 
+    def test_phase_tie_goes_to_the_lowest_index(self):
+        # the 0.2-eigenvector u has three components of equal magnitude, so
+        # round-off alone would pick the one made real and non-negative
+        u = np.array([1.0, 1.0, -1.0]) / 3 ** 0.5
+        H = 0.4 * (np.eye(3) - np.outer(u, u)) + 0.2 * np.outer(u, u)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            E = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            _, V = qmat.herm_eig(H + 1e-15 * (E + E.conj().T) / 2)
+            assert np.abs(V[:, 2] - u).max() <= 1e-12
+
 
 class TestHermEigFailure:
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
