@@ -1,6 +1,7 @@
 """Dense complex linear algebra for multipartite operators.
 
-Eigen-decomposition (LAPACK eigh with pinned sort and phase rules; eigvalsh
+Eigen-decomposition (LAPACK eigh with pinned sort and phase rules and a
+basis of each degenerate eigenspace fixed by the eigenspace alone; eigvalsh
 on a stack for spectra alone), tensor composition, partial trace / partial
 transposition, and base-2 entropies.
 """
@@ -44,15 +45,17 @@ def hermitian_part(M: np.ndarray) -> Tuple[np.ndarray, float]:
 def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Returns two arrays: the real eigenvalues sorted descending and the
-    matching eigenvector columns.  The sort is stable and each eigenvector
-    is phased so that its largest-magnitude component is real and
-    non-negative; of components within `TIE_TOL` of the largest magnitude,
-    the lowest-index one is taken, so round-off cannot choose between tied
-    components.  The output is reproducible on one machine and numpy/BLAS build.  With
-    ``vectors=False``, H may be a stack (k, n, n): one ``eigvalsh`` call gives
-    each matrix's eigenvalues, descending along the last axis, and None.  A
-    LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
+    Returns the real eigenvalues sorted descending (a stable sort) and
+    eigenvector columns fixed by H alone, not by LAPACK's choice of basis.
+    Eigenvalues split into clusters at gaps above `TIE_TOL` times max|w|.
+    One cluster of all n gets the identity; one of 1 < m < n, columns V_c,
+    gets V_c Q, Q the ascending eigenvectors of V_c^dag Z V_c with
+    Z = diag(exp(j/n)), j < n: another basis V_c U gives U^dag Q.  Each
+    vector's lowest-index component within `TIE_TOL` of its largest
+    magnitude is then made real and non-negative.  With ``vectors=False``,
+    H may be a stack (k, n, n): one ``eigvalsh`` call gives each matrix's
+    eigenvalues, descending along the last axis, and None.  A LAPACK failure
+    or a non-finite eigenvalue is raised as NoConvergence.
     """
     A = np.array(H, dtype=np.complex128)
     if A.ndim not in (2, 2 + (not vectors)) or A.shape[-2] != A.shape[-1]:
@@ -66,18 +69,27 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
         raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERM_TOL:.0e} * max|H|")
     try:
         w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A)[..., ::-1], None)
+        if not np.isfinite(w).all():
+            raise NoConvergence("LAPACK returned non-finite eigenvalues")
+        if V is None:
+            return w, None
+        order = np.argsort(-w, kind="stable")
+        w, V = w[order], V[:, order]
+        wl, lo, tol = w.tolist(), 0, TIE_TOL * max(w[0], -w[-1])  # max|w|, as w descends
+        for hi in range(1, n + 1):
+            if hi < n and wl[hi - 1] - wl[hi] <= tol:
+                continue
+            if hi - lo == n:  # the rule would give the identity up to rounding
+                return w, np.eye(n, dtype=np.complex128)
+            if hi - lo > 1:
+                Vc = V[:, lo:hi]
+                V[:, lo:hi] = Vc @ np.linalg.eigh(Vc.conj().T @ (np.exp(np.arange(n) / n)[:, None] * Vc))[1]
+            lo = hi
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
-    if not np.isfinite(w).all():
-        raise NoConvergence("LAPACK returned non-finite eigenvalues")
-    if V is None:
-        return w, None
-    order = np.argsort(-w, kind="stable")
-    V = V[:, order]
     a = np.abs(V)
     ph = V[np.argmax(a >= (1.0 - TIE_TOL) * a.max(axis=0), axis=0), np.arange(n)]
-    V = V * (ph.conj() / np.abs(ph))
-    return w[order], V
+    return w, V * (ph.conj() / np.abs(ph))
 
 
 def density_spectrum(rho: DensityMatrix) -> np.ndarray:

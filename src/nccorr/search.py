@@ -257,46 +257,9 @@ def _descend(
         h[a], live[i] = low[ok], ok
 
 
-def _canonical_eigenvectors(H: np.ndarray) -> np.ndarray:
-    """`qmat.herm_eig`'s eigenvectors of H, with each degenerate eigenspace's basis fixed by the eigenspace alone.
-
-    The descending eigenvalues split into clusters wherever a gap exceeds
-    `qmat.TIE_TOL` times max|w|.  A vector alone in its cluster is kept,
-    and a single cluster of all d eigenvalues gets the identity.  For a
-    cluster of 1 < m < d, the projector P = V_c V_c^dag does not depend on
-    the basis LAPACK chose: m of its columns are picked by pivoted Cholesky
-    (the largest residual diagonal, the lowest index on ties, then that
-    column's rank-one part is subtracted), and Loewdin's A (A^dag A)^(-1/2)
-    = U V^dag, from the SVD A = U S V^dag, orthonormalises them in index
-    order.  Pivoting keeps equal columns of P from being picked twice.
-    Round-off still decides where two residual diagonals tie and their
-    columns are not parallel, as on the plane orthogonal to (1, 1, -1).
-    """
-    w, V = qmat.herm_eig(H)
-    wl, lo = w.tolist(), 0
-    tol = qmat.TIE_TOL * max(map(abs, wl))
-    for hi in range(1, len(wl) + 1):
-        if hi < len(wl) and wl[hi - 1] - wl[hi] <= tol:
-            continue
-        if hi - lo == len(wl):  # then P = I, which the rule below would return up to rounding
-            return np.eye(len(wl), dtype=np.complex128)
-        if hi - lo > 1:
-            P = V[:, lo:hi] @ V[:, lo:hi].conj().T
-            R, cols = P.copy(), []
-            for _ in range(hi - lo):
-                j = int(np.argmax(R.diagonal().real))
-                R -= np.outer(R[:, j], R[j]) / R[j, j].real
-                cols.append(j)
-            U, _, Vh = np.linalg.svd(P[:, sorted(cols)], full_matrices=False)
-            V[:, lo:hi] = U @ Vh
-        lo = hi
-    return V
-
-
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
-    """Product basis formed from each single-subsystem marginal eigenbasis, canonical on degenerate eigenspaces."""
-    margs = (qmat.partial_trace(rho, [k]).mat for k in range(rho.n_subsystems))
-    return ProductBasis(tuple(_canonical_eigenvectors(m) for m in margs))
+    """Product of the single-subsystem marginals' `qmat.herm_eig` eigenbases, canonical on degenerate eigenspaces."""
+    return ProductBasis(tuple(qmat.herm_eig(qmat.partial_trace(rho, [k]).mat)[1] for k in range(rho.n_subsystems)))
 
 
 def computational_basis(dims: Sequence[int]) -> ProductBasis:

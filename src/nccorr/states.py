@@ -192,7 +192,8 @@ def product_eigenbasis(rho: DensityMatrix) -> Optional[ProductBasis]:
     blocks share the eigenbasis E_k of a generic Hermitian combination
     C + C^dag, C = sum_ab w_ab <a|rho|b>; the weights w come from a fixed seed,
     so the result is reproducible.  Where E_k has a degenerate eigenspace the
-    blocks act on it as multiples of the identity, so any basis of it serves.
+    blocks act on it as multiples of the identity, and `qmat.herm_eig`'s
+    canonical basis of it, which round-off in rho does not move, serves.
     (x) E_k is returned iff rho is diagonal in it up to `CLASSICAL_TOL`, so an
     accepted basis is its own certificate.
     """

@@ -76,6 +76,28 @@ class TestHermEig:
             _, V = qmat.herm_eig(H + 1e-15 * (E + E.conj().T) / 2)
             assert np.abs(V[:, 2] - u).max() <= 1e-12
 
+    @pytest.mark.parametrize("sizes", [(2, 1), (1, 2), (3, 1), (1, 2, 1), (2, 2), (3, 2), (1, 3, 1),
+                                       (2, 1, 2), (3, 3), (1, 2, 3), (2, 2, 2)], ids=str)
+    def test_degenerate_eigenspace_basis_depends_on_the_eigenspace_alone(self, sizes):
+        # H built twice from bases that differ by a random unitary inside each
+        # cluster of equal eigenvalues, so only the eigenspaces are the same
+        rng = np.random.default_rng(sum(s * 10 ** k for k, s in enumerate(sizes)))
+
+        def unitary(n):
+            return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+        n = sum(sizes)
+        for _ in range(10):
+            w = np.repeat(np.sort(rng.random(len(sizes)))[::-1] + np.arange(len(sizes))[::-1], sizes)
+            U = unitary(n)
+            W = np.zeros((n, n), dtype=complex)
+            for lo, m in zip(np.cumsum((0,) + sizes[:-1]), sizes):
+                W[lo : lo + m, lo : lo + m] = unitary(m)
+            s1, V1 = qmat.herm_eig((U * w) @ U.conj().T)
+            s2, V2 = qmat.herm_eig((U @ W * w) @ (U @ W).conj().T)
+            assert np.abs(s1 - s2).max() <= 1e-12
+            assert np.abs(V1 - V2).max() <= 1e-12
+
 
 class TestHermEigFailure:
     def test_lapack_failure_is_no_convergence(self, monkeypatch):

@@ -522,6 +522,20 @@ class TestMarginalEigenbasis:
         for seed in range(10):
             assert abs(nc.measure_DG(perturbed(rho, seed)).value - exact) <= 1e-9
 
+    @pytest.mark.parametrize("u", [(1, 1, -1), (1, 0, -1)], ids=["u-1-1-m1", "u-1-0-m1"])
+    def test_qutrit_eigenspace_basis_does_not_follow_round_off(self, u):
+        # A's 0.4-eigenspace is the plane orthogonal to u; on (1, 1, -1) a
+        # pivot order ties, and its 0.2-eigenvector u has tied magnitudes
+        u = np.array(u) / np.linalg.norm(u)
+        A = 0.4 * (np.eye(3) - np.outer(u, u)) + 0.2 * np.outer(u, u)
+        rho = nc.DensityMatrix((3, 2), np.kron(A, np.eye(2) / 2))
+        F = search.marginal_eigenbasis(rho).factors[0]
+        dg = nc.measure_DG(rho).value
+        for seed in range(20):
+            r = perturbed(rho, seed)
+            assert np.abs(search.marginal_eigenbasis(r).factors[0] - F).max() <= 1e-9
+            assert abs(nc.measure_DG(r).value - dg) <= 1e-9
+
 
 class TestSingleScorer:
     """Fixed starts, samples and descent steps share one scorer; only the

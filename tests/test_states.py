@@ -287,6 +287,19 @@ class TestProductEigenbasisDetector:
             found = nc.product_eigenbasis(ctor(float(p)))
             assert (found is None) == (p > 0), p
 
+    def test_degenerate_factor_basis_does_not_follow_round_off(self):
+        # party 0's combination C + C^dag is degenerate on the plane P
+        u = np.array([1.0, 1.0, -1.0]) / 3 ** 0.5
+        P = np.eye(3) - np.outer(u, u)
+        rho = nc.DensityMatrix((3, 2), 0.3 * np.kron(P, np.diag([1.0, 0.0])) + 0.4 * np.kron(np.outer(u, u), np.diag([0.0, 1.0])))
+        found = nc.product_eigenbasis(rho)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            E = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            other = nc.product_eigenbasis(nc.DensityMatrix((3, 2), rho.mat + 1e-15 * (E + E.conj().T) / 2))
+            for f, g in zip(found.factors, other.factors):
+                assert np.abs(f - g).max() <= 1e-9
+
     def test_ghz_with_white_noise_has_none(self):
         g = np.zeros(8)
         g[[0, 7]] = 0.5 ** 0.5
