@@ -70,6 +70,17 @@ def test_report_records_the_cpus_first():
     json.dumps(report)
 
 
+def test_report_gives_the_source_line_count_per_side():
+    runs = [dict(run(side, seed, 10.0, 5.0), meta={"seconds": 30, "nccorr_src_lines": lines})
+            for side, lines in [("parent", 1915), ("change", 1894)] for seed in (911, 912)]
+    report = bench_pairs.build_report([911, 912], {"parent": "a" * 40, "change": "b" * 40}, runs, BETTER)
+    assert report["src_lines"] == {"parent": 1915, "change": 1894}
+    for r in runs[:2]:  # a perfbench that records no line count
+        del r["meta"]["nccorr_src_lines"]
+    report = bench_pairs.build_report([911, 912], {"parent": "a" * 40, "change": "b" * 40}, runs, BETTER)
+    assert report["src_lines"] == {"parent": None, "change": 1894}
+
+
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert bench_pairs.usable_cpus() == len(os.sched_getaffinity(0))

@@ -16,7 +16,9 @@ quartiles, the change's median, the pairs the change won (strictly better
 in the metric's direction), the relative change of the medians, the number
 of seeds whose two values differ and the largest difference among them.  For
 every seed, each checkout also runs `nccorr verify` once, in the same order,
-and its per-criterion seconds are stored with their medians per side.
+and its per-criterion seconds are stored with their medians per side.  The
+report also gives each side's source line count (perfbench's
+`meta.nccorr_src_lines`).
 """
 from __future__ import annotations
 
@@ -125,6 +127,7 @@ def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[d
     recorded beside the machine's count (perfbench's meta.nproc is the
     latter), since either revision may run on more than one."""
     seconds = sorted({r["meta"]["seconds"] for r in runs})
+    src_lines = {r["side"]: r["meta"].get("nccorr_src_lines") for r in runs}
     verify_median = {}
     for side in SIDES:
         mine = [r["seconds"] for r in verify_runs if r["side"] == side]
@@ -139,6 +142,7 @@ def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[d
         "cpu_count": os.cpu_count(),
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
+        "src_lines": {side: src_lines.get(side) for side in SIDES},
         "summary": summarize(runs, better),
         "verify_median_s": verify_median,
         "runs": list(runs),
