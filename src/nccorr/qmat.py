@@ -1,9 +1,8 @@
 """Dense complex linear algebra for multipartite operators.
 
-Eigen-decomposition (LAPACK eigh with pinned sort and phase rules and a
-basis of each degenerate eigenspace fixed by the eigenspace alone; eigvalsh
-on a stack for spectra alone), tensor composition, partial trace / partial
-transposition, and base-2 entropies.
+Eigen-decomposition (LAPACK eigh with pinned sort, basis and phase rules;
+eigvalsh on a stack for spectra alone), tensor composition, partial trace /
+partial transposition, and base-2 entropies.
 """
 from __future__ import annotations
 
@@ -47,15 +46,17 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
 
     Returns the real eigenvalues sorted descending (a stable sort) and
     eigenvector columns fixed by H alone, not by LAPACK's choice of basis.
-    Eigenvalues split into clusters at gaps above `TIE_TOL` times max|w|.
-    One cluster of all n gets the identity; one of 1 < m < n, columns V_c,
-    gets V_c Q, Q the ascending eigenvectors of V_c^dag Z V_c with
-    Z = diag(exp(j/n)), j < n: another basis V_c U gives U^dag Q.  Each
-    vector's lowest-index component within `TIE_TOL` of its largest
-    magnitude is then made real and non-negative.  With ``vectors=False``,
-    H may be a stack (k, n, n): one ``eigvalsh`` call gives each matrix's
-    eigenvalues, descending along the last axis, and None.  A LAPACK failure
-    or a non-finite eigenvalue is raised as NoConvergence.
+    Eigenvalues split into clusters at gaps above `TIE_TOL` times max|w|.  One
+    cluster of all n gets the identity; one of 1 < m < n, columns V_c, gets
+    V_c Q, Q the ascending eigenvectors of V_c^dag Z V_c with Z =
+    diag(exp(j/n)), j < n: another basis V_c U gives U^dag Q.  Q is unique up
+    to phases unless Z compresses to a multiple of the identity on the
+    eigenspace, which Lindemann-Weierstrass rules out when vectors with
+    algebraic entries span it.  Each vector's lowest-index component within
+    `TIE_TOL` of its largest magnitude is then made real and non-negative.
+    With ``vectors=False``, H may be a stack (k, n, n): one ``eigvalsh`` call
+    gives each matrix's eigenvalues, descending along the last axis, and None.
+    A LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
     """
     A = np.array(H, dtype=np.complex128)
     if A.ndim not in (2, 2 + (not vectors)) or A.shape[-2] != A.shape[-1]:

@@ -524,8 +524,9 @@ class TestMarginalEigenbasis:
 
     @pytest.mark.parametrize("u", [(1, 1, -1), (1, 0, -1)], ids=["u-1-1-m1", "u-1-0-m1"])
     def test_qutrit_eigenspace_basis_does_not_follow_round_off(self, u):
-        # A's 0.4-eigenspace is the plane orthogonal to u; on (1, 1, -1) a
-        # pivot order ties, and its 0.2-eigenvector u has tied magnitudes
+        # A's 0.4-eigenspace is the plane orthogonal to u, whose entries tie in
+        # magnitude, so neither the plane's basis nor u's phase may be left
+        # to round-off
         u = np.array(u) / np.linalg.norm(u)
         A = 0.4 * (np.eye(3) - np.outer(u, u)) + 0.2 * np.outer(u, u)
         rho = nc.DensityMatrix((3, 2), np.kron(A, np.eye(2) / 2))
