@@ -291,7 +291,8 @@ class TestProductEigenbasisDetector:
         # party 0's combination C + C^dag is degenerate on the plane P
         u = np.array([1.0, 1.0, -1.0]) / 3 ** 0.5
         P = np.eye(3) - np.outer(u, u)
-        rho = nc.DensityMatrix((3, 2), 0.3 * np.kron(P, np.diag([1.0, 0.0])) + 0.4 * np.kron(np.outer(u, u), np.diag([0.0, 1.0])))
+        mat = 0.3 * np.kron(P, np.diag([1.0, 0.0])) + 0.4 * np.kron(np.eye(3) - P, np.diag([0.0, 1.0]))
+        rho = nc.DensityMatrix((3, 2), mat)
         found = nc.product_eigenbasis(rho)
         rng = np.random.default_rng(8)
         for _ in range(20):
