@@ -50,9 +50,17 @@ def _neg_entropy_seq(vals: np.ndarray) -> np.ndarray:
 def _grow(
     counts: np.ndarray, sums: np.ndarray, idx: np.ndarray, e: np.float64, bin_size: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extend every row by one digit whose bin has room, in counter order."""
+    """Extend every row by one digit whose bin has room, in counter order.
+
+    Bin 1 opens to a row only once bin 0 holds an eigenvalue, so of two rows
+    that swap bins 0 and 1 (same adds, bit-identical sums) only the counter-first
+    grows.  Past level (d-2)*bin_size every row has bin 0 filled: no mask.
+    """
     d = counts.shape[1]
-    parent, digit = np.divmod(np.flatnonzero(counts < bin_size), d)
+    room = counts < bin_size
+    if counts[0].sum() <= (d - 2) * bin_size:
+        room[:, 1] &= counts[:, 0] > 0
+    parent, digit = np.divmod(np.flatnonzero(room), d)
     idx = idx[parent] * d + digit
     # take() returns new C-contiguous arrays, so ravel() below is a view of
     # them; flat indexing is several times faster than [rows, digit] here.
@@ -70,15 +78,17 @@ def _completions(room: np.ndarray) -> int:
 
 
 def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield (bin sums, counter indices) of every balanced assignment, in counter order.
+    """Yield (bin sums, counter indices) of balanced assignments, in counter order.
 
     An assignment places the d_tot total eigenvalues into d equal-size bins
     (d_tot/d each).  Only balanced assignments are generated, one eigenvalue
     (digit) at a time and only into bins with room; each row carries its bin
     counts, bin sums and base-d counter index (eigenvalue 0 is the most
     significant digit).  Bin sums accumulate ``e_tot[j]`` for j = 0, 1, ...
-    A prefix with more than ``_ENUM_CHUNK`` completions is split on its
-    next digit, so at most ``_ENUM_CHUNK`` rows are yielded at once.
+    Of two that swap bins 0 and 1 only the counter-first is made (`_grow`):
+    half of all d_tot!/((d_tot/d)!)^d.  A prefix with more than ``_ENUM_CHUNK``
+    completions is split on its next digit, so at most ``_ENUM_CHUNK`` rows
+    are yielded at once.
     """
     bin_size = len(e_tot) // d
     prefixes = [(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64))]
@@ -104,10 +114,11 @@ def _min_balanced_partition(
     depend only on e_tot and d, so one walk serves every target
     s = sum e_red log e_red of the subsystems of dimension d.  Each target
     keeps its own first minimum in counter order (``np.argmin`` within a
-    chunk, a strict ``<`` across chunks), so the result is bit-identical to a plain counter loop per target that skips unbalanced
-    assignments (``verify.naive_measure_G``).  Returns one
-    (minimum, assignment) per target and the number of assignments the walk
-    evaluated.
+    chunk, a strict ``<`` across chunks).  A skipped assignment comes after its
+    swap partner and ties it bit for bit (bins 0 and 1 are added first, onto
+    0.0, and addition commutes), so the result is bit-identical to a plain
+    counter loop over all balanced assignments (``verify.naive_measure_G``).
+    Returns one (minimum, assignment) per target and the number evaluated.
     """
     best = [(np.inf, 0)] * len(targets)
     evaluated = 0
@@ -151,7 +162,7 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
 
     The cap (on d_k^d_tot) is checked for every subsystem before any walk.
     Subsystems of one dimension share one walk; F_k, the witnesses and
-    ``assignments_evaluated`` (each subsystem's count) stay in k order.
+    ``assignments_evaluated`` (per subsystem, half its balanced count) stay in k order.
     """
     e_tot = qmat.density_spectrum(rho)
     d_tot = len(e_tot)

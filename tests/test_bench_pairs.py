@@ -45,6 +45,25 @@ def test_medians_quartiles_and_wins():
     assert p50["median_change"] == pytest.approx(-5.0 / 45.0)
 
 
+@pytest.mark.parametrize("shift, losses, shown", [
+    (-5.0, 0, True),     # 10/10 won, medians 5 apart, parent quartiles 4.5 apart
+    (-10.0, 1, True),    # 9/10 won is enough
+    (-10.0, 2, False),   # 8/10 won, though the medians moved 8
+    (-1.0, 0, False),    # 10/10 won, but the medians moved less than the parent's spread
+    (5.0, 0, False),     # worse in the metric's direction
+], ids=["shown", "nine-wins", "eight-wins", "inside-spread", "worse"])
+def test_gain_shown_needs_nine_tenths_won_and_a_median_past_the_parent_spread(shift, losses, shown):
+    parent = [10.0 + i for i in range(10)]  # op_p50_ms: lower is better
+    change = [p + 1.0 if i < losses else p + shift for i, p in enumerate(parent)]
+    runs = [run("parent", i, 1.0, p) for i, p in enumerate(parent)]
+    runs += [run("change", i, 1.0, c) for i, c in enumerate(change)]
+    p50 = bench_pairs.summarize(runs, BETTER)["w"]["metrics"]["op_p50_ms"]
+    assert p50["parent_quartiles"] == [12.25, 14.5, 16.75]
+    assert p50["change_quartiles"] == bench_pairs.quartiles(change)
+    assert p50["change_wins"] == (10 - losses if shift < 0 else 0)
+    assert p50["gain_shown"] is shown
+
+
 def test_unpaired_runs_are_left_out_and_workloads_kept_apart():
     runs = [run("parent", 1, 10.0, 5.0), run("change", 1, 20.0, 4.0, failed=2),
             run("parent", 2, 99.0, 1.0),

@@ -148,17 +148,22 @@ class TestMeasureG:
         assert rep.value == max(rep.diagnostics["F_k"].values())
 
     def test_assignments_evaluated_is_balanced_count(self):
-        # d_tot! / ((d_tot/d)!)^d balanced assignments per subsystem, not d^d_tot.
+        # Half the d_tot! / ((d_tot/d)!)^d balanced assignments per subsystem,
+        # not d^d_tot: one of each pair that differs by swapping bins 0 and 1.
         expected = {
-            (2, 2, 2, 2): {0: 12870, 1: 12870, 2: 12870, 3: 12870},
-            (3, 3): {0: 1680, 1: 1680},
-            (2, 4): {0: 70, 1: 2520},
-            (2, 2, 2): {0: 70, 1: 70, 2: 70},
-            (3, 4): {0: 34650, 1: 369600},  # the d = 4 walk splits at the default chunk
+            (2, 2, 2, 2): {0: 6435, 1: 6435, 2: 6435, 3: 6435},
+            (3, 3): {0: 840, 1: 840},
+            (2, 4): {0: 35, 1: 1260},
+            (2, 2, 2): {0: 35, 1: 35, 2: 35},
+            (3, 4): {0: 17325, 1: 184800},  # the d = 4 walk splits at the default chunk
         }
         for dims, counts in expected.items():
             rep = nc.measure_G(nc.random_density_matrix(dims, 2, 71))
             assert rep.diagnostics["assignments_evaluated"] == counts
+            d_tot = math.prod(dims)
+            for k, d in enumerate(dims):
+                balanced = math.factorial(d_tot) // math.factorial(d_tot // d) ** d
+                assert 2 * counts[k] == balanced
 
     @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3), (2, 2, 2)])
     def test_matches_brute_force_beyond_two_qubits(self, dims):
@@ -169,6 +174,37 @@ class TestMeasureG:
             ref_val, ref_diag = verify.naive_measure_G(rho)
             assert rep.value == ref_val
             assert {p.k: p.assignment for p in rep.witness} == ref_diag["assignments"]
+
+    # Each witness below puts eigenvalue 0 in bin 2 or 3 for its d >= 3
+    # subsystem, so a walk that pins eigenvalue 0 to bin 0 would miss it.
+    BIN_0_NOT_FIRST = [
+        ((3, 3), 9, 0), ((2, 3), 2, 48), ((2, 3), 6, 6044), ((2, 4), 8, 18), ((2, 4), 2, 24),
+    ]
+
+    def test_matches_brute_force_where_eigenvalue_0_is_not_in_bin_0(self):
+        late = []
+        for dims, rank, seed in self.BIN_0_NOT_FIRST:
+            rho = nc.random_density_matrix(dims, rank, seed)
+            rep = nc.measure_G(rho)
+            ref_val, ref_diag = verify.naive_measure_G(rho)
+            assert rep.value == ref_val
+            assert {p.k: p.assignment for p in rep.witness} == ref_diag["assignments"]
+            late += [p.assignment[0] for p in rep.witness if dims[p.k] >= 3]
+        assert {2, 3} <= set(late)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3), (2, 2, 2)])
+    def test_all_ties_match_brute_force(self, dims):
+        # every assignment of I/d_tot ties, so the witness is the counter-first one
+        d_tot = math.prod(dims)
+        rho = nc.DensityMatrix(dims, np.eye(d_tot) / d_tot)
+        rep = nc.measure_G(rho)
+        ref_val, ref_diag = verify.naive_measure_G(rho)
+        assert rep.value == ref_val
+        assert {p.k: p.assignment for p in rep.witness} == ref_diag["assignments"]
+
+    def test_all_ties_witness_is_counter_first_on_four_qubits(self):
+        rep = nc.measure_G(nc.DensityMatrix((2, 2, 2, 2), np.eye(16) / 16))
+        assert rep.witness == [measures.Partition(k, (0,) * 8 + (1,) * 8) for k in range(4)]
 
     def test_prefix_split_matches_single_pass(self, monkeypatch):
         # Every (2,4), (3,3) and (2,2,2,2) subsystem has more balanced
@@ -192,7 +228,8 @@ class TestMeasureG:
         assert measures._ENUM_CHUNK < 113400 <= 1 << 20
         rho = nc.random_density_matrix((2, 5), 10, 95)
         split = nc.measure_G(rho)
-        assert split.diagnostics["assignments_evaluated"] == {0: 252, 1: 113400}
+        assert split.diagnostics["assignments_evaluated"] == {0: 126, 1: 56700}
+        assert 2 * 126 == math.comb(10, 5) and 2 * 56700 == math.factorial(10) // 2 ** 5
         monkeypatch.setattr(measures, "_ENUM_CHUNK", 1 << 20)
         whole = nc.measure_G(rho)
         assert split.value == whole.value

@@ -497,12 +497,15 @@ class TestMarginalEigenbasis:
             for k in range(3):
                 assert abs(nc.measure_DG(perturbed(rho, 3 * i + k)).value - exact) <= 1e-9
 
-    # span{(|0>+|1>)/sqrt2, (|2>+|3>)/sqrt2}: its projector has all four diagonal
-    # entries 1/2 and columns 0 and 1 equal, and it is sigma_A's 0.3-eigenspace
+    # span{(|0>+|1>)/sqrt2, (|2>+|3>)/sqrt2} is sigma_A's 0.3-eigenspace and
+    # its complement the 0.2-eigenspace: both tied, and neither spanned by
+    # standard basis vectors
     TIED = np.array([[1, 1, 0, 0], [0, 0, 1, 1]]) / 2 ** 0.5
     SIGMA_A = 0.3 * TIED.T @ TIED + 0.2 * (np.eye(4) - TIED.T @ TIED)
 
-    def test_tied_projector_diagonal_picks_independent_columns(self):
+    def test_tied_eigenspace_canonical_basis_diagonalises_sigma_a(self):
+        # the basis fixed within each tied eigenspace is unitary and
+        # diagonalises sigma_A, exact and perturbed, so D_G of sigma_A x I/2 is 0
         rho = nc.DensityMatrix((4, 2), np.kron(self.SIGMA_A, np.eye(2) / 2))
         for r in (rho, perturbed(rho, 1), perturbed(rho, 2)):
             F = search.marginal_eigenbasis(r).factors[0]

@@ -11,14 +11,16 @@ checkouts run `perfbench/run.py --workload W --seed S --trace 0` one after
 the other, at the benchmark's own run length: the parent first on odd seeds, the change first on
 even ones, so a steady drift in machine speed favours neither side.  Every
 run's `meta` line and final JSON result are stored.  The summary gives, per
-workload and end-to-end metric of BENCHMARK.json, the parent's median and
-quartiles, the change's median, the pairs the change won (strictly better
-in the metric's direction), the relative change of the medians, the number
-of seeds whose two values differ and the largest difference among them.  For
-every seed, each checkout also runs `nccorr verify` once, in the same order,
-and its per-criterion seconds are stored with their medians per side.  The
-report also gives each side's source line count (perfbench's
-`meta.nccorr_src_lines`).
+workload and end-to-end metric of BENCHMARK.json, each side's median and
+quartiles, the pairs the change won (strictly better in the metric's
+direction), the relative change of the medians, the number of seeds whose
+two values differ and the largest difference among them.  `gain_shown` says
+whether the change may claim a gain on the metric: it won at least nine
+tenths of the pairs, and its median is better than the parent's by more than
+the parent's interquartile range.  For every seed, each checkout also runs
+`nccorr verify` once, in the same order, and its per-criterion seconds are
+stored with their medians per side.  The report also gives each side's
+source line count (perfbench's `meta.nccorr_src_lines`).
 """
 from __future__ import annotations
 
@@ -81,12 +83,16 @@ def summarize(runs: Sequence[dict], better: Dict[str, str]) -> dict:
             change = [c for _, c in pairs]
             p_med, c_med = statistics.median(parent), statistics.median(change)
             diffs = [abs(c - p) for p, c in pairs if c != p]
+            wins = sum(sign * (c - p) > 0 for p, c in pairs)
+            p_q = quartiles(parent)
             metrics[name] = {
                 "better": direction,
                 "parent_median": p_med,
-                "parent_quartiles": quartiles(parent),
+                "parent_quartiles": p_q,
                 "change_median": c_med,
-                "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
+                "change_quartiles": quartiles(change),
+                "change_wins": wins,
+                "gain_shown": 10 * wins >= 9 * len(pairs) and sign * (c_med - p_med) > p_q[2] - p_q[0],
                 "median_change": (c_med - p_med) / p_med if p_med else None,
                 "seeds_differing": len(diffs),
                 "max_abs_diff": max(diffs, default=0.0),
