@@ -87,15 +87,16 @@ def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarra
     significant digit).  Bin sums accumulate ``e_tot[j]`` for j = 0, 1, ...
     Of two that swap bins 0 and 1 only the counter-first is made (`_grow`):
     half of all d_tot!/((d_tot/d)!)^d.  A prefix with more than ``_ENUM_CHUNK``
-    completions is split on its next digit, so at most ``_ENUM_CHUNK`` rows
-    are yielded at once.
+    kept completions is split on its next digit, so at most ``_ENUM_CHUNK``
+    rows are yielded at once.
     """
     bin_size = len(e_tot) // d
     prefixes = [(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64))]
     while prefixes:
         counts, sums, idx = prefixes.pop()
         j = int(counts.sum())  # digits already placed
-        if _completions(bin_size - counts[0]) > _ENUM_CHUNK:
+        # `_grow` keeps half of them while bin 0 (and so bin 1) is empty
+        if _completions(bin_size - counts[0]) // (2 if counts[0, 0] == 0 else 1) > _ENUM_CHUNK:
             counts, sums, idx = _grow(counts, sums, idx, e_tot[j], bin_size)
             # one prefix per row, last row on top, so rows are walked in counter order
             prefixes.extend(zip(counts[::-1, None], sums[::-1, None], idx[::-1, None]))
@@ -169,18 +170,15 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
     for d in rho.dims:
         if d ** d_tot > partition_cap:
             raise PartitionCapExceeded(f"{d}^{d_tot} = {d ** d_tot} exceeds cap {partition_cap}")
-    targets = [
-        _neg_entropy_seq(qmat.density_spectrum(qmat.partial_trace(rho, [k])))
-        for k in range(rho.n_subsystems)
-    ]
-    walks = {}
+    targets = {
+        d: [_neg_entropy_seq(qmat.clamped_probs(w)) for w in qmat.herm_eig(stack, vectors=False)[0]]
+        for d, stack in qmat.marginal_stacks(rho).items()
+    }
+    walks = {d: _min_balanced_partition(e_tot, group, d) for d, group in targets.items()}
     f_values = {}
     evaluated = {}
     witnesses = []
     for k, d in enumerate(rho.dims):
-        if d not in walks:
-            group = [t for t, dt in zip(targets, rho.dims) if dt == d]
-            walks[d] = _min_balanced_partition(e_tot, group, d)
         best, evaluated[k] = walks[d]
         fk, assignment = best[rho.dims[:k].count(d)]
         f_values[k] = float(fk)
@@ -201,15 +199,9 @@ def measure_DG(rho: DensityMatrix) -> MeasureReport:
     )
 
 
-def _min_over_splittings(
-    name: str, rho: DensityMatrix, value_of_pt_spectrum: Callable[[np.ndarray], float]
-) -> MeasureReport:
-    """Minimum over all bipartite splittings of a value of the sorted
-    partial-transpose spectrum; the first minimal splitting is the witness."""
-    splittings = list(_bipartite_splittings(rho.n_subsystems))
-    pts = np.stack([qmat.partial_transpose(rho, side_b) for _, side_b in splittings])
-    spectra, _ = qmat.herm_eig(pts, vectors=False)
-    vals = {s: value_of_pt_spectrum(et) for s, et in zip(splittings, spectra)}
+def _min_over_splittings(name: str, splittings: Sequence, values: Sequence[float]) -> MeasureReport:
+    """Minimum of one value per bipartite splitting; the first minimal splitting is the witness."""
+    vals = dict(zip(splittings, values))
     witness = min(vals, key=vals.get)
     per_split = {f"{a}|{b}": v for (a, b), v in vals.items()}
     return MeasureReport(name, vals[witness], witness, {"per_splitting": per_split})
@@ -218,16 +210,20 @@ def _min_over_splittings(
 def measure_K(rho: DensityMatrix) -> MeasureReport:
     """L1 distance between the sorted spectra of rho and its partial transpose.
 
-    Multipartite inputs take the minimum over all bipartite splittings; the
-    spectrum of rho is computed once and shared by every splitting.
+    Multipartite inputs take the minimum over all bipartite splittings; rho
+    leads the stack of partial transposes, so one `herm_eig` call serves all.
     """
-    e = qmat.herm_eig(rho.mat, vectors=False)[0]
-    return _min_over_splittings("K", rho, lambda et: float(np.sum(np.abs(e - et))))
+    splittings = list(_bipartite_splittings(rho.n_subsystems))
+    pts = qmat.partial_transposes(rho, [()] + [side_b for _, side_b in splittings])
+    e, *spectra = qmat.herm_eig(pts, vectors=False)[0]
+    return _min_over_splittings("K", splittings, [float(np.sum(np.abs(e - et))) for et in spectra])
 
 
 def negativity(rho: DensityMatrix) -> MeasureReport:
     """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
-    return _min_over_splittings("N", rho, lambda et: float(abs(et[et < 0.0].sum())))
+    splittings = list(_bipartite_splittings(rho.n_subsystems))
+    spectra = qmat.herm_eig(qmat.partial_transposes(rho, [side_b for _, side_b in splittings]), vectors=False)[0]
+    return _min_over_splittings("N", splittings, [float(abs(et[et < 0.0].sum())) for et in spectra])
 
 
 # Name -> (rho, cfg, partition_cap) -> report, in CSV column order.  Each entry

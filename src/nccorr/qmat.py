@@ -7,7 +7,7 @@ partial transposition, and base-2 entropies.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +32,8 @@ TIE_TOL = 1e-10  # eigenvalues or eigenvector magnitudes this close, relative to
 def hermitian_part(M: np.ndarray) -> Tuple[np.ndarray, float]:
     """(M + M^dag)/2 and max|M - M^dag|, both formed from M/2 so that no entry overflows.
 
-    M may be a stack (k, n, n), whose largest deviation is returned.  Halving a
-    normal float is exact, so for normal entries both equal the direct
-    expressions bit for bit.
+    Halving a normal float is exact, so for normal entries both equal the
+    direct expressions bit for bit.
     """
     half = M / 2.0
     half_dag = half.conj().swapaxes(-1, -2)
@@ -42,7 +41,7 @@ def hermitian_part(M: np.ndarray) -> Tuple[np.ndarray, float]:
 
 
 def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+    """Diagonalize a Hermitian matrix, or a stack (k, n, n) of them, with LAPACK (``numpy.linalg.eigh``).
 
     Returns the real eigenvalues sorted descending (a stable sort) and
     eigenvector columns fixed by H alone, not by LAPACK's choice of basis.
@@ -54,49 +53,64 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     eigenspace, which Lindemann-Weierstrass rules out when vectors with
     algebraic entries span it.  Each vector's lowest-index component within
     `TIE_TOL` of its largest magnitude is then made real and non-negative.
-    With ``vectors=False``, H may be a stack (k, n, n): one ``eigvalsh`` call
-    gives each matrix's eigenvalues, descending along the last axis, and None.
+    With ``vectors=False`` one ``eigvalsh`` call gives the eigenvalues alone,
+    and None.  A stack takes one LAPACK call and gives each matrix's result
+    along the leading axis, equal to that matrix's own call; each matrix is
+    checked for Hermiticity against its own max|H|.
     A LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
     """
-    A = np.array(H, dtype=np.complex128)
-    if A.ndim not in (2, 2 + (not vectors)) or A.shape[-2] != A.shape[-1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[-1]
-    half_scale = float(np.max(np.abs(A / 2.0))) if A.size else 0.0  # max|H|/2; max|H| may overflow
-    if half_scale == 0.0:
-        return np.zeros(A.shape[:-1]), np.eye(n, dtype=np.complex128) if vectors else None
-    A, herm_dev = hermitian_part(A)
-    if herm_dev / 2.0 > HERM_TOL * half_scale:
-        raise NonHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds {HERM_TOL:.0e} * max|H|")
+    A = np.asarray(H, dtype=np.complex128)
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    half = A / 2.0  # max|H| and H - H^dag may overflow, their halves do not
+    half_dag = half.conj().swapaxes(-1, -2)
+    dev = np.abs(half - half_dag).max(axis=(-2, -1))
+    bad = dev > HERM_TOL * np.abs(half).max(axis=(-2, -1))
+    if bad.any():
+        raise NonHermitian(f"max |H - H^dag| = {2.0 * float(dev[bad].max()):.3e} exceeds {HERM_TOL:.0e} * max|H|")
     try:
-        w, V = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A)[..., ::-1], None)
+        w, V = np.linalg.eigh(half + half_dag) if vectors else (np.linalg.eigvalsh(half + half_dag)[..., ::-1], None)
         if not np.isfinite(w).all():
             raise NoConvergence("LAPACK returned non-finite eigenvalues")
         if V is None:
             return w, None
-        order = np.argsort(-w, kind="stable")
-        w, V = w[order], V[:, order]
-        wl, lo, tol = w.tolist(), 0, TIE_TOL * max(w[0], -w[-1])  # max|w|, as w descends
-        for hi in range(1, n + 1):
-            if hi < n and wl[hi - 1] - wl[hi] <= tol:
-                continue
-            if hi - lo == n:  # the rule would give the identity up to rounding
-                return w, np.eye(n, dtype=np.complex128)
-            if hi - lo > 1:
-                Vc = V[:, lo:hi]
-                V[:, lo:hi] = Vc @ np.linalg.eigh(Vc.conj().T @ (np.exp(np.arange(n) / n)[:, None] * Vc))[1]
-            lo = hi
+        if A.ndim == 2:
+            return _pinned(w, V)
+        ws, Vs = zip(*map(_pinned, w, V))
+        return np.stack(ws), np.stack(Vs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
+
+
+def _pinned(w: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One matrix's ``eigh`` output with `herm_eig`'s sort, cluster and phase rules applied."""
+    n = len(w)
+    order = np.argsort(-w, kind="stable")
+    w, V = w[order], V[:, order]
+    wl, lo, tol = w.tolist(), 0, TIE_TOL * max(w[0], -w[-1])  # max|w|, as w descends
+    for hi in range(1, n + 1):
+        if hi < n and wl[hi - 1] - wl[hi] <= tol:
+            continue
+        if hi - lo == n:  # the rule would give the identity up to rounding
+            return w, np.eye(n, dtype=np.complex128)
+        if hi - lo > 1:
+            Vc = V[:, lo:hi]
+            V[:, lo:hi] = Vc @ np.linalg.eigh(Vc.conj().T @ (np.exp(np.arange(n) / n)[:, None] * Vc))[1]
+        lo = hi
     a = np.abs(V)
     ph = V[np.argmax(a >= (1.0 - TIE_TOL) * a.max(axis=0), axis=0), np.arange(n)]
     return w, V * (ph.conj() / np.abs(ph))
 
 
 def density_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of rho sorted descending, checked like any probability vector, round-off negatives set to 0."""
-    w = _check_probs(herm_eig(rho.mat, vectors=False)[0])
-    return np.where(w < 0.0, 0.0, w)
+    """Eigenvalues of rho sorted descending, as `clamped_probs`."""
+    return clamped_probs(herm_eig(rho.mat, vectors=False)[0])
+
+
+def clamped_probs(p: np.ndarray) -> np.ndarray:
+    """p checked like any probability vector, round-off negatives set to 0."""
+    p = _check_probs(p)
+    return np.where(p < 0.0, 0.0, p)
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -121,27 +135,37 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     if not keep:
         raise BadSubsystemIndex("keep set must be nonempty")
     keep_sorted = sorted(keep)
+    return DensityMatrix(tuple(rho.dims[i] for i in keep_sorted), _reduced(rho, keep_sorted))
+
+
+def _reduced(rho: DensityMatrix, keep_sorted: Sequence[int]) -> np.ndarray:
+    """The matrix of `partial_trace` for checked, sorted, nonempty `keep_sorted`."""
     m = rho.n_subsystems
     T = rho.mat.reshape(rho.dims + rho.dims)
-    row = list(range(m))
     col = [i if i not in keep_sorted else m + i for i in range(m)]
-    out = keep_sorted + [m + i for i in keep_sorted]
-    red = np.einsum(T, row + col, out)
-    new_dims = tuple(rho.dims[i] for i in keep_sorted)
-    d = math.prod(new_dims)
-    return DensityMatrix(new_dims, red.reshape(d, d))
+    red = np.einsum(T, list(range(m)) + col, list(keep_sorted) + [m + i for i in keep_sorted])
+    return red.reshape(math.isqrt(red.size), -1)
+
+
+def marginal_stacks(rho: DensityMatrix) -> Dict[int, np.ndarray]:
+    """{d: (count, d, d)}: the marginals ``partial_trace(rho, [k]).mat`` of each dimension d, in subsystem order."""
+    subsystems = {d: [k for k, dk in enumerate(rho.dims) if dk == d] for d in rho.dims}
+    return {d: np.stack([_reduced(rho, [k]) for k in ks]) for d, ks in subsystems.items()}
+
+
+def partial_transposes(rho: DensityMatrix, sides: Sequence[Iterable[int]]) -> np.ndarray:
+    """Stack (len(sides), d_tot, d_tot) of rho with each side's subsystems transposed, each copied once."""
+    m = rho.n_subsystems
+    T = rho.mat.reshape(rho.dims + rho.dims)
+    # transposing subsystem k swaps its row axis k and column axis m + k
+    views = [np.transpose(T, [(a + m) % (2 * m) if a % m in side else a for a in range(2 * m)])
+             for side in (_check_subsystems(rho.dims, s) for s in sides)]
+    return np.stack(views).reshape(len(views), rho.d_tot, rho.d_tot)
 
 
 def partial_transpose(rho: DensityMatrix, side: Iterable[int]) -> np.ndarray:
     """Transpose the listed subsystems; returns a plain matrix."""
-    side = _check_subsystems(rho.dims, side)
-    m = rho.n_subsystems
-    T = rho.mat.reshape(rho.dims + rho.dims)
-    axes = list(range(2 * m))
-    for k in side:
-        axes[k], axes[m + k] = axes[m + k], axes[k]
-    d = rho.d_tot
-    return np.transpose(T, axes).reshape(d, d).copy()
+    return partial_transposes(rho, [side])[0]
 
 
 def _check_probs(p: np.ndarray) -> np.ndarray:

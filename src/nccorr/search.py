@@ -258,8 +258,9 @@ def _descend(
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
-    """Product of the single-subsystem marginals' `qmat.herm_eig` eigenbases, canonical on degenerate eigenspaces."""
-    return ProductBasis(tuple(qmat.herm_eig(qmat.partial_trace(rho, [k]).mat)[1] for k in range(rho.n_subsystems)))
+    """Product of the marginals' `qmat.herm_eig` eigenbases (canonical on degenerate eigenspaces), one call per dimension."""
+    bases = {d: iter(qmat.herm_eig(stack)[1]) for d, stack in qmat.marginal_stacks(rho).items()}
+    return ProductBasis(tuple(next(bases[d]) for d in rho.dims))
 
 
 def computational_basis(dims: Sequence[int]) -> ProductBasis:

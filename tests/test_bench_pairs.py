@@ -170,3 +170,32 @@ def test_seeds_differing_counts_the_pairs_that_are_not_equal():
     assert metrics["ops_per_s"]["max_abs_diff"] == 2.0
     assert metrics["op_p50_ms"]["seeds_differing"] == 0
     assert metrics["op_p50_ms"]["max_abs_diff"] == 0.0
+
+
+def test_main_runs_one_traced_run_per_side_after_the_pairs(tmp_path, monkeypatch):
+    calls = []
+    end_to_end = [m["name"] for m in json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run_once(checkout, workload, seed, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        value = {"parent": 10.0, "change": 6.0}[checkout.name] + seed - 911
+        names = ["qmat.herm_eig.calls"] if trace else end_to_end
+        metrics = {name: {"value": value, "unit": ""} for name in names}
+        return {"meta": {"seconds": 30}, "result": {"correct": True, "attempted": 24, "failed": 0, "metrics": metrics}}
+
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: rev * 40)
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "run_verify", lambda checkout: {"seconds": {}, "summary": "26/26 checks passed"})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "a", "--change", "b", "--workload", "w",
+                             "--seeds", "911-912", "--out", str(out)]) == 0
+    assert calls == [("parent", "w", 911, 0), ("change", "w", 911, 0),
+                     ("change", "w", 912, 0), ("parent", "w", 912, 0),
+                     ("parent", "w", 913, 1), ("change", "w", 913, 1)]
+    report = json.loads(out.read_text())
+    assert report["traced"] == {"w": {
+        side: {"seed": 913, "attempted": 24, "failed": 0, "metrics": {"qmat.herm_eig.calls": calls}}
+        for side, calls in [("parent", 12.0), ("change", 8.0)]}}
+    assert [r["seed"] for r in report["runs"]] == [911, 911, 912, 912]
+    assert report["summary"]["w"]["pairs"] == 2

@@ -206,6 +206,16 @@ class TestMeasureG:
         rep = nc.measure_G(nc.DensityMatrix((2, 2, 2, 2), np.eye(16) / 16))
         assert rep.witness == [measures.Partition(k, (0,) * 8 + (1,) * 8) for k in range(4)]
 
+    @pytest.mark.parametrize("dims, d, chunks, rows", [
+        ((2, 5), 5, 1, 56700),   # 113,400 balanced, half of them kept: one chunk
+        ((3, 4), 4, 6, 184800),
+    ], ids=["(2,5)-d5", "(3,4)-d4"])
+    def test_walk_splits_on_the_kept_completions(self, dims, d, chunks, rows):
+        e_tot = qmat.density_spectrum(nc.random_density_matrix(dims, int(np.prod(dims)), 95))
+        sizes = [len(idx) for _, idx in measures._balanced_assignments(e_tot, d)]
+        assert (len(sizes), sum(sizes)) == (chunks, rows)
+        assert max(sizes) <= measures._ENUM_CHUNK
+
     def test_prefix_split_matches_single_pass(self, monkeypatch):
         # Every (2,4), (3,3) and (2,2,2,2) subsystem has more balanced
         # assignments than the patched chunk, so the walk splits prefixes.
@@ -506,6 +516,24 @@ class TestProperties:
         # on each splitting, and the minima over splittings keep it
         rho = nc.random_density_matrix(*case)
         assert nc.measure_K(rho).value >= 2 * nc.negativity(rho).value - 1e-12
+
+
+@pytest.mark.parametrize("dims, calls", [
+    ((2, 2, 2, 2), {"G": 2, "DG": 2, "K": 1, "N": 1}),
+    ((2, 4), {"G": 3, "DG": 3, "K": 1, "N": 1}),
+], ids=["(2,2,2,2)", "(2,4)"])
+def test_herm_eig_calls_per_measure(monkeypatch, dims, calls):
+    # one call on rho (none for N) and one per stack: the marginals of one
+    # dimension (G, D_G) or rho with its partial transposes (K, N)
+    herm_eig, count = qmat.herm_eig, []
+    monkeypatch.setattr(qmat, "herm_eig", lambda *a, **kw: count.append(1) or herm_eig(*a, **kw))
+    rho = nc.random_density_matrix(dims, int(np.prod(dims)), 31)
+    got = {}
+    for name in calls:
+        count.clear()
+        measures.MEASURES[name](rho, TINY, measures.DEFAULT_PARTITION_CAP)
+        got[name] = len(count)
+    assert got == calls
 
 
 class TestMeasureTable:

@@ -150,9 +150,31 @@ class TestHermEigStack:
     def test_vectors_reject_a_stack(self):
         stack = np.stack([PAULI_X, PAULI_X])
         with pytest.raises(nc.DimensionMismatch):
-            qmat.herm_eig(stack)
-        with pytest.raises(nc.DimensionMismatch):
             qmat.herm_eig(stack[None], vectors=False)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (2, 4)], ids=str)
+    def test_vectors_rows_equal_single_calls(self, dims):
+        # each dimension's marginals of a pure state, then I/d, the qutrit
+        # plane matrix (a tied eigenspace with tied magnitudes) and zero
+        u = np.array([1.0, 1.0, -1.0]) / 3 ** 0.5
+        plane = {3: [0.4 * (np.eye(3) - np.outer(u, u)) + 0.2 * np.outer(u, u)]}
+        for d, marginals in qmat.marginal_stacks(random_state(dims, 23, 1)).items():
+            stack = np.concatenate([marginals, [np.eye(d) / d, *plane.get(d, []), np.zeros((d, d))]])
+            W, V = qmat.herm_eig(stack)
+            assert W.shape == (len(stack), d) and V.shape == stack.shape
+            for H, w, v in zip(stack, W, V):
+                single_w, single_v = qmat.herm_eig(H)
+                assert np.array_equal(w, single_w) and np.array_equal(v, single_v)
+            assert np.array_equal(V[len(marginals)], np.eye(d))
+            assert np.array_equal(W[-1], np.zeros(d)) and np.array_equal(V[-1], np.eye(d))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_each_matrix_checked_against_its_own_scale(self, vectors):
+        small = 1e-3 * np.array([[0.0, 1.0], [1.0001, 0.0]])
+        with pytest.raises(nc.NonHermitian):
+            qmat.herm_eig(small, vectors=vectors)
+        with pytest.raises(nc.NonHermitian):
+            qmat.herm_eig(np.stack([np.diag([1e6, -1e6]), small]), vectors=vectors)
 
     def test_zero_stack(self):
         spectra, none = qmat.herm_eig(np.zeros((3, 4, 4)), vectors=False)

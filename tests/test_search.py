@@ -486,6 +486,14 @@ class TestMarginalEigenbasis:
             for f in basis.factors:
                 assert np.array_equal(f, np.eye(2))
 
+    @pytest.mark.parametrize("rank", [1, 2, None], ids=["rank-1", "rank-2", "full-rank"])
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)], ids=str)
+    def test_factors_equal_single_marginal_calls(self, dims, rank):
+        rho = nc.random_density_matrix(dims, rank or math.prod(dims), 41)
+        basis = search.marginal_eigenbasis(rho)
+        for k in range(len(dims)):
+            assert np.array_equal(basis.factors[k], qmat.herm_eig(qmat.partial_trace(rho, [k]).mat)[1])
+
     @pytest.mark.parametrize("family", ["ps", "sigma", "horodecki"])
     def test_dg_does_not_follow_round_off(self, family):
         # ps and sigma have marginals I/2, and horodecki at b = 1 degenerate

@@ -20,7 +20,10 @@ tenths of the pairs, and its median is better than the parent's by more than
 the parent's interquartile range.  For every seed, each checkout also runs
 `nccorr verify` once, in the same order, and its per-criterion seconds are
 stored with their medians per side.  The report also gives each side's
-source line count (perfbench's `meta.nccorr_src_lines`).
+source line count (perfbench's `meta.nccorr_src_lines`).  After each
+workload's pairs, both checkouts run it once with `--trace 1` on the seed
+after the range, in that seed's pair order; each side's per-layer metrics
+are stored under `traced`, kept apart from the pairs.
 """
 from __future__ import annotations
 
@@ -128,7 +131,7 @@ def usable_cpus() -> int:
 
 
 def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[dict],
-                 better: Dict[str, str], verify_runs: Sequence[dict] = ()) -> dict:
+                 better: Dict[str, str], verify_runs: Sequence[dict] = (), traced: Sequence[dict] = ()) -> dict:
     """The BENCH_<n>.json document.  The CPUs this process may use are
     recorded beside the machine's count (perfbench's meta.nproc is the
     latter), since either revision may run on more than one."""
@@ -151,9 +154,21 @@ def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[d
         "src_lines": {side: src_lines.get(side) for side in SIDES},
         "summary": summarize(runs, better),
         "verify_median_s": verify_median,
+        "traced": traced_metrics(traced),
         "runs": list(runs),
         "verify_runs": list(verify_runs),
     }
+
+
+def traced_metrics(traced: Sequence[dict]) -> dict:
+    """Per workload and side: the traced run's seed, op counts and per-layer metric values."""
+    out: Dict[str, dict] = {}
+    for r in traced:
+        res = r["result"]
+        out.setdefault(r["workload"], {})[r["side"]] = {
+            "seed": r["seed"], "attempted": res["attempted"], "failed": res["failed"],
+            "metrics": {name: m["value"] for name, m in res["metrics"].items()}}
+    return out
 
 
 def resolve(rev: str) -> str:
@@ -174,9 +189,9 @@ def extract(commit: str, dest: Path) -> None:
             archive.extractall(dest)
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", "0"]
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
@@ -205,7 +220,7 @@ def main(argv=None) -> int:
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    runs = []
+    runs, traced = [], []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
@@ -219,12 +234,18 @@ def main(argv=None) -> int:
                     print(f"{wl} seed {seed} {side}: failed {res['failed']}/{res['attempted']}, "
                           + ", ".join(f"{k} {v['value']:.6g}" for k, v in res["metrics"].items()),
                           flush=True)
+            seed = args.seeds[-1] + 1
+            for side in pair_order(seed):
+                traced.append({"side": side, "workload": wl, "seed": seed, "trace": 1,
+                               **run_once(checkouts[side], wl, seed, trace=1)})
+                res = traced[-1]["result"]
+                print(f"{wl} seed {seed} {side} traced: failed {res['failed']}/{res['attempted']}", flush=True)
         verify_runs = []
         for seed in args.seeds:
             for side in pair_order(seed):
                 verify_runs.append({"side": side, "seed": seed, **run_verify(checkouts[side])})
                 print(f"verify seed {seed} {side}: {verify_runs[-1]['summary']}", flush=True)
-    report = build_report(args.seeds, commits, runs, better, verify_runs)
+    report = build_report(args.seeds, commits, runs, better, verify_runs, traced)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
