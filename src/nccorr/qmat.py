@@ -1,8 +1,8 @@
 """Dense complex linear algebra for multipartite operators.
 
-Eigen-decomposition (LAPACK eigh with pinned sort, basis and phase rules;
-eigvalsh on a stack for spectra alone), tensor composition, partial trace /
-partial transposition, and base-2 entropies.
+Eigen-decomposition (one LAPACK eigh, or eigvalsh for spectra alone, per
+matrix or stack, with pinned sort, basis and phase rules), tensor
+composition, partial trace / partial transposition, and base-2 entropies.
 """
 from __future__ import annotations
 
