@@ -214,15 +214,16 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
     leads the stack of partial transposes, so one `herm_eig` call serves all.
     """
     splittings = list(_bipartite_splittings(rho.n_subsystems))
-    pts = qmat.partial_transposes(rho, [()] + [side_b for _, side_b in splittings])
-    e, *spectra = qmat.herm_eig(pts, vectors=False)[0]
+    pts = [qmat.partial_transpose(rho, side_b) for _, side_b in splittings]
+    e, *spectra = qmat.herm_eig(np.stack([rho.mat, *pts]), vectors=False)[0]
     return _min_over_splittings("K", splittings, [float(np.sum(np.abs(e - et))) for et in spectra])
 
 
 def negativity(rho: DensityMatrix) -> MeasureReport:
     """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
     splittings = list(_bipartite_splittings(rho.n_subsystems))
-    spectra = qmat.herm_eig(qmat.partial_transposes(rho, [side_b for _, side_b in splittings]), vectors=False)[0]
+    pts = np.stack([qmat.partial_transpose(rho, side_b) for _, side_b in splittings])
+    spectra = qmat.herm_eig(pts, vectors=False)[0]
     return _min_over_splittings("N", splittings, [float(abs(et[et < 0.0].sum())) for et in spectra])
 
 

@@ -60,8 +60,8 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     A LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
     """
     A = np.asarray(H, dtype=np.complex128)
-    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix or stack of them, got shape {A.shape}")
     half = A / 2.0  # max|H| and H - H^dag may overflow, their halves do not
     half_dag = half.conj().swapaxes(-1, -2)
     dev = np.abs(half - half_dag).max(axis=(-2, -1))
@@ -153,19 +153,16 @@ def marginal_stacks(rho: DensityMatrix) -> Dict[int, np.ndarray]:
     return {d: np.stack([_reduced(rho, [k]) for k in ks]) for d, ks in subsystems.items()}
 
 
-def partial_transposes(rho: DensityMatrix, sides: Sequence[Iterable[int]]) -> np.ndarray:
-    """Stack (len(sides), d_tot, d_tot) of rho with each side's subsystems transposed, each copied once."""
+def partial_transpose(rho: DensityMatrix, side: Iterable[int]) -> np.ndarray:
+    """Transpose the listed subsystems; returns a plain matrix, copied from rho once."""
+    side = _check_subsystems(rho.dims, side)
     m = rho.n_subsystems
     T = rho.mat.reshape(rho.dims + rho.dims)
-    # transposing subsystem k swaps its row axis k and column axis m + k
-    views = [np.transpose(T, [(a + m) % (2 * m) if a % m in side else a for a in range(2 * m)])
-             for side in (_check_subsystems(rho.dims, s) for s in sides)]
-    return np.stack(views).reshape(len(views), rho.d_tot, rho.d_tot)
-
-
-def partial_transpose(rho: DensityMatrix, side: Iterable[int]) -> np.ndarray:
-    """Transpose the listed subsystems; returns a plain matrix."""
-    return partial_transposes(rho, [side])[0]
+    axes = list(range(2 * m))
+    for k in side:
+        axes[k], axes[m + k] = axes[m + k], axes[k]
+    # copied before the reshape, which then returns a view of the copy
+    return np.transpose(T, axes).copy().reshape(rho.d_tot, rho.d_tot)
 
 
 def _check_probs(p: np.ndarray) -> np.ndarray:

@@ -169,6 +169,12 @@ class TestHermEigStack:
             assert np.array_equal(W[-1], np.zeros(d)) and np.array_equal(V[-1], np.eye(d))
 
     @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2)], ids=str)
+    def test_empty_input_is_rejected(self, shape, vectors):
+        with pytest.raises(nc.DimensionMismatch):
+            qmat.herm_eig(np.zeros(shape), vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
     def test_each_matrix_checked_against_its_own_scale(self, vectors):
         small = 1e-3 * np.array([[0.0, 1.0], [1.0001, 0.0]])
         with pytest.raises(nc.NonHermitian):
