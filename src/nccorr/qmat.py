@@ -161,7 +161,7 @@ def partial_transpose(rho: DensityMatrix, side: Iterable[int]) -> np.ndarray:
     axes = list(range(2 * m))
     for k in side:
         axes[k], axes[m + k] = axes[m + k], axes[k]
-    # copied before the reshape, which then returns a view of the copy
+    # one copy: reshaping the contiguous copy gives a view of it
     return np.transpose(T, axes).copy().reshape(rho.d_tot, rho.d_tot)
 
 
