@@ -195,7 +195,7 @@ def test_main_runs_one_traced_run_per_side_after_the_pairs(tmp_path, monkeypatch
                      ("parent", "w", 913, 1), ("change", "w", 913, 1)]
     report = json.loads(out.read_text())
     assert report["traced"] == {"w": {
-        side: {"seed": 913, "attempted": 24, "failed": 0, "metrics": {"qmat.herm_eig.calls": calls}}
-        for side, calls in [("parent", 12.0), ("change", 8.0)]}}
+        side: {"seed": 913, "attempted": 24, "failed": 0, "metrics": {"qmat.herm_eig.calls": value}}
+        for side, value in [("parent", 12.0), ("change", 8.0)]}}
     assert [r["seed"] for r in report["runs"]] == [911, 911, 912, 912]
     assert report["summary"]["w"]["pairs"] == 2
