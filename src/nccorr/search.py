@@ -3,12 +3,14 @@
 Haar product bases are sampled, and a descent runs from the best of them and
 from two fixed starts.  The samples come in order from one numpy Generator
 per search, seeded by the search seed, and nothing else draws from it: sample
-i is the i-th draw whatever the chunk size, and results are monotone in the
-number of samples.  Each Haar factor is the unitary of a QR decomposition of
-a complex Gaussian matrix, with R's diagonal real and positive; `_haar_batch`
-computes it by Gram–Schmidt in whole-batch elementwise arithmetic, so a
-sample comes out bit-identical whatever batch it is made in.  Every basis is
-scored by `_batch_entropies`, whose rows do not depend on the batch either.
+i is the same draw at any chunk size, and the best start's score can only
+fall as samples grow.  The result need not: a later sample can push out of
+the starts one that would have descended lower.  Each Haar factor is the
+unitary of a QR decomposition of a complex Gaussian matrix, with R's diagonal
+real and positive; `_haar_batch` computes it by Gram–Schmidt in whole-batch
+elementwise arithmetic, so a sample comes out bit-identical whatever batch it
+is made in.  Every basis is scored by `_batch_entropies`, whose rows do not
+depend on the batch either.
 """
 from __future__ import annotations
 

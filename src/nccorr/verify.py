@@ -15,7 +15,7 @@ import numpy as np
 from .core import DensityMatrix, ProductBasis
 from . import measures, qmat, states
 from .search import SearchConfig, haar_random_product_basis
-from .sweep import MEASURE_ORDER, SweepSpec, csv_text, evaluate_point, run_sweep, sweep_rows
+from .sweep import FAMILIES, MEASURE_ORDER, SweepSpec, csv_text, evaluate_point, sweep_rows
 
 # the pinned tolerance of the closed-form sweep checks (criteria 1-3)
 TOL = 1e-9
@@ -37,9 +37,30 @@ def binary_entropy(x: float) -> float:
     return s(x) + s(1.0 - x)
 
 
+def _worst(devs) -> float:
+    """The largest deviation (0.0 if none); any NaN makes it NaN, which fails every bound."""
+    return float(np.max(devs)) if len(devs) else 0.0
+
+
 def _dev_check(name: str, devs, tol: float) -> Check:
-    worst = max(devs) if devs else 0.0
+    worst = _worst(devs)
     return Check(name, worst <= tol, f"max deviation {worst:.3e} (tol {tol:.1e})")
+
+
+def _family_rows(family: str, steps: int, cfg: SearchConfig) -> List[Tuple[float, Dict[str, float]]]:
+    """All five measures at `steps` points over the family's whole `FAMILIES` range."""
+    _, lo, hi = FAMILIES[family]
+    return sweep_rows(SweepSpec(family, lo, hi, steps, search=cfg))
+
+
+def _closed_form_checks(n: int, family: str, rows, closed_forms) -> List[Check]:
+    """One check per measure that `closed_forms(p)` gives, over every row of the sweep."""
+    forms = [closed_forms(p) for p, _ in rows]
+    return [
+        _dev_check(f"criterion-{n} {family} sweep {m} vs closed form",
+                   [abs(vals[m] - cf[m]) for (_, vals), cf in zip(rows, forms)], TOL)
+        for m in forms[0]
+    ]
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -57,43 +78,16 @@ def _ps_closed_forms(p: float) -> dict:
 
 def criterion_1(cfg: SearchConfig) -> Tuple[List[Check], str]:
     t0 = time.perf_counter()
-    spec = SweepSpec("ps", 0.0, 1.0, 101, search=cfg)
-    rows = sweep_rows(spec)
+    rows = _family_rows("ps", 101, cfg)
     elapsed = time.perf_counter() - t0
-    devs = {m: [] for m in MEASURE_ORDER}
-    for p, vals in rows:
-        cf = _ps_closed_forms(p)
-        for m in devs:
-            devs[m].append(abs(vals[m] - cf[m]))
-    checks = [
-        _dev_check(f"criterion-1 ps sweep {m} vs closed form", devs[m], TOL)
-        for m in MEASURE_ORDER
-    ]
-    at0 = rows[0][1]
-    at1 = rows[-1][1]
-    spot_dev = max(
-        max(abs(v) for v in at0.values()),
-        abs(at1["D"] - 1.0),
-        abs(at1["DG"] - 1.0),
-        abs(at1["G"] - 1.0),
-        abs(at1["K"] - 2.0),
-        abs(at1["N"] - 0.5),
-    )
-    checks.append(
-        Check(
-            "criterion-1 spot values at p=0 and p=1",
-            spot_dev <= TOL,
-            f"max deviation {spot_dev:.3e} (tol {TOL:.1e})",
-        )
-    )
-    checks.append(
-        Check(
-            "criterion-1 runtime",
-            elapsed <= 120.0,
-            f"{elapsed:.1f}s for 101 points at {cfg.n_samples} samples (limit 120s)",
-        )
-    )
-    return checks, csv_text(rows)
+    at0, at1 = rows[0][1], rows[-1][1]
+    spot = [abs(v) for v in at0.values()]
+    spot += [abs(at1[m] - v) for m, v in (("D", 1.0), ("DG", 1.0), ("G", 1.0), ("K", 2.0), ("N", 0.5))]
+    return _closed_form_checks(1, "ps", rows, _ps_closed_forms) + [
+        _dev_check("criterion-1 spot values at p=0 and p=1", spot, TOL),
+        Check("criterion-1 runtime", elapsed <= 120.0,
+              f"{elapsed:.1f}s for 101 points at {cfg.n_samples} samples (limit 120s)"),
+    ], csv_text(rows)
 
 
 # ---------------------------------------------------------------- criterion 2
@@ -107,38 +101,33 @@ def _sigma_K(p: float) -> float:
     return 8 * p - 2
 
 
+def _sigma_closed_forms(p: float) -> dict:
+    return {
+        "G": min(1 - binary_entropy(p + 0.5), 1 - binary_entropy(2 * p)),
+        "DG": 2 * s(p) - s(2 * p),
+        "K": _sigma_K(p),
+        "N": abs(min(0.0, 0.5 - 2 * p)),
+    }
+
+
 def criterion_2(cfg: SearchConfig) -> List[Check]:
-    spec = SweepSpec("sigma", 0.0, 0.5, 101, search=cfg)
-    rows = sweep_rows(spec)
-    devs = {m: [] for m in ("G", "DG", "K", "N")}
-    d_ok = True
-    sep_ok = True
-    for p, vals in rows:
-        devs["G"].append(abs(vals["G"] - min(1 - binary_entropy(p + 0.5), 1 - binary_entropy(2 * p))))
-        devs["DG"].append(abs(vals["DG"] - (2 * s(p) - s(2 * p))))
-        devs["K"].append(abs(vals["K"] - _sigma_K(p)))
-        devs["N"].append(abs(vals["N"] - abs(min(0.0, 0.5 - 2 * p))))
-        d_ok &= -1e-9 <= vals["D"] <= vals["DG"] + 1e-9
-        sep_ok &= (vals["N"] <= TOL) if p <= 0.25 else (vals["N"] > TOL)
-    checks = [
-        _dev_check(f"criterion-2 sigma sweep {m} vs closed form", devs[m], TOL)
-        for m in ("G", "DG", "K", "N")
+    rows = _family_rows("sigma", 101, cfg)
+    d_ok = all(-1e-9 <= vals["D"] <= vals["DG"] + 1e-9 for _, vals in rows)
+    sep_ok = all((vals["N"] <= TOL) if p <= 0.25 else (vals["N"] > TOL) for p, vals in rows)
+    return _closed_form_checks(2, "sigma", rows, _sigma_closed_forms) + [
+        Check("criterion-2 sigma D bounded by D_G", d_ok, "0 <= D <= D_G + 1e-9 at all 101 points"),
+        Check("criterion-2 sigma N nonzero exactly for p > 1/4", sep_ok, "PPT boundary at p = 1/4"),
     ]
-    checks.append(Check("criterion-2 sigma D bounded by D_G", d_ok, "0 <= D <= D_G + 1e-9 at all 101 points"))
-    checks.append(Check("criterion-2 sigma N nonzero exactly for p > 1/4", sep_ok, "PPT boundary at p = 1/4"))
-    return checks
 
 
 # ---------------------------------------------------------------- criterion 3
 
 
 def criterion_3(cfg: SearchConfig) -> List[Check]:
-    spec = SweepSpec("horodecki", 0.0, 1.0, 51, search=cfg)
-    rows = sweep_rows(spec)
-    kn_dev = max(max(vals["K"], vals["N"]) for _, vals in rows)
+    rows = _family_rows("horodecki", 51, cfg)
+    kn_dev = _worst([vals[m] for _, vals in rows for m in ("K", "N")])
     valid_ok = all(states.validate(states.make_horodecki(b)).passed for b, _ in rows)
-    b0 = rows[0][1]
-    b0_dev = max(abs(v) for v in b0.values())
+    b0_dev = _worst([abs(v) for v in rows[0][1].values()])
     bound_ok = all(
         vals["D"] >= -1e-9 and vals["G"] >= -1e-9 and vals["DG"] >= -1e-9
         and vals["D"] <= vals["DG"] + 1e-9
@@ -175,12 +164,12 @@ def _generic_classical_state(dims: Tuple[int, ...], seed: int):
 
 
 def criterion_4(cfg: SearchConfig) -> List[Check]:
-    worst = 0.0
+    devs = []
     for i in range(100):
-        dims = (2, 2) if i % 2 == 0 else (2, 3)
-        rho = _generic_classical_state(dims, 1000 + i)
+        rho = _generic_classical_state((2, 2) if i % 2 == 0 else (2, 3), 1000 + i)
         vals = evaluate_point(rho, MEASURE_ORDER, cfg, measures.DEFAULT_PARTITION_CAP)
-        worst = max(worst, max(abs(v) for v in vals.values()))
+        devs += [abs(v) for v in vals.values()]
+    worst = _worst(devs)
     return [Check("criterion-4 all measures vanish on classical states", worst <= 1e-8,
                   f"max |measure| {worst:.3e} over 100 states (tol 1e-8)")]
 
@@ -200,27 +189,20 @@ def _min_marginal_gap(rho: DensityMatrix) -> float:
 
 
 def criterion_5() -> List[Check]:
-    gkn_worst = 0.0
-    dg_worst = 0.0
-    dg_count = 0
+    gkn, dg = [], []
     for i in range(50):
         rho = states.random_density_matrix((2, 2), 4, 2000 + i)
-        u = haar_random_product_basis((2, 2), 3000 + i)
-        rho2 = _local_rotate(rho, u)
-        gkn_worst = max(
-            gkn_worst,
-            abs(measures.measure_G(rho).value - measures.measure_G(rho2).value),
-            abs(measures.measure_K(rho).value - measures.measure_K(rho2).value),
-            abs(measures.negativity(rho).value - measures.negativity(rho2).value),
-        )
+        rho2 = _local_rotate(rho, haar_random_product_basis((2, 2), 3000 + i))
+        gkn += [abs(f(rho).value - f(rho2).value)
+                for f in (measures.measure_G, measures.measure_K, measures.negativity)]
         if _min_marginal_gap(rho) > 1e-6:
-            dg_count += 1
-            dg_worst = max(dg_worst, abs(measures.measure_DG(rho).value - measures.measure_DG(rho2).value))
+            dg.append(abs(measures.measure_DG(rho).value - measures.measure_DG(rho2).value))
+    gkn_worst, dg_worst = _worst(gkn), _worst(dg)
     return [
         Check("criterion-5 local-unitary invariance of G, K, N", gkn_worst <= 1e-8,
               f"max |before - after| {gkn_worst:.3e} over 50 pairs (tol 1e-8)"),
         Check("criterion-5 local-unitary invariance of D_G", dg_worst <= 1e-8,
-              f"max |before - after| {dg_worst:.3e} over {dg_count} nondegenerate pairs (tol 1e-8)"),
+              f"max |before - after| {dg_worst:.3e} over {len(dg)} nondegenerate pairs (tol 1e-8)"),
     ]
 
 
@@ -235,33 +217,23 @@ def _nondegenerate_two_qubit(seed: int) -> DensityMatrix:
     raise RuntimeError("could not draw a nondegenerate-marginal state")
 
 
+def _tensor_excess(measure, a: DensityMatrix, b: DensityMatrix) -> float:
+    """measure(a x b) - measure(a) - measure(b)."""
+    return measure(states.tensor_state(a, b)).value - measure(a).value - measure(b).value
+
+
 def criterion_6() -> List[Check]:
-    add_devs = []
-    for i in range(20):
-        a = _nondegenerate_two_qubit(4000 + i)
-        b = _nondegenerate_two_qubit(5000 + i)
-        joint = states.tensor_state(a, b)
-        add_devs.append(abs(
-            measures.measure_DG(joint).value
-            - measures.measure_DG(a).value
-            - measures.measure_DG(b).value
-        ))
-    sub_ok = True
-    sub_worst = -math.inf
-    for p in np.linspace(0.0, 1.0, 5):
-        for q in np.linspace(0.0, 0.5, 5):
-            a = states.make_pseudo_entangled(float(p))
-            b = states.make_sigma(float(q))
-            excess = (
-                measures.measure_G(states.tensor_state(a, b)).value
-                - measures.measure_G(a).value
-                - measures.measure_G(b).value
-            )
-            sub_worst = max(sub_worst, excess)
-            sub_ok &= excess <= 1e-9
+    add_devs = [
+        abs(_tensor_excess(measures.measure_DG, _nondegenerate_two_qubit(4000 + i), _nondegenerate_two_qubit(5000 + i)))
+        for i in range(20)
+    ]
+    sub_worst = _worst([
+        _tensor_excess(measures.measure_G, states.make_pseudo_entangled(float(p)), states.make_sigma(float(q)))
+        for p in np.linspace(0.0, 1.0, 5) for q in np.linspace(0.0, 0.5, 5)
+    ])
     return [
         _dev_check("criterion-6 D_G additivity on product states", add_devs, 1e-8),
-        Check("criterion-6 G subadditivity on ps x sigma grid", sub_ok,
+        Check("criterion-6 G subadditivity on ps x sigma grid", sub_worst <= 1e-9,
               f"max excess {sub_worst:.3e} (tol 1e-9)"),
     ]
 
@@ -332,10 +304,9 @@ def criterion_7() -> List[Check]:
 
 
 def criterion_8(cfg: SearchConfig, first_csv: str) -> List[Check]:
-    spec = SweepSpec("ps", 0.0, 1.0, 101, search=cfg)
-    repeat = run_sweep(spec)
+    repeat = csv_text(_family_rows("ps", 101, cfg))
     alt_cfg = replace(cfg, chunk_size=max(1, cfg.chunk_size // 7 + 1))
-    rechunked = run_sweep(SweepSpec("ps", 0.0, 1.0, 101, search=alt_cfg))
+    rechunked = csv_text(_family_rows("ps", 101, alt_cfg))
     return [
         Check("criterion-8 repeated sweep is byte-identical", repeat == first_csv,
               "same seed, same flags"),

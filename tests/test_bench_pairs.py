@@ -172,7 +172,7 @@ def test_seeds_differing_counts_the_pairs_that_are_not_equal():
     assert metrics["op_p50_ms"]["max_abs_diff"] == 0.0
 
 
-def test_main_runs_one_traced_run_per_side_after_the_pairs(tmp_path, monkeypatch):
+def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch):
     calls = []
     end_to_end = [m["name"] for m in json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
@@ -192,10 +192,13 @@ def test_main_runs_one_traced_run_per_side_after_the_pairs(tmp_path, monkeypatch
                              "--seeds", "911-912", "--out", str(out)]) == 0
     assert calls == [("parent", "w", 911, 0), ("change", "w", 911, 0),
                      ("change", "w", 912, 0), ("parent", "w", 912, 0),
-                     ("parent", "w", 913, 1), ("change", "w", 913, 1)]
+                     ("parent", "w", 911, 1), ("change", "w", 911, 1),
+                     ("change", "w", 912, 1), ("parent", "w", 912, 1)]
     report = json.loads(out.read_text())
     assert report["traced"] == {"w": {
-        side: {"seed": 913, "attempted": 24, "failed": 0, "metrics": {"qmat.herm_eig.calls": value}}
-        for side, value in [("parent", 12.0), ("change", 8.0)]}}
+        side: {"runs": [{"seed": seed, "attempted": 24, "failed": 0,
+                         "metrics": {"qmat.herm_eig.calls": value + seed - 911}} for seed in (911, 912)],
+               "median": {"qmat.herm_eig.calls": value + 0.5}}
+        for side, value in [("parent", 10.0), ("change", 6.0)]}}
     assert [r["seed"] for r in report["runs"]] == [911, 911, 912, 912]
     assert report["summary"]["w"]["pairs"] == 2

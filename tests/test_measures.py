@@ -233,15 +233,18 @@ class TestMeasureG:
             assert rep.diagnostics == ref.diagnostics
 
     def test_prefix_split_at_the_production_chunk_size(self, monkeypatch):
-        # The d = 5 walk of (2,5) has 113,400 balanced assignments, more than
-        # the default chunk, so the default splits it; the patched chunk does not.
-        assert measures._ENUM_CHUNK < 113400 <= 1 << 20
-        rho = nc.random_density_matrix((2, 5), 10, 95)
+        # The d = 4 walk of (3,4) keeps 184,800 assignments, more than the
+        # default chunk, so the default splits it; the patched chunk does not.
+        rho = nc.random_density_matrix((3, 4), 12, 95)
+        e_tot = qmat.density_spectrum(rho)
+        assert len(list(measures._balanced_assignments(e_tot, 4))) > 1
         split = nc.measure_G(rho)
         evaluated = split.diagnostics["assignments_evaluated"]
-        assert evaluated == {0: 126, 1: 56700}
-        assert 2 * evaluated[0] == math.comb(10, 5) and 2 * evaluated[1] == math.factorial(10) // 2 ** 5
+        assert evaluated == {0: 17325, 1: 184800}
+        assert 2 * evaluated[0] == math.factorial(12) // math.factorial(4) ** 3
+        assert 2 * evaluated[1] == math.factorial(12) // math.factorial(3) ** 4
         monkeypatch.setattr(measures, "_ENUM_CHUNK", 1 << 20)
+        assert len(list(measures._balanced_assignments(e_tot, 4))) == 1
         whole = nc.measure_G(rho)
         assert split.value == whole.value
         assert split.witness == whole.witness
@@ -552,3 +555,35 @@ class TestMeasureTable:
         (check,) = verify.criterion_4(nc.SearchConfig(n_samples=0, refine_steps=0))
         assert not check.passed
         assert "max |measure| 7.000e+00" in check.detail
+
+
+class TestVerifyNaN:
+    # Python's max skips a NaN that is not its first argument; every worst
+    # deviation goes through one NaN-propagating reduction instead.
+    def test_dev_check_fails_on_a_nan_after_a_finite_value(self):
+        check = verify._dev_check("x", [0.0, math.nan], 1e-9)
+        assert not check.passed
+        assert check.detail == "max deviation nan (tol 1.0e-09)"
+        assert verify._dev_check("x", [], 1e-9).passed
+
+    def test_nan_measure_fails_criterion_4(self, monkeypatch):
+        stub = measures.MeasureReport("K", math.nan, None)
+        monkeypatch.setattr(measures, "measure_K", lambda rho: stub)
+        (check,) = verify.criterion_4(nc.SearchConfig(n_samples=0, refine_steps=0))
+        assert not check.passed
+        assert "max |measure| nan" in check.detail
+
+    def test_nan_K_at_one_sigma_point_fails_its_sweep_check(self, monkeypatch):
+        real_K = measures.measure_K
+        calls = []
+
+        def nan_at_second_point(rho):
+            calls.append(rho)
+            return measures.MeasureReport("K", math.nan, None) if len(calls) == 2 else real_K(rho)
+
+        monkeypatch.setattr(measures, "measure_K", nan_at_second_point)
+        checks = {c.name: c for c in verify.criterion_2(nc.SearchConfig(n_samples=0, refine_steps=0))}
+        assert len(calls) == 101
+        failed = [name for name, c in checks.items() if not c.passed]
+        assert failed == ["criterion-2 sigma sweep K vs closed form"]
+        assert checks[failed[0]].detail == "max deviation nan (tol 1.0e-09)"

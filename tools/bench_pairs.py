@@ -21,9 +21,10 @@ the parent's interquartile range.  For every seed, each checkout also runs
 `nccorr verify` once, in the same order, and its per-criterion seconds are
 stored with their medians per side.  The report also gives each side's
 source line count (perfbench's `meta.nccorr_src_lines`).  After each
-workload's pairs, both checkouts run it once with `--trace 1` on the seed
-after the range, in that seed's pair order; each side's per-layer metrics
-are stored under `traced`, kept apart from the pairs.
+workload's pairs, both checkouts run it again with `--trace 1` on every seed
+of the range, in that seed's pair order; each side's per-layer metrics per
+run and their medians are stored under `traced`, kept apart from the pairs,
+since one traced run per side is too noisy to say where time went.
 """
 from __future__ import annotations
 
@@ -161,13 +162,18 @@ def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[d
 
 
 def traced_metrics(traced: Sequence[dict]) -> dict:
-    """Per workload and side: the traced run's seed, op counts and per-layer metric values."""
+    """Per workload and side: each traced run's seed, op counts and per-layer
+    metric values, and the median of each metric over those runs."""
     out: Dict[str, dict] = {}
     for r in traced:
         res = r["result"]
-        out.setdefault(r["workload"], {})[r["side"]] = {
+        out.setdefault(r["workload"], {}).setdefault(r["side"], {"runs": []})["runs"].append({
             "seed": r["seed"], "attempted": res["attempted"], "failed": res["failed"],
-            "metrics": {name: m["value"] for name, m in res["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in res["metrics"].items()}})
+    for sides in out.values():
+        for side in sides.values():
+            side["median"] = {name: statistics.median(run["metrics"][name] for run in side["runs"])
+                              for name in side["runs"][0]["metrics"]}
     return out
 
 
@@ -234,12 +240,12 @@ def main(argv=None) -> int:
                     print(f"{wl} seed {seed} {side}: failed {res['failed']}/{res['attempted']}, "
                           + ", ".join(f"{k} {v['value']:.6g}" for k, v in res["metrics"].items()),
                           flush=True)
-            seed = args.seeds[-1] + 1
-            for side in pair_order(seed):
-                traced.append({"side": side, "workload": wl, "seed": seed, "trace": 1,
-                               **run_once(checkouts[side], wl, seed, trace=1)})
-                res = traced[-1]["result"]
-                print(f"{wl} seed {seed} {side} traced: failed {res['failed']}/{res['attempted']}", flush=True)
+            for seed in args.seeds:
+                for side in pair_order(seed):
+                    traced.append({"side": side, "workload": wl, "seed": seed, "trace": 1,
+                                   **run_once(checkouts[side], wl, seed, trace=1)})
+                    res = traced[-1]["result"]
+                    print(f"{wl} seed {seed} {side} traced: failed {res['failed']}/{res['attempted']}", flush=True)
         verify_runs = []
         for seed in args.seeds:
             for side in pair_order(seed):
