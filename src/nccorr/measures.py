@@ -166,27 +166,18 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
     ``assignments_evaluated`` (per subsystem, half its balanced count) stay in k order.
     """
     e_tot = qmat.density_spectrum(rho)
-    d_tot = len(e_tot)
     for d in rho.dims:
-        if d ** d_tot > partition_cap:
-            raise PartitionCapExceeded(f"{d}^{d_tot} = {d ** d_tot} exceeds cap {partition_cap}")
-    targets = {
-        d: [_neg_entropy_seq(qmat.clamped_probs(w)) for w in qmat.herm_eig(stack, vectors=False)[0]]
-        for d, stack in qmat.marginal_stacks(rho).items()
-    }
-    walks = {d: _min_balanced_partition(e_tot, group, d) for d, group in targets.items()}
-    f_values = {}
-    evaluated = {}
-    witnesses = []
-    for k, d in enumerate(rho.dims):
-        best, evaluated[k] = walks[d]
-        fk, assignment = best[rho.dims[:k].count(d)]
-        f_values[k] = float(fk)
-        witnesses.append(Partition(k, assignment))
-    value = max(f_values.values())
-    return MeasureReport(
-        "G", value, witnesses, {"F_k": f_values, "assignments_evaluated": evaluated}
-    )
+        if d ** rho.d_tot > partition_cap:
+            raise PartitionCapExceeded(f"{d}^{rho.d_tot} = {d ** rho.d_tot} exceeds cap {partition_cap}")
+    walks = {}
+    for d, stack in qmat.marginal_stacks(rho).items():
+        targets = [_neg_entropy_seq(qmat.clamped_probs(w)) for w in qmat.herm_eig(stack, vectors=False)[0]]
+        best, evaluated = _min_balanced_partition(e_tot, targets, d)
+        walks[d] = iter([(float(fk), assignment, evaluated) for fk, assignment in best])
+    f_values, assignments, evaluated = zip(*(next(walks[d]) for d in rho.dims))
+    witnesses = [Partition(k, assignment) for k, assignment in enumerate(assignments)]
+    diagnostics = {"F_k": dict(enumerate(f_values)), "assignments_evaluated": dict(enumerate(evaluated))}
+    return MeasureReport("G", max(f_values), witnesses, diagnostics)
 
 
 def measure_DG(rho: DensityMatrix) -> MeasureReport:
@@ -199,9 +190,17 @@ def measure_DG(rho: DensityMatrix) -> MeasureReport:
     )
 
 
-def _min_over_splittings(name: str, splittings: Sequence, values: Sequence[float]) -> MeasureReport:
-    """Minimum of one value per bipartite splitting; the first minimal splitting is the witness."""
-    vals = dict(zip(splittings, values))
+def _min_over_splittings(
+    name: str, rho: DensityMatrix, value: Callable[..., float], *lead: np.ndarray
+) -> MeasureReport:
+    """Minimum of value(e_T, *lead spectra) over bipartite splittings; the first minimal one is the witness.
+
+    e_T is a partial transpose's spectrum; the lead matrices (rho for K) head the one `herm_eig` stack.
+    """
+    splittings = list(_bipartite_splittings(rho.n_subsystems))
+    pts = [qmat.partial_transpose(rho, side_b) for _, side_b in splittings]
+    spectra = qmat.herm_eig(np.stack([*lead, *pts]), vectors=False)[0]
+    vals = {s: value(et, *spectra[:len(lead)]) for s, et in zip(splittings, spectra[len(lead):])}
     witness = min(vals, key=vals.get)
     per_split = {f"{a}|{b}": v for (a, b), v in vals.items()}
     return MeasureReport(name, vals[witness], witness, {"per_splitting": per_split})
@@ -213,18 +212,12 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
     Multipartite inputs take the minimum over all bipartite splittings; rho
     leads the stack of partial transposes, so one `herm_eig` call serves all.
     """
-    splittings = list(_bipartite_splittings(rho.n_subsystems))
-    pts = [qmat.partial_transpose(rho, side_b) for _, side_b in splittings]
-    e, *spectra = qmat.herm_eig(np.stack([rho.mat, *pts]), vectors=False)[0]
-    return _min_over_splittings("K", splittings, [float(np.sum(np.abs(e - et))) for et in spectra])
+    return _min_over_splittings("K", rho, lambda et, e: float(np.sum(np.abs(e - et))), rho.mat)
 
 
 def negativity(rho: DensityMatrix) -> MeasureReport:
     """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
-    splittings = list(_bipartite_splittings(rho.n_subsystems))
-    pts = np.stack([qmat.partial_transpose(rho, side_b) for _, side_b in splittings])
-    spectra = qmat.herm_eig(pts, vectors=False)[0]
-    return _min_over_splittings("N", splittings, [float(abs(et[et < 0.0].sum())) for et in spectra])
+    return _min_over_splittings("N", rho, lambda et: float(abs(et[et < 0.0].sum())))
 
 
 # Name -> (rho, cfg, partition_cap) -> report, in CSV column order.  Each entry

@@ -55,14 +55,14 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     `TIE_TOL` of its largest magnitude is then made real and non-negative.
     With ``vectors=False`` one ``eigvalsh`` call gives the eigenvalues alone,
     and None.  A stack takes one LAPACK call and gives each matrix's result
-    along the leading axis, equal to that matrix's own call; each matrix is
-    checked for Hermiticity against its own max|H|.
+    along the leading axis; a single matrix takes that path as a stack of one.
+    Each matrix is checked for Hermiticity against its own max|H|.
     A LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
     """
     A = np.asarray(H, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.size:
         raise DimensionMismatch(f"expected a nonempty square matrix or stack of them, got shape {A.shape}")
-    half = A / 2.0  # max|H| and H - H^dag may overflow, their halves do not
+    half = A.reshape((-1,) + A.shape[-2:]) / 2.0  # max|H| and H - H^dag may overflow, their halves do not
     half_dag = half.conj().swapaxes(-1, -2)
     dev = np.abs(half - half_dag).max(axis=(-2, -1))
     bad = dev > HERM_TOL * np.abs(half).max(axis=(-2, -1))
@@ -73,11 +73,9 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
         if not np.isfinite(w).all():
             raise NoConvergence("LAPACK returned non-finite eigenvalues")
         if V is None:
-            return w, None
-        if A.ndim == 2:
-            return _pinned(w, V)
+            return w.reshape(A.shape[:-1]), None
         ws, Vs = zip(*map(_pinned, w, V))
-        return np.stack(ws), np.stack(Vs)
+        return np.stack(ws).reshape(A.shape[:-1]), np.stack(Vs).reshape(A.shape)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
 

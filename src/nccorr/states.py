@@ -103,20 +103,10 @@ class ValidationReport:
     min_eigenvalue: float
 
     @property
-    def hermitian_ok(self) -> bool:
-        return self.herm_deviation <= qmat.HERM_TOL
-
-    @property
-    def trace_ok(self) -> bool:
-        return self.trace_deviation <= qmat.TRACE_TOL
-
-    @property
-    def positive_ok(self) -> bool:
-        return self.min_eigenvalue >= -qmat.NEG_TOL
-
-    @property
     def passed(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.positive_ok
+        """The verdict: every field within its `qmat` tolerance (a NaN field fails)."""
+        return (self.herm_deviation <= qmat.HERM_TOL and self.trace_deviation <= qmat.TRACE_TOL
+                and self.min_eigenvalue >= -qmat.NEG_TOL)
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:

@@ -279,25 +279,18 @@ def naive_measure_G(rho: DensityMatrix) -> Tuple[float, dict]:
 
 
 def criterion_7() -> List[Check]:
-    ok = True
-    detail = "exact agreement on 20 random two-qubit and 20 random qubit-qutrit states"
+    name = "criterion-7 G matches brute-force enumerator exactly"
     # the qutrit witnesses of (2,3) seeds 6044 and 6047 put eigenvalue 0 in bin 2
     for dims, seed in [((2, 2), 6000 + i) for i in range(20)] + [((2, 3), 6030 + i) for i in range(20)]:
         rho = states.random_density_matrix(dims, math.prod(dims), seed)
         rep = measures.measure_G(rho)
         ref_val, ref_diag = naive_measure_G(rho)
         if rep.value != ref_val:
-            ok = False
-            detail = f"value mismatch at {dims} seed {seed}: {rep.value!r} vs {ref_val!r}"
-            break
+            return [Check(name, False, f"value mismatch at {dims} seed {seed}: {rep.value!r} vs {ref_val!r}")]
         for part in rep.witness:
             if part.assignment != ref_diag["assignments"][part.k]:
-                ok = False
-                detail = f"witness mismatch at {dims} seed {seed}, k={part.k}"
-                break
-        if not ok:
-            break
-    return [Check("criterion-7 G matches brute-force enumerator exactly", ok, detail)]
+                return [Check(name, False, f"witness mismatch at {dims} seed {seed}, k={part.k}")]
+    return [Check(name, True, "exact agreement on 20 random two-qubit and 20 random qubit-qutrit states")]
 
 
 # ---------------------------------------------------------------- criterion 8

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -367,6 +368,21 @@ class TestMeasureK:
             assert k_rep.diagnostics["per_splitting"][f"{a}|{b}"] == float(np.sum(np.abs(e - et)))
             assert n_rep.diagnostics["per_splitting"][f"{a}|{b}"] == float(abs(et[et < 0.0].sum()))
 
+    def test_witness_is_the_first_minimal_splitting_off_ties(self):
+        # random states rarely tie, so the first splitting is rarely the
+        # witness: this tests the witness rule away from exact ties
+        reports = []
+        for dims in [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2)]:
+            splittings = list(measures._bipartite_splittings(len(dims)))
+            for rank in (1, 2, int(np.prod(dims))):
+                rho = nc.random_density_matrix(dims, rank, 23)
+                for rep in (nc.measure_K(rho), nc.negativity(rho)):
+                    values = list(rep.diagnostics["per_splitting"].values())
+                    assert rep.value == min(values), (dims, rank, rep.measure)
+                    assert rep.witness == splittings[values.index(rep.value)], (dims, rank, rep.measure)
+                    reports.append(rep.witness != splittings[0])
+        assert len(reports) == 18 and sum(reports) >= 9, reports
+
     def test_tripartite_splitting_count(self):
         rep = nc.measure_K(nc.random_density_matrix((2, 2, 2), 8, 62))
         assert len(rep.diagnostics["per_splitting"]) == 3
@@ -555,6 +571,36 @@ class TestMeasureTable:
         (check,) = verify.criterion_4(nc.SearchConfig(n_samples=0, refine_steps=0))
         assert not check.passed
         assert "max |measure| 7.000e+00" in check.detail
+
+
+class TestCriterion7Failures:
+    # criterion 7 reports its first mismatch; stub G the way TestMeasureTable stubs K
+    def test_value_one_ulp_up(self, monkeypatch):
+        real_G = measures.measure_G
+
+        def one_ulp_up(rho, cap=measures.DEFAULT_PARTITION_CAP):
+            rep = real_G(rho, cap)
+            return dataclasses.replace(rep, value=float(np.nextafter(rep.value, math.inf)))
+
+        monkeypatch.setattr(measures, "measure_G", one_ulp_up)
+        (check,) = verify.criterion_7()
+        assert not check.passed
+        assert check.detail.startswith("value mismatch at (2, 2) seed 6000: ")
+
+    def test_last_assignment_reversed(self, monkeypatch):
+        # seed 6000's last witness assignment is a palindrome, so the first
+        # mismatch is at seed 6001
+        real_G = measures.measure_G
+
+        def reversed_last(rho, cap=measures.DEFAULT_PARTITION_CAP):
+            rep = real_G(rho, cap)
+            *head, last = rep.witness
+            return dataclasses.replace(rep, witness=[*head, measures.Partition(last.k, last.assignment[::-1])])
+
+        monkeypatch.setattr(measures, "measure_G", reversed_last)
+        (check,) = verify.criterion_7()
+        assert not check.passed
+        assert check.detail == "witness mismatch at (2, 2) seed 6001, k=1"
 
 
 class TestVerifyNaN:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -208,6 +209,19 @@ class TestValidateAndIO:
         assert off.min_eigenvalue == -math.inf and not off.passed
         assert diag.min_eigenvalue == pytest.approx(1.7e308 * (1 - 2 ** 0.5), rel=1e-12)
         assert not diag.passed
+
+    def test_passed_at_each_bound(self):
+        # passed is the one verdict: each field exactly at its bound passes,
+        # one float step beyond it fails, and a NaN field fails
+        ok = nc.ValidationReport(qmat.HERM_TOL, qmat.TRACE_TOL, -qmat.NEG_TOL)
+        assert ok.passed
+        for field, beyond in [
+            ("herm_deviation", np.nextafter(qmat.HERM_TOL, math.inf)),
+            ("trace_deviation", np.nextafter(qmat.TRACE_TOL, math.inf)),
+            ("min_eigenvalue", np.nextafter(-qmat.NEG_TOL, -math.inf)),
+        ]:
+            for bad in (beyond, math.nan):
+                assert not dataclasses.replace(ok, **{field: float(bad)}).passed, (field, bad)
 
     def test_load_rejects_invalid_state(self, tmp_path):
         path = tmp_path / "nonpsd.json"
