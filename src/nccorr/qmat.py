@@ -212,8 +212,8 @@ def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) 
     reordered as a tensor with one (i_k, j_k) index pair per subsystem, the
     first subsystem's rank-one projectors conj(U[s,i,c]) U[s,j,c] are
     contracted against it in one GEMM shared by the batch, and each further
-    subsystem in a batched matmul (one subsystem: an elementwise multiply
-    and sum).  That costs about S d_tot^2 d_1 instead of S d_tot^3.  A row
+    subsystem in a matmul per sample (a single subsystem too, with rho
+    broadcast).  That costs about S d_tot^2 d_1 instead of S d_tot^3.  A row
     depends only on the values of its factors: it comes out the same alone
     or inside a batch, and in any memory layout of the stacks, which keeps
     the D search independent of its chunk size.
@@ -231,13 +231,10 @@ def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) 
         rest //= d
         Ft = F.transpose(0, 2, 1)
         P = (Ft.conj()[:, :, :, None] * Ft[:, :, None, :]).reshape(S, d, d * d)
-        if m == 1:
-            # a one-column GEMM goes to gemv, whose rounding depends on S
-            X = (P * X.reshape(d * d)).sum(axis=-1)
-        elif k == 0:
+        if k == 0 and m > 1:
             X = P.reshape(S * d, d * d) @ X.reshape(d * d, rest * rest)
-        else:
-            X = P[:, None] @ X.reshape(S, done, d * d, rest * rest)
+        else:  # at m == 1 the shared GEMM would be a gemv, whose rounding depends on S
+            X = P[:, None] @ X.reshape(-1, done, d * d, rest * rest)
         done *= d
     return X.reshape(S, done).real
 

@@ -120,11 +120,11 @@ def _lie_basis(d: int) -> np.ndarray:
     return G
 
 
-def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], bases: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of the diagonal entropy f(U_k exp(A_k)) at A = 0, for a batch of product bases.
 
-    A factor moves as U_k exp(A_k), and A = sum_a x_a G^_a runs over the
-    `_lie_basis` of each subsystem in turn, lifted to the whole space as
+    A factor moves as U_k exp(A_k), and A = sum_a x_a G^_a runs over `bases`,
+    each subsystem's `_lie_basis` in turn, lifted to the whole space as
     G^_a = 1 x G_a x 1: sum(d_k^2 - d_k) coordinates.  With R = B^dag rho B,
     p = diag R, lambda = log2 p and M_a = [R, G^_a] (the first derivative of R):
 
@@ -154,7 +154,7 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tu
     pc = np.maximum(p, 1e-300)
     lam = np.log2(pc)
     # each subsystem's dimension, basis and the dimensions before and after it
-    subs = [(d, _lie_basis(d), math.prod(dims[:k]), math.prod(dims[k + 1 :])) for k, d in enumerate(dims)]
+    subs = [(d, G, math.prod(dims[:k]), math.prod(dims[k + 1 :])) for k, (d, G) in enumerate(zip(dims, bases))]
     X = np.empty((S, sum(len(G) for _, G, _, _ in subs), d_tot, d_tot), dtype=np.complex128)
     off = 0
     for d, G, lo, hi in subs:
@@ -189,7 +189,7 @@ def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.einsum("sik,stk,sjk->stij", U @ V, phase, V.conj())
 
 
-def _newton(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+def _newton(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], bases: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Saddle-free Newton steps at a batch of product bases and their squared gradient norms.
 
     The step is -V diag(1/max(|w|, `_EIG_FLOOR`)) V^T g for H = V diag(w) V^T,
@@ -197,7 +197,7 @@ def _newton(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> Tuple[n
     if longer.  It is returned in the coordinates x of `_derivatives`: one
     (S, sum(d_k^2 - d_k)) array.
     """
-    g, H, _ = _derivatives(rho_mat, factor_stacks)
+    g, H, _ = _derivatives(rho_mat, factor_stacks, bases)
     w, V = np.linalg.eigh(H)
     x = -np.einsum("sab,sb->sa", V, np.einsum("sba,sb->sa", V, g) / np.maximum(np.abs(w), _EIG_FLOOR))
     norm = np.sqrt(np.einsum("sa,sa->s", x, x))
@@ -218,44 +218,40 @@ def _descend(
     `max_rounds` rounds, or after its first round with no lower step, which
     counts as a round but not as an accepted one and leaves its factors and
     entropy as they were.  Every per-start array is indexed by start number
-    for the whole call.  A round gathers the live starts by index, stacks the
-    factors of their K subsystems of dimension d as one (live, K, d, d) array
-    for one `_rotate` call, and writes the accepted steps back.  Returns new
-    factor stacks, entropies, rounds and accepted rounds.
+    for the whole call, and each subsystem's `_lie_basis` is made once.  A
+    round gathers the live starts by index, turns the factors of every
+    subsystem of dimension d, subsystem by subsystem, in one `_rotate` call,
+    and writes the accepted steps back.  Returns new factor stacks,
+    entropies, rounds and accepted rounds.
     """
     dims = [F.shape[-1] for F in stacks]
-    groups = [[k for k, dk in enumerate(dims) if dk == d] for d in dict.fromkeys(dims)]
-    # each group's Lie basis, and its subsystems' columns of x
-    bases = [_lie_basis(dims[ks[0]]) for ks in groups]
-    ends = np.cumsum([d * d - d for d in dims])
-    cols = [np.concatenate([np.arange(ends[k] - len(G), ends[k]) for k in ks]) for ks, G in zip(groups, bases)]
+    bases = [_lie_basis(d) for d in dims]
+    ends = np.cumsum([len(G) for G in bases])
     n = len(h)
     U, h, x, gg = [np.array(F) for F in stacks], np.array(h), np.zeros((n, ends[-1])), np.zeros(n)
     rounds, accepts, live = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(n, max_rounds > 0)
     a = np.flatnonzero(live)  # the starts whose step is due: all before round 1, then those just accepted
     while True:
         if len(a):
-            x[a], gg[a] = _newton(rho_mat, [F[a] for F in U])
+            x[a], gg[a] = _newton(rho_mat, [F[a] for F in U], bases)
         live &= (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
         i = np.flatnonzero(live)
         if not len(i):
             return U, h, rounds, accepts
-        m, trials = len(i), [None] * len(dims)
-        for ks, c, G in zip(groups, cols, bases):
-            d = dims[ks[0]]
-            A = np.einsum("sa,aij->sij", x[i[:, None], c].reshape(m * len(ks), len(G)), G)
-            X = _rotate(np.stack([U[k][i] for k in ks], axis=1).reshape(-1, d, d), A, _TRIALS)
-            for j, k in enumerate(ks):
-                trials[k] = X.reshape(m, len(ks), -1, d, d)[:, j]
-        ent = _batch_entropies(rho_mat, [X.reshape(-1, d, d) for X, d in zip(trials, dims)]).reshape(m, -1)
+        m, trials, coords = len(i), {}, np.split(x[i], ends[:-1], axis=1)
+        for d in set(dims):
+            ks = [k for k, dk in enumerate(dims) if dk == d]
+            A = np.einsum("sa,aij->sij", np.concatenate([coords[k] for k in ks]), bases[ks[0]])
+            trials.update(zip(ks, np.split(_rotate(np.concatenate([U[k][i] for k in ks]), A, _TRIALS), len(ks))))
+        ent = _batch_entropies(rho_mat, [trials[k].reshape(-1, d, d) for k, d in enumerate(dims)]).reshape(m, -1)
         step = np.argmin(ent, axis=1)
         low = ent[np.arange(m), step]
         ok = low < h[i]
         rounds[i] += 1
         accepts[i] += ok
         a = i[ok]
-        for F, X in zip(U, trials):
-            F[a] = X[ok, step[ok]]
+        for k, F in enumerate(U):
+            F[a] = trials[k][ok, step[ok]]
         h[a], live[i] = low[ok], ok
 
 
@@ -306,7 +302,7 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
         factors, best_source, start = [F[first] for F in stacks], sources[first], sources[first]
 
     witness = ProductBasis(tuple(factors))
-    g, H, p = (x[0] for x in _derivatives(rho.mat, [f[None] for f in factors]))
+    g, H, p = (x[0] for x in _derivatives(rho.mat, [f[None] for f in factors], [_lie_basis(d) for d in dims]))
     gradient_norm = float(np.sqrt(g @ g))
     diagnostics = {
         "samples_evaluated": n,

@@ -18,6 +18,11 @@ def normals(dims, n, seed):
     return search._ginibre(np.random.default_rng(seed), dims, n)
 
 
+def lie_bases(dims):
+    """The `search._lie_basis` of each subsystem, as `_derivatives` and `_newton` take them."""
+    return [search._lie_basis(d) for d in dims]
+
+
 def perturbed(rho, seed):
     """rho plus 1e-15 (E + E^dag)/2, E complex Gaussian from default_rng(seed): round-off in a stored state."""
     rng = np.random.default_rng(seed)
@@ -255,7 +260,7 @@ class TestDescent:
         # of the scorer, at eps = 1e-5 for g and 1e-4 for H
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 5)
         factors = search._haar_batch(dims, normals(dims, 1, 3))
-        g, H, p = search._derivatives(rho.mat, factors)
+        g, H, p = search._derivatives(rho.mat, factors, lie_bases(dims))
         n = sum(d * d - d for d in dims)
         assert g.shape == (1, n) and H.shape == (1, n, n)
         assert np.max(np.abs(p - qmat.product_diagonals(rho.mat, factors))) <= 1e-15
@@ -273,7 +278,7 @@ class TestDescent:
         # descended witness is a strict local minimum
         rho = nc.make_horodecki(0.52)
         for basis, least in [(nc.computational_basis(rho.dims), -0.2985), (search.marginal_eigenbasis(rho), -0.01736)]:
-            g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors])
+            g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors], lie_bases(rho.dims))
             assert np.sqrt(g[0] @ g[0]) <= search._GRAD_TOL
             assert np.linalg.eigvalsh(H[0])[0] == pytest.approx(least, abs=1e-4)
         diag = nc.measure_D(rho, nc.SearchConfig()).diagnostics
@@ -289,8 +294,9 @@ class TestDescent:
 
     @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_rotate_rows_alone_or_stacked_identical_and_unitary(self, dims):
-        # the descent stacks the factors of same-dimension subsystems, start-major,
-        # and turns them in one call; each (start, step) must not depend on that
+        # the descent concatenates the factors of same-dimension subsystems,
+        # subsystem by subsystem, and turns them in one call; each (start, step)
+        # must not depend on that
         n, rng = 5, np.random.default_rng(4)
         U = search._haar_batch(dims, normals(dims, n, 8))
         A = []
@@ -301,31 +307,30 @@ class TestDescent:
         for d in dict.fromkeys(dims):
             ks = [k for k, dk in enumerate(dims) if dk == d]
             stacked = search._rotate(
-                np.stack([U[k] for k in ks], axis=1).reshape(-1, d, d),
-                np.stack([A[k] for k in ks], axis=1).reshape(-1, d, d),
-                t,
-            ).reshape(n, len(ks), len(search._TRIALS), d, d)
+                np.concatenate([U[k] for k in ks]), np.concatenate([A[k] for k in ks]), t
+            ).reshape(len(ks), n, len(search._TRIALS), d, d)
             gram = stacked.conj().swapaxes(-1, -2) @ stacked
             assert np.max(np.abs(gram - np.eye(d))) <= 1e-14
             for j, k in enumerate(ks):
-                assert np.array_equal(search._rotate(U[k], A[k], t), stacked[:, j])
+                assert np.array_equal(search._rotate(U[k], A[k], t), stacked[j])
                 for s in range(n):
                     w, V = np.linalg.eigh(-1j * A[k][s])
                     for step in range(len(search._TRIALS)):
                         alone = search._rotate(U[k][s : s + 1], A[k][s : s + 1], t[step : step + 1])
-                        assert np.array_equal(alone[0, 0], stacked[s, j, step])
+                        assert np.array_equal(alone[0, 0], stacked[j, s, step])
                         want = U[k][s] @ V @ np.diag(np.exp(1j * t[step] * w)) @ V.conj().T
-                        assert np.max(np.abs(stacked[s, j, step] - want)) <= 1e-13
+                        assert np.max(np.abs(stacked[j, s, step] - want)) <= 1e-13
 
-    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 4), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 4), (2, 2, 2, 2), (2, 3, 2)])
     def test_start_descends_the_same_alone_or_in_a_batch(self, dims):
         # starts stop at different rounds and leave the batch, so a start's path
-        # must not depend on its batch; the stationary third start stops at round 0
+        # must not depend on its batch; the stationary third start stops at round 0.
+        # (2,3,2)'s qubits are not adjacent: their rotations share a call across the qutrit
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7)
         starts = search._haar_batch(dims, normals(dims, 4, 1))
         h = search._batch_entropies(rho.mat, starts)
         U, _, _, _ = search._descend(rho.mat, starts, h, 100)
-        norms = np.sqrt((np.abs(search._derivatives(rho.mat, U)[0]) ** 2).sum(1))
+        norms = np.sqrt((np.abs(search._derivatives(rho.mat, U, lie_bases(dims))[0]) ** 2).sum(1))
         stationary = [F[[np.argmin(norms)]] for F in U]
         assert norms.min() <= search._GRAD_TOL
         starts = [np.concatenate([F[:2], S, F[2:]]) for F, S in zip(starts, stationary)]
@@ -359,9 +364,9 @@ class TestDescent:
                 ent[reject[1] * T : (reject[1] + 1) * T] = np.inf
             return ent
 
-        def spy_derivatives(rho_mat, stacks):
+        def spy_derivatives(rho_mat, stacks, bases):
             derived.append([F.copy() for F in stacks])
-            return derivatives(rho_mat, stacks)
+            return derivatives(rho_mat, stacks, bases)
 
         monkeypatch.setattr(search, "_rotate", spy_rotate)
         monkeypatch.setattr(search, "_batch_entropies", spy_score)
@@ -383,8 +388,9 @@ class TestDescent:
         assert rounds[1] > 3 and accepts[1] >= rounds[1] - 1
         T = len(search._TRIALS)
         assert h_end[0] == scores[0][:T].min() < h[0]
-        # the factors start 0 was turned from in round 2 are its round-1 choice
-        assert np.array_equal(np.stack([U[0][0], U[1][0]]), rotated[1][0][:2])
+        # the factors start 0 was turned from in round 2 are its round-1 choice;
+        # a rotation call's rows run subsystem by subsystem, start by start
+        assert np.array_equal(np.stack([U[0][0], U[1][0]]), rotated[1][0].reshape(2, 2, 3, 3)[:, 0])
         assert [len(U_r) for U_r, _ in rotated] == [4, 4] + [2] * (rounds[1] - 2)
         assert [len(F[0]) for F in derived] == [2, 2] + [1] * (len(derived) - 2)
 
@@ -395,7 +401,8 @@ class TestDescent:
             assert np.array_equal(F_1[0], F[1])
         assert len(rotated_1) == len(rotated) and len(derived_1) == len(derived)
         for (U_r, A_r), (U_s, A_s) in zip(rotated, rotated_1):
-            assert np.array_equal(U_r[-2:], U_s) and np.array_equal(A_r[-2:], A_s)
+            assert np.array_equal(U_r.reshape(2, -1, 3, 3)[:, -1], U_s)
+            assert np.array_equal(A_r.reshape(2, -1, 3, 3)[:, -1], A_s)
         for F_r, F_s in zip(derived, derived_1):
             for a, b in zip(F_r, F_s):
                 assert np.array_equal(a[-1:], b)
@@ -428,6 +435,16 @@ class TestDescent:
         for F, F_0 in zip(U, starts):
             assert np.array_equal(F, F_0)
 
+    def test_lie_bases_are_made_once_per_descent_and_once_for_the_witness(self, monkeypatch):
+        # one basis per subsystem serves every round of the descent, and one
+        # per subsystem the witness's certificate, however many rounds run
+        calls, lie_basis = [], search._lie_basis
+        monkeypatch.setattr(search, "_lie_basis", lambda d: calls.append(d) or lie_basis(d))
+        rho = nc.random_density_matrix((2, 2, 2, 2), 16, 7)
+        _, _, diag = nc.min_diag_entropy(rho, nc.SearchConfig())
+        assert max(diag["start_rounds"]) > 2
+        assert calls == [2] * 8
+
     @pytest.mark.parametrize("seed, bound", [(1, None), (2006, 0.4422745949546236)])
     def test_every_start_converges_near_horodecki_one(self, monkeypatch, seed, bound):
         # here the starts once crept along at the 100-round cap, and where the
@@ -444,7 +461,7 @@ class TestDescent:
         for b in (0.94, 0.95, 0.96, 0.97, 0.98, 0.99):
             rep = nc.measure_D(nc.make_horodecki(b), nc.SearchConfig(seed=seed))
             rho_mat, U, rounds = ends[-1]
-            g = search._derivatives(rho_mat, U)[0]
+            g = search._derivatives(rho_mat, U, lie_bases([F.shape[-1] for F in U]))[0]
             assert np.sqrt((g * g).sum(1)).max() <= search._GRAD_TOL
             assert rounds.max() < 100
             assert rep.diagnostics["converged"] is True and rep.diagnostics["hessian_min_eig"] > 0
