@@ -74,8 +74,9 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
             raise NoConvergence("LAPACK returned non-finite eigenvalues")
         if V is None:
             return w.reshape(A.shape[:-1]), None
-        ws, Vs = zip(*map(_pinned, w, V))
-        return np.stack(ws).reshape(A.shape[:-1]), np.stack(Vs).reshape(A.shape)
+        for s in range(len(w)):
+            w[s], V[s] = _pinned(w[s], V[s])
+        return w.reshape(A.shape[:-1]), V.reshape(A.shape)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
 
