@@ -26,7 +26,7 @@ from . import qmat
 
 _N_STARTS = 6  # best samples the descent starts from, besides the fixed candidates
 _GRAD_TOL = 1e-6  # a start stops once its gradient norm (bits per radian) is this small
-_TRIALS = 2.0 ** np.arange(2, -6, -1)  # line-search steps per round, in units of the Newton step
+_TRIALS = 2.0 ** np.arange(2, -3, -1)  # line-search steps per round, in units of the Newton step
 _RADIUS = 1.0  # longest Newton step (radians, the norm of the coordinates x)
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in the Newton step
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
