@@ -172,7 +172,7 @@ def test_seeds_differing_counts_the_pairs_that_are_not_equal():
     assert metrics["op_p50_ms"]["max_abs_diff"] == 0.0
 
 
-def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch):
+def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch, capsys):
     calls = []
     end_to_end = [m["name"] for m in json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
@@ -202,3 +202,8 @@ def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch)
         for side, value in [("parent", 10.0), ("change", 6.0)]}}
     assert [r["seed"] for r in report["runs"]] == [911, 911, 912, 912]
     assert report["summary"]["w"]["pairs"] == 2
+    # the verdict closes the output: parent median [quartiles], change median, wins, gain_shown
+    verdict = capsys.readouterr().out.splitlines()[-len(end_to_end):]
+    for name, line in zip(end_to_end, verdict):
+        won = 2 if report["summary"]["w"]["metrics"][name]["better"] == "lower" else 0
+        assert line == f"w {name}: parent 10.5 [10.25, 10.75], change 6.5, won {won}/2, gain_shown {won == 2}"

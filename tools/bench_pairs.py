@@ -24,7 +24,10 @@ source line count (perfbench's `meta.nccorr_src_lines`).  After each
 workload's pairs, both checkouts run it again with `--trace 1` on every seed
 of the range, in that seed's pair order; each side's per-layer metrics per
 run and their medians are stored under `traced`, kept apart from the pairs,
-since one traced run per side is too noisy to say where time went.
+since one traced run per side is too noisy to say where time went.  Once
+the report is written, one verdict line per workload and end-to-end metric
+is printed: the parent's median and quartiles, the change's median, the
+pairs won and `gain_shown`.
 """
 from __future__ import annotations
 
@@ -177,6 +180,14 @@ def traced_metrics(traced: Sequence[dict]) -> dict:
     return out
 
 
+def verdict_lines(summary: dict) -> List[str]:
+    """One line per workload and metric of a `summarize` result."""
+    return [f"{wl} {name}: parent {m['parent_median']:.6g} [{m['parent_quartiles'][0]:.6g}, "
+            f"{m['parent_quartiles'][2]:.6g}], change {m['change_median']:.6g}, "
+            f"won {m['change_wins']}/{s['pairs']}, gain_shown {m['gain_shown']}"
+            for wl, s in summary.items() for name, m in s["metrics"].items()]
+
+
 def resolve(rev: str) -> str:
     done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
                           capture_output=True, text=True, check=True)
@@ -253,6 +264,7 @@ def main(argv=None) -> int:
                 print(f"verify seed {seed} {side}: {verify_runs[-1]['summary']}", flush=True)
     report = build_report(args.seeds, commits, runs, better, verify_runs, traced)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print("\n".join(verdict_lines(report["summary"])), flush=True)
     return 0
 
 
