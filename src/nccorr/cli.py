@@ -105,12 +105,7 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
 
 def _serialize_witness(witness) -> object:
     if isinstance(witness, ProductBasis):
-        return {
-            "type": "product_basis",
-            "factors": [
-                [[[v.real, v.imag] for v in row] for row in f] for f in witness.factors
-            ],
-        }
+        return {"type": "product_basis", "factors": [states._complex_pairs(f) for f in witness.factors]}
     if isinstance(witness, list) and witness and isinstance(witness[0], Partition):
         return {
             "type": "partitions",

@@ -56,11 +56,9 @@ def make_horodecki(b: float) -> DensityMatrix:
     for i, v in enumerate(diag):
         mat[i, i] = v
     for i, j in ((0, 5), (1, 6), (2, 7)):
-        mat[i, j] = b
-        mat[j, i] = b
+        mat[i, j] = mat[j, i] = b
     c = math.sqrt(max(0.0, 1.0 - b * b)) / 2.0
-    mat[4, 7] = c
-    mat[7, 4] = c
+    mat[4, 7] = mat[7, 4] = c
     mat /= 7.0 * b + 1.0
     return DensityMatrix((2, 4), mat)
 
@@ -83,6 +81,8 @@ def random_density_matrix(dims: Sequence[int], rank: int, seed: int) -> DensityM
     d_tot = math.prod(dims)
     if not 1 <= rank <= d_tot:
         raise ParamOutOfRange(f"rank={rank} outside [1, {d_tot}]")
+    if seed < 0:
+        raise ParamOutOfRange(f"seed={seed} is negative")
     if d_tot * d_tot * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
         raise ParamOutOfRange(f"a {d_tot} x {d_tot} complex matrix is too large for numpy to index")
     rng = np.random.default_rng(seed)
@@ -124,20 +124,18 @@ def _validate(rho: DensityMatrix) -> Tuple[ValidationReport, np.ndarray]:
     return ValidationReport(herm_dev, trace_dev, 2.0 * (half_max * float(w[-1]))), herm
 
 
-def store_state(rho: DensityMatrix, path) -> None:
-    """Write the JSON state format with 17 significant digits per component."""
-    def fmt(x: float) -> str:
-        return format(float(x), ".17g")
+def _complex_pairs(M) -> list:
+    """The JSON form of a complex matrix: nested lists of [real, imag] float pairs."""
+    return np.stack([np.real(M), np.imag(M)], axis=-1).tolist()
 
-    rows = []
-    for row in rho.mat:
-        entries = ", ".join(f"[{fmt(v.real)}, {fmt(v.imag)}]" for v in row)
-        rows.append(f"[{entries}]")
-    dims = ", ".join(str(d) for d in rho.dims)
-    body = ",\n    ".join(rows)
-    text = f'{{\n  "dims": [{dims}],\n  "matrix": [\n    {body}\n  ]\n}}\n'
+
+def store_state(rho: DensityMatrix, path) -> None:
+    """Write the JSON state format, one matrix row per line, each float by `json` as
+    its shortest exact repr, so that `load_state` reads it back bit for bit, -0.0
+    included.  `nccorr measure` writes product-basis witnesses as the same pairs."""
+    rows = ",\n    ".join(json.dumps(row) for row in _complex_pairs(rho.mat))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f'{{\n  "dims": {json.dumps(list(rho.dims))},\n  "matrix": [\n    {rows}\n  ]\n}}\n')
 
 
 def _entry(e) -> complex:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nccorr as nc
-from nccorr import cli, measures
+from nccorr import cli, measures, qmat
 
 
 def run(argv, tmp_path=None):
@@ -119,6 +119,22 @@ class TestStateCommands:
         assert run(["measure", state, "--measures", "N,K,N"] + FAST_FLAGS) == 0
         assert len(calls) == 1
         assert list(json.loads(capsys.readouterr().out)) == ["N", "K"]
+
+    @pytest.mark.parametrize("dims", ["2,2,2", "2,4", "3,3", "2,2,2,2", "2,3"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_measure_witnesses_read_back_exactly(self, tmp_path, capsys, dims, seed):
+        # each product-basis witness, decoded from the JSON report, gives its entropy bit for bit
+        state = tmp_path / "state.json"
+        rank = ["--rank", 2] if seed == 2 else []
+        assert run(["gen-state", "--dims", dims, "--seed", seed, "--out", state] + rank) == 0
+        assert run(["measure", state, "--measures", "D,DG"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rho = nc.load_state(state)
+        for name, key in [("D", "min_diag_entropy"), ("DG", "dephased_entropy")]:
+            factors = report[name]["witness"]["factors"]
+            basis = nc.ProductBasis(tuple(np.array([[complex(*z) for z in row] for row in f]) for f in factors))
+            h = qmat.shannon_entropy(qmat.diag_probs(rho, basis))
+            assert h == report[name]["diagnostics"][key]
 
     def test_measure_closed_form_dg(self, tmp_path, capsys):
         state = tmp_path / "sig.json"

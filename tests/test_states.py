@@ -151,6 +151,16 @@ class TestRandomDensityMatrix:
         with pytest.raises(nc.ParamOutOfRange):
             nc.random_density_matrix((2, 2), 5, 1)
 
+    def test_negative_seed_out_of_range(self):
+        with pytest.raises(nc.ParamOutOfRange):
+            nc.random_density_matrix((2, 2), 4, -1)
+
+    def test_seed_past_2_64_is_its_own_stream(self):
+        # no reduction mod 2^64: numpy seeds a Generator with any integer >= 0
+        big = nc.random_density_matrix((2, 2), 4, 2 ** 64 + 7)
+        assert not np.array_equal(big.mat, nc.random_density_matrix((2, 2), 4, 7).mat)
+        assert nc.validate(big).passed
+
 
 class TestValidateAndIO:
     @pytest.mark.parametrize(
@@ -170,6 +180,21 @@ class TestValidateAndIO:
         back = nc.load_state(path)
         assert back.dims == rho.dims
         assert np.array_equal(back.mat, rho.mat)
+        assert back.mat.tobytes() == rho.mat.tobytes()
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            # the Hermitian part keeps entry (0, 1)'s imaginary -0.0
+            nc.DensityMatrix((2,), qmat.hermitian_part(np.array([[0.5, complex(0.25, -0.0)], [0.25, 0.5]]))[0]),
+            nc.random_density_matrix((2, 3), 6, 1),
+        ],
+        ids=["negative-zero", "random"],
+    )
+    def test_store_load_is_bit_exact(self, rho, tmp_path):
+        path = tmp_path / "state.json"
+        nc.store_state(rho, path)
+        assert nc.load_state(path).mat.tobytes() == rho.mat.tobytes()
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
