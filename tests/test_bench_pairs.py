@@ -187,6 +187,7 @@ def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch,
     monkeypatch.setattr(bench_pairs, "extract", lambda commit, dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     monkeypatch.setattr(bench_pairs, "run_verify", lambda checkout: {"seconds": {}, "summary": "26/26 checks passed"})
+    monkeypatch.setattr(bench_pairs, "outputs_sha256", lambda checkout: {"parent": "1" * 64, "change": "2" * 64}[checkout.name])
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", "a", "--change", "b", "--workload", "w",
                              "--seeds", "911-912", "--out", str(out)]) == 0
@@ -202,8 +203,40 @@ def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch,
         for side, value in [("parent", 10.0), ("change", 6.0)]}}
     assert [r["seed"] for r in report["runs"]] == [911, 911, 912, 912]
     assert report["summary"]["w"]["pairs"] == 2
-    # the verdict closes the output: parent median [quartiles], change median, wins, gain_shown
-    verdict = capsys.readouterr().out.splitlines()[-len(end_to_end):]
+    assert report["outputs_sha256"] == {"parent": "1" * 64, "change": "2" * 64}
+    # the verdict closes the output: whether the outputs match, then per metric
+    # parent median [quartiles], change median, wins, gain_shown
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-len(end_to_end) - 1] == f"outputs_sha256: parent {'1' * 64}, change {'2' * 64}: DIFFER"
+    verdict = lines[-len(end_to_end):]
     for name, line in zip(end_to_end, verdict):
         won = 2 if report["summary"]["w"]["metrics"][name]["better"] == "lower" else 0
         assert line == f"w {name}: parent 10.5 [10.25, 10.75], change 6.5, won {won}/2, gain_shown {won == 2}"
+
+
+def test_outputs_sha256_hashes_what_each_command_prints_in_sorted_order(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, capture_output):
+        args = tuple(cmd[3:])
+        calls.append(args)
+        assert cmd[1:3] == ["-m", "nccorr.cli"] and env["PYTHONPATH"] == str(tmp_path / "src")
+        # the state files are not hashed: gen-state writes different text on each call
+        if args[0] == "gen-state":
+            (Path(cwd) / args[-1]).write_text(str(len(calls)))
+        return subprocess.CompletedProcess(cmd, 0, stdout=" ".join(args).encode(), stderr=b"")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    first = bench_pairs.outputs_sha256(tmp_path)
+    kinds = [args[0] for args in calls]
+    assert kinds == ["gen-state"] * 30 + ["measure"] * 30 + ["sweep"] * 3
+    assert all(args[2:] == ("--measures", "D,G,DG,K,N") for args in calls if args[0] == "measure")
+    assert {args[1:] for args in calls if args[0] == "measure"} == {
+        (args[-1], "--measures", "D,G,DG,K,N") for args in calls if args[0] == "gen-state"}
+    assert sum("--rank" in args for args in calls) == 20
+    assert calls[-1] == ("sweep", "--family", "horodecki", "--from", "0", "--to", "1", "--steps", "101", "--seed", "1")
+    # the same outputs in another run order give the same hash; one changed output does not
+    monkeypatch.setattr(bench_pairs, "OUTPUT_DIMS", bench_pairs.OUTPUT_DIMS[::-1])
+    assert bench_pairs.outputs_sha256(tmp_path) == first
+    monkeypatch.setattr(bench_pairs, "OUTPUT_SWEEPS", bench_pairs.OUTPUT_SWEEPS[:2] + (("horodecki", "0.5"),))
+    assert bench_pairs.outputs_sha256(tmp_path) != first

@@ -27,11 +27,14 @@ run and their medians are stored under `traced`, kept apart from the pairs,
 since one traced run per side is too noisy to say where time went.  Once
 the report is written, one verdict line per workload and end-to-end metric
 is printed: the parent's median and quartiles, the change's median, the
-pairs won and `gain_shown`.
+pairs won and `gain_shown`.  Before them, one line says whether the two
+checkouts' `outputs_sha256` match: each checkout runs a fixed set of `nccorr`
+commands once, and the report stores the hash of their outputs per side.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -42,10 +45,13 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# the states and family sweeps `outputs_sha256` runs `nccorr` on
+OUTPUT_DIMS = ("2,4", "3,3", "2,2,2", "2,2,2,2", "2,3,2")
+OUTPUT_SWEEPS = (("ps", "1"), ("sigma", "0.5"), ("horodecki", "1"))
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -135,7 +141,8 @@ def usable_cpus() -> int:
 
 
 def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[dict],
-                 better: Dict[str, str], verify_runs: Sequence[dict] = (), traced: Sequence[dict] = ()) -> dict:
+                 better: Dict[str, str], verify_runs: Sequence[dict] = (), traced: Sequence[dict] = (),
+                 outputs: Optional[Dict[str, str]] = None) -> dict:
     """The BENCH_<n>.json document.  The CPUs this process may use are
     recorded beside the machine's count (perfbench's meta.nproc is the
     latter), since either revision may run on more than one."""
@@ -156,6 +163,7 @@ def build_report(seeds: Sequence[int], commits: Dict[str, str], runs: Sequence[d
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "src_lines": {side: src_lines.get(side) for side in SIDES},
+        "outputs_sha256": outputs or {},
         "summary": summarize(runs, better),
         "verify_median_s": verify_median,
         "traced": traced_metrics(traced),
@@ -224,6 +232,43 @@ def run_verify(checkout: Path) -> dict:
     return parse_verify(done.stdout)
 
 
+def outputs_sha256(checkout: Path) -> str:
+    """sha256 of the exit code, standard output and standard error of a fixed
+    set of `nccorr` runs, taken in sorted order of their arguments.
+
+    The set: `gen-state --dims D [--rank R] --seed S` for D in OUTPUT_DIMS, R
+    in 1, 2 and full, S in 1 and 2; `measure FILE --measures D,G,DG,K,N` on
+    each file; and `sweep --family F --from 0 --to HI --steps 101 --seed 1`
+    for each (F, HI) of OUTPUT_SWEEPS.  The state files are not hashed, only
+    what the commands print, so two revisions that store the same matrices
+    as different text still match.  Each command runs in a fresh interpreter
+    in one temporary directory, with `PYTHONPATH` set as in `run_verify`.
+    """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = {}
+    with tempfile.TemporaryDirectory(prefix="outputs-") as tmp:
+        def run(*args: str) -> None:
+            done[args] = subprocess.run([sys.executable, "-m", "nccorr.cli", *args], cwd=tmp, env=env,
+                                        capture_output=True)
+
+        files = []
+        for dims in OUTPUT_DIMS:
+            for rank in ("1", "2", None):
+                for seed in ("1", "2"):
+                    files.append(f"{dims}-rank{rank or 'full'}-seed{seed}.json")
+                    run("gen-state", "--dims", dims, *(("--rank", rank) if rank else ()), "--seed", seed,
+                        "--out", files[-1])
+        for name in files:
+            run("measure", name, "--measures", "D,G,DG,K,N")
+        for family, hi in OUTPUT_SWEEPS:
+            run("sweep", "--family", family, "--from", "0", "--to", hi, "--steps", "101", "--seed", "1")
+    digest = hashlib.sha256()
+    for args in sorted(done):
+        proc = done[args]
+        digest.update(f"{' '.join(args)}\n{proc.returncode}\n".encode() + proc.stdout + b"\0" + proc.stderr + b"\0")
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="revision to compare against")
@@ -262,8 +307,11 @@ def main(argv=None) -> int:
             for side in pair_order(seed):
                 verify_runs.append({"side": side, "seed": seed, **run_verify(checkouts[side])})
                 print(f"verify seed {seed} {side}: {verify_runs[-1]['summary']}", flush=True)
-    report = build_report(args.seeds, commits, runs, better, verify_runs, traced)
+        outputs = {side: outputs_sha256(checkouts[side]) for side in SIDES}
+    report = build_report(args.seeds, commits, runs, better, verify_runs, traced, outputs)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    same = "match" if outputs["parent"] == outputs["change"] else "DIFFER"
+    print(f"outputs_sha256: parent {outputs['parent']}, change {outputs['change']}: {same}", flush=True)
     print("\n".join(verdict_lines(report["summary"])), flush=True)
     return 0
 
