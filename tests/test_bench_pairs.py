@@ -215,7 +215,7 @@ def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch,
 
 
 def test_outputs_sha256_hashes_what_each_command_prints_in_sorted_order(tmp_path, monkeypatch):
-    calls = []
+    calls, changed = [], {}
 
     def fake_run(cmd, cwd, env, capture_output):
         args = tuple(cmd[3:])
@@ -224,7 +224,8 @@ def test_outputs_sha256_hashes_what_each_command_prints_in_sorted_order(tmp_path
         # the state files are not hashed: gen-state writes different text on each call
         if args[0] == "gen-state":
             (Path(cwd) / args[-1]).write_text(str(len(calls)))
-        return subprocess.CompletedProcess(cmd, 0, stdout=" ".join(args).encode(), stderr=b"")
+        code, out, err = changed.get(args, (0, " ".join(args).encode(), b""))
+        return subprocess.CompletedProcess(cmd, code, stdout=out, stderr=err)
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     first = bench_pairs.outputs_sha256(tmp_path)
@@ -235,8 +236,12 @@ def test_outputs_sha256_hashes_what_each_command_prints_in_sorted_order(tmp_path
         (args[-1], "--measures", "D,G,DG,K,N") for args in calls if args[0] == "gen-state"}
     assert sum("--rank" in args for args in calls) == 20
     assert calls[-1] == ("sweep", "--family", "horodecki", "--from", "0", "--to", "1", "--steps", "101", "--seed", "1")
-    # the same outputs in another run order give the same hash; one changed output does not
+    # the same outputs in another run order give the same hash
     monkeypatch.setattr(bench_pairs, "OUTPUT_DIMS", bench_pairs.OUTPUT_DIMS[::-1])
     assert bench_pairs.outputs_sha256(tmp_path) == first
-    monkeypatch.setattr(bench_pairs, "OUTPUT_SWEEPS", bench_pairs.OUTPUT_SWEEPS[:2] + (("horodecki", "0.5"),))
-    assert bench_pairs.outputs_sha256(tmp_path) != first
+    # a changed exit code, standard output or standard error of one command changes it
+    measure = next(args for args in calls if args[0] == "measure")
+    printed = " ".join(measure).encode()
+    for result in [(2, printed, b""), (0, b"{}", b""), (0, printed, b"warning")]:
+        changed[measure] = result
+        assert bench_pairs.outputs_sha256(tmp_path) != first
