@@ -98,13 +98,15 @@ class TestStateCommands:
         assert nc.load_state(str(a)).dims == (2, 3)
 
     def test_measure_json_report(self, tmp_path, capsys):
-        state = tmp_path / "ps.json"
-        run(["gen-state", "--family", "ps", "--param", 0.3, "--out", state])
-        assert run(["measure", state, "--measures", "K,N"] + FAST_FLAGS) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["K"]["value"] == pytest.approx(0.6, abs=1e-10)
-        assert report["N"]["value"] <= 1e-12
-        assert "witness" in report["K"]
+        # K = 2p and N = max(0, (3p - 1)/4) on ps
+        for p, k, n in [(0.3, 0.6, 0.0), (0.6, 1.2, 0.2)]:
+            state = tmp_path / f"ps-{p}.json"
+            run(["gen-state", "--family", "ps", "--param", p, "--out", state])
+            assert run(["measure", state, "--measures", "K,N"] + FAST_FLAGS) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["K"]["value"] == pytest.approx(k, abs=1e-12)
+            assert report["N"]["value"] == pytest.approx(n, abs=1e-12)
+            assert "witness" in report["K"]
 
     def test_measure_repeated_name_runs_once(self, tmp_path, capsys, monkeypatch):
         state = tmp_path / "ps.json"
@@ -137,12 +139,18 @@ class TestStateCommands:
             assert h == report[name]["diagnostics"][key]
 
     def test_measure_closed_form_dg(self, tmp_path, capsys):
+        # D_G = 2p on sigma, whose marginals are I/2, so 1e-15 of round-off in
+        # the file must not move it
         state = tmp_path / "sig.json"
         run(["gen-state", "--family", "sigma", "--param", 0.25, "--out", state])
-        assert run(["measure", state, "--measures", "DG"] + FAST_FLAGS) == 0
-        report = json.loads(capsys.readouterr().out)
-        expected = 2 * (-0.25 * np.log2(0.25)) - (-0.5 * np.log2(0.5))
-        assert report["DG"]["value"] == pytest.approx(expected, abs=1e-10)
+        rng = np.random.default_rng(1)
+        E = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        noisy = tmp_path / "sig-round-off.json"
+        nc.store_state(nc.DensityMatrix((2, 2), nc.make_sigma(0.3).mat + 1e-15 * (E + E.conj().T) / 2), noisy)
+        for path, p in [(state, 0.25), (noisy, 0.3)]:
+            assert run(["measure", path, "--measures", "DG"] + FAST_FLAGS) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["DG"]["value"] == pytest.approx(2 * p, abs=1e-10)
 
 
 class TestErrorHandling:

@@ -451,10 +451,10 @@ class TestSharedProperties:
     @pytest.mark.parametrize("p", [i / 10 for i in range(11)])
     def test_ghz_with_white_noise_closed_forms(self, p):
         # p |GHZ><GHZ| + (1 - p) I/8 on three qubits, a test-only state; every
-        # splitting gives the same K and N, and D is reached in the
-        # computational basis
+        # splitting gives the same K and N, so the first one is the witness, and
+        # D is reached in the computational basis
         psi = np.zeros(8)
-        psi[[0, 7]] = 1.0 / math.sqrt(2.0)
+        psi[[0, 7]] = 0.5 ** 0.5
         mat = p * np.outer(psi, psi) + (1.0 - p) * np.eye(8) / 8
         rho = nc.DensityMatrix((2, 2, 2), mat.astype(complex))
         h_diag = 2 * s((1 + 3 * p) / 8) + 6 * s((1 - p) / 8)
@@ -462,8 +462,15 @@ class TestSharedProperties:
         expected = {"D": h_diag - s_vn, "G": 1 - H((1 + p) / 2), "DG": h_diag - s_vn,
                     "K": 2 * p, "N": max(0.0, (5 * p - 1) / 8)}
         for name, measure in measures.MEASURES.items():
-            value = measure(rho, nc.SearchConfig(), measures.DEFAULT_PARTITION_CAP).value
-            assert value == pytest.approx(expected[name], abs=1e-9), name
+            rep = measure(rho, nc.SearchConfig(), measures.DEFAULT_PARTITION_CAP)
+            assert rep.value == pytest.approx(expected[name], abs=1e-9), name
+            if name == "G":  # half of the 70 balanced assignments per subsystem
+                assert rep.diagnostics["assignments_evaluated"] == {0: 35, 1: 35, 2: 35}
+            if name in ("K", "N"):
+                per_split = rep.diagnostics["per_splitting"]
+                assert list(per_split) == ["(0,)|(1, 2)", "(0, 1)|(2,)", "(0, 2)|(1,)"]
+                assert rep.value == min(per_split.values())
+                assert "%s|%s" % rep.witness == next(k for k, v in per_split.items() if v == rep.value)
 
     @pytest.mark.parametrize("dims", BEYOND_TWO_QUBITS)
     def test_k_n_vanish_on_ppt_beyond_two_qubits(self, dims):

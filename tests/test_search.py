@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import nccorr as nc
-from nccorr import qmat, search, sweep
+from nccorr import cli, qmat, search, sweep
 
 
 def s(x):
@@ -281,9 +282,16 @@ class TestDescent:
             g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors], lie_bases(rho.dims))
             assert np.sqrt(g[0] @ g[0]) <= search._GRAD_TOL
             assert np.linalg.eigvalsh(H[0])[0] == pytest.approx(least, abs=1e-4)
-        diag = nc.measure_D(rho, nc.SearchConfig()).diagnostics
+        rep = nc.measure_D(rho, nc.SearchConfig())
+        diag = rep.diagnostics
+        assert rep.value == pytest.approx(0.460722647996, abs=1e-9)
+        assert diag["best_source"] == "refine" and diag["gradient_norm"] <= search._GRAD_TOL
         assert diag["converged"] is True
         assert diag["hessian_min_eig"] == pytest.approx(0.0432, abs=1e-3)
+        # the witness as the JSON report writes it gives the least diagonal entropy bit for bit
+        factors = json.loads(json.dumps(cli._serialize_witness(rep.witness)))["factors"]
+        basis = nc.ProductBasis(tuple(np.array([[complex(*z) for z in row] for row in f]) for f in factors))
+        assert qmat.shannon_entropy(qmat.diag_probs(rho, basis)) == diag["min_diag_entropy"]
 
     def test_certificate_is_not_smooth_at_a_zero_diagonal_entry(self):
         # a pure (2,3) state's witness is its Schmidt basis, where 4 of the 6
@@ -560,10 +568,14 @@ class TestMarginalEigenbasis:
         rho = nc.DensityMatrix((3, 2), np.kron(A, np.eye(2) / 2))
         F = search.marginal_eigenbasis(rho).factors[0]
         dg = nc.measure_DG(rho).value
+        last = F
         for seed in range(20):
             r = perturbed(rho, seed)
-            assert np.abs(search.marginal_eigenbasis(r).factors[0] - F).max() <= 1e-9
+            B = search.marginal_eigenbasis(r).factors[0]
+            # within 1e-9 of the exact basis and of the previous seed's
+            assert np.abs(B - F).max() <= 1e-9 and np.abs(B - last).max() <= 1e-9
             assert abs(nc.measure_DG(r).value - dg) <= 1e-9
+            last = B
 
 
 class TestSingleScorer:

@@ -295,12 +295,13 @@ class TestProductEigenbasisDetector:
         rho = nc.random_density_matrix((2, 2), 4, 100)
         assert nc.product_eigenbasis(rho) is None
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)], ids=["I4", "I16"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (2, 2, 2)], ids=["I4", "I16", "I8"])
     def test_maximally_mixed_has_one(self, dims):
         d = math.prod(dims)
         rho = nc.DensityMatrix(dims, np.eye(d, dtype=complex) / d)
         found = nc.product_eigenbasis(rho)
         assert found.dims == dims and offdiagonal(rho, found) == 0.0
+        assert all(np.array_equal(f, np.eye(2)) for f in found.factors)
 
     def test_criterion_4_states_have_one(self):
         for i in range(100):
