@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +200,29 @@ class TestValidateAndIO:
         path = tmp_path / "state.json"
         nc.store_state(rho, path)
         assert nc.load_state(path).mat.tobytes() == rho.mat.tobytes()
+
+    def test_a_run_with_pythonpath_cleared_imports_the_copy_it_is_pointed_at(self, tmp_path):
+        # CI runs this suite on the installed package, from outside the checkout,
+        # with -o pythonpath= clearing pyproject's pythonpath = ["src"].  A copy of
+        # the package stands in for the installed one: a fault put only in the
+        # copy must fail the run, which it cannot if the run imports src.
+        site = tmp_path / "site"
+        shutil.copytree(Path(nc.__file__).parent, site / "nccorr", ignore=shutil.ignore_patterns("__pycache__"))
+        node = f"{__file__}::TestValidateAndIO::test_store_load_is_bit_exact[negative-zero]"
+
+        def run():
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-o", "pythonpath=", "--continue-on-collection-errors", node],
+                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(site)), capture_output=True, text=True, timeout=120)
+
+        proc = run()
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        with open(site / "nccorr" / "__init__.py", "a") as f:
+            f.write("\nraise ImportError\n")
+        proc = run()
+        assert proc.returncode != 0, proc.stdout + proc.stderr
+        workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+        assert "-o pythonpath=" in workflow.read_text()
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
