@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,28 +48,31 @@ def _neg_entropy_seq(vals: np.ndarray) -> np.ndarray:
 
 
 def _grow(
-    counts: np.ndarray, sums: np.ndarray, idx: np.ndarray, e: np.float64, bin_size: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    fill: np.ndarray, idx: np.ndarray, full: np.ndarray, gate_bin_1: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extend every row by one digit whose bin has room, in counter order.
 
-    Bin 1 opens to a row only once bin 0 holds an eigenvalue, so of two rows
-    that swap bins 0 and 1 (same adds, bit-identical sums) only the counter-first
-    grows.  Past level (d-2)*bin_size every row has bin 0 filled: no mask.
+    ``fill[r, b]`` is b + d * (the eigenvalues row r has put in bin b): the
+    slot code of bin b's next member.  Bin b has room while it is below
+    ``full[b]`` = b + d * bin_size.  With ``gate_bin_1``, bin 1 opens to a
+    row only once bin 0 holds an eigenvalue, so of two rows that swap bins 0
+    and 1 (same adds, bit-identical sums) only the counter-first grows.  Past
+    level (d-2)*bin_size every row has bin 0 filled, so the caller drops the gate.
+    Returns the new rows' fill and counter indices, each new row's parent
+    row, and the flat index ``row * d + digit`` of each new digit in fill.
     """
-    d = counts.shape[1]
-    room = counts < bin_size
-    if counts[0].sum() <= (d - 2) * bin_size:
-        room[:, 1] &= counts[:, 0] > 0
+    d = len(full)
+    room = fill < full
+    if gate_bin_1:
+        room[:, 1] &= fill[:, 0] > 0
     parent, digit = np.divmod(np.flatnonzero(room), d)
     idx = idx[parent] * d + digit
-    # take() returns new C-contiguous arrays, so ravel() below is a view of
-    # them; flat indexing is several times faster than [rows, digit] here.
-    counts = counts.take(parent, axis=0)
-    sums = sums.take(parent, axis=0)
-    flat = np.arange(0, counts.size, d) + digit
-    counts.ravel()[flat] += 1
-    sums.ravel()[flat] += e
-    return counts, sums, idx
+    # take() returns a new C-contiguous array, so ravel() below is a view of
+    # it; flat indexing is several times faster than [rows, digit] here.
+    fill = fill.take(parent, axis=0)
+    flat = np.arange(0, fill.size, d) + digit
+    fill.ravel()[flat] += d
+    return fill, idx, parent, flat
 
 
 def _completions(room: np.ndarray) -> int:
@@ -77,33 +80,116 @@ def _completions(room: np.ndarray) -> int:
     return math.factorial(int(room.sum())) // math.prod(math.factorial(int(r)) for r in room)
 
 
-def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield (bin sums, counter indices) of balanced assignments, in counter order.
+def _kept_completions(counts: np.ndarray, bin_size: int) -> int:
+    """Completions that `_grow` keeps of a prefix whose bins hold `counts`.
+
+    It keeps half of them while bin 0 (and so bin 1) is empty.
+    """
+    return _completions(bin_size - counts) // (2 if counts[0] == 0 else 1)
+
+
+# one `_grow` step: (fill, counter indices, parent, flat)
+Level = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _walk(d_tot: int, d: int) -> Iterator[Tuple[Tuple[int, ...], Iterator[Level]]]:
+    """Yield the balanced assignments in counter order, one chunk at a time.
 
     An assignment places the d_tot total eigenvalues into d equal-size bins
     (d_tot/d each).  Only balanced assignments are generated, one eigenvalue
     (digit) at a time and only into bins with room; each row carries its bin
-    counts, bin sums and base-d counter index (eigenvalue 0 is the most
-    significant digit).  Bin sums accumulate ``e_tot[j]`` for j = 0, 1, ...
-    Of two that swap bins 0 and 1 only the counter-first is made (`_grow`):
-    half of all d_tot!/((d_tot/d)!)^d.  A prefix with more than ``_ENUM_CHUNK``
-    kept completions is split on its next digit, so at most ``_ENUM_CHUNK``
-    rows are yielded at once.
+    fill and base-d counter index (eigenvalue 0 is the most significant
+    digit).  Of two that swap bins 0 and 1 only the counter-first is made
+    (`_grow`): half of all d_tot!/((d_tot/d)!)^d.  A prefix with more than
+    ``_ENUM_CHUNK`` kept completions is split on its next digit, so at most
+    ``_ENUM_CHUNK`` rows are yielded at once.  A chunk is its prefix's digits
+    and an iterator over the `_grow` steps of the later digits; the last
+    step's rows are the chunk's assignments.
     """
-    bin_size = len(e_tot) // d
-    prefixes = [(np.zeros((1, d), dtype=np.int64), np.zeros((1, d)), np.zeros(1, dtype=np.int64))]
+    bin_size = d_tot // d
+    # fill stays below d_tot + d, so the smallest dtype holding that serves
+    full = np.arange(d, dtype=np.min_scalar_type(d_tot + d)) + d * bin_size
+
+    def levels(fill: np.ndarray, idx: np.ndarray, start: int) -> Iterator[Level]:
+        for j in range(start, d_tot):
+            fill, idx, parent, flat = _grow(fill, idx, full, j <= (d - 2) * bin_size)
+            yield fill, idx, parent, flat
+
+    prefixes = [(full[None] - d * bin_size, np.zeros(1, dtype=np.int64), ())]
     while prefixes:
-        counts, sums, idx = prefixes.pop()
-        j = int(counts.sum())  # digits already placed
-        # `_grow` keeps half of them while bin 0 (and so bin 1) is empty
-        if _completions(bin_size - counts[0]) // (2 if counts[0, 0] == 0 else 1) > _ENUM_CHUNK:
-            counts, sums, idx = _grow(counts, sums, idx, e_tot[j], bin_size)
+        fill, idx, placed = prefixes.pop()
+        j = len(placed)
+        if _kept_completions(fill[0] // d, bin_size) > _ENUM_CHUNK:
+            fill, idx, _, flat = _grow(fill, idx, full, j <= (d - 2) * bin_size)
             # one prefix per row, last row on top, so rows are walked in counter order
-            prefixes.extend(zip(counts[::-1, None], sums[::-1, None], idx[::-1, None]))
+            placed = [placed + (g,) for g in (flat % d).tolist()]
+            prefixes.extend(zip(fill[::-1, None], idx[::-1, None], placed[::-1]))
             continue
-        for e in e_tot[j:]:
-            counts, sums, idx = _grow(counts, sums, idx, e, bin_size)
-        yield sums, idx
+        yield placed, levels(fill, idx, j)
+
+
+def _chunk_sums(
+    e_tot: np.ndarray, d: int, placed: Tuple[int, ...], levels: Iterator[Level]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A `_walk` chunk's (rows, d) bin sums, adding ``e_tot[j]`` digit by digit onto 0.0, and its counter indices."""
+    sums = np.zeros((1, d))
+    for j, g in enumerate(placed):
+        sums[0, g] += e_tot[j]
+    for j, (_, idx, parent, flat) in enumerate(levels, len(placed)):
+        sums = sums.take(parent, axis=0)
+        sums.ravel()[flat] += e_tot[j]
+    return sums, idx
+
+
+# (d_tot, d, _ENUM_CHUNK) -> `_walk_table`: structure only, never a spectrum
+_WALKS: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _walk_table(d_tot: int, d: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(members, counter indices) of a walk of one chunk, kept from its first call; None for a longer walk.
+
+    ``members[m, b, r]`` is the m-th lowest eigenvalue index that row r
+    puts in bin b.  Each row carries its slots along the walk, as it would
+    carry its sums: digit j goes to slot b + d * m, bin b's fill (`_grow`).
+    Both arrays are read-only.
+    """
+    key = (d_tot, d, _ENUM_CHUNK)
+    if key in _WALKS:
+        return _WALKS[key]
+    if _kept_completions(np.zeros(d, dtype=np.int64), d_tot // d) > _ENUM_CHUNK:
+        return None
+    [(_, levels)] = _walk(d_tot, d)  # one chunk: no prefix was split
+    slots = np.zeros((1, d_tot), dtype=np.min_scalar_type(d_tot - 1))
+    for j, (fill, idx, parent, flat) in enumerate(levels):
+        slots = slots.take(parent, axis=0)
+        slots.ravel()[np.arange(0, slots.size, d_tot) + (fill.ravel()[flat] - d)] = j
+    members = np.ascontiguousarray(slots.T).reshape(d_tot // d, d, len(idx))
+    for a in (members, idx):
+        a.setflags(write=False)
+    # a concurrent first call may have kept an equal table already: either serves
+    _WALKS[key] = members, idx
+    return members, idx
+
+
+def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield (bin sums, counter indices) of `_walk`'s chunks, in counter order.
+
+    Every bin sum adds ``e_tot[j]`` of its members in ascending j, onto 0.0.
+    A kept walk (`_walk_table`) gathers one member place of every row and
+    bin at a time and adds it elementwise, never through numpy's pairwise
+    sum, which a reduce over a last axis of 8 or more terms would use.  A
+    longer walk streams, adding each chunk's sums digit by digit.
+    """
+    table = _walk_table(len(e_tot), d)
+    if table is None:
+        for placed, levels in _walk(len(e_tot), d):
+            yield _chunk_sums(e_tot, d, placed, levels)
+        return
+    members, idx = table
+    sums = e_tot.take(members[0]) + 0.0
+    for m in members[1:]:
+        sums += e_tot.take(m)
+    yield sums.T, idx
 
 
 def _min_balanced_partition(

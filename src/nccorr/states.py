@@ -160,7 +160,10 @@ def load_state(path) -> DensityMatrix:
         mat = np.array([[_entry(e) for e in row] for row in obj["matrix"]], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed matrix data ({exc})") from exc
-    rho = DensityMatrix(tuple(dims), mat)
+    try:
+        rho = DensityMatrix(tuple(dims), mat)
+    except (DimensionMismatch, ValidationFailure) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     report, herm = _validate(rho)
     if not report.passed:
         raise ValidationFailure(
