@@ -154,8 +154,9 @@ def _walk_table(d_tot: int, d: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     Both arrays are read-only.
     """
     key = (d_tot, d, _ENUM_CHUNK)
-    if key in _WALKS:
-        return _WALKS[key]
+    table = _WALKS.get(key)
+    if table is not None:
+        return table
     if _kept_completions(np.zeros(d, dtype=np.int64), d_tot // d) > _ENUM_CHUNK:
         return None
     [(_, levels)] = _walk(d_tot, d)  # one chunk: no prefix was split
@@ -186,7 +187,7 @@ def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarra
             yield _chunk_sums(e_tot, d, placed, levels)
         return
     members, idx = table
-    sums = e_tot.take(members[0]) + 0.0
+    sums = e_tot.take(members[0]) + 0.0  # the first add onto 0.0, as streamed
     for m in members[1:]:
         sums += e_tot.take(m)
     yield sums.T, idx

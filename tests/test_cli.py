@@ -66,13 +66,17 @@ class TestSweep:
         for col in ("D", "G", "DG", "K", "N"):
             assert abs(float(first[col])) <= 1e-8
 
-    def test_repeat_run_byte_identical(self, tmp_path):
+    def test_repeat_run_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--family", "ps", "--from", 0.1, "--to", 0.9,
                 "--steps", 5, "--measures", "D,G"] + FAST_FLAGS
         assert run(argv + ["--out", a]) == 0
         assert run(argv + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+        # the default --out - writes the same bytes to stdout
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == a.read_bytes()
 
     def test_header_and_column_order(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -165,7 +169,13 @@ class TestErrorHandling:
     @pytest.mark.parametrize("content", [
         b"\xff\xfe\x00garbage",
         b"[" * 100_000 + b"]" * 100_000,
-    ], ids=["not-utf-8", "nested-100000-deep"])
+        b"[1, 2]",
+        b'{"dims": [1, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dims": [2], "matrix": [[[Infinity, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dims": [2, 2], "matrix": [[[1, 0]]]}',
+    ], ids=["not-utf-8", "nested-100000-deep", "json-list", "dims-below-2", "nan-entry",
+            "infinite-entry", "shape-not-dims"])
     def test_unreadable_state_file_exit_2(self, tmp_path, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -173,6 +183,7 @@ class TestErrorHandling:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {bad}: ")
 
     def test_non_integer_state_dims_exit_2(self, tmp_path):
         state = tmp_path / "s.json"
@@ -239,6 +250,10 @@ class TestErrorHandling:
     def test_param_out_of_range_exit_2(self, tmp_path):
         assert run(["gen-state", "--family", "sigma", "--param", 0.7,
                     "--out", tmp_path / "x.json"]) == 2
+        # only library callers reach these: the CLI's choices check both first
+        for spec in [("nope", 0.0, 1.0, 2), ("ps", 0.0, 1.0, 2, ("Q",))]:
+            with pytest.raises(nc.ParamOutOfRange):
+                nc.SweepSpec(*spec)
 
     def test_bad_measure_name_exit_2(self, tmp_path):
         state = tmp_path / "s.json"
@@ -264,11 +279,17 @@ class TestErrorHandling:
         ["gen-state", "--dims", "100000,100000"],
         ["gen-state", "--dims", "20000,20000"],
         SWEEP + ["--samples", 10 ** 17, "--chunk-size", 10 ** 17],
+        SWEEP + ["--measures", ","],
+        SWEEP + ["--samples", "abc"],
+        ["gen-state", "--family", "ps"],
+        ["sweep", "--family", "ps", "--from", -1, "--to", 1, "--steps", 2],
+        ["sweep", "--family", "ps", "--from", 0, "--to", 1, "--steps", 1],
     ], ids=["negative-samples", "negative-refine-steps", "zero-chunk-size",
             "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap",
             "tol-removed", "family-and-dims", "family-with-rank",
             "family-with-seed", "dims-with-param", "dims-product-past-int64", "dims-too-large",
-            "dims-past-memory", "samples-past-memory"])
+            "dims-past-memory", "samples-past-memory", "empty-measure-list", "non-integer-samples",
+            "family-without-param", "param-below-family-range", "one-step"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":
             argv = argv + ["--out", tmp_path / "x.json"]

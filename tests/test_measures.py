@@ -287,6 +287,74 @@ class TestMeasureG:
             assert len(walks) == expected
 
 
+class TestWalkTable:
+    """G keeps the structure of each walk of one chunk, per (d_tot, d, _ENUM_CHUNK)."""
+
+    @pytest.fixture(autouse=True)
+    def no_kept_tables(self, monkeypatch):
+        monkeypatch.setattr(measures, "_WALKS", {})
+
+    def test_second_call_builds_no_walk(self, monkeypatch):
+        built = []
+        walk = measures._walk
+
+        def spy(d_tot, d):
+            built.append((d_tot, d))
+            return walk(d_tot, d)
+
+        monkeypatch.setattr(measures, "_walk", spy)
+        for dims, walks in [((2, 2, 2, 2), [(16, 2)]), ((2, 4), [(8, 2), (8, 4)]), ((2, 3, 2), [(12, 2), (12, 3)])]:
+            first = nc.measure_G(nc.random_density_matrix(dims, 2, 71))
+            assert sorted(built) == walks
+            built.clear()
+            second = nc.measure_G(nc.random_density_matrix(dims, 2, 71))
+            assert built == []
+            assert (second.value, second.witness, second.diagnostics) == (first.value, first.witness, first.diagnostics)
+
+    def test_kept_arrays_are_read_only(self):
+        for dims in [(2, 2, 2, 2), (2, 4), (3, 3), (2, 2, 3)]:
+            nc.measure_G(nc.random_density_matrix(dims, 2, 71))
+        assert len(measures._WALKS) == 6
+        for members, idx in measures._WALKS.values():
+            assert not members.flags.writeable and not idx.flags.writeable
+            with pytest.raises(ValueError):
+                members[0, 0, 0] = 1
+
+    def test_clearing_the_kept_tables_changes_no_result(self):
+        states = [nc.random_density_matrix(dims, rank, 40 + rank)
+                  for dims in [(2, 2, 2, 2), (2, 4), (3, 3), (2, 3, 2), (2, 5)]
+                  for rank in (1, 2, math.prod(dims))]
+        kept = [nc.measure_G(rho) for rho in states]
+        again = [nc.measure_G(rho) for rho in states]
+        measures._WALKS.clear()
+        cleared = [nc.measure_G(rho) for rho in states]
+        for a, b, c in zip(kept, again, cleared):
+            assert a.value == b.value == c.value
+            assert a.witness == b.witness == c.witness
+            assert a.diagnostics == b.diagnostics == c.diagnostics
+
+    def test_a_walk_of_several_chunks_is_not_kept(self):
+        rep = nc.measure_G(nc.random_density_matrix((3, 4), 12, 95))
+        assert rep.diagnostics["assignments_evaluated"] == {0: 17325, 1: 184800}
+        assert set(measures._WALKS) == {(12, 3, measures._ENUM_CHUNK)}
+
+    @pytest.mark.parametrize("rank", [1, 2, 16])
+    def test_bin_sums_add_their_members_left_to_right(self, rank):
+        # Bins of 8 eigenvalues: numpy's pairwise sum, which a reduce over a
+        # last axis uses from 8 terms, groups them differently.
+        e_tot = qmat.density_spectrum(nc.random_density_matrix((2, 2, 2, 2), rank, 33))
+        [(sums, idx)] = measures._balanced_assignments(e_tot, 2)
+        assert sums.shape == (6435, 2)
+        for r in list(range(0, 6435, 37)) + [6434]:
+            digits = np.unravel_index(idx[r], (2,) * 16)
+            for b in range(2):
+                total = 0.0
+                for j in range(16):
+                    if digits[j] == b:
+                        total += float(e_tot[j])
+                assert sums[r, b] == total, (r, b)
+
+
 class TestMeasureDG:
     def test_ps_half(self):
         got = nc.measure_DG(nc.make_pseudo_entangled(0.5)).value

@@ -232,6 +232,8 @@ class TestPartialTrace:
             qmat.partial_trace(nc.make_sigma(0.1), [2])
         with pytest.raises(nc.BadSubsystemIndex):
             qmat.partial_trace(nc.make_sigma(0.1), [])
+        with pytest.raises(nc.BadSubsystemIndex):
+            qmat.partial_trace(nc.make_sigma(0.1), [0, 0])
 
 
 class TestPartialTranspose:
@@ -360,6 +362,8 @@ class TestDiagProbs:
     def test_dimension_mismatch(self):
         with pytest.raises(nc.DimensionMismatch):
             qmat.diag_probs(nc.make_sigma(0.1), nc.computational_basis((2, 3)))
+        with pytest.raises(nc.DimensionMismatch):
+            nc.ProductBasis((np.eye(2), np.ones((2, 3))))
 
 
 class TestProductDiagonals:
