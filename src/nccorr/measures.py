@@ -120,7 +120,7 @@ def _walk(d_tot: int, d: int) -> Iterator[Tuple[Tuple[int, ...], Iterator[Level]
         fill, idx, placed = prefixes.pop()
         j = len(placed)
         if _kept_completions(fill[0] // d, bin_size) > _ENUM_CHUNK:
-            fill, idx, _, flat = _grow(fill, idx, full, j <= (d - 2) * bin_size)
+            fill, idx, _, flat = next(levels(fill, idx, j))
             # one prefix per row, last row on top, so rows are walked in counter order
             placed = [placed + (g,) for g in (flat % d).tolist()]
             prefixes.extend(zip(fill[::-1, None], idx[::-1, None], placed[::-1]))
