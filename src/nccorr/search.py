@@ -11,13 +11,21 @@ real and positive; `_haar_batch` computes it by Gram–Schmidt in whole-batch
 elementwise arithmetic, so a sample comes out bit-identical whatever batch it
 is made in.  Every basis is scored by `_batch_entropies`, whose rows do not
 depend on the batch either.
+
+A sample set depends only on (dims, seed, n), never on rho, so a search of
+one chunk takes its samples from `_sample_set`, which keeps the set of a key
+requested twice: every point of a sweep shares the search seed, and all but
+the first two make no samples.  That table, at most `_KEPT_SETS` read-only
+sets, is the only state the search keeps between calls.  A search of more
+than one chunk makes its samples anew on every call.
 """
 from __future__ import annotations
 
 import math
+import threading
 from functools import reduce
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +102,38 @@ def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductB
     dims = tuple(int(d) for d in dims)
     facs = _haar_batch(dims, _ginibre(np.random.default_rng(sample_seed % 2 ** 64), dims, 1))
     return ProductBasis(tuple(f[0] for f in facs))
+
+
+_KEPT_SETS = 4  # most keys `_SAMPLES` holds
+# (dims, seed % 2**64, n) -> the key's sample set, or None until its second request
+_SAMPLES: Dict[Tuple[Tuple[int, ...], int, int], Optional[List[np.ndarray]]] = {}
+_SAMPLES_LOCK = threading.Lock()  # held only to change `_SAMPLES`, never to make a set
+
+
+def _sample_set(dims: Tuple[int, ...], seed: int, n: int) -> List[np.ndarray]:
+    """The factor stacks of the first n samples from default_rng(seed % 2**64), kept from a key's second request.
+
+    The first request for a key records the key alone, so callers that never
+    repeat a seed keep no samples; the second keeps its set, read-only, and
+    later requests return it.  `_SAMPLES` holds at most `_KEPT_SETS` keys and
+    drops the oldest first.  Concurrent first calls may each make the set;
+    either copy serves.
+    """
+    key = (dims, seed % 2 ** 64, n)
+    facs = _SAMPLES.get(key)
+    if facs is not None:
+        return facs
+    facs = _haar_batch(dims, _ginibre(np.random.default_rng(key[1]), dims, n))
+    with _SAMPLES_LOCK:
+        if key in _SAMPLES:
+            for F in facs:
+                F.setflags(write=False)
+            _SAMPLES[key] = facs
+        else:
+            _SAMPLES[key] = None
+            while len(_SAMPLES) > _KEPT_SETS:
+                del _SAMPLES[next(iter(_SAMPLES))]
+    return facs
 
 
 def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np.ndarray:
@@ -218,15 +258,18 @@ def _descend(
     `max_rounds` rounds, or after its first round with no lower step, which
     counts as a round but not as an accepted one and leaves its factors and
     entropy as they were.  Every per-start array is indexed by start number
-    for the whole call, and each subsystem's `_lie_basis` is made once.  A
-    round gathers the live starts by index, turns the factors of every
-    subsystem of dimension d, subsystem by subsystem, in one `_rotate` call,
-    and writes the accepted steps back.  Returns new factor stacks,
-    entropies, rounds and accepted rounds.
+    for the whole call, and each subsystem's `_lie_basis`, its columns of x
+    and the subsystems of each dimension are found once.  A round gathers
+    the live starts by index, turns the factors of every subsystem of
+    dimension d, subsystem by subsystem, in one `_rotate` call, and writes
+    the accepted steps back.  Returns new factor stacks, entropies, rounds
+    and accepted rounds.
     """
     dims = [F.shape[-1] for F in stacks]
     bases = [_lie_basis(d) for d in dims]
     ends = np.cumsum([len(G) for G in bases])
+    cols = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+    groups = [(d, [k for k, dk in enumerate(dims) if dk == d]) for d in set(dims)]
     n = len(h)
     U, h, x, gg = [np.array(F) for F in stacks], np.array(h), np.zeros((n, ends[-1])), np.zeros(n)
     rounds, accepts, live = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(n, max_rounds > 0)
@@ -238,11 +281,11 @@ def _descend(
         i = np.flatnonzero(live)
         if not len(i):
             return U, h, rounds, accepts
-        m, trials, coords = len(i), {}, np.split(x[i], ends[:-1], axis=1)
-        for d in set(dims):
-            ks = [k for k, dk in enumerate(dims) if dk == d]
-            A = np.einsum("sa,aij->sij", np.concatenate([coords[k] for k in ks]), bases[ks[0]])
-            trials.update(zip(ks, np.split(_rotate(np.concatenate([U[k][i] for k in ks]), A, _TRIALS), len(ks))))
+        m, trials, xi = len(i), {}, x[i]
+        for d, ks in groups:
+            A = np.einsum("sa,aij->sij", np.concatenate([xi[:, cols[k]] for k in ks]), bases[ks[0]])
+            moved = _rotate(np.concatenate([U[k][i] for k in ks]), A, _TRIALS)
+            trials.update((k, moved[j * m : (j + 1) * m]) for j, k in enumerate(ks))
         ent = _batch_entropies(rho_mat, [trials[k].reshape(-1, d, d) for k, d in enumerate(dims)]).reshape(m, -1)
         step = np.argmin(ent, axis=1)
         low = ent[np.arange(m), step]
@@ -272,7 +315,9 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     marginal eigenbasis, then the best `_N_STARTS` samples by (entropy,
     index).  Each chunk of `chunk_size` samples is scored once and appended
     to the set, which is then trimmed back, so memory does not grow with
-    the number of samples.  The first lowest start is the best start.
+    the number of samples.  A search of one chunk takes its samples from
+    `_sample_set`, and a longer one makes them chunk by chunk on every call.
+    The first lowest start is the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
     through the checked `qmat.diag_probs`.
@@ -282,12 +327,15 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     regardless of chunk size.
     """
     dims, n = rho.dims, cfg.n_samples
-    rng = np.random.default_rng(cfg.seed % 2 ** 64)  # the samples' stream; nothing else draws from it
+    rng = np.random.default_rng(cfg.seed % 2 ** 64)  # a longer search's samples' stream; nothing else draws from it
     stacks = [np.stack(f) for f in zip(computational_basis(dims).factors, marginal_eigenbasis(rho).factors)]
     h, idx = _batch_entropies(rho.mat, stacks), np.array([-2, -1])
     for lo in range(0, n, cfg.chunk_size):
         new = np.arange(lo, min(lo + cfg.chunk_size, n))
-        facs = _haar_batch(dims, _ginibre(rng, dims, len(new)))
+        if len(new) == n:
+            facs = _sample_set(dims, cfg.seed, n)
+        else:
+            facs = _haar_batch(dims, _ginibre(rng, dims, len(new)))
         h, idx = np.concatenate([h, _batch_entropies(rho.mat, facs)]), np.concatenate([idx, new])
         # kept samples precede the chunk's and have lower indices, so a stable sort ties by index
         keep = np.r_[0, 1, 2 + np.argsort(h[2:], kind="stable")[:_N_STARTS]]

@@ -648,17 +648,31 @@ class TestSingleScorer:
             score = search._batch_entropies(rho.mat, [f[None] for f in basis.factors])[0]
             assert score == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
 
-    def test_editing_a_sample_witness_leaves_later_results_alone(self):
+    def test_editing_a_sample_witness_leaves_later_results_alone(self, monkeypatch):
+        # the edited witness comes from a call served by the sample table
+        monkeypatch.setattr(search, "_SAMPLES", {})
+        made = []
+        haar = search._haar_batch
+        monkeypatch.setattr(search, "_haar_batch", lambda dims, N: made.append(len(N)) or haar(dims, N))
         rho = nc.random_density_matrix((2, 2, 2), 2, 6)
         cfg = nc.SearchConfig(n_samples=2000, seed=3, refine_steps=0)
+        nc.measure_D(rho, cfg), nc.measure_D(rho, cfg)
+        made.clear()
         rep = nc.measure_D(rho, cfg)
+        assert made == []
         assert rep.diagnostics["best_source"].startswith("sample:")
+        kept = [np.array(F) for F in search._SAMPLES[((2, 2, 2), 3, 2000)]]
         rep.witness.factors[0][:] = np.eye(2)
-        assert nc.measure_D(rho, cfg).value == rep.value
+        again = nc.measure_D(rho, cfg)
+        assert again.value == rep.value
+        assert again.witness.factors[0].tobytes() != rep.witness.factors[0].tobytes()
+        for F, K in zip(search._SAMPLES[((2, 2, 2), 3, 2000)], kept):
+            assert np.array_equal(F, K)
 
 
 class TestConcurrentCallers:
-    """The search keeps no state between calls, so callers on several
+    """The only state the search keeps between calls is its table of sample
+    sets, which depend on (dims, seed, n) alone, so callers on several
     threads get what they would get one after another."""
 
     def test_concurrent_callers_get_serial_results(self):
@@ -686,3 +700,125 @@ class TestConcurrentCallers:
             assert got.diagnostics == want.diagnostics
             for fa, fb in zip(got.witness.factors, want.witness.factors):
                 assert np.array_equal(fa, fb)
+
+
+    def test_concurrent_callers_share_the_sample_table(self, monkeypatch):
+        # six keys of one chunk, each requested often enough to be kept, so
+        # threads keep, read and evict sets of a 4-key table at once
+        monkeypatch.setattr(search, "_SAMPLES", {})
+        rho = nc.random_density_matrix((2, 3), 6, 43)
+        cfgs = [nc.SearchConfig(n_samples=128, seed=seed, refine_steps=10) for seed in range(21, 27)]
+        serial = [nc.measure_D(rho, cfg) for cfg in cfgs]
+        search._SAMPLES.clear()
+        start, errors, reports = threading.Barrier(4), [], []
+
+        def call(k):
+            start.wait()
+            try:
+                for j in range(3 * len(cfgs)):
+                    c = (k + j) % len(cfgs)
+                    reports.append((c, nc.measure_D(rho, cfgs[c])))
+            except Exception as exc:  # a race must not raise
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads), "deadlock"
+        assert errors == []
+        assert len(reports) == 4 * 3 * len(cfgs)
+        assert len(search._SAMPLES) <= search._KEPT_SETS
+        for c, got in reports:
+            want = serial[c]
+            assert got.value == want.value
+            assert got.diagnostics == want.diagnostics
+            for fa, fb in zip(got.witness.factors, want.witness.factors):
+                assert np.array_equal(fa, fb)
+
+
+class TestSampleTable:
+    """A search of one chunk keeps the sample set of a (dims, seed, n) asked
+    for twice, read-only, in a table of at most `_KEPT_SETS` keys."""
+
+    @pytest.fixture(autouse=True)
+    def no_kept_sets(self, monkeypatch):
+        monkeypatch.setattr(search, "_SAMPLES", {})
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The sample count of every `_haar_batch` call."""
+        calls = []
+        haar = search._haar_batch
+        monkeypatch.setattr(search, "_haar_batch", lambda dims, N: calls.append(len(N)) or haar(dims, N))
+        return calls
+
+    @staticmethod
+    def report(rep):
+        return rep.value, [f.tobytes() for f in rep.witness.factors], rep.diagnostics
+
+    def test_third_request_makes_no_samples(self, made):
+        cfg = nc.SearchConfig(n_samples=64, refine_steps=5)
+        # the key holds no state: three states of one dims share it
+        for k, want in enumerate([[64], [64], []]):
+            nc.measure_D(nc.random_density_matrix((2, 4), 3, 60 + k), cfg)
+            assert made == want
+            made.clear()
+        assert set(search._SAMPLES) == {((2, 4), 1, 64)}
+        # a key differs in dims, in seed (mod 2**64) or in n
+        for dims, seed, n in [((2, 2, 2), 1, 64), ((2, 4), 2, 64), ((2, 4), 1, 65)]:
+            nc.measure_D(nc.random_density_matrix(dims, 3, 60), nc.SearchConfig(n_samples=n, seed=seed, refine_steps=5))
+            assert made == [n]
+            made.clear()
+        nc.measure_D(nc.random_density_matrix((2, 4), 3, 60), nc.SearchConfig(n_samples=64, seed=1 + 2 ** 64, refine_steps=5))
+        assert made == []
+
+    def test_fresh_seeds_keep_no_sets_and_at_most_four_keys(self):
+        rho = nc.random_density_matrix((2, 2, 2), 8, 61)
+        for seed in range(100, 110):
+            nc.measure_D(rho, nc.SearchConfig(n_samples=32, seed=seed, refine_steps=0))
+            assert len(search._SAMPLES) <= search._KEPT_SETS == 4
+            assert all(v is None for v in search._SAMPLES.values())
+        assert [key[1] for key in search._SAMPLES] == [106, 107, 108, 109]
+        # a kept set is evicted like any key, the oldest first
+        for seed in (200, 200, 201, 202, 203):
+            nc.measure_D(rho, nc.SearchConfig(n_samples=32, seed=seed, refine_steps=0))
+        assert [key[1] for key in search._SAMPLES] == [200, 201, 202, 203]
+        assert search._SAMPLES[((2, 2, 2), 200, 32)] is not None
+        nc.measure_D(rho, nc.SearchConfig(n_samples=32, seed=204, refine_steps=0))
+        assert [key[1] for key in search._SAMPLES] == [201, 202, 203, 204]
+
+    def test_kept_arrays_are_read_only(self):
+        rho = nc.random_density_matrix((2, 3, 2), 4, 62)
+        for _ in range(2):
+            nc.measure_D(rho, nc.SearchConfig(n_samples=16, refine_steps=0))
+        [facs] = search._SAMPLES.values()
+        assert [F.shape for F in facs] == [(16, 2, 2), (16, 3, 3), (16, 2, 2)]
+        for F in facs:
+            assert not F.flags.writeable
+            with pytest.raises(ValueError):
+                F[0, 0, 0] = 1
+
+    def test_clearing_the_table_changes_no_result(self):
+        states = [ctor(float(p)) for name, (ctor, lo, hi) in sweep.FAMILIES.items()
+                  for p in np.linspace(lo, hi, 51 if name == "horodecki" else 101)]
+        states += [nc.random_density_matrix(dims, rank, 1)
+                   for dims in [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)]
+                   for rank in (1, 2, math.prod(dims))]
+        kept = [self.report(nc.measure_D(rho)) for rho in states]
+        assert len(search._SAMPLES) == 4 and all(v is not None for v in search._SAMPLES.values())
+        for rho, want in zip(states, kept):
+            search._SAMPLES.clear()
+            assert self.report(nc.measure_D(rho)) == want
+
+    def test_several_chunks_keep_nothing(self, made):
+        rho = nc.random_density_matrix((3, 3), 9, 63)
+        one = [self.report(nc.measure_D(rho, nc.SearchConfig(n_samples=300, refine_steps=20))) for _ in range(3)]
+        made.clear()
+        search._SAMPLES.clear()
+        for _ in range(3):
+            got = self.report(nc.measure_D(rho, nc.SearchConfig(n_samples=300, refine_steps=20, chunk_size=128)))
+            assert got == one[0] == one[2]
+        assert made == [128, 128, 44] * 3
+        assert search._SAMPLES == {}
