@@ -100,7 +100,8 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
                         "balanced assignments are enumerated")
     p.add_argument("--chunk-size", type=_pos_int, default=SearchConfig.chunk_size,
                    help="samples the D search makes and scores at a time, on one thread; "
-                        "bounds its memory (never changes results)")
+                        "bounds a call's memory (never changes results); a search of one "
+                        "chunk keeps a repeated seed's samples, at most four sets")
 
 
 def _serialize_witness(witness) -> object:

@@ -31,6 +31,15 @@ def perturbed(rho, seed):
     return nc.DensityMatrix(rho.dims, rho.mat + 1e-15 * (E + E.conj().T) / 2)
 
 
+@pytest.fixture
+def made(monkeypatch):
+    """The sample count of every `search._haar_batch` call."""
+    calls = []
+    haar = search._haar_batch
+    monkeypatch.setattr(search, "_haar_batch", lambda dims, N: calls.append(len(N)) or haar(dims, N))
+    return calls
+
+
 class TestHaarSampling:
     def test_unitarity(self):
         basis = nc.haar_random_product_basis((2, 2), 4711)
@@ -648,15 +657,13 @@ class TestSingleScorer:
             score = search._batch_entropies(rho.mat, [f[None] for f in basis.factors])[0]
             assert score == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
 
-    def test_editing_a_sample_witness_leaves_later_results_alone(self, monkeypatch):
+    def test_editing_a_sample_witness_leaves_later_results_alone(self, monkeypatch, made):
         # the edited witness comes from a call served by the sample table
         monkeypatch.setattr(search, "_SAMPLES", {})
-        made = []
-        haar = search._haar_batch
-        monkeypatch.setattr(search, "_haar_batch", lambda dims, N: made.append(len(N)) or haar(dims, N))
         rho = nc.random_density_matrix((2, 2, 2), 2, 6)
         cfg = nc.SearchConfig(n_samples=2000, seed=3, refine_steps=0)
-        nc.measure_D(rho, cfg), nc.measure_D(rho, cfg)
+        for _ in range(2):
+            nc.measure_D(rho, cfg)
         made.clear()
         rep = nc.measure_D(rho, cfg)
         assert made == []
@@ -745,14 +752,6 @@ class TestSampleTable:
     @pytest.fixture(autouse=True)
     def no_kept_sets(self, monkeypatch):
         monkeypatch.setattr(search, "_SAMPLES", {})
-
-    @pytest.fixture
-    def made(self, monkeypatch):
-        """The sample count of every `_haar_batch` call."""
-        calls = []
-        haar = search._haar_batch
-        monkeypatch.setattr(search, "_haar_batch", lambda dims, N: calls.append(len(N)) or haar(dims, N))
-        return calls
 
     @staticmethod
     def report(rep):
