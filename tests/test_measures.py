@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -338,6 +339,38 @@ class TestWalkTable:
         assert rep.diagnostics["assignments_evaluated"] == {0: 17325, 1: 184800}
         assert set(measures._WALKS) == {(12, 3, measures._ENUM_CHUNK)}
 
+    def test_concurrent_callers_get_serial_results(self):
+        # Threads build, keep and read the tables at once, starting from none;
+        # (3,4)'s d = 4 walk is several chunks, so it is walked on every call.
+        rhos = [nc.random_density_matrix(dims, rank, 71)
+                for dims in [(2, 2, 2, 2), (2, 4), (2, 2, 3), (3, 4)] for rank in (2, math.prod(dims))]
+        serial = [nc.measure_G(rho) for rho in rhos]
+        measures._WALKS.clear()
+        start, errors, reports = threading.Barrier(4), [], []
+
+        def call(k):
+            start.wait()
+            try:
+                for j in range(len(rhos)):
+                    c = (k * 2 + j) % len(rhos)
+                    reports.append((c, nc.measure_G(rhos[c])))
+            except Exception as exc:  # a race must not raise
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads), "deadlock"
+        assert errors == []
+        assert len(reports) == 4 * len(rhos)
+        for c, got in reports:
+            want = serial[c]
+            assert (got.value, got.witness, got.diagnostics) == (want.value, want.witness, want.diagnostics)
+        chunk = measures._ENUM_CHUNK
+        assert set(measures._WALKS) == {(16, 2, chunk), (8, 2, chunk), (8, 4, chunk), (12, 2, chunk), (12, 3, chunk)}
+
     @pytest.mark.parametrize("rank", [1, 2, 16])
     def test_bin_sums_add_their_members_left_to_right(self, rank):
         # Bins of 8 eigenvalues: numpy's pairwise sum, which a reduce over a
@@ -353,6 +386,22 @@ class TestWalkTable:
                     if digits[j] == b:
                         total += float(e_tot[j])
                 assert sums[r, b] == total, (r, b)
+
+    @pytest.mark.parametrize("rank", [1, 2, 12])
+    def test_bin_sums_of_a_walk_of_several_chunks_add_left_to_right(self, rank):
+        # Each chunk's rows carry the digits of its split prefix in their slots.
+        e_tot = qmat.density_spectrum(nc.random_density_matrix((3, 4), rank, 95))
+        chunks = list(measures._balanced_assignments(e_tot, 4))
+        assert len(chunks) == 6
+        for sums, idx in chunks:
+            for r in list(range(0, len(idx), 997)) + [len(idx) - 1]:
+                digits = np.unravel_index(idx[r], (4,) * 12)
+                for b in range(4):
+                    total = 0.0
+                    for j in range(12):
+                        if digits[j] == b:
+                            total += float(e_tot[j])
+                    assert sums[r, b] == total, (r, b)
 
 
 class TestMeasureDG:

@@ -744,6 +744,43 @@ class TestConcurrentCallers:
             for fa, fb in zip(got.witness.factors, want.witness.factors):
                 assert np.array_equal(fa, fb)
 
+    def test_two_evictions_at_once_drop_two_keys(self, monkeypatch):
+        # The first eviction waits inside its delete until a second one
+        # starts, so without the lock both threads pick the same oldest key
+        # and the later delete raises KeyError; with it the wait times out.
+        second = threading.Event()
+
+        class Table(dict):
+            deletes = 0
+
+            def __delitem__(self, key):
+                Table.deletes += 1
+                if Table.deletes == 1:
+                    second.wait(0.5)
+                else:
+                    second.set()
+                super().__delitem__(key)
+
+        table = Table(((((2, 2), seed, 4), None) for seed in range(4)))
+        monkeypatch.setattr(search, "_SAMPLES", table)
+        start, errors = threading.Barrier(2), []
+
+        def call(seed):
+            start.wait()
+            try:
+                search._sample_set((2, 2), seed, 4)
+            except Exception as exc:  # a race must not raise
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call, args=(seed,), daemon=True) for seed in (10, 11)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads), "deadlock"
+        assert errors == []
+        assert len(table) == search._KEPT_SETS
+
 
 class TestSampleTable:
     """A search of one chunk keeps the sample set of a (dims, seed, n) asked
