@@ -12,20 +12,19 @@ elementwise arithmetic, so a sample comes out bit-identical whatever batch it
 is made in.  Every basis is scored by `_batch_entropies`, whose rows do not
 depend on the batch either.
 
-A sample set depends only on (dims, seed, n), never on rho, so a search of
-one chunk takes its samples from `_sample_set`, which keeps the set of a key
-requested twice: every point of a sweep shares the search seed, and all but
-the first two make no samples.  That table, at most `_KEPT_SETS` read-only
-sets, is the only state the search keeps between calls.  A search of more
-than one chunk makes its samples anew on every call.
+A sample set depends only on the SearchConfig and the dims, never on rho, so
+a search of one chunk takes its samples from `_sample_set`, which keeps them,
+read-only, on the config: one set per dims for as long as the config lives.
+A sweep passes one config to every point, so it makes each dims' samples
+once.  Those sets are the only state the search keeps between calls.  A
+search of more than one chunk makes its samples anew on every call.
 """
 from __future__ import annotations
 
 import math
-import threading
 from functools import reduce
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +46,16 @@ class SearchConfig:
     seed: int = 1
     refine_steps: int = 100  # most descent rounds per start
     chunk_size: int = 2048  # samples made and scored at a time; never affects results
+    # dims -> the read-only factor stacks of a one-chunk search (`_sample_set`)
+    _samples: Dict[Tuple[int, ...], List[np.ndarray]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_samples < 0 or self.refine_steps < 0:
             raise ParamOutOfRange("n_samples and refine_steps must be >= 0")
         if self.chunk_size < 1:
             raise ParamOutOfRange("chunk_size must be >= 1")
+        if min(self.n_samples, self.chunk_size) > np.iinfo(np.intp).max // 8:
+            raise ParamOutOfRange("one chunk's samples are too many for numpy to index; lower chunk_size")
 
 
 def _ginibre(rng: np.random.Generator, dims: Sequence[int], S: int) -> np.ndarray:
@@ -104,35 +107,17 @@ def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductB
     return ProductBasis(tuple(f[0] for f in facs))
 
 
-_KEPT_SETS = 4  # most keys `_SAMPLES` holds
-# (dims, seed % 2**64, n) -> the key's sample set, or None until its second request
-_SAMPLES: Dict[Tuple[Tuple[int, ...], int, int], Optional[List[np.ndarray]]] = {}
-_SAMPLES_LOCK = threading.Lock()  # held only to change `_SAMPLES`, never to make a set
+def _sample_set(cfg: SearchConfig, dims: Tuple[int, ...]) -> List[np.ndarray]:
+    """The factor stacks of the first cfg.n_samples samples from default_rng(cfg.seed % 2**64), kept read-only on cfg.
 
-
-def _sample_set(dims: Tuple[int, ...], seed: int, n: int) -> List[np.ndarray]:
-    """The factor stacks of the first n samples from default_rng(seed % 2**64), kept from a key's second request.
-
-    The first request for a key records the key alone, so callers that never
-    repeat a seed keep no samples; the second keeps its set, read-only, and
-    later requests return it.  `_SAMPLES` holds at most `_KEPT_SETS` keys and
-    drops the oldest first.  Concurrent first calls may each make the set;
-    either copy serves.
+    Concurrent first calls may each make the set; the first one stored serves.
     """
-    key = (dims, seed % 2 ** 64, n)
-    facs = _SAMPLES.get(key)
-    if facs is not None:
-        return facs
-    facs = _haar_batch(dims, _ginibre(np.random.default_rng(key[1]), dims, n))
-    with _SAMPLES_LOCK:
-        if key in _SAMPLES:
-            for F in facs:
-                F.setflags(write=False)
-            _SAMPLES[key] = facs
-        else:
-            _SAMPLES[key] = None
-            while len(_SAMPLES) > _KEPT_SETS:
-                del _SAMPLES[next(iter(_SAMPLES))]
+    facs = cfg._samples.get(dims)
+    if facs is None:
+        facs = _haar_batch(dims, _ginibre(np.random.default_rng(cfg.seed % 2 ** 64), dims, cfg.n_samples))
+        for F in facs:
+            F.setflags(write=False)
+        facs = cfg._samples.setdefault(dims, facs)
     return facs
 
 
@@ -316,7 +301,8 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     index).  Each chunk of `chunk_size` samples is scored once and appended
     to the set, which is then trimmed back, so memory does not grow with
     the number of samples.  A search of one chunk takes its samples from
-    `_sample_set`, and a longer one makes them chunk by chunk on every call.
+    `_sample_set`, kept on cfg, and a longer one makes them chunk by chunk on
+    every call.
     The first lowest start is the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
@@ -333,7 +319,7 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     for lo in range(0, n, cfg.chunk_size):
         new = np.arange(lo, min(lo + cfg.chunk_size, n))
         if len(new) == n:
-            facs = _sample_set(dims, cfg.seed, n)
+            facs = _sample_set(cfg, dims)
         else:
             facs = _haar_batch(dims, _ginibre(rng, dims, len(new)))
         h, idx = np.concatenate([h, _batch_entropies(rho.mat, facs)]), np.concatenate([idx, new])

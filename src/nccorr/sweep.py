@@ -42,6 +42,8 @@ class SweepSpec:
                 )
         if self.steps < 2:
             raise ParamOutOfRange(f"steps must be >= 2, got {self.steps}")
+        if self.steps > np.iinfo(np.intp).max // 8:
+            raise ParamOutOfRange(f"steps={self.steps} is too many for numpy to index")
         bad = [m for m in self.measures if m not in MEASURE_ORDER]
         if bad:
             raise ParamOutOfRange(f"unknown measures {bad}")

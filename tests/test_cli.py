@@ -279,6 +279,9 @@ class TestErrorHandling:
         ["gen-state", "--dims", "100000,100000"],
         ["gen-state", "--dims", "20000,20000"],
         SWEEP + ["--samples", 10 ** 17, "--chunk-size", 10 ** 17],
+        SWEEP + ["--steps", 10 ** 19],
+        SWEEP + ["--steps", 2 ** 62],
+        SWEEP + ["--samples", 10 ** 19, "--chunk-size", 10 ** 19],
         SWEEP + ["--measures", ","],
         SWEEP + ["--samples", "abc"],
         ["gen-state", "--family", "ps"],
@@ -288,7 +291,8 @@ class TestErrorHandling:
             "non-integer-dims", "negative-seed", "dims-below-2", "negative-partition-cap",
             "tol-removed", "family-and-dims", "family-with-rank",
             "family-with-seed", "dims-with-param", "dims-product-past-int64", "dims-too-large",
-            "dims-past-memory", "samples-past-memory", "empty-measure-list", "non-integer-samples",
+            "dims-past-memory", "samples-past-memory", "steps-past-int64", "steps-past-array-size",
+            "samples-past-array-size", "empty-measure-list", "non-integer-samples",
             "family-without-param", "param-below-family-range", "one-step"])
     def test_bad_flag_value_exit_2(self, tmp_path, argv):
         if argv[0] == "gen-state":

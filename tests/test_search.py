@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import json
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -657,30 +660,28 @@ class TestSingleScorer:
             score = search._batch_entropies(rho.mat, [f[None] for f in basis.factors])[0]
             assert score == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
 
-    def test_editing_a_sample_witness_leaves_later_results_alone(self, monkeypatch, made):
-        # the edited witness comes from a call served by the sample table
-        monkeypatch.setattr(search, "_SAMPLES", {})
+    def test_editing_a_sample_witness_leaves_later_results_alone(self, made):
+        # the edited witness comes from a call served by the config's kept set
         rho = nc.random_density_matrix((2, 2, 2), 2, 6)
         cfg = nc.SearchConfig(n_samples=2000, seed=3, refine_steps=0)
-        for _ in range(2):
-            nc.measure_D(rho, cfg)
+        nc.measure_D(rho, cfg)
         made.clear()
         rep = nc.measure_D(rho, cfg)
         assert made == []
         assert rep.diagnostics["best_source"].startswith("sample:")
-        kept = [np.array(F) for F in search._SAMPLES[((2, 2, 2), 3, 2000)]]
+        kept = [np.array(F) for F in cfg._samples[(2, 2, 2)]]
         rep.witness.factors[0][:] = np.eye(2)
         again = nc.measure_D(rho, cfg)
         assert again.value == rep.value
         assert again.witness.factors[0].tobytes() != rep.witness.factors[0].tobytes()
-        for F, K in zip(search._SAMPLES[((2, 2, 2), 3, 2000)], kept):
+        for F, K in zip(cfg._samples[(2, 2, 2)], kept):
             assert np.array_equal(F, K)
 
 
 class TestConcurrentCallers:
-    """The only state the search keeps between calls is its table of sample
-    sets, which depend on (dims, seed, n) alone, so callers on several
-    threads get what they would get one after another."""
+    """The only state the search keeps between calls is the sample sets on
+    its config, which depend on the config and the dims alone, so callers on
+    several threads get what they would get one after another."""
 
     def test_concurrent_callers_get_serial_results(self):
         jobs = [
@@ -709,14 +710,13 @@ class TestConcurrentCallers:
                 assert np.array_equal(fa, fb)
 
 
-    def test_concurrent_callers_share_the_sample_table(self, monkeypatch):
-        # six keys of one chunk, each requested often enough to be kept, so
-        # threads keep, read and evict sets of a 4-key table at once
-        monkeypatch.setattr(search, "_SAMPLES", {})
+    def test_concurrent_callers_share_the_sample_table(self, made):
+        # four threads share one config per seed, so they keep and read the
+        # sets of six configs at once
         rho = nc.random_density_matrix((2, 3), 6, 43)
+        serial = [nc.measure_D(rho, nc.SearchConfig(n_samples=128, seed=seed, refine_steps=10)) for seed in range(21, 27)]
         cfgs = [nc.SearchConfig(n_samples=128, seed=seed, refine_steps=10) for seed in range(21, 27)]
-        serial = [nc.measure_D(rho, cfg) for cfg in cfgs]
-        search._SAMPLES.clear()
+        made.clear()
         start, errors, reports = threading.Barrier(4), [], []
 
         def call(k):
@@ -736,7 +736,9 @@ class TestConcurrentCallers:
         assert not any(th.is_alive() for th in threads), "deadlock"
         assert errors == []
         assert len(reports) == 4 * 3 * len(cfgs)
-        assert len(search._SAMPLES) <= search._KEPT_SETS
+        # concurrent first calls may each make a config's set, later ones none
+        assert len(cfgs) <= len(made) <= 4 * len(cfgs)
+        assert all(list(cfg._samples) == [(2, 3)] for cfg in cfgs)
         for c, got in reports:
             want = serial[c]
             assert got.value == want.value
@@ -744,117 +746,90 @@ class TestConcurrentCallers:
             for fa, fb in zip(got.witness.factors, want.witness.factors):
                 assert np.array_equal(fa, fb)
 
-    def test_two_evictions_at_once_drop_two_keys(self, monkeypatch):
-        # The first eviction waits inside its delete until a second one
-        # starts, so without the lock both threads pick the same oldest key
-        # and the later delete raises KeyError; with it the wait times out.
-        second = threading.Event()
 
-        class Table(dict):
-            deletes = 0
-
-            def __delitem__(self, key):
-                Table.deletes += 1
-                if Table.deletes == 1:
-                    second.wait(0.5)
-                else:
-                    second.set()
-                super().__delitem__(key)
-
-        table = Table(((((2, 2), seed, 4), None) for seed in range(4)))
-        monkeypatch.setattr(search, "_SAMPLES", table)
-        start, errors = threading.Barrier(2), []
-
-        def call(seed):
-            start.wait()
-            try:
-                search._sample_set((2, 2), seed, 4)
-            except Exception as exc:  # a race must not raise
-                errors.append(exc)
-
-        threads = [threading.Thread(target=call, args=(seed,), daemon=True) for seed in (10, 11)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-        assert not any(th.is_alive() for th in threads), "deadlock"
-        assert errors == []
-        assert len(table) == search._KEPT_SETS
-
-
-class TestSampleTable:
-    """A search of one chunk keeps the sample set of a (dims, seed, n) asked
-    for twice, read-only, in a table of at most `_KEPT_SETS` keys."""
-
-    @pytest.fixture(autouse=True)
-    def no_kept_sets(self, monkeypatch):
-        monkeypatch.setattr(search, "_SAMPLES", {})
+class TestConfigSampleSets:
+    """A search of one chunk keeps its sample set on its SearchConfig, one
+    read-only set per dims, for as long as the config lives."""
 
     @staticmethod
     def report(rep):
         return rep.value, [f.tobytes() for f in rep.witness.factors], rep.diagnostics
 
-    def test_third_request_makes_no_samples(self, made):
+    def test_second_call_makes_no_samples(self, made):
         cfg = nc.SearchConfig(n_samples=64, refine_steps=5)
-        # the key holds no state: three states of one dims share it
-        for k, want in enumerate([[64], [64], []]):
+        # the set holds no state: a second state of the same dims reuses it
+        for k, want in enumerate([[64], []]):
             nc.measure_D(nc.random_density_matrix((2, 4), 3, 60 + k), cfg)
             assert made == want
             made.clear()
-        assert set(search._SAMPLES) == {((2, 4), 1, 64)}
-        # a key differs in dims, in seed (mod 2**64) or in n
-        for dims, seed, n in [((2, 2, 2), 1, 64), ((2, 4), 2, 64), ((2, 4), 1, 65)]:
-            nc.measure_D(nc.random_density_matrix(dims, 3, 60), nc.SearchConfig(n_samples=n, seed=seed, refine_steps=5))
+        assert list(cfg._samples) == [(2, 4)]
+        # other dims on the same config get a set of their own, beside the first
+        nc.measure_D(nc.random_density_matrix((2, 2, 2), 3, 60), cfg)
+        assert made == [64]
+        made.clear()
+        assert [F.shape for F in cfg._samples[(2, 2, 2)]] == [(64, 2, 2)] * 3
+        assert [F.shape for F in cfg._samples[(2, 4)]] == [(64, 2, 2), (64, 4, 4)]
+        # another seed or n is another config, and seed 1 + 2**64 draws seed 1's samples
+        for seed, n in [(2, 64), (1, 65), (1 + 2 ** 64, 64)]:
+            other = nc.SearchConfig(n_samples=n, seed=seed, refine_steps=5)
+            nc.measure_D(nc.random_density_matrix((2, 4), 3, 60), other)
             assert made == [n]
             made.clear()
-        nc.measure_D(nc.random_density_matrix((2, 4), 3, 60), nc.SearchConfig(n_samples=64, seed=1 + 2 ** 64, refine_steps=5))
-        assert made == []
+        for F, G in zip(other._samples[(2, 4)], cfg._samples[(2, 4)]):
+            assert np.array_equal(F, G)
 
-    def test_fresh_seeds_keep_no_sets_and_at_most_four_keys(self):
-        rho = nc.random_density_matrix((2, 2, 2), 8, 61)
-        for seed in range(100, 110):
-            nc.measure_D(rho, nc.SearchConfig(n_samples=32, seed=seed, refine_steps=0))
-            assert len(search._SAMPLES) <= search._KEPT_SETS == 4
-            assert all(v is None for v in search._SAMPLES.values())
-        assert [key[1] for key in search._SAMPLES] == [106, 107, 108, 109]
-        # a kept set is evicted like any key, the oldest first
-        for seed in (200, 200, 201, 202, 203):
-            nc.measure_D(rho, nc.SearchConfig(n_samples=32, seed=seed, refine_steps=0))
-        assert [key[1] for key in search._SAMPLES] == [200, 201, 202, 203]
-        assert search._SAMPLES[((2, 2, 2), 200, 32)] is not None
-        nc.measure_D(rho, nc.SearchConfig(n_samples=32, seed=204, refine_steps=0))
-        assert [key[1] for key in search._SAMPLES] == [201, 202, 203, 204]
+    def test_equality_hash_and_repr_ignore_the_sets(self):
+        cfg = nc.SearchConfig()
+        before = hash(cfg), repr(cfg)
+        nc.measure_D(nc.random_density_matrix((2, 2), 4, 64), cfg)
+        assert list(cfg._samples) == [(2, 2)]
+        assert cfg == nc.SearchConfig()
+        assert (hash(cfg), repr(cfg)) == before
+
+    def test_replace_starts_with_no_sets(self):
+        # a copy that shared the sets would serve seed 1's samples to seed 2
+        cfg = nc.SearchConfig(n_samples=64, refine_steps=5)
+        nc.measure_D(nc.random_density_matrix((2, 2), 4, 65), cfg)
+        assert cfg._samples
+        for other in (dataclasses.replace(cfg), dataclasses.replace(cfg, seed=2), nc.SearchConfig()):
+            assert other._samples == {}
+
+    def test_kept_stacks_die_with_their_config(self):
+        cfg = nc.SearchConfig(n_samples=16, refine_steps=0)
+        nc.measure_D(nc.random_density_matrix((2, 3), 6, 66), cfg)
+        refs = [weakref.ref(F) for F in cfg._samples[(2, 3)]]
+        del cfg
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_kept_arrays_are_read_only(self):
-        rho = nc.random_density_matrix((2, 3, 2), 4, 62)
-        for _ in range(2):
-            nc.measure_D(rho, nc.SearchConfig(n_samples=16, refine_steps=0))
-        [facs] = search._SAMPLES.values()
+        cfg = nc.SearchConfig(n_samples=16, refine_steps=0)
+        nc.measure_D(nc.random_density_matrix((2, 3, 2), 4, 62), cfg)
+        [facs] = cfg._samples.values()
         assert [F.shape for F in facs] == [(16, 2, 2), (16, 3, 3), (16, 2, 2)]
         for F in facs:
             assert not F.flags.writeable
             with pytest.raises(ValueError):
                 F[0, 0, 0] = 1
 
-    def test_clearing_the_table_changes_no_result(self):
+    def test_a_fresh_config_per_call_changes_no_result(self):
         states = [ctor(float(p)) for name, (ctor, lo, hi) in sweep.FAMILIES.items()
                   for p in np.linspace(lo, hi, 51 if name == "horodecki" else 101)]
         states += [nc.random_density_matrix(dims, rank, 1)
                    for dims in [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)]
                    for rank in (1, 2, math.prod(dims))]
-        kept = [self.report(nc.measure_D(rho)) for rho in states]
-        assert len(search._SAMPLES) == 4 and all(v is not None for v in search._SAMPLES.values())
+        cfg = nc.SearchConfig()
+        kept = [self.report(nc.measure_D(rho, cfg)) for rho in states]
+        assert set(cfg._samples) == {(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)}
         for rho, want in zip(states, kept):
-            search._SAMPLES.clear()
-            assert self.report(nc.measure_D(rho)) == want
+            assert self.report(nc.measure_D(rho, nc.SearchConfig())) == want
 
     def test_several_chunks_keep_nothing(self, made):
         rho = nc.random_density_matrix((3, 3), 9, 63)
-        one = [self.report(nc.measure_D(rho, nc.SearchConfig(n_samples=300, refine_steps=20))) for _ in range(3)]
+        one = self.report(nc.measure_D(rho, nc.SearchConfig(n_samples=300, refine_steps=20)))
+        cfg = nc.SearchConfig(n_samples=300, refine_steps=20, chunk_size=128)
         made.clear()
-        search._SAMPLES.clear()
         for _ in range(3):
-            got = self.report(nc.measure_D(rho, nc.SearchConfig(n_samples=300, refine_steps=20, chunk_size=128)))
-            assert got == one[0] == one[2]
+            assert self.report(nc.measure_D(rho, cfg)) == one
         assert made == [128, 128, 44] * 3
-        assert search._SAMPLES == {}
+        assert cfg._samples == {}
