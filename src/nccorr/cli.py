@@ -101,7 +101,7 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chunk-size", type=_pos_int, default=SearchConfig.chunk_size,
                    help="samples the D search makes and scores at a time, on one thread; "
                         "bounds a call's memory (never changes results); a search of one "
-                        "chunk keeps a repeated seed's samples, at most four sets")
+                        "chunk keeps its samples for the run, one set per dims")
 
 
 def _serialize_witness(witness) -> object:
