@@ -301,8 +301,7 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     index).  Each chunk of `chunk_size` samples is scored once and appended
     to the set, which is then trimmed back, so memory does not grow with
     the number of samples.  A search of one chunk takes its samples from
-    `_sample_set`, kept on cfg, and a longer one makes them chunk by chunk on
-    every call.
+    `_sample_set`, and a longer one makes them chunk by chunk on every call.
     The first lowest start is the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
