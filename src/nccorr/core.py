@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -50,16 +50,21 @@ class PartitionCapExceeded(NccorrError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Multipartite state: subsystem dimensions plus the full matrix."""
+    """Multipartite state: subsystem dimensions plus the full matrix.
+
+    `mat` is a read-only copy, so what `qmat` keeps in `_kept` cannot go stale.
+    """
 
     dims: Tuple[int, ...]
     mat: np.ndarray
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise DimensionMismatch(f"subsystem dims must all be >= 2, got {dims}")
-        mat = np.asarray(self.mat, dtype=np.complex128)
+        mat = np.array(self.mat, dtype=np.complex128)
+        mat.setflags(write=False)
         d_tot = math.prod(dims)
         if mat.shape != (d_tot, d_tot):
             raise DimensionMismatch(

@@ -219,8 +219,8 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
         if d ** rho.d_tot > partition_cap:
             raise PartitionCapExceeded(f"{d}^{rho.d_tot} = {d ** rho.d_tot} exceeds cap {partition_cap}")
     walks = {}
-    for d, stack in qmat.marginal_stacks(rho).items():
-        targets = [_neg_entropy_seq(qmat.clamped_probs(w)) for w in qmat.herm_eig(stack, vectors=False)[0]]
+    for d, (spectra, _) in qmat.marginal_eigs(rho, vectors=False).items():
+        targets = [_neg_entropy_seq(qmat.clamped_probs(w)) for w in spectra]
         best, evaluated = _min_balanced_partition(e_tot, targets, d)
         walks[d] = iter([(float(fk), assignment, evaluated) for fk, assignment in best])
     f_values, assignments, evaluated = zip(*(next(walks[d]) for d in rho.dims))

@@ -284,8 +284,8 @@ def _descend(
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
-    """Product of the marginals' `qmat.herm_eig` eigenbases (canonical on degenerate eigenspaces), one call per dimension."""
-    bases = {d: iter(qmat.herm_eig(stack)[1]) for d, stack in qmat.marginal_stacks(rho).items()}
+    """Product of the marginals' `qmat.herm_eig` eigenbases (canonical on degenerate eigenspaces), read-only views kept on rho."""
+    bases = {d: iter(V) for d, (_, V) in qmat.marginal_eigs(rho).items()}
     return ProductBasis(tuple(next(bases[d]) for d in rho.dims))
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -666,8 +668,26 @@ class TestProperties:
     ((2, 4), {"G": 3, "DG": 3, "K": 1, "N": 1}),
 ], ids=["(2,2,2,2)", "(2,4)"])
 def test_herm_eig_calls_per_measure(monkeypatch, dims, calls):
-    # one call on rho (none for N) and one per stack: the marginals of one
-    # dimension (G, D_G) or rho with its partial transposes (K, N)
+    # on a fresh state, one call on rho (none for N) and one per stack: the
+    # marginals of one dimension (G, D_G) or rho with its partial transposes (K, N)
+    herm_eig, count = qmat.herm_eig, []
+    monkeypatch.setattr(qmat, "herm_eig", lambda *a, **kw: count.append(1) or herm_eig(*a, **kw))
+    mat = nc.random_density_matrix(dims, int(np.prod(dims)), 31).mat
+    got = {}
+    for name in calls:
+        count.clear()
+        measures.MEASURES[name](nc.DensityMatrix(dims, mat), TINY, measures.DEFAULT_PARTITION_CAP)
+        got[name] = len(count)
+    assert got == calls
+
+
+@pytest.mark.parametrize("dims, calls", [
+    ((2, 2, 2, 2), {"G": 2, "DG": 1, "K": 1, "N": 1}),
+    ((2, 4), {"G": 3, "DG": 2, "K": 1, "N": 1}),
+], ids=["(2,2,2,2)", "(2,4)"])
+def test_herm_eig_calls_per_measure_on_one_state(monkeypatch, dims, calls):
+    # G keeps rho's spectrum and the marginals' eigenvalues on rho, so D_G
+    # solves only for the marginals' vectors; K and N solve on every call
     herm_eig, count = qmat.herm_eig, []
     monkeypatch.setattr(qmat, "herm_eig", lambda *a, **kw: count.append(1) or herm_eig(*a, **kw))
     rho = nc.random_density_matrix(dims, int(np.prod(dims)), 31)
@@ -677,6 +697,128 @@ def test_herm_eig_calls_per_measure(monkeypatch, dims, calls):
         measures.MEASURES[name](rho, TINY, measures.DEFAULT_PARTITION_CAP)
         got[name] = len(count)
     assert got == calls
+
+
+def _bits(rep):
+    """A report with a product-basis witness read as bytes, for == across calls."""
+    witness = rep.witness
+    if isinstance(witness, nc.ProductBasis):
+        witness = [f.tobytes() for f in witness.factors]
+    return rep.measure, rep.value, witness, rep.diagnostics
+
+
+KEPT_CFG = nc.SearchConfig(n_samples=50, seed=2, refine_steps=5)
+
+
+def _all_five(rho, order=sweep.MEASURE_ORDER):
+    return {m: _bits(measures.MEASURES[m](rho, KEPT_CFG, measures.DEFAULT_PARTITION_CAP)) for m in order}
+
+
+def _kept_arrays(rho):
+    for entry in rho._kept.values():
+        for x in [entry] if isinstance(entry, np.ndarray) else entry.values():
+            yield from (a for a in (x if isinstance(x, tuple) else (x,)) if a is not None)
+
+
+def _grid_states(group):
+    if group in sweep.FAMILIES:
+        ctor, lo, hi = sweep.FAMILIES[group]
+        return [ctor(float(p)) for p in np.linspace(lo, hi, 13)]
+    d = math.prod(group)
+    return [nc.random_density_matrix(group, rank, 1) for rank in (1, 2, d)]
+
+
+class TestKeptSpectra:
+    """rho's spectrum, its marginals and their eigensystems are made once per
+    state and kept, read-only, on it, so a state's reports do not depend on
+    which measures ran on it before."""
+
+    # the (2,4) and (3,3) states and horodecki at 1/3 are among those whose
+    # marginals' eigh and eigvalsh eigenvalues differ in the last bit, which
+    # moves G's value there if G is given the eigenvalues of the vector solve
+    @pytest.mark.parametrize("group", [*sweep.FAMILIES, (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)], ids=str)
+    def test_reports_do_not_depend_on_measure_order(self, group):
+        for rho in _grid_states(group):
+            fresh = {m: _all_five(nc.DensityMatrix(rho.dims, rho.mat), [m])[m] for m in sweep.MEASURE_ORDER}
+            assert _all_five(rho) == fresh
+            assert _all_five(nc.DensityMatrix(rho.dims, rho.mat), sweep.MEASURE_ORDER[::-1]) == fresh
+
+    def test_mat_is_a_read_only_copy(self):
+        src = np.array(nc.random_density_matrix((2, 4), 3, 5).mat)
+        rho = nc.DensityMatrix((2, 4), src)
+        assert not rho.mat.flags.writeable
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 0.0
+        want = _all_five(nc.DensityMatrix((2, 4), src))
+        src[...] = np.eye(8) / 8
+        assert src.flags.writeable
+        assert _all_five(rho) == want
+
+    def test_kept_arrays_are_read_only(self):
+        rho = nc.random_density_matrix((2, 2, 3), 4, 7)
+        dg = nc.measure_DG(rho)
+        _all_five(rho)
+        assert set(rho._kept) == {"spectrum", "marginals", ("marginal_eigs", False), ("marginal_eigs", True)}
+        kept = list(_kept_arrays(rho))
+        assert len(kept) == 1 + 2 + 2 + 4
+        assert not any(a.flags.writeable for a in kept)
+        # D_G's witness factors are views of the kept eigenvectors
+        assert not any(f.flags.writeable for f in dg.witness.factors)
+
+    def test_replace_starts_with_nothing_kept(self):
+        rho = nc.random_density_matrix((2, 4), 2, 3)
+        _all_five(rho)
+        assert rho._kept
+        assert dataclasses.replace(rho)._kept == {}
+        assert nc.DensityMatrix(rho.dims, rho.mat)._kept == {}
+
+    def test_equality_and_repr_ignore_what_is_kept(self):
+        rho = nc.random_density_matrix((2, 2), 2, 4)
+        before = repr(rho)
+        assert before == f"DensityMatrix(dims=(2, 2), mat={rho.mat!r})"
+        _all_five(rho)
+        assert repr(rho) == before
+        assert [f.name for f in dataclasses.fields(rho) if f.compare] == ["dims", "mat"]
+        # a state whose matrix is the same object compares equal whatever either keeps
+        twin = dataclasses.replace(rho)
+        object.__setattr__(twin, "mat", rho.mat)
+        assert twin._kept == {} and rho._kept
+        assert rho == twin
+
+    def test_kept_arrays_die_with_their_state(self):
+        rho = nc.random_density_matrix((2, 2, 2), 3, 8)
+        _all_five(rho)
+        refs = [weakref.ref(a) for a in _kept_arrays(rho)]
+        del rho
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
+
+    def test_threads_sharing_one_state_get_serial_results(self):
+        mats = [nc.random_density_matrix(dims, rank, 9).mat for dims, rank in [((2, 4), 2), ((2, 2, 2, 2), 16)]]
+        dims = [(2, 4), (2, 2, 2, 2)]
+        serial = [_all_five(nc.DensityMatrix(d, m)) for d, m in zip(dims, mats)]
+        shared = [nc.DensityMatrix(d, m) for d, m in zip(dims, mats)]
+        start, errors, reports = threading.Barrier(4), [], []
+
+        def call(k):
+            start.wait()
+            try:
+                for j, rho in enumerate(shared):
+                    order = sweep.MEASURE_ORDER[k:] + sweep.MEASURE_ORDER[:k]
+                    reports.append((j, _all_five(rho, order)))
+            except Exception as exc:  # a race must not raise
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads), "deadlock"
+        assert errors == []
+        assert len(reports) == 4 * len(shared)
+        for j, got in reports:
+            assert got == serial[j]
 
 
 class TestMeasureTable:
