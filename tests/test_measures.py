@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import sys
 import threading
 import weakref
 
@@ -794,31 +795,40 @@ class TestKeptSpectra:
         assert refs and all(r() is None for r in refs)
 
     def test_threads_sharing_one_state_get_serial_results(self):
-        mats = [nc.random_density_matrix(dims, rank, 9).mat for dims, rank in [((2, 4), 2), ((2, 2, 2, 2), 16)]]
-        dims = [(2, 4), (2, 2, 2, 2)]
-        serial = [_all_five(nc.DensityMatrix(d, m)) for d, m in zip(dims, mats)]
-        shared = [nc.DensityMatrix(d, m) for d, m in zip(dims, mats)]
-        start, errors, reports = threading.Barrier(4), [], []
+        made = [nc.random_density_matrix(dims, rank, 9) for dims, rank in [((2, 4), 2), ((2, 2, 2, 2), 16)]]
+        serial = [_all_five(nc.DensityMatrix(rho.dims, rho.mat)) for rho in made]
+        shared = [nc.DensityMatrix(rho.dims, rho.mat) for rho in made]
+        start, errors, reports, bases = threading.Barrier(4), [], [], []
 
         def call(k):
             start.wait()
             try:
                 for j, rho in enumerate(shared):
+                    bases.append((j, nc.measure_DG(rho).witness))
                     order = sweep.MEASURE_ORDER[k:] + sweep.MEASURE_ORDER[:k]
                     reports.append((j, _all_five(rho, order)))
             except Exception as exc:  # a race must not raise
                 errors.append(exc)
 
-        threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads), "deadlock"
         assert errors == []
-        assert len(reports) == 4 * len(shared)
+        assert len(reports) == len(bases) == 4 * len(shared)
         for j, got in reports:
             assert got == serial[j]
+        # the first entry stored serves every caller, so no thread holds a copy that lost
+        for j, basis in bases:
+            kept = [V for _, V in shared[j]._kept["marginal_eigs", True].values()]
+            assert all(any(np.shares_memory(f, V) for V in kept) for f in basis.factors)
 
 
 class TestMeasureTable:
