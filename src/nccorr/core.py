@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Any, Callable, Hashable, Tuple
 
 import numpy as np
 
@@ -48,23 +48,44 @@ class PartitionCapExceeded(NccorrError):
     pass
 
 
-@dataclass(frozen=True)
+def kept(store: dict, key: Hashable, make: Callable[[], Any]) -> Any:
+    """store[key], made on first use and stored with every array in it set read-only.
+
+    Of concurrent first calls the first stored serves (`setdefault`); a make
+    that raises stores nothing.
+    """
+    got = store.get(key)
+    return store.setdefault(key, _read_only(make())) if got is None else got
+
+
+def _read_only(x: Any) -> Any:
+    """x with every array in it, through dicts, lists and tuples, set read-only."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+    elif isinstance(x, (dict, list, tuple)):
+        for v in x.values() if isinstance(x, dict) else x:
+            _read_only(v)
+    return x
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Multipartite state: subsystem dimensions plus the full matrix.
 
-    `mat` is a read-only copy, so what `qmat` keeps in `_kept` cannot go stale.
+    `mat` is a read-only copy, so what `qmat` keeps on the state (`_kept`,
+    filled by `kept`) cannot go stale.  A state equals only itself and
+    hashes by identity.
     """
 
     dims: Tuple[int, ...]
     mat: np.ndarray
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise DimensionMismatch(f"subsystem dims must all be >= 2, got {dims}")
-        mat = np.array(self.mat, dtype=np.complex128)
-        mat.setflags(write=False)
+        mat = _read_only(np.array(self.mat, dtype=np.complex128))
         d_tot = math.prod(dims)
         if mat.shape != (d_tot, d_tot):
             raise DimensionMismatch(

@@ -7,7 +7,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, DimensionMismatch, PartitionCapExceeded
+from .core import DensityMatrix, DimensionMismatch, PartitionCapExceeded, kept
 from . import qmat
 from .search import SearchConfig, marginal_eigenbasis, min_diag_entropy
 
@@ -107,9 +107,9 @@ def _walk(d_tot: int, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 
     Each row also carries its member slots, as a split prefix does: digit j
     goes to slot b + d * m, bin b's fill (`_grow`).  ``members[m, b, r]`` is
-    then the m-th lowest eigenvalue index that row r puts in bin b.  Both
-    arrays are read-only.  A walk of one chunk (no prefix split) is kept in
-    `_WALKS` for later calls.
+    then the m-th lowest eigenvalue index that row r puts in bin b.  A walk
+    of one chunk (no prefix split) is kept, read-only, in `_WALKS` for later
+    calls (`core.kept`; of concurrent first calls the first stored serves).
     """
     bin_size = d_tot // d
     # fill stays below d_tot + d, so the smallest dtype holding that serves
@@ -130,12 +130,7 @@ def _walk(d_tot: int, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
             )
             continue
         members = np.ascontiguousarray(slots.T).reshape(bin_size, d, len(idx))
-        for a in (members, idx):
-            a.setflags(write=False)
-        if start == 0:
-            # a concurrent first call may have kept an equal table already: either serves
-            _WALKS[d_tot, d, _ENUM_CHUNK] = members, idx
-        yield members, idx
+        yield kept(_WALKS, (d_tot, d, _ENUM_CHUNK), lambda: (members, idx)) if start == 0 else (members, idx)
 
 
 def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -147,8 +142,8 @@ def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarra
     elementwise, never through numpy's pairwise sum, which a reduce over a
     last axis of 8 or more terms would use.
     """
-    kept = _WALKS.get((len(e_tot), d, _ENUM_CHUNK))
-    for members, idx in _walk(len(e_tot), d) if kept is None else [kept]:
+    table = _WALKS.get((len(e_tot), d, _ENUM_CHUNK))
+    for members, idx in _walk(len(e_tot), d) if table is None else [table]:
         sums = e_tot.take(members[0]) + 0.0  # the first add onto 0.0
         for m in members[1:]:
             sums += e_tot.take(m)

@@ -5,12 +5,13 @@ matrix or stack, with pinned sort, basis and phase rules), tensor
 composition, partial trace / partial transposition, and base-2 entropies.
 
 rho's spectrum, its marginal stacks and their eigensystems are made once per
-state and kept, read-only, on it (`_kept`), for as long as it lives.
+state and kept on it by `core.kept`, read-only, in `rho._kept`, for as long
+as the state lives.
 """
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .core import (
     NonHermitian,
     NotAProbabilityVector,
     ProductBasis,
+    kept,
 )
 
 # round-off a valid density matrix may show, also read by `states.validate`; a
@@ -104,25 +106,9 @@ def _pinned(w: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return w, V * (ph.conj() / np.abs(ph))
 
 
-def _kept(rho: DensityMatrix, key: Hashable, make: Callable[[], Any]) -> Any:
-    """rho's entry `key`, made on first use, set read-only and kept on rho; of concurrent first calls, the first stored serves."""
-    got = rho._kept.get(key)
-    return rho._kept.setdefault(key, _read_only(make())) if got is None else got
-
-
-def _read_only(x: Any) -> Any:
-    """x with every array in it, through dicts and tuples, set read-only."""
-    if isinstance(x, np.ndarray):
-        x.setflags(write=False)
-    elif isinstance(x, (dict, tuple)):
-        for v in x.values() if isinstance(x, dict) else x:
-            _read_only(v)
-    return x
-
-
 def density_spectrum(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of rho sorted descending, as `clamped_probs`; kept on rho."""
-    return _kept(rho, "spectrum", lambda: clamped_probs(herm_eig(rho.mat, vectors=False)[0]))
+    return kept(rho._kept, "spectrum", lambda: clamped_probs(herm_eig(rho.mat, vectors=False)[0]))
 
 
 def clamped_probs(p: np.ndarray) -> np.ndarray:
@@ -167,14 +153,14 @@ def _reduced(rho: DensityMatrix, keep_sorted: Sequence[int]) -> np.ndarray:
 
 def marginal_stacks(rho: DensityMatrix) -> Dict[int, np.ndarray]:
     """{d: (count, d, d)}: the marginals ``partial_trace(rho, [k]).mat`` of each dimension d, in subsystem order; kept on rho."""
-    return _kept(rho, "marginals", lambda: {
+    return kept(rho._kept, "marginals", lambda: {
         d: np.stack([_reduced(rho, [k]) for k, dk in enumerate(rho.dims) if dk == d]) for d in dict.fromkeys(rho.dims)
     })
 
 
 def marginal_eigs(rho: DensityMatrix, vectors: bool = True) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
     """{d: `herm_eig` of ``marginal_stacks(rho)[d]``}, kept per `vectors`, as the two modes' eigenvalues can differ."""
-    return _kept(rho, ("marginal_eigs", vectors), lambda: {d: herm_eig(S, vectors) for d, S in marginal_stacks(rho).items()})
+    return kept(rho._kept, ("marginal_eigs", vectors), lambda: {d: herm_eig(S, vectors) for d, S in marginal_stacks(rho).items()})
 
 
 def partial_transpose(rho: DensityMatrix, side: Iterable[int]) -> np.ndarray:

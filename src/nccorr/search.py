@@ -13,8 +13,8 @@ is made in.  Every basis is scored by `_batch_entropies`, whose rows do not
 depend on the batch either.
 
 A sample set depends only on the SearchConfig and the dims, never on rho, so
-a search of one chunk takes its samples from `_sample_set`, which keeps them,
-read-only, on the config: one set per dims for as long as the config lives.
+a search of one chunk keeps its samples on the config with `core.kept`,
+read-only, in `cfg._samples`: one set per dims for as long as the config lives.
 A sweep passes one config to every point, so it makes each dims' samples
 once.  Those sets are the only state the search keeps between calls.  A
 search of more than one chunk makes its samples anew on every call.
@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis
+from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis, kept
 from . import qmat
 
 _N_STARTS = 6  # best samples the descent starts from, besides the fixed candidates
@@ -46,7 +46,7 @@ class SearchConfig:
     seed: int = 1
     refine_steps: int = 100  # most descent rounds per start
     chunk_size: int = 2048  # samples made and scored at a time; never affects results
-    # dims -> the read-only factor stacks of a one-chunk search (`_sample_set`)
+    # dims -> the read-only factor stacks of a one-chunk search (`core.kept`)
     _samples: Dict[Tuple[int, ...], List[np.ndarray]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,20 +105,6 @@ def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductB
     dims = tuple(int(d) for d in dims)
     facs = _haar_batch(dims, _ginibre(np.random.default_rng(sample_seed % 2 ** 64), dims, 1))
     return ProductBasis(tuple(f[0] for f in facs))
-
-
-def _sample_set(cfg: SearchConfig, dims: Tuple[int, ...]) -> List[np.ndarray]:
-    """The factor stacks of the first cfg.n_samples samples from default_rng(cfg.seed % 2**64), kept read-only on cfg.
-
-    Concurrent first calls may each make the set; the first one stored serves.
-    """
-    facs = cfg._samples.get(dims)
-    if facs is None:
-        facs = _haar_batch(dims, _ginibre(np.random.default_rng(cfg.seed % 2 ** 64), dims, cfg.n_samples))
-        for F in facs:
-            F.setflags(write=False)
-        facs = cfg._samples.setdefault(dims, facs)
-    return facs
 
 
 def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np.ndarray:
@@ -300,8 +286,8 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     marginal eigenbasis, then the best `_N_STARTS` samples by (entropy,
     index).  Each chunk of `chunk_size` samples is scored once and appended
     to the set, which is then trimmed back, so memory does not grow with
-    the number of samples.  A search of one chunk takes its samples from
-    `_sample_set`, and a longer one makes them chunk by chunk on every call.
+    the number of samples.  A search of one chunk keeps its samples on cfg
+    (`core.kept`), and a longer one makes them chunk by chunk on every call.
     The first lowest start is the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
@@ -312,15 +298,13 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     regardless of chunk size.
     """
     dims, n = rho.dims, cfg.n_samples
-    rng = np.random.default_rng(cfg.seed % 2 ** 64)  # a longer search's samples' stream; nothing else draws from it
+    rng = np.random.default_rng(cfg.seed % 2 ** 64)  # the samples' stream, so a kept set is its first n draws
     stacks = [np.stack(f) for f in zip(computational_basis(dims).factors, marginal_eigenbasis(rho).factors)]
     h, idx = _batch_entropies(rho.mat, stacks), np.array([-2, -1])
     for lo in range(0, n, cfg.chunk_size):
         new = np.arange(lo, min(lo + cfg.chunk_size, n))
-        if len(new) == n:
-            facs = _sample_set(cfg, dims)
-        else:
-            facs = _haar_batch(dims, _ginibre(rng, dims, len(new)))
+        make = lambda: _haar_batch(dims, _ginibre(rng, dims, len(new)))
+        facs = kept(cfg._samples, dims, make) if len(new) == n else make()
         h, idx = np.concatenate([h, _batch_entropies(rho.mat, facs)]), np.concatenate([idx, new])
         # kept samples precede the chunk's and have lower indices, so a stable sort ties by index
         keep = np.r_[0, 1, 2 + np.argsort(h[2:], kind="stable")[:_N_STARTS]]

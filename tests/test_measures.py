@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import json
@@ -5,13 +6,14 @@ import math
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nccorr as nc
-from nccorr import cli, measures, qmat, search, sweep, verify
+from nccorr import cli, core, measures, qmat, search, sweep, verify
 
 
 def s(x):
@@ -777,14 +779,17 @@ class TestKeptSpectra:
         rho = nc.random_density_matrix((2, 2), 2, 4)
         before = repr(rho)
         assert before == f"DensityMatrix(dims=(2, 2), mat={rho.mat!r})"
-        _all_five(rho)
-        assert repr(rho) == before
-        assert [f.name for f in dataclasses.fields(rho) if f.compare] == ["dims", "mat"]
-        # a state whose matrix is the same object compares equal whatever either keeps
+        # a state equals only itself and hashes by identity, whatever it keeps
         twin = dataclasses.replace(rho)
         object.__setattr__(twin, "mat", rho.mat)
+        table = {rho: 1}
+        assert rho == rho and rho != twin
+        assert {rho: 1}[rho] == 1
+        _all_five(rho)
+        assert repr(rho) == before
         assert twin._kept == {} and rho._kept
-        assert rho == twin
+        assert rho == rho and rho != twin
+        assert {rho: 1}[rho] == 1 and table[rho] == 1
 
     def test_kept_arrays_die_with_their_state(self):
         rho = nc.random_density_matrix((2, 2, 2), 3, 8)
@@ -830,6 +835,71 @@ class TestKeptSpectra:
             kept = [V for _, V in shared[j]._kept["marginal_eigs", True].values()]
             assert all(any(np.shares_memory(f, V) for V in kept) for f in basis.factors)
 
+
+class TestKeptStore:
+    """`core.kept` is the one keep rule: the state's spectra, the config's
+    sample sets and G's walk tables are all stored through it."""
+
+    def test_make_runs_once(self):
+        store, made = {}, []
+
+        def make():
+            made.append(1)
+            return np.arange(3.0)
+
+        first = core.kept(store, "k", make)
+        assert core.kept(store, "k", make) is first
+        assert made == [1] and store == {"k": first}
+
+    @pytest.mark.parametrize("entry", [
+        lambda: {2: (np.eye(2), None), 3: (np.ones(3), np.eye(3))},
+        lambda: [np.eye(2), np.ones(3)],
+        lambda: (np.eye(2), np.ones(3)),
+    ], ids=["dict-of-tuples", "list", "tuple"])
+    def test_every_array_is_read_only(self, entry):
+        got = core.kept({}, "k", entry)
+        values = got.values() if isinstance(got, dict) else [got]
+        arrays = [a for v in values for a in v if a is not None]
+        assert len(arrays) == (3 if isinstance(got, dict) else 2)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 1.0
+
+    def test_an_entry_stored_during_make_serves(self):
+        # as when a concurrent first call stores its entry while this one makes its own
+        store, competitor = {}, np.zeros(2)
+
+        def make():
+            store["k"] = competitor
+            return np.ones(2)
+
+        assert core.kept(store, "k", make) is competitor
+        assert store == {"k": competitor}
+
+    def test_a_make_that_raises_keeps_nothing(self):
+        store = {}
+
+        def make():
+            raise nc.NoConvergence("eigh failed")
+
+        with pytest.raises(nc.NoConvergence):
+            core.kept(store, "k", make)
+        assert store == {}
+        assert core.kept(store, "k", lambda: np.ones(2)).tolist() == [1.0, 1.0]
+
+    def test_only_core_stores_or_sets_flags(self):
+        # the package's own files, wherever it is imported from
+        calls = {}
+        for path in sorted(Path(nc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            calls[path.name] = sorted(
+                node.func.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("setdefault", "setflags")
+            )
+        assert {"core.py", "qmat.py", "search.py", "measures.py"} <= set(calls)
+        del calls["core.py"]
+        assert {name: found for name, found in calls.items() if found} == {}
 
 class TestMeasureTable:
     def test_callers_reach_a_replaced_measure_function(self, monkeypatch, tmp_path, capsys):
