@@ -901,6 +901,7 @@ class TestKeptStore:
         del calls["core.py"]
         assert {name: found for name, found in calls.items() if found} == {}
 
+
 class TestMeasureTable:
     def test_callers_reach_a_replaced_measure_function(self, monkeypatch, tmp_path, capsys):
         # MEASURES looks measure_K up at call time, so a replaced module
