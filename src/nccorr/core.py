@@ -105,9 +105,12 @@ class DensityMatrix:
         return len(self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductBasis:
-    """One local orthonormal basis per subsystem (columns of each unitary)."""
+    """One local orthonormal basis per subsystem (columns of each unitary).
+
+    A basis equals only itself and hashes by identity, as a state does.
+    """
 
     factors: Tuple[np.ndarray, ...]
 

@@ -227,7 +227,7 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
 def measure_DG(rho: DensityMatrix) -> MeasureReport:
     """Entropy gained by dephasing in the product basis of the marginal eigenbases."""
     basis = marginal_eigenbasis(rho)
-    h = qmat.shannon_entropy(qmat.diag_probs(rho, basis))
+    h = float(qmat.entropy_bits(qmat.diag_probs(rho, basis)))  # diag_probs has checked the vector
     s_vn = qmat.von_neumann_entropy(rho)
     return MeasureReport(
         "DG", h - s_vn, basis, {"dephased_entropy": h, "von_neumann_entropy": s_vn}
@@ -235,16 +235,18 @@ def measure_DG(rho: DensityMatrix) -> MeasureReport:
 
 
 def _min_over_splittings(
-    name: str, rho: DensityMatrix, value: Callable[..., float], *lead: np.ndarray
+    name: str, rho: DensityMatrix, values: Callable[..., Sequence[float]], *lead: np.ndarray
 ) -> MeasureReport:
-    """Minimum of value(e_T, *lead spectra) over bipartite splittings; the first minimal one is the witness.
+    """Minimum of values(E_T, *lead spectra) over bipartite splittings; the first minimal one is the witness.
 
-    e_T is a partial transpose's spectrum; the lead matrices (rho for K) head the one `herm_eig` stack.
+    E_T holds the partial transposes' spectra, one row per splitting, and
+    values gives one value per row; the lead matrices (rho for K) head the
+    one `herm_eig` stack.
     """
     splittings = list(_bipartite_splittings(rho.n_subsystems))
     pts = [qmat.partial_transpose(rho, side_b) for _, side_b in splittings]
     spectra = qmat.herm_eig(np.stack([*lead, *pts]), vectors=False)[0]
-    vals = {s: value(et, *spectra[:len(lead)]) for s, et in zip(splittings, spectra[len(lead):])}
+    vals = dict(zip(splittings, map(float, values(spectra[len(lead):], *spectra[:len(lead)]))))
     witness = min(vals, key=vals.get)
     per_split = {f"{a}|{b}": v for (a, b), v in vals.items()}
     return MeasureReport(name, vals[witness], witness, {"per_splitting": per_split})
@@ -255,13 +257,15 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
 
     Multipartite inputs take the minimum over all bipartite splittings; rho
     leads the stack of partial transposes, so one `herm_eig` call serves all.
+    One reduction over the stacked spectra gives every splitting's distance;
+    each row is summed as ``np.sum`` sums it alone (pairwise, in index order).
     """
-    return _min_over_splittings("K", rho, lambda et, e: float(np.sum(np.abs(e - et))), rho.mat)
+    return _min_over_splittings("K", rho, lambda E, e: np.abs(e - E).sum(axis=1), rho.mat)
 
 
 def negativity(rho: DensityMatrix) -> MeasureReport:
     """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
-    return _min_over_splittings("N", rho, lambda et: float(abs(et[et < 0.0].sum())))
+    return _min_over_splittings("N", rho, lambda E: [abs(et[et < 0.0].sum()) for et in E])
 
 
 # Name -> (rho, cfg, partition_cap) -> report, in CSV column order.  Each entry

@@ -61,20 +61,28 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     With ``vectors=False`` one ``eigvalsh`` call gives the eigenvalues alone,
     and None.  A stack takes one LAPACK call and gives each matrix's result
     along the leading axis; a single matrix takes that path as a stack of one.
-    Each matrix is checked for Hermiticity against its own max|H|.
+    A stack that equals its conjugate transpose exactly (NaN never does)
+    goes to LAPACK as it is; any other is checked for Hermiticity, each
+    matrix against its own max|H|, and its Hermitian part (H + H^dag)/2,
+    formed from halves, is diagonalized.  For exactly Hermitian H the two
+    differ only in subnormal entries, which halving rounds, and in the sign
+    of a zero.
     A LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
     """
     A = np.asarray(H, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.size:
         raise DimensionMismatch(f"expected a nonempty square matrix or stack of them, got shape {A.shape}")
-    half = A.reshape((-1,) + A.shape[-2:]) / 2.0  # max|H| and H - H^dag may overflow, their halves do not
-    half_dag = half.conj().swapaxes(-1, -2)
-    dev = np.abs(half - half_dag).max(axis=(-2, -1))
-    bad = dev > HERM_TOL * np.abs(half).max(axis=(-2, -1))
-    if bad.any():
-        raise NonHermitian(f"max |H - H^dag| = {2.0 * float(dev[bad].max()):.3e} exceeds {HERM_TOL:.0e} * max|H|")
+    S = A.reshape((-1,) + A.shape[-2:])
+    if not np.array_equal(S, S.conj().swapaxes(-1, -2)):
+        half = S / 2.0  # max|H| and H - H^dag may overflow, their halves do not
+        half_dag = half.conj().swapaxes(-1, -2)
+        dev = np.abs(half - half_dag).max(axis=(-2, -1))
+        bad = dev > HERM_TOL * np.abs(half).max(axis=(-2, -1))
+        if bad.any():
+            raise NonHermitian(f"max |H - H^dag| = {2.0 * float(dev[bad].max()):.3e} exceeds {HERM_TOL:.0e} * max|H|")
+        S = half + half_dag
     try:
-        w, V = np.linalg.eigh(half + half_dag) if vectors else (np.linalg.eigvalsh(half + half_dag)[..., ::-1], None)
+        w, V = np.linalg.eigh(S) if vectors else (np.linalg.eigvalsh(S)[..., ::-1], None)
         if not np.isfinite(w).all():
             raise NoConvergence("LAPACK returned non-finite eigenvalues")
         if V is None:

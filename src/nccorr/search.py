@@ -333,4 +333,4 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
         # the entropy is not smooth where a diagonal entry vanishes
         "hessian_min_eig": float(np.linalg.eigvalsh(H)[0]) if p.min() >= _SMOOTH_FLOOR else None,
     }
-    return qmat.shannon_entropy(qmat.diag_probs(rho, witness)), witness, diagnostics
+    return float(qmat.entropy_bits(qmat.diag_probs(rho, witness))), witness, diagnostics

@@ -449,6 +449,16 @@ class TestMeasureK:
         a, b = rep.witness
         assert rep.diagnostics["per_splitting"][f"{a}|{b}"] == rep.value
 
+    @pytest.mark.parametrize("dims", [(2, 4), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)], ids=str)
+    def test_per_splitting_values_are_each_rows_own_sum(self, dims):
+        # one reduction over the stacked spectra sums each row as np.sum sums it alone
+        rho = nc.random_density_matrix(dims, 3, 67)
+        e = qmat.herm_eig(rho.mat, vectors=False)[0]
+        per_split = nc.measure_K(rho).diagnostics["per_splitting"]
+        for a, b in measures._bipartite_splittings(len(dims)):
+            et = qmat.herm_eig(qmat.partial_transpose(rho, b), vectors=False)[0]
+            assert per_split[f"{a}|{b}"].hex() == float(np.sum(np.abs(e - et))).hex()
+
     def test_single_subsystem_rejected(self):
         rho = nc.random_density_matrix((3,), 3, 5)
         for measure in (nc.measure_K, nc.negativity):
@@ -790,6 +800,17 @@ class TestKeptSpectra:
         assert twin._kept == {} and rho._kept
         assert rho == rho and rho != twin
         assert {rho: 1}[rho] == 1 and table[rho] == 1
+
+    def test_a_product_basis_equals_only_itself(self):
+        # as a state does, so a D or D_G report, whose witness is a basis, compares too
+        b = nc.ProductBasis((np.eye(2), np.eye(2)))
+        twin = nc.ProductBasis((np.eye(2), np.eye(2)))
+        assert b == b and b != twin
+        assert {b: 1}[b] == 1
+        rho = nc.random_density_matrix((2, 2), 2, 4)
+        rep, again = nc.measure_D(rho, TINY), nc.measure_D(rho, TINY)
+        assert isinstance(rep.witness, nc.ProductBasis)
+        assert rep == rep and rep != again
 
     def test_kept_arrays_die_with_their_state(self):
         rho = nc.random_density_matrix((2, 2, 2), 3, 8)

@@ -188,6 +188,92 @@ class TestHermEigStack:
         assert np.array_equal(spectra, np.zeros((3, 4)))
 
 
+def symmetrized_path(H, vectors):
+    """herm_eig's result by the path every input took before exactly Hermitian
+    input went to LAPACK as it is: eigh or eigvalsh of the Hermitian part,
+    then the pinned sort, basis and phase rules."""
+    A = np.asarray(H, dtype=np.complex128)
+    S = qmat.hermitian_part(A.reshape((-1,) + A.shape[-2:]))[0]
+    if not vectors:
+        return np.linalg.eigvalsh(S)[..., ::-1].reshape(A.shape[:-1]), None
+    w, V = zip(*(qmat._pinned(w, V) for w, V in zip(*np.linalg.eigh(S))))
+    return np.stack(w).reshape(A.shape[:-1]), np.stack(V).reshape(A.shape)
+
+
+def nudged(H, rel, seed):
+    """H plus a non-Hermitian perturbation of max|H - H^dag| near rel * max|H|, in both triangles."""
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    return H + rel / 4 * np.abs(H).max() * E
+
+
+def exact_inputs():
+    """Exactly Hermitian matrices and stacks of the kinds the measures pass in:
+    rho, its partial transposes, its marginals, and a Hermitian part."""
+    rng = np.random.default_rng(31)
+    out = [random_hermitian(rng, 5), nc.make_sigma(0.3).mat, nc.make_horodecki(0.4).mat]
+    for dims, rank in [((2, 4), 2), ((3, 3), None), ((2, 2, 2), 1), ((2, 2, 2, 2), None)]:
+        rho = random_state(dims, 29, rank)
+        out += [rho.mat, np.stack([rho.mat] + [qmat.partial_transpose(rho, [k]) for k in range(1, len(dims))])]
+        out += list(qmat.marginal_stacks(rho).values())
+    return out
+
+
+class TestHermEigExactInput:
+    """A stack equal to its conjugate transpose goes to LAPACK as it is; any
+    other is checked and symmetrized.  Both give the old path's bits."""
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_exact_input_gives_the_symmetrized_bits(self, vectors):
+        for H in exact_inputs():
+            assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+            w, V = qmat.herm_eig(H, vectors)
+            want_w, want_V = symmetrized_path(H, vectors)
+            assert w.tobytes() == want_w.tobytes()
+            assert (V is None) if not vectors else V.tobytes() == want_V.tobytes()
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_inexact_input_within_tolerance_is_symmetrized(self, vectors):
+        for seed, H in enumerate(exact_inputs()):
+            A = nudged(H, 1e-13, seed)
+            assert not np.array_equal(A, np.conj(np.swapaxes(A, -1, -2)))
+            w, V = qmat.herm_eig(A, vectors)
+            want_w, want_V = symmetrized_path(A, vectors)
+            assert w.tobytes() == want_w.tobytes()
+            assert (V is None) if not vectors else V.tobytes() == want_V.tobytes()
+            # the perturbation reaches the result: LAPACK reads other bits from the unsymmetrized A
+            assert not np.array_equal(np.linalg.eigvalsh(A), np.linalg.eigvalsh(qmat.hermitian_part(A)[0]))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_stack_mixing_exact_and_inexact_matrices_is_symmetrized(self, vectors):
+        for dims in [(2, 4), (2, 2, 2, 2)]:
+            rho = random_state(dims, 37)
+            exact = rho.mat
+            inexact = nudged(exact, 1e-13, 3)
+            for stack in [np.stack([exact, inexact, exact]), np.stack([inexact, exact])]:
+                w, V = qmat.herm_eig(stack, vectors)
+                want_w, want_V = symmetrized_path(stack, vectors)
+                assert w.tobytes() == want_w.tobytes()
+                assert (V is None) if not vectors else V.tobytes() == want_V.tobytes()
+                assert not np.array_equal(np.linalg.eigvalsh(stack), np.linalg.eigvalsh(qmat.hermitian_part(stack)[0]))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_stack_with_one_matrix_past_tolerance_is_rejected(self, vectors):
+        exact = random_state((2, 4), 41).mat
+        for stack in [np.stack([exact, nudged(exact, 1e-8, 5)]), np.stack([exact, exact, nudged(exact, 1e-9, 6)])]:
+            with pytest.raises(nc.NonHermitian):
+                qmat.herm_eig(stack, vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_deviation_any_closeness_test_would_forgive_is_rejected(self, vectors):
+        # max|H - H^dag| / max|H| = 1e-9: past HERM_TOL, well inside np.allclose's defaults
+        H = np.diag([1.0, 0.5, 0.25]).astype(complex)
+        H[2, 0] = 1e-9
+        assert np.allclose(H, H.conj().T)
+        with pytest.raises(nc.NonHermitian):
+            qmat.herm_eig(H, vectors)
+
+
 class TestTensor:
     def test_identity(self):
         assert np.array_equal(qmat.tensor(np.eye(2), np.eye(3)), np.eye(6))
