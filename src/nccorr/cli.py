@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
         print(f"[{status}] {c.name}: {c.detail}")
         failed += 0 if c.passed else 1
     for name, s in seconds.items():
-        print(f"{name}: {s:.2f} s")
+        print(f"{name}: {s:.3f} s")
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 

@@ -11,7 +11,7 @@ as the state lives.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,13 +67,16 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     formed from halves, is diagonalized.  For exactly Hermitian H the two
     differ only in subnormal entries, which halving rounds, and in the sign
     of a zero.
-    A LAPACK failure or a non-finite eigenvalue is raised as NoConvergence.
+    A non-finite entry on the checked path (NaN always takes it), a LAPACK
+    failure or a non-finite eigenvalue is raised as NoConvergence.
     """
     A = np.asarray(H, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.size:
         raise DimensionMismatch(f"expected a nonempty square matrix or stack of them, got shape {A.shape}")
     S = A.reshape((-1,) + A.shape[-2:])
     if not np.array_equal(S, S.conj().swapaxes(-1, -2)):
+        if not np.isfinite(S).all():  # NaN passes the Hermiticity test, and eigvalsh may give finite values
+            raise NoConvergence("input has non-finite entries")
         half = S / 2.0  # max|H| and H - H^dag may overflow, their halves do not
         half_dag = half.conj().swapaxes(-1, -2)
         dev = np.abs(half - half_dag).max(axis=(-2, -1))
@@ -224,33 +227,43 @@ def product_basis_matrix(basis: ProductBasis) -> np.ndarray:
     return B
 
 
-def product_diagonals(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """diag(B_s^dag rho B_s) for a batch of product bases B_s = U_1[s] x ... x U_m[s].
+def projectors(factor_stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The rank-one projectors of a batch of product bases' columns, as `product_diagonals` takes them.
 
-    `factor_stacks[k]` has shape (S, d_k, d_k); the result is real with shape
-    (S, d_tot), columns in Kronecker order.  B_s is never formed: rho is
-    reordered as a tensor with one (i_k, j_k) index pair per subsystem, the
-    first subsystem's rank-one projectors conj(U[s,i,c]) U[s,j,c] are
+    `factor_stacks[k]` has shape (S, d_k, d_k), and stack k of the result
+    (S, d_k, d_k^2) holds conj(U[s, i, c]) U[s, j, c] at [s, c, (i, j)].
+    """
+    out = []
+    for F in factor_stacks:
+        # the projectors' strides follow the stacks', and matmul and sum round
+        # differently on different strides, so every stack enters in C order
+        S, d = len(F), F.shape[-1]
+        Ft = np.ascontiguousarray(F).transpose(0, 2, 1)
+        out.append((Ft.conj()[:, :, :, None] * Ft[:, :, None, :]).reshape(S, d, d * d))
+    return out
+
+
+def product_diagonals(rho_mat: np.ndarray, projector_stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """diag(B_s^dag rho B_s) for a batch of product bases B_s = U_1[s] x ... x U_m[s], given by their `projectors`.
+
+    The result is real with shape (S, d_tot), columns in Kronecker order.
+    B_s is never formed: rho is reordered as a tensor with one (i_k, j_k)
+    index pair per subsystem, the first subsystem's projectors are
     contracted against it in one GEMM shared by the batch, and each further
     subsystem in a matmul per sample (a single subsystem too, with rho
     broadcast).  That costs about S d_tot^2 d_1 instead of S d_tot^3.  A row
     depends only on the values of its factors: it comes out the same alone
-    or inside a batch, and in any memory layout of the stacks, which keeps
-    the D search independent of its chunk size.
+    or inside a batch, and in any memory layout of the factor stacks, which
+    keeps the D search independent of its chunk size.
     """
-    # the projectors' strides follow the stacks', and matmul and sum round
-    # differently on different strides, so every stack enters in C order
-    factor_stacks = [np.ascontiguousarray(F) for F in factor_stacks]
-    dims = [F.shape[-1] for F in factor_stacks]
+    dims = [P.shape[1] for P in projector_stacks]
     m = len(dims)
-    S = factor_stacks[0].shape[0]
+    S = projector_stacks[0].shape[0]
     X = rho_mat.reshape(tuple(dims) * 2).transpose([a for k in range(m) for a in (k, m + k)])
     done, rest = 1, rho_mat.shape[0]
-    for k, F in enumerate(factor_stacks):
+    for k, P in enumerate(projector_stacks):
         d = dims[k]
         rest //= d
-        Ft = F.transpose(0, 2, 1)
-        P = (Ft.conj()[:, :, :, None] * Ft[:, :, None, :]).reshape(S, d, d * d)
         if k == 0 and m > 1:
             X = P.reshape(S * d, d * d) @ X.reshape(d * d, rest * rest)
         else:  # at m == 1 the shared GEMM would be a gemv, whose rounding depends on S
@@ -267,4 +280,4 @@ def diag_probs(rho: DensityMatrix, basis: ProductBasis) -> np.ndarray:
     """
     if basis.dims != rho.dims:
         raise DimensionMismatch(f"basis dims {basis.dims} != state dims {rho.dims}")
-    return _check_probs(product_diagonals(rho.mat, [f[None] for f in basis.factors])[0])
+    return _check_probs(product_diagonals(rho.mat, projectors([f[None] for f in basis.factors]))[0])

@@ -9,15 +9,23 @@ the starts one that would have descended lower.  Each Haar factor is the
 unitary of a QR decomposition of a complex Gaussian matrix, with R's diagonal
 real and positive; `_haar_batch` computes it by Gram–Schmidt in whole-batch
 elementwise arithmetic, so a sample comes out bit-identical whatever batch it
-is made in.  Every basis is scored by `_batch_entropies`, whose rows do not
-depend on the batch either.
+is made in.  Every basis is scored by `_batch_entropies` from its columns'
+rank-one projectors (`qmat.projectors`), and its rows do not depend on the
+batch either.
 
 A sample set depends only on the SearchConfig and the dims, never on rho, so
-a search of one chunk keeps its samples on the config with `core.kept`,
-read-only, in `cfg._samples`: one set per dims for as long as the config lives.
-A sweep passes one config to every point, so it makes each dims' samples
-once.  Those sets are the only state the search keeps between calls.  A
-search of more than one chunk makes its samples anew on every call.
+a search of one chunk keeps its samples, their factor stacks and their
+projectors, on the config with `core.kept`, read-only, in `cfg._samples`:
+one set per dims for as long as the config lives.  A sweep passes one config
+to every point, so it makes each dims' samples and projectors once.  Those
+sets are the only state the search keeps between calls.  A search of more
+than one chunk makes its samples anew on every call.
+
+Nothing is computed twice within a call either.  `_descend` takes the
+derivatives of every start once, and again only where a step was accepted;
+the witness's certificate (gradient norm, least Hessian eigenvalue) is read
+from those.  The derivatives' products R G^_a with the Lie generators are one
+gather of R's entries by a table `_lie` makes once per descent.
 """
 from __future__ import annotations
 
@@ -46,8 +54,8 @@ class SearchConfig:
     seed: int = 1
     refine_steps: int = 100  # most descent rounds per start
     chunk_size: int = 2048  # samples made and scored at a time; never affects results
-    # dims -> the read-only factor stacks of a one-chunk search (`core.kept`)
-    _samples: Dict[Tuple[int, ...], List[np.ndarray]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # dims -> the read-only factor stacks of a one-chunk search and their projectors (`core.kept`)
+    _samples: Dict[Tuple[int, ...], Tuple[List[np.ndarray], List[np.ndarray]]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_samples < 0 or self.refine_steps < 0:
@@ -75,14 +83,18 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
     real ufuncs with every d-term sum added in a fixed order, so a sample's
     factors depend only on its row of N (the matrices' entries in turn,
     row-major, real then imaginary part): they are bit-identical whether the
-    row comes alone, in a slice or in the full batch.  The Ginibre scale is
-    left out, since Gram–Schmidt does not depend on it.  A column whose
-    residual norm is exactly zero raises NoConvergence.
+    row comes alone, in a slice or in the full batch.  For the same reason
+    the subsystems of one dimension share one Gram–Schmidt, their samples
+    side by side.  The Ginibre scale is left out, since Gram–Schmidt does
+    not depend on it.  A column whose residual norm is exactly zero raises
+    NoConvergence.
     """
-    factors = []
-    for d, G in zip(dims, np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1)):
-        # Q[c, r, s] is entry (r, c) of sample s, and reduce(np.add, ...) sums over r in order
-        Q = np.ascontiguousarray(G.view(np.complex128).reshape(-1, d, d).T)
+    S, blocks, factors = len(N), np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1), {}
+    for d in dict.fromkeys(dims):
+        ks = [k for k, dk in enumerate(dims) if dk == d]
+        # Q[c, r, s] is entry (r, c) of sample s (of subsystem ks[s // S]), and reduce(np.add, ...) sums over r in order
+        Q = np.empty((d, d, len(ks) * S), dtype=np.complex128)  # C order: a column's samples are contiguous
+        np.concatenate([blocks[k].view(np.complex128).reshape(-1, d, d).T for k in ks], axis=2, out=Q)
         for c in range(d):
             v = Q[c]
             for _ in range(2):
@@ -96,8 +108,8 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
             # a complex-by-real division rounds differently from dividing each part
             v.real /= nrm
             v.imag /= nrm
-        factors.append(np.ascontiguousarray(Q.T))
-    return factors
+        factors.update((k, np.ascontiguousarray(Q[:, :, j * S : (j + 1) * S].T)) for j, k in enumerate(ks))
+    return [factors[k] for k in range(len(dims))]
 
 
 def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductBasis:
@@ -107,13 +119,19 @@ def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductB
     return ProductBasis(tuple(f[0] for f in facs))
 
 
-def _batch_entropies(rho_mat: np.ndarray, factor_stacks: List[np.ndarray]) -> np.ndarray:
-    """Base-2 Shannon entropy of rho's diagonal in each sampled product basis.
+def _batch_entropies(rho_mat: np.ndarray, projector_stacks: List[np.ndarray]) -> np.ndarray:
+    """Base-2 Shannon entropy of rho's diagonal in each product basis, given by its `qmat.projectors`.
 
     The diagonals come from `qmat.product_diagonals`, which contracts rho one
     subsystem at a time and never forms the d_tot x d_tot basis.
     """
-    return qmat.entropy_bits(qmat.product_diagonals(rho_mat, factor_stacks))
+    return qmat.entropy_bits(qmat.product_diagonals(rho_mat, projector_stacks))
+
+
+def _samples(rng: np.random.Generator, dims: Sequence[int], S: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """The next S Haar samples drawn from rng: their factor stacks and the factors' `qmat.projectors`."""
+    facs = _haar_batch(dims, _ginibre(rng, dims, S))
+    return facs, qmat.projectors(facs)
 
 
 def _lie_basis(d: int) -> np.ndarray:
@@ -131,21 +149,46 @@ def _lie_basis(d: int) -> np.ndarray:
     return G
 
 
-def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], bases: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lie(dims: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """Each subsystem's `_lie_basis`, and the gather table (take, coef) that gives X_a = R G^_a.
+
+    A generator has at most one nonzero per column, so with G^_a = 1 x G_a x 1
+    over the whole space, column c of R G^_a is coef[a, c] times one column
+    of R (times 0 where G^_a's column is zero).  take (n, d_tot, d_tot) holds,
+    for each a, the flat index into a (d_tot, d_tot) R of every entry of X_a,
+    and coef is (n, 1, d_tot), for n = sum(d_k^2 - d_k) generators in
+    subsystem order.
+    """
+    bases, cols, coefs = [_lie_basis(d) for d in dims], [], []
+    for k, (d, G) in enumerate(zip(dims, bases)):
+        lo, hi = math.prod(dims[:k]), math.prod(dims[k + 1 :])
+        row = np.argmax(G != 0, axis=1)  # (a, y): the row of G_a's nonzero in column y, or 0
+        # column (l, y, h) of X_a is column (l, row[a, y], h) of R times G_a[row[a, y], y]
+        cols.append(((np.arange(lo)[:, None, None] * d + row[:, None, :, None]) * hi + np.arange(hi)).reshape(len(G), -1))
+        coef = np.take_along_axis(G, row[:, None], axis=1)[:, 0]
+        coefs.append(np.broadcast_to(coef[:, None, :, None], (len(G), lo, d, hi)).reshape(len(G), -1))
+    d_tot = math.prod(dims)
+    take = np.arange(d_tot)[:, None] * d_tot + np.concatenate(cols)[:, None, :]
+    return bases, take, np.concatenate(coefs)[:, None, :]
+
+
+def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], lie: Tuple[List[np.ndarray], np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of the diagonal entropy f(U_k exp(A_k)) at A = 0, for a batch of product bases.
 
     A factor moves as U_k exp(A_k), and A = sum_a x_a G^_a runs over `bases`,
-    each subsystem's `_lie_basis` in turn, lifted to the whole space as
-    G^_a = 1 x G_a x 1: sum(d_k^2 - d_k) coordinates.  With R = B^dag rho B,
+    the `_lie_basis` of each subsystem in turn (`lie` is `_lie(dims)`),
+    lifted to the whole space as G^_a = 1 x G_a x 1: sum(d_k^2 - d_k)
+    coordinates.  With R = B^dag rho B,
     p = diag R, lambda = log2 p and M_a = [R, G^_a] (the first derivative of R):
 
         g_a  = -sum_i lambda_i (M_a)_ii
         H_ab = -1/2 sum_ij (lambda_i - lambda_j) ((M_a)_ij (G^_b)_ji + (M_b)_ij (G^_a)_ji)
                - sum_i (M_a)_ii (M_b)_ii / (p_i ln 2)
 
-    G^_a is never formed.  M_a = X_a + X_a^dag with X_a = R G^_a, one matmul
-    per subsystem over that subsystem's column axis, against every G_a of
-    the subsystem side by side.  As lambda_i - lambda_j
+    G^_a is never formed.  M_a = X_a + X_a^dag with X_a = R G^_a, which is
+    one gather of R's entries by `_lie`'s table and one multiply by its
+    coefficients for all a at once: equal to the matmul, as each entry is
+    one product.  As lambda_i - lambda_j
     is antisymmetric and G^_b anti-Hermitian, the X_a^dag half of each sum
     is the conjugate of the X_a half, so X_a alone gives both: (M_a)_ii =
     2 Re (X_a)_ii, and the sum against G^_b is 2 Re of a partial trace onto
@@ -153,7 +196,7 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], bases
     batch axis, so a row does not depend on its batch.  Returns g (S, n),
     H (S, n, n) and p (S, d_tot).
     """
-    dims = [F.shape[-1] for F in factor_stacks]
+    dims, (bases, take, coef) = [F.shape[-1] for F in factor_stacks], lie
     S, d_tot = len(factor_stacks[0]), rho_mat.shape[0]
     B = factor_stacks[0]
     for F in factor_stacks[1:]:
@@ -166,14 +209,8 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], bases
     lam = np.log2(pc)
     # each subsystem's dimension, basis and the dimensions before and after it
     subs = [(d, G, math.prod(dims[:k]), math.prod(dims[k + 1 :])) for k, (d, G) in enumerate(zip(dims, bases))]
-    X = np.empty((S, sum(len(G) for _, G, _, _ in subs), d_tot, d_tot), dtype=np.complex128)
-    off = 0
-    for d, G, lo, hi in subs:
-        # X_a[(i, l), y, h] = sum_x R[(i, l), x, h] G_a[x, y]
-        Rk = R.reshape(S, d_tot * lo, d, hi).transpose(0, 1, 3, 2).reshape(S, -1, d)
-        Y = (Rk @ G.transpose(1, 0, 2).reshape(d, -1)).reshape(S, d_tot * lo, hi, len(G), d)
-        X[:, off : off + len(G)].reshape(S, len(G), d_tot * lo, d, hi)[...] = Y.transpose(0, 3, 1, 4, 2)
-        off += len(G)
+    X = np.take(R.reshape(S, -1), take, axis=1)
+    X *= coef
     J = 2.0 * X.diagonal(axis1=2, axis2=3).real
     g = -(J @ lam[:, :, None])[:, :, 0]
     N = X
@@ -200,64 +237,67 @@ def _rotate(U: np.ndarray, A: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.einsum("sik,stk,sjk->stij", U @ V, phase, V.conj())
 
 
-def _newton(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], bases: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Saddle-free Newton steps at a batch of product bases and their squared gradient norms.
+def _newton(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Saddle-free Newton steps from a batch of `_derivatives`' gradients g and Hessians H.
 
     The step is -V diag(1/max(|w|, `_EIG_FLOOR`)) V^T g for H = V diag(w) V^T,
     so it descends at saddles too, and it is scaled back to length `_RADIUS`
     if longer.  It is returned in the coordinates x of `_derivatives`: one
     (S, sum(d_k^2 - d_k)) array.
     """
-    g, H, _ = _derivatives(rho_mat, factor_stacks, bases)
     w, V = np.linalg.eigh(H)
     x = -np.einsum("sab,sb->sa", V, np.einsum("sba,sb->sa", V, g) / np.maximum(np.abs(w), _EIG_FLOOR))
     norm = np.sqrt(np.einsum("sa,sa->s", x, x))
     x *= np.minimum(1.0, _RADIUS / np.maximum(norm, 1e-300))[:, None]
-    return x, np.einsum("sa,sa->s", g, g)
+    return x
 
 
 def _descend(
     rho_mat: np.ndarray, stacks: Sequence[np.ndarray], h: np.ndarray, max_rounds: int
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
     """Saddle-free Newton descent on the product of unitary groups, from every start at once.
 
-    A round moves each live start along its `_newton` step x, kept in Lie
-    coordinates until here, as U_k exp(t A_k) with A_k = sum_a x_a G_a over
-    subsystem k's `_lie_basis`, for the steps t in `_TRIALS`, scored in one
-    call, and takes the lowest if it is below the start's entropy; x is then
-    recomputed there.  A start stops at gradient norm `_GRAD_TOL`, at
-    `max_rounds` rounds, or after its first round with no lower step, which
-    counts as a round but not as an accepted one and leaves its factors and
-    entropy as they were.  Every per-start array is indexed by start number
-    for the whole call, and each subsystem's `_lie_basis`, its columns of x
-    and the subsystems of each dimension are found once.  A round gathers
-    the live starts by index, turns the factors of every subsystem of
-    dimension d, subsystem by subsystem, in one `_rotate` call, and writes
-    the accepted steps back.  Returns new factor stacks, entropies, rounds
-    and accepted rounds.
+    Every start's `_derivatives` (g, H, p) are taken once, before round 1,
+    at max_rounds = 0 too.  A round moves each live start along its
+    `_newton` step x, kept in Lie coordinates until here, as U_k exp(t A_k)
+    with A_k = sum_a x_a G_a over subsystem k's `_lie_basis`, for the steps t
+    in `_TRIALS`, scored in one call, and takes the lowest if it is below the
+    start's entropy; the derivatives are then taken there.  A start stops at
+    gradient norm `_GRAD_TOL`, at `max_rounds` rounds, or after its first
+    round with no lower step, which counts as a round but not as an accepted
+    one and leaves its factors, entropy and derivatives as they were.  Every
+    per-start array is indexed by start number for the whole call, and
+    `_lie`'s tables, each subsystem's columns of x and the subsystems of
+    each dimension are found once.  A round gathers the live starts by
+    index, turns the factors of every subsystem of dimension d, subsystem by
+    subsystem, in one `_rotate` call, and writes the accepted steps back.
+    Returns new factor stacks, entropies, rounds, accepted rounds, and the
+    derivatives at every start and at every end (its last accepted
+    position), each a new (g, H, p).
     """
     dims = [F.shape[-1] for F in stacks]
-    bases = [_lie_basis(d) for d in dims]
+    lie = _lie(dims)
+    bases = lie[0]
     ends = np.cumsum([len(G) for G in bases])
     cols = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
     groups = [(d, [k for k, dk in enumerate(dims) if dk == d]) for d in set(dims)]
     n = len(h)
-    U, h, x, gg = [np.array(F) for F in stacks], np.array(h), np.zeros((n, ends[-1])), np.zeros(n)
+    U, h = [np.array(F) for F in stacks], np.array(h)
+    first = _derivatives(rho_mat, U, lie)
+    g, H, p = (np.array(v) for v in first)
     rounds, accepts, live = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(n, max_rounds > 0)
-    a = np.flatnonzero(live)  # the starts whose step is due: all before round 1, then those just accepted
     while True:
-        if len(a):
-            x[a], gg[a] = _newton(rho_mat, [F[a] for F in U], bases)
-        live &= (gg > _GRAD_TOL ** 2) & (rounds < max_rounds)
+        live &= (np.einsum("sa,sa->s", g, g) > _GRAD_TOL ** 2) & (rounds < max_rounds)
         i = np.flatnonzero(live)
         if not len(i):
-            return U, h, rounds, accepts
-        m, trials, xi = len(i), {}, x[i]
+            return U, h, rounds, accepts, first, (g, H, p)
+        m, trials, xi = len(i), {}, _newton(g[i], H[i])
         for d, ks in groups:
             A = np.einsum("sa,aij->sij", np.concatenate([xi[:, cols[k]] for k in ks]), bases[ks[0]])
             moved = _rotate(np.concatenate([U[k][i] for k in ks]), A, _TRIALS)
             trials.update((k, moved[j * m : (j + 1) * m]) for j, k in enumerate(ks))
-        ent = _batch_entropies(rho_mat, [trials[k].reshape(-1, d, d) for k, d in enumerate(dims)]).reshape(m, -1)
+        stepped = qmat.projectors([trials[k].reshape(-1, d, d) for k, d in enumerate(dims)])
+        ent = _batch_entropies(rho_mat, stepped).reshape(m, -1)
         step = np.argmin(ent, axis=1)
         low = ent[np.arange(m), step]
         ok = low < h[i]
@@ -267,6 +307,8 @@ def _descend(
         for k, F in enumerate(U):
             F[a] = trials[k][ok, step[ok]]
         h[a], live[i] = low[ok], ok
+        if len(a):
+            g[a], H[a], p[a] = _derivatives(rho_mat, [F[a] for F in U], lie)
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
@@ -286,12 +328,15 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     marginal eigenbasis, then the best `_N_STARTS` samples by (entropy,
     index).  Each chunk of `chunk_size` samples is scored once and appended
     to the set, which is then trimmed back, so memory does not grow with
-    the number of samples.  A search of one chunk keeps its samples on cfg
-    (`core.kept`), and a longer one makes them chunk by chunk on every call.
+    the number of samples.  A search of one chunk keeps its samples and
+    their projectors on cfg (`core.kept`), and a longer one makes them chunk
+    by chunk on every call.
     The first lowest start is the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
-    through the checked `qmat.diag_probs`.
+    through the checked `qmat.diag_probs`, and its gradient norm and least
+    Hessian eigenvalue come from the derivatives `_descend` took at it,
+    before round 1 or at its last accepted step.
 
     Returns (entropy in bits, witness basis, diagnostics).  The result is an
     upper bound on the true minimum and is bit-identical for identical cfg,
@@ -300,33 +345,33 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     dims, n = rho.dims, cfg.n_samples
     rng = np.random.default_rng(cfg.seed % 2 ** 64)  # the samples' stream, so a kept set is its first n draws
     stacks = [np.stack(f) for f in zip(computational_basis(dims).factors, marginal_eigenbasis(rho).factors)]
-    h, idx = _batch_entropies(rho.mat, stacks), np.array([-2, -1])
+    h, idx = _batch_entropies(rho.mat, qmat.projectors(stacks)), np.array([-2, -1])
     for lo in range(0, n, cfg.chunk_size):
         new = np.arange(lo, min(lo + cfg.chunk_size, n))
-        make = lambda: _haar_batch(dims, _ginibre(rng, dims, len(new)))
-        facs = kept(cfg._samples, dims, make) if len(new) == n else make()
-        h, idx = np.concatenate([h, _batch_entropies(rho.mat, facs)]), np.concatenate([idx, new])
+        make = lambda: _samples(rng, dims, len(new))
+        facs, projs = kept(cfg._samples, dims, make) if len(new) == n else make()
+        h, idx = np.concatenate([h, _batch_entropies(rho.mat, projs)]), np.concatenate([idx, new])
         # kept samples precede the chunk's and have lower indices, so a stable sort ties by index
         keep = np.r_[0, 1, 2 + np.argsort(h[2:], kind="stable")[:_N_STARTS]]
         h, idx, stacks = h[keep], idx[keep], [np.concatenate(pair)[keep] for pair in zip(stacks, facs)]
 
     sources = ["computational", "marginal-eigenbasis", *(f"sample:{i}" for i in idx[2:])]
-    descended, h_desc, rounds, accepts = _descend(rho.mat, stacks, h, cfg.refine_steps)
+    descended, h_desc, rounds, accepts, at_start, at_end = _descend(rho.mat, stacks, h, cfg.refine_steps)
     first, i = int(np.argmin(h)), int(np.argmin(h_desc))
     if h_desc[i] < h[first] - _MARGIN:
-        factors, best_source, start = [F[i] for F in descended], "refine", sources[i]
+        j, best, at, best_source = i, descended, at_end, "refine"
     else:
-        factors, best_source, start = [F[first] for F in stacks], sources[first], sources[first]
+        j, best, at, best_source = first, stacks, at_start, sources[first]
 
-    witness = ProductBasis(tuple(factors))
-    g, H, p = (x[0] for x in _derivatives(rho.mat, [f[None] for f in factors], [_lie_basis(d) for d in dims]))
+    witness = ProductBasis(tuple(F[j] for F in best))
+    g, H, p = (x[j] for x in at)  # the derivatives the descent took there
     gradient_norm = float(np.sqrt(g @ g))
     diagnostics = {
         "samples_evaluated": n,
         "refine_steps": int(rounds.sum()),
         "refine_accepts": int(accepts.sum()),
         "best_source": best_source,
-        "start": start,
+        "start": sources[j],
         "start_rounds": rounds.tolist(),
         "gradient_norm": gradient_norm,
         "converged": gradient_norm <= _GRAD_TOL,

@@ -123,10 +123,23 @@ def test_the_layer_list_covers_both_modes_and_the_measures():
         for rot in ("", "-rotated"):
             for vectors in (False, True):
                 assert f"herm_eig[{kind}{rot}, vectors={vectors}]" in names
-    assert names[-4:] == ["measure_G", "measure_DG", "measure_K", "negativity"]
+    measures = ["measure_G", "measure_DG", "measure_K", "negativity"]
+    assert names[names.index("measure_G") : names.index("measure_G") + 4] == measures
+    assert names[-7:] == ["min_diag_entropy[families, reused config]",
+                          "min_diag_entropy[measure-cold states, fresh config]",
+                          "measure_D[measure-cold states, fresh config]",
+                          *(f"_haar_batch[{dims}, 512 samples]" for dims in bench_layers.STATE_DIMS)]
 
 
 def test_rotated_inputs_are_inexact_and_the_others_exact(pkgs):
     for kind, inputs in bench_layers.herm_inputs(pkgs["parent"]).items():
         exact = [np.array_equal(H, np.conj(np.swapaxes(H, -1, -2))) for H in inputs]
         assert inputs and (not any(exact) if kind.endswith("-rotated") else all(exact)), kind
+
+
+def test_the_d_search_layers_run_on_both_copies_and_agree(pkgs):
+    # each D-search layer's call works on a loaded copy and gives the other
+    # copy's outputs; the reused config is filled before the call
+    for name, setup in bench_layers.layers()[-7:]:
+        a, b = (setup(pkgs[side])() for side in ("parent", "change"))
+        assert a and bench_layers.same(a, b), name

@@ -370,7 +370,7 @@ class TestVerify:
         code, out = verify_out
         assert code == 0
         lines = out.splitlines()
-        timing = [line for line in lines if re.fullmatch(r"criterion-\d: \d+\.\d\d s", line)]
+        timing = [line for line in lines if re.fullmatch(r"criterion-\d: \d+\.\d\d\d s", line)]
         assert [line.split(":")[0] for line in timing] == [f"criterion-{n}" for n in range(1, 10)]
         checks = [line for line in lines if line.startswith("[")]
         assert len(checks) + len(timing) + 1 == len(lines)

@@ -84,8 +84,8 @@ class TestMeasureD:
         rotated = ufull @ rho.mat @ ufull.conj().T
         F = search._haar_batch(dims, search._ginibre(np.random.default_rng(42), dims, 16))
         UF = [uk @ Fk for uk, Fk in zip(u.factors, F)]
-        assert np.allclose(qmat.product_diagonals(rotated, UF),
-                           qmat.product_diagonals(rho.mat, F), rtol=0, atol=1e-12)
+        assert np.allclose(qmat.product_diagonals(rotated, qmat.projectors(UF)),
+                           qmat.product_diagonals(rho.mat, qmat.projectors(F)), rtol=0, atol=1e-12)
 
     # the Bell states' (c1, c2, c3), vertices of the tetrahedron of Bell-diagonal states
     BELL_VERTICES = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)

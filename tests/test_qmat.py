@@ -130,6 +130,17 @@ class TestHermEigFailure:
             with pytest.raises(nc.NoConvergence, match="non-finite"):
                 qmat.herm_eig(np.array([[0, z], [np.conj(z), 0]]), vectors=vectors)
 
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_nan_entry_is_no_convergence_in_both_modes(self, vectors):
+        # NaN never equals itself, so it takes the checked path, whose
+        # Hermiticity test it passes; eigvalsh alone gave [-0., 0.] for this one
+        H = np.array([[np.nan, 0], [0, 1]])
+        for A in (H, np.stack([np.eye(2), H]), np.stack([H, np.eye(2)])):
+            with pytest.raises(nc.NoConvergence, match="non-finite"):
+                qmat.herm_eig(A, vectors=vectors)
+        with pytest.raises(nc.NoConvergence, match="non-finite"):
+            qmat.herm_eig(np.array([[1, np.nan + 1j], [np.nan - 1j, 1]]), vectors=vectors)
+
 
 class TestHermEigStack:
     @pytest.mark.parametrize("rank", [1, 2, None], ids=["rank-1", "rank-2", "full-rank"])
@@ -383,7 +394,7 @@ class TestEntropies:
         # a pure state in its marginal eigenbasis (a Schmidt basis) has zero
         # diagonal entries, which come out as round-off negatives
         rows = [
-            qmat.product_diagonals(rho.mat, [f[None] for f in search.marginal_eigenbasis(rho).factors])[0]
+            qmat.product_diagonals(rho.mat, qmat.projectors([f[None] for f in search.marginal_eigenbasis(rho).factors]))[0]
             for rho in (random_state(dims, seed, rank=1) for seed in range(20))
         ]
         P = np.array(rows + [[1.0, -1e-17, *([0.0] * (len(rows[0]) - 2))]])
@@ -464,7 +475,7 @@ class TestProductDiagonals:
     def test_matches_dense_kronecker_formula(self, dims, n):
         rho = random_state(dims, 40 + n)
         stacks = self.haar_stacks(dims, n, 5)
-        got = qmat.product_diagonals(rho.mat, stacks)
+        got = qmat.product_diagonals(rho.mat, qmat.projectors(stacks))
         assert got.shape == (n, rho.d_tot)
         for s in range(n):
             B = qmat.product_basis_matrix(nc.ProductBasis(tuple(F[s] for F in stacks)))
@@ -475,9 +486,9 @@ class TestProductDiagonals:
     def test_row_alone_equals_row_in_batch(self, dims):
         rho = random_state(dims, 61)
         stacks = self.haar_stacks(dims, 37, 6)
-        batch = qmat.product_diagonals(rho.mat, stacks)
+        batch = qmat.product_diagonals(rho.mat, qmat.projectors(stacks))
         for s in range(37):
-            alone = qmat.product_diagonals(rho.mat, [F[s : s + 1] for F in stacks])
+            alone = qmat.product_diagonals(rho.mat, qmat.projectors([F[s : s + 1] for F in stacks]))
             assert np.array_equal(alone[0], batch[s])
 
     @pytest.mark.parametrize("dims", DIMS)
@@ -490,9 +501,9 @@ class TestProductDiagonals:
             f_order = [np.asfortranarray(np.stack([f, f[::-1]])) for f in facs]
             c_order = [np.ascontiguousarray(F) for F in f_order]
             strided = [np.stack([F, F], axis=-1)[..., 0] for F in f_order]
-            want = qmat.product_diagonals(rho.mat, c_order)
+            want = qmat.product_diagonals(rho.mat, qmat.projectors(c_order))
             assert not strided[0].flags.c_contiguous and not strided[0].flags.f_contiguous
             for stacks in (f_order, strided):
-                assert np.array_equal(qmat.product_diagonals(rho.mat, stacks), want)
-            alone = qmat.product_diagonals(rho.mat, [f[None] for f in facs])
+                assert np.array_equal(qmat.product_diagonals(rho.mat, qmat.projectors(stacks)), want)
+            alone = qmat.product_diagonals(rho.mat, qmat.projectors([f[None] for f in facs]))
             assert np.array_equal(alone[0], want[0])

@@ -22,11 +22,6 @@ def normals(dims, n, seed):
     return search._ginibre(np.random.default_rng(seed), dims, n)
 
 
-def lie_bases(dims):
-    """The `search._lie_basis` of each subsystem, as `_derivatives` and `_newton` take them."""
-    return [search._lie_basis(d) for d in dims]
-
-
 def perturbed(rho, seed):
     """rho plus 1e-15 (E + E^dag)/2, E complex Gaussian from default_rng(seed): round-off in a stored state."""
     rng = np.random.default_rng(seed)
@@ -49,6 +44,16 @@ class TestHaarSampling:
         assert basis.unitarity_residual() <= 1e-12
         for f in basis.factors:
             assert np.allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3, 2), (2, 2, 2, 2)])
+    def test_one_gram_schmidt_per_dimension_equals_one_per_subsystem(self, dims):
+        # the subsystems of one dimension share one Gram-Schmidt; each factor
+        # must be bit for bit the one its subsystem's normals give alone
+        N = normals(dims, 300, 12)
+        ends = np.cumsum([2 * d * d for d in dims])
+        for d, end, F in zip(dims, ends, search._haar_batch(dims, N)):
+            (alone,) = search._haar_batch((d,), np.ascontiguousarray(N[:, end - 2 * d * d : end]))
+            assert F.flags.c_contiguous and F.shape == alone.shape and F.tobytes() == alone.tobytes()
 
     def test_deterministic_per_seed(self):
         a = nc.haar_random_product_basis((2, 4), 99)
@@ -210,7 +215,7 @@ class TestMinDiagEntropy:
         rho, n = nc.random_density_matrix((2, 3), 6, 21), 300
         nc.min_diag_entropy(rho, nc.SearchConfig(n_samples=n, seed=4, refine_steps=0, chunk_size=chunk_size))
         facs = search._haar_batch(rho.dims, normals(rho.dims, n, 4))
-        score = np.round(real(rho.mat, facs), 1)
+        score = np.round(real(rho.mat, qmat.projectors(facs)), 1)
         best = sorted(range(n), key=lambda i: (score[i], i))[: search._N_STARTS + 1]
         assert score[best[-2]] == score[best[-1]]  # a tie at the cut
         fixed = zip(search.computational_basis(rho.dims).factors, search.marginal_eigenbasis(rho).factors)
@@ -265,7 +270,7 @@ class TestDescent:
             A = np.einsum("ka,aij->kij", X[:, off : off + len(G)], G)
             off += len(G)
             moved.append(search._rotate(np.repeat(F, len(X), axis=0), A, np.ones(1))[:, 0])
-        return search._batch_entropies(rho.mat, moved)
+        return search._batch_entropies(rho.mat, qmat.projectors(moved))
 
     @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_gradient_matches_central_differences(self, dims):
@@ -273,10 +278,10 @@ class TestDescent:
         # of the scorer, at eps = 1e-5 for g and 1e-4 for H
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 5)
         factors = search._haar_batch(dims, normals(dims, 1, 3))
-        g, H, p = search._derivatives(rho.mat, factors, lie_bases(dims))
+        g, H, p = search._derivatives(rho.mat, factors, search._lie(dims))
         n = sum(d * d - d for d in dims)
         assert g.shape == (1, n) and H.shape == (1, n, n)
-        assert np.max(np.abs(p - qmat.product_diagonals(rho.mat, factors))) <= 1e-15
+        assert np.max(np.abs(p - qmat.product_diagonals(rho.mat, qmat.projectors(factors)))) <= 1e-15
         E = np.eye(n)
         f = self.moved_entropies(rho, factors, np.concatenate([1e-5 * E, -1e-5 * E])).reshape(2, n)
         assert np.max(np.abs(g[0] - (f[0] - f[1]) / 2e-5)) <= 1e-9
@@ -291,7 +296,7 @@ class TestDescent:
         # descended witness is a strict local minimum
         rho = nc.make_horodecki(0.52)
         for basis, least in [(nc.computational_basis(rho.dims), -0.2985), (search.marginal_eigenbasis(rho), -0.01736)]:
-            g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors], lie_bases(rho.dims))
+            g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors], search._lie(rho.dims))
             assert np.sqrt(g[0] @ g[0]) <= search._GRAD_TOL
             assert np.linalg.eigvalsh(H[0])[0] == pytest.approx(least, abs=1e-4)
         rep = nc.measure_D(rho, nc.SearchConfig())
@@ -348,17 +353,17 @@ class TestDescent:
         # (2,3,2)'s qubits are not adjacent: their rotations share a call across the qutrit
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7)
         starts = search._haar_batch(dims, normals(dims, 4, 1))
-        h = search._batch_entropies(rho.mat, starts)
-        U, _, _, _ = search._descend(rho.mat, starts, h, 100)
-        norms = np.sqrt((np.abs(search._derivatives(rho.mat, U, lie_bases(dims))[0]) ** 2).sum(1))
+        h = search._batch_entropies(rho.mat, qmat.projectors(starts))
+        U, *_ = search._descend(rho.mat, starts, h, 100)
+        norms = np.sqrt((np.abs(search._derivatives(rho.mat, U, search._lie(dims))[0]) ** 2).sum(1))
         stationary = [F[[np.argmin(norms)]] for F in U]
         assert norms.min() <= search._GRAD_TOL
         starts = [np.concatenate([F[:2], S, F[2:]]) for F, S in zip(starts, stationary)]
-        h = search._batch_entropies(rho.mat, starts)
-        U, h_end, rounds, _ = search._descend(rho.mat, starts, h, 100)
+        h = search._batch_entropies(rho.mat, qmat.projectors(starts))
+        U, h_end, rounds, *_ = search._descend(rho.mat, starts, h, 100)
         assert rounds[2] == 0 and len(set(rounds.tolist())) > 2
         for i in range(5):
-            U_i, h_i, rounds_i, _ = search._descend(rho.mat, [F[i : i + 1] for F in starts], h[i : i + 1], 100)
+            U_i, h_i, rounds_i, *_ = search._descend(rho.mat, [F[i : i + 1] for F in starts], h[i : i + 1], 100)
             assert h_i[0] == h_end[i] and rounds_i[0] == rounds[i]
             for F, F_i in zip(U, U_i):
                 assert np.array_equal(F_i[0], F[i])
@@ -401,8 +406,8 @@ class TestDescent:
         # rounds carry only start 1, whose path is that of start 1 alone
         rho = nc.random_density_matrix((3, 3), 9, 7)
         starts = search._haar_batch((3, 3), normals((3, 3), 2, 1))
-        h = search._batch_entropies(rho.mat, starts)
-        (U, h_end, rounds, accepts), rotated, derived, scores = self.spied_descend(
+        h = search._batch_entropies(rho.mat, qmat.projectors(starts))
+        (U, h_end, rounds, accepts, *_), rotated, derived, scores = self.spied_descend(
             monkeypatch, rho.mat, starts, h, 100, reject=(2, 0))
         assert rounds[0] == 2 and accepts[0] == 1
         assert rounds[1] > 3 and accepts[1] >= rounds[1] - 1
@@ -414,7 +419,7 @@ class TestDescent:
         assert [len(U_r) for U_r, _ in rotated] == [4, 4] + [2] * (rounds[1] - 2)
         assert [len(F[0]) for F in derived] == [2, 2] + [1] * (len(derived) - 2)
 
-        (U_1, h_1, rounds_1, accepts_1), rotated_1, derived_1, _ = self.spied_descend(
+        (U_1, h_1, rounds_1, accepts_1, *_), rotated_1, derived_1, _ = self.spied_descend(
             monkeypatch, rho.mat, [F[1:] for F in starts], h[1:], 100)
         assert h_1[0] == h_end[1] and rounds_1[0] == rounds[1] and accepts_1[0] == accepts[1]
         for F, F_1 in zip(U, U_1):
@@ -433,37 +438,63 @@ class TestDescent:
         # basis wins, so the outputs must be new arrays, at 0 rounds too
         rho = nc.random_density_matrix((2, 2, 2), 8, 7)
         starts = search._haar_batch((2, 2, 2), normals((2, 2, 2), 4, 1))
-        h = search._batch_entropies(rho.mat, starts)
+        h = search._batch_entropies(rho.mat, qmat.projectors(starts))
         before = [a.copy() for a in (*starts, h)]
         for a in (*starts, h):
             a.setflags(write=False)
-        U, h_end, rounds, _ = search._descend(rho.mat, starts, h, max_rounds)
+        U, h_end, rounds, _, first, last = search._descend(rho.mat, starts, h, max_rounds)
         assert rounds.any() == (max_rounds > 0)
         for a, b in zip((*starts, h), before):
             assert np.array_equal(a, b)
         for out in (*U, h_end):
             assert out.flags.writeable and not any(np.shares_memory(out, a) for a in (*starts, h))
+        for out in (*first, *last):
+            assert not any(np.shares_memory(out, a) for a in (*starts, h))
 
-    def test_no_rounds_compute_no_derivatives_and_turn_nothing(self, monkeypatch):
+    def test_no_rounds_take_the_starts_derivatives_once_and_turn_nothing(self, monkeypatch):
+        # the witness's certificate comes from the descent, so at 0 rounds the
+        # starts are evaluated once, all in one call, and nothing moves
         rho = nc.random_density_matrix((2, 3), 6, 7)
         starts = search._haar_batch((2, 3), normals((2, 3), 3, 1))
-        h = search._batch_entropies(rho.mat, starts)
-        (U, h_end, rounds, accepts), rotated, derived, scores = self.spied_descend(
+        h = search._batch_entropies(rho.mat, qmat.projectors(starts))
+        (U, h_end, rounds, accepts, first, last), rotated, derived, scores = self.spied_descend(
             monkeypatch, rho.mat, starts, h, 0)
-        assert rotated == derived == scores == []
+        assert rotated == scores == []
+        assert len(derived) == 1
+        for F, F_0 in zip(derived[0], starts):
+            assert np.array_equal(F, F_0)
         assert np.array_equal(h_end, h) and not rounds.any() and not accepts.any()
         for F, F_0 in zip(U, starts):
             assert np.array_equal(F, F_0)
+        for a, b in zip(first, last):
+            assert np.array_equal(a, b)
 
-    def test_lie_bases_are_made_once_per_descent_and_once_for_the_witness(self, monkeypatch):
-        # one basis per subsystem serves every round of the descent, and one
-        # per subsystem the witness's certificate, however many rounds run
-        calls, lie_basis = [], search._lie_basis
+    def test_lie_tables_are_made_once_per_search(self, monkeypatch):
+        # one basis per subsystem and one gather table serve every round of
+        # the descent and the witness's certificate, however many rounds run
+        calls, lie_basis, tables, lie = [], search._lie_basis, [], search._lie
         monkeypatch.setattr(search, "_lie_basis", lambda d: calls.append(d) or lie_basis(d))
+        monkeypatch.setattr(search, "_lie", lambda dims: tables.append(list(dims)) or lie(dims))
         rho = nc.random_density_matrix((2, 2, 2, 2), 16, 7)
         _, _, diag = nc.min_diag_entropy(rho, nc.SearchConfig())
         assert max(diag["start_rounds"]) > 2
-        assert calls == [2] * 8
+        assert calls == [2] * 4 and tables == [[2, 2, 2, 2]]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
+    def test_gathered_x_equals_the_matmul_x(self, dims):
+        # X_a = R G^_a with G^_a = 1 x G_a x 1, gathered by `_lie`'s table as
+        # `_derivatives` does, equals the dense matmul against `_lie_basis` (==:
+        # only the sign of an exact zero may differ)
+        d_tot, rng = math.prod(dims), np.random.default_rng(sum(dims))
+        R = rng.standard_normal((3, d_tot, d_tot)) + 1j * rng.standard_normal((3, d_tot, d_tot))
+        bases, take, coef = search._lie(dims)
+        X = np.take(R.reshape(3, -1), take, axis=1)
+        X *= coef
+        lifted = [np.kron(np.kron(np.eye(math.prod(dims[:k])), G), np.eye(math.prod(dims[k + 1 :])))
+                  for k, Gs in enumerate(bases) for G in Gs]
+        assert X.shape == (3, len(lifted), d_tot, d_tot)
+        for a, G in enumerate(lifted):
+            assert np.array_equal(X[:, a], R @ G)
 
     @pytest.mark.parametrize("seed, bound", [(1, None), (2006, 0.4422745949546236)])
     def test_every_start_converges_near_horodecki_one(self, monkeypatch, seed, bound):
@@ -481,12 +512,46 @@ class TestDescent:
         for b in (0.94, 0.95, 0.96, 0.97, 0.98, 0.99):
             rep = nc.measure_D(nc.make_horodecki(b), nc.SearchConfig(seed=seed))
             rho_mat, U, rounds = ends[-1]
-            g = search._derivatives(rho_mat, U, lie_bases([F.shape[-1] for F in U]))[0]
+            g = search._derivatives(rho_mat, U, search._lie([F.shape[-1] for F in U]))[0]
             assert np.sqrt((g * g).sum(1)).max() <= search._GRAD_TOL
             assert rounds.max() < 100
             assert rep.diagnostics["converged"] is True and rep.diagnostics["hessian_min_eig"] > 0
         if bound is not None:
             assert rep.value <= bound
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+    def test_kept_derivatives_are_those_at_each_start_and_each_end(self, dims):
+        # the descent hands back the (g, H, p) it took at every start and at
+        # every start's last accepted position, which a fresh call gives alone
+        rho = nc.random_density_matrix(dims, int(np.prod(dims)), 9)
+        starts = search._haar_batch(dims, normals(dims, 4, 2))
+        h = search._batch_entropies(rho.mat, qmat.projectors(starts))
+        U, _, rounds, accepts, first, last = search._descend(rho.mat, starts, h, 100)
+        assert accepts.all() and len(set(rounds.tolist())) > 1
+        lie = search._lie(dims)
+        for at, F in ((first, starts), (last, U)):
+            for i in range(4):
+                for x, y in zip(at, search._derivatives(rho.mat, [G[i : i + 1] for G in F], lie)):
+                    assert np.array_equal(x[i], y[0])
+
+    @pytest.mark.parametrize("rho, cfg, source", [
+        (nc.make_horodecki(0.28), nc.SearchConfig(), "refine"),
+        (nc.random_density_matrix((2, 2, 2), 2, 6), nc.SearchConfig(n_samples=2000, seed=3, refine_steps=0), "sample:"),
+        (nc.DensityMatrix((2, 2), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)),
+         nc.SearchConfig(n_samples=200, seed=2, refine_steps=5), "computational"),
+        (nc.random_density_matrix((2, 3), 1, 1), nc.SearchConfig(), "marginal-eigenbasis"),
+    ], ids=["refine", "sample-no-rounds", "undescended-start", "pure-undescended-start"])
+    def test_certificate_equals_fresh_derivatives_at_the_witness(self, rho, cfg, source):
+        # the certificate comes from the derivatives the descent took, at the
+        # start or at its last accepted position; a fresh evaluation at the
+        # witness alone must give the same bits
+        _, basis, diag = nc.min_diag_entropy(rho, cfg)
+        assert diag["best_source"].startswith(source)
+        g, H, p = (x[0] for x in search._derivatives(rho.mat, [f[None] for f in basis.factors], search._lie(rho.dims)))
+        assert diag["gradient_norm"] == float(np.sqrt(g @ g))
+        assert diag["hessian_min_eig"] == (float(np.linalg.eigvalsh(H)[0]) if p.min() >= search._SMOOTH_FLOOR else None)
+        assert (diag["hessian_min_eig"] is None) == (source == "marginal-eigenbasis")
+        assert (max(diag["start_rounds"]) > 0) == (cfg.refine_steps > 0)
 
     def test_diagnostics_certify_the_descended_witness(self):
         rho = nc.make_horodecki(0.28)
@@ -657,7 +722,7 @@ class TestSingleScorer:
                               nc.SearchConfig(n_samples=500, seed=1, refine_steps=40)))
         for rho, cfg in cases:
             basis = search.marginal_eigenbasis(rho) if cfg is None else nc.min_diag_entropy(rho, cfg)[1]
-            score = search._batch_entropies(rho.mat, [f[None] for f in basis.factors])[0]
+            score = search._batch_entropies(rho.mat, qmat.projectors([f[None] for f in basis.factors]))[0]
             assert score == qmat.shannon_entropy(qmat.diag_probs(rho, basis))
 
     def test_editing_a_sample_witness_leaves_later_results_alone(self, made):
@@ -669,12 +734,12 @@ class TestSingleScorer:
         rep = nc.measure_D(rho, cfg)
         assert made == []
         assert rep.diagnostics["best_source"].startswith("sample:")
-        kept = [np.array(F) for F in cfg._samples[(2, 2, 2)]]
+        kept = [np.array(F) for F in cfg._samples[(2, 2, 2)][0]]
         rep.witness.factors[0][:] = np.eye(2)
         again = nc.measure_D(rho, cfg)
         assert again.value == rep.value
         assert again.witness.factors[0].tobytes() != rep.witness.factors[0].tobytes()
-        for F, K in zip(cfg._samples[(2, 2, 2)], kept):
+        for F, K in zip(cfg._samples[(2, 2, 2)][0], kept):
             assert np.array_equal(F, K)
 
 
@@ -767,15 +832,15 @@ class TestConfigSampleSets:
         nc.measure_D(nc.random_density_matrix((2, 2, 2), 3, 60), cfg)
         assert made == [64]
         made.clear()
-        assert [F.shape for F in cfg._samples[(2, 2, 2)]] == [(64, 2, 2)] * 3
-        assert [F.shape for F in cfg._samples[(2, 4)]] == [(64, 2, 2), (64, 4, 4)]
+        assert [F.shape for F in cfg._samples[(2, 2, 2)][0]] == [(64, 2, 2)] * 3
+        assert [F.shape for F in cfg._samples[(2, 4)][0]] == [(64, 2, 2), (64, 4, 4)]
         # another seed or n is another config, and seed 1 + 2**64 draws seed 1's samples
         for seed, n in [(2, 64), (1, 65), (1 + 2 ** 64, 64)]:
             other = nc.SearchConfig(n_samples=n, seed=seed, refine_steps=5)
             nc.measure_D(nc.random_density_matrix((2, 4), 3, 60), other)
             assert made == [n]
             made.clear()
-        for F, G in zip(other._samples[(2, 4)], cfg._samples[(2, 4)]):
+        for F, G in zip(other._samples[(2, 4)][0], cfg._samples[(2, 4)][0]):
             assert np.array_equal(F, G)
 
     def test_equality_hash_and_repr_ignore_the_sets(self):
@@ -797,20 +862,34 @@ class TestConfigSampleSets:
     def test_kept_stacks_die_with_their_config(self):
         cfg = nc.SearchConfig(n_samples=16, refine_steps=0)
         nc.measure_D(nc.random_density_matrix((2, 3), 6, 66), cfg)
-        refs = [weakref.ref(F) for F in cfg._samples[(2, 3)]]
-        del cfg
+        facs, projs = cfg._samples[(2, 3)]
+        refs = [weakref.ref(F) for F in (*facs, *projs)]
+        del cfg, facs, projs
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * 4
 
     def test_kept_arrays_are_read_only(self):
         cfg = nc.SearchConfig(n_samples=16, refine_steps=0)
         nc.measure_D(nc.random_density_matrix((2, 3, 2), 4, 62), cfg)
-        [facs] = cfg._samples.values()
+        [(facs, projs)] = cfg._samples.values()
         assert [F.shape for F in facs] == [(16, 2, 2), (16, 3, 3), (16, 2, 2)]
-        for F in facs:
+        assert [P.shape for P in projs] == [(16, 2, 4), (16, 3, 9), (16, 2, 4)]
+        for F in (*facs, *projs):
             assert not F.flags.writeable
             with pytest.raises(ValueError):
                 F[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 3, 2)])
+    def test_kept_projectors_are_the_factors_projectors(self, dims):
+        # the set scores its samples by the projectors it keeps, which must be
+        # those `qmat.projectors` makes of its factors, byte for byte
+        cfg = nc.SearchConfig(n_samples=64, refine_steps=0)
+        nc.measure_D(nc.random_density_matrix(dims, math.prod(dims), 67), cfg)
+        facs, projs = cfg._samples[dims]
+        fresh = qmat.projectors(facs)
+        assert len(projs) == len(fresh) == len(dims)
+        for P, Q in zip(projs, fresh):
+            assert P.shape == Q.shape and P.tobytes() == Q.tobytes()
 
     def test_a_fresh_config_per_call_changes_no_result(self):
         states = [ctor(float(p)) for name, (ctor, lo, hi) in sweep.FAMILIES.items()

@@ -16,8 +16,14 @@ partial transposes), and on a copy of each turned by a random unitary, which
 is Hermitian only up to rounding; numpy's own `eigvalsh` on rho, the floor
 `herm_eig` adds its checks and sort to; and `measure_G`, `measure_DG`,
 `measure_K` and `negativity`, each on states made fresh for the call, so no
-spectrum kept on a state is reused.  Every side runs every layer once
-untimed first.  In each round, every layer is timed as a parent/change pair
+spectrum kept on a state is reused.  The D search has four kinds of layer:
+`min_diag_entropy` on fresh family points (`sweep.FAMILIES`) with one
+config made per call and filled beforehand, as a sweep reuses its config;
+`min_diag_entropy` and `measure_D` on fresh `measure-cold` states (each dims
+at full rank) with a new config per state, as `nccorr measure` makes its
+samples anew; and `_haar_batch` on 512 samples' normals per dims.  Every
+layer calls only functions and signatures that both revisions have.  Every
+side runs every layer once untimed first.  In each round, every layer is timed as a parent/change pair
 and then as a parent/parent pair, each pair in an order that alternates with
 the round, so a steady drift favours neither side.  Per layer the report
 gives each side's median time, the median and quartiles of the round ratios
@@ -58,6 +64,7 @@ SIDES = ("parent", "change", "aa")
 # the kinds of state of perfbench's spectral-multipartite workload: each dims at full rank and rank 2
 STATE_DIMS = ((2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2))
 STATE_SEEDS = (1, 2)
+FAMILY_POINTS = 5  # per family, evenly over its parameter range
 
 
 def load(name: str, src: Path):
@@ -127,11 +134,35 @@ def layers() -> List[Layer]:
         inputs = herm_inputs(nc)["rho"]
         return lambda: [np.linalg.eigvalsh(H) for H in inputs]
 
+    def family_search(nc):
+        cfg = nc.SearchConfig(seed=7)
+        for dims in {ctor(lo).dims for ctor, lo, _ in nc.sweep.FAMILIES.values()}:  # fills cfg's sample sets
+            nc.min_diag_entropy(nc.random_density_matrix(dims, math.prod(dims), 3), cfg)
+        fresh = [ctor(float(p)) for ctor, lo, hi in nc.sweep.FAMILIES.values()
+                 for p in np.linspace(lo, hi, FAMILY_POINTS)]
+        return lambda: [nc.min_diag_entropy(rho, cfg) for rho in fresh]
+
+    def cold_search(fn):
+        def setup(nc):
+            fresh = [nc.random_density_matrix(dims, math.prod(dims), seed) for dims in STATE_DIMS for seed in STATE_SEEDS]
+            call = getattr(nc, fn)
+            return lambda: [call(rho, nc.SearchConfig(seed=seed)) for seed, rho in enumerate(fresh)]
+        return setup
+
+    def haar(dims):
+        def setup(nc):
+            N = nc.search._ginibre(np.random.default_rng(5), dims, 512)
+            return lambda: nc.search._haar_batch(dims, N)
+        return setup
+
     kinds = ("rho", "marginals", "K-stack")
     out = [(f"herm_eig[{kind}{rot}, vectors={vectors}]", herm(kind + rot, vectors))
            for kind in kinds for rot in ("", "-rotated") for vectors in (False, True)]
     out.append(("numpy.linalg.eigvalsh[rho]", eigvalsh))
     out += [(name, measure(name)) for name in ("measure_G", "measure_DG", "measure_K", "negativity")]
+    out.append(("min_diag_entropy[families, reused config]", family_search))
+    out += [(f"{fn}[measure-cold states, fresh config]", cold_search(fn)) for fn in ("min_diag_entropy", "measure_D")]
+    out += [(f"_haar_batch[{dims}, 512 samples]", haar(dims)) for dims in STATE_DIMS]
     return out
 
 

@@ -126,7 +126,7 @@ def parse_output(stdout: str) -> dict:
 
 
 def parse_verify(stdout: str) -> dict:
-    """The `criterion-N: X.XX s` lines and the last line of one `nccorr verify` run's output."""
+    """The `criterion-N: X.XXX s` lines and the last line of one `nccorr verify` run's output."""
     matches = (re.fullmatch(r"(criterion-\d+): (\d+\.\d+) s", line) for line in stdout.splitlines())
     return {"seconds": {m[1]: float(m[2]) for m in matches if m},
             "summary": stdout.strip().splitlines()[-1]}
