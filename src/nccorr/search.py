@@ -89,8 +89,8 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
     not depend on it.  A column whose residual norm is exactly zero raises
     NoConvergence.
     """
-    S, blocks, factors = len(N), np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1), {}
-    for d in dict.fromkeys(dims):
+    S, blocks, factors = len(N), np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1), [None] * len(dims)
+    for d in set(dims):
         ks = [k for k, dk in enumerate(dims) if dk == d]
         # Q[c, r, s] is entry (r, c) of sample s (of subsystem ks[s // S]), and reduce(np.add, ...) sums over r in order
         Q = np.empty((d, d, len(ks) * S), dtype=np.complex128)  # C order: a column's samples are contiguous
@@ -108,8 +108,9 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
             # a complex-by-real division rounds differently from dividing each part
             v.real /= nrm
             v.imag /= nrm
-        factors.update((k, np.ascontiguousarray(Q[:, :, j * S : (j + 1) * S].T)) for j, k in enumerate(ks))
-    return [factors[k] for k in range(len(dims))]
+        for j, k in enumerate(ks):
+            factors[k] = np.ascontiguousarray(Q[:, :, j * S : (j + 1) * S].T)
+    return factors
 
 
 def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductBasis:
