@@ -166,7 +166,7 @@ def _lie(dims: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]
         row = np.argmax(G != 0, axis=1)  # (a, y): the row of G_a's nonzero in column y, or 0
         # column (l, y, h) of X_a is column (l, row[a, y], h) of R times G_a[row[a, y], y]
         cols.append(((np.arange(lo)[:, None, None] * d + row[:, None, :, None]) * hi + np.arange(hi)).reshape(len(G), -1))
-        coef = np.take_along_axis(G, row[:, None], axis=1)[:, 0]
+        coef = G.sum(axis=1)  # the one nonzero of each column, or 0
         coefs.append(np.broadcast_to(coef[:, None, :, None], (len(G), lo, d, hi)).reshape(len(G), -1))
     d_tot = math.prod(dims)
     take = np.arange(d_tot)[:, None] * d_tot + np.concatenate(cols)[:, None, :]
@@ -176,11 +176,11 @@ def _lie(dims: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]
 def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], lie: Tuple[List[np.ndarray], np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of the diagonal entropy f(U_k exp(A_k)) at A = 0, for a batch of product bases.
 
-    A factor moves as U_k exp(A_k), and A = sum_a x_a G^_a runs over `bases`,
-    the `_lie_basis` of each subsystem in turn (`lie` is `_lie(dims)`),
-    lifted to the whole space as G^_a = 1 x G_a x 1: sum(d_k^2 - d_k)
-    coordinates.  With R = B^dag rho B,
-    p = diag R, lambda = log2 p and M_a = [R, G^_a] (the first derivative of R):
+    A factor moves as U_k exp(A_k), and A = sum_a x_a G^_a runs over the
+    `_lie_basis` of each subsystem in turn, lifted to the whole space as
+    G^_a = 1 x G_a x 1: sum(d_k^2 - d_k) coordinates.  `lie` is `_lie(dims)`.
+    With R = B^dag rho B, p = diag R, lambda = log2 p and M_a = [R, G^_a]
+    (the first derivative of R):
 
         g_a  = -sum_i lambda_i (M_a)_ii
         H_ab = -1/2 sum_ij (lambda_i - lambda_j) ((M_a)_ij (G^_b)_ji + (M_b)_ij (G^_a)_ji)
@@ -188,9 +188,9 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], lie: 
 
     G^_a is never formed.  M_a = X_a + X_a^dag with X_a = R G^_a, which is
     one gather of R's entries by `_lie`'s table and one multiply by its
-    coefficients for all a at once: equal to the matmul, as each entry is
-    one product.  As lambda_i - lambda_j
-    is antisymmetric and G^_b anti-Hermitian, the X_a^dag half of each sum
+    coefficients for all a at once; it equals the matmul, as each entry is a
+    single product.  As lambda_i - lambda_j is antisymmetric and G^_b
+    anti-Hermitian, the X_a^dag half of each sum
     is the conjugate of the X_a half, so X_a alone gives both: (M_a)_ii =
     2 Re (X_a)_ii, and the sum against G^_b is 2 Re of a partial trace onto
     b's subsystem and one matmul.  Every product keeps the basis as its
