@@ -21,11 +21,8 @@ to every point, so it makes each dims' samples and projectors once.  Those
 sets are the only state the search keeps between calls.  A search of more
 than one chunk makes its samples anew on every call.
 
-Nothing is computed twice within a call either.  `_descend` takes the
-derivatives of every start once, and again only where a step was accepted;
-the witness's certificate (gradient norm, least Hessian eigenvalue) is read
-from those.  The derivatives' products R G^_a with the Lie generators are one
-gather of R's entries by a table `_lie` makes once per descent.
+Within a call, `_descend` takes each start's derivatives once and again only
+after an accepted step, and the witness's certificate reads them.
 """
 from __future__ import annotations
 
@@ -151,14 +148,12 @@ def _lie_basis(d: int) -> np.ndarray:
 
 
 def _lie(dims: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
-    """Each subsystem's `_lie_basis`, and the gather table (take, coef) that gives X_a = R G^_a.
+    """Each subsystem's `_lie_basis`, and the table (take, coef) that gathers X_a = R G^_a.
 
-    A generator has at most one nonzero per column, so with G^_a = 1 x G_a x 1
-    over the whole space, column c of R G^_a is coef[a, c] times one column
-    of R (times 0 where G^_a's column is zero).  take (n, d_tot, d_tot) holds,
-    for each a, the flat index into a (d_tot, d_tot) R of every entry of X_a,
-    and coef is (n, 1, d_tot), for n = sum(d_k^2 - d_k) generators in
-    subsystem order.
+    G^_a = 1 x G_a x 1 has at most one nonzero per column, so column c of
+    R G^_a is coef[a, 0, c] times one column of R.  take[a] holds the flat
+    index into R of every entry of X_a: (n, d_tot, d_tot) for the n =
+    sum(d_k^2 - d_k) generators in subsystem order.
     """
     bases, cols, coefs = [_lie_basis(d) for d in dims], [], []
     for k, (d, G) in enumerate(zip(dims, bases)):
