@@ -138,8 +138,9 @@ class TestHermEigFailure:
         for A in (H, np.stack([np.eye(2), H]), np.stack([H, np.eye(2)])):
             with pytest.raises(nc.NoConvergence, match="non-finite"):
                 qmat.herm_eig(A, vectors=vectors)
-        with pytest.raises(nc.NoConvergence, match="non-finite"):
-            qmat.herm_eig(np.array([[1, np.nan + 1j], [np.nan - 1j, 1]]), vectors=vectors)
+        for A in (np.array([[1, np.nan + 1j], [np.nan - 1j, 1]]), np.array([[1, np.inf], [0, 1]])):
+            with pytest.raises(nc.NoConvergence, match="non-finite"):
+                qmat.herm_eig(A, vectors=vectors)
 
 
 class TestHermEigStack:
