@@ -541,7 +541,7 @@ class TestDescent:
          nc.SearchConfig(n_samples=200, seed=2, refine_steps=5), "computational"),
         (nc.random_density_matrix((2, 3), 1, 1), nc.SearchConfig(), "marginal-eigenbasis"),
     ], ids=["refine", "sample-no-rounds", "undescended-start", "pure-undescended-start"])
-    def test_certificate_equals_fresh_derivatives_at_the_witness(self, rho, cfg, source):
+    def test_certificate_equals_fresh_derivatives_at_the_witness(self, monkeypatch, rho, cfg, source):
         # the certificate comes from the derivatives the descent took, at the
         # start or at its last accepted position; a fresh evaluation at the
         # witness alone must give the same bits
@@ -552,6 +552,16 @@ class TestDescent:
         assert diag["hessian_min_eig"] == (float(np.linalg.eigvalsh(H)[0]) if p.min() >= search._SMOOTH_FLOOR else None)
         assert (diag["hessian_min_eig"] is None) == (source == "marginal-eigenbasis")
         assert (max(diag["start_rounds"]) > 0) == (cfg.refine_steps > 0)
+        # only the witness's own end is read: the other, made NaN, changes nothing
+        descend = search._descend
+
+        def poisoned(*args):
+            U, h, rounds, accepts, first, last = descend(*args)
+            nan = tuple(np.full_like(x, np.nan) for x in (first if source == "refine" else last))
+            return (U, h, rounds, accepts, nan, last) if source == "refine" else (U, h, rounds, accepts, first, nan)
+
+        monkeypatch.setattr(search, "_descend", poisoned)
+        assert nc.min_diag_entropy(rho, cfg)[2] == diag
 
     def test_diagnostics_certify_the_descended_witness(self):
         rho = nc.make_horodecki(0.28)
