@@ -18,13 +18,14 @@ is Hermitian only up to rounding; numpy's own `eigvalsh` on rho, the floor
 `measure_K` and `negativity`, each on states made fresh for the call, so no
 spectrum kept on a state is reused.  The D search has four kinds of layer:
 `min_diag_entropy` on fresh family points (`sweep.FAMILIES`) with one
-config made per call and filled beforehand, as a sweep reuses its config;
-`min_diag_entropy` and `measure_D` on fresh `measure-cold` states (each dims
-at full rank) with a new config per state, as `nccorr measure` makes its
-samples anew; and `_haar_batch` on 512 samples' normals per dims.  Every
-layer calls only functions and signatures that both revisions have.  Every
-side runs every layer once untimed first.  In each round, every layer is timed as a parent/change pair
-and then as a parent/parent pair, each pair in an order that alternates with
+config whose sample sets are filled before the timed call, as a sweep
+reuses its config; `min_diag_entropy` and `measure_D` on fresh
+`measure-cold` states (each dims at full rank) with a new config per state,
+as `nccorr measure` makes its samples anew; and `_haar_batch` on 512
+samples' normals per dims.  Every layer calls only functions and signatures
+that both revisions have.  Every side runs every layer once untimed first.
+In each round, every layer is timed as a parent/change pair and then as a
+parent/parent pair, each pair in an order that alternates with
 the round, so a steady drift favours neither side.  Per layer the report
 gives each side's median time, the median and quartiles of the round ratios
 change/parent, the rounds the change won (a strictly lower time), the same
