@@ -15,11 +15,13 @@ batch either.
 
 A sample set depends only on the SearchConfig and the dims, never on rho, so
 a search of one chunk keeps its samples, their factor stacks and their
-projectors, on the config with `core.kept`, read-only, in `cfg._samples`:
-one set per dims for as long as the config lives.  A sweep passes one config
-to every point, so it makes each dims' samples and projectors once.  Those
-sets are the only state the search keeps between calls.  A search of more
-than one chunk makes its samples anew on every call.
+projectors, on the config with `core.kept`, read-only, in `cfg._kept`: one
+set per dims for as long as the config lives.  Beside it, every search keeps
+its dims' descent `_plan` there, the tables the descent derives from the dims
+alone.  A sweep passes one config to every point, so it makes each dims'
+samples, projectors and plan once.  Those sets and plans are the only state
+the search keeps between calls.  A search of more than one chunk makes its
+samples anew on every call.
 
 Within a call, `_descend` takes each start's derivatives once and again only
 after an accepted step, and the witness's certificate reads them.
@@ -27,9 +29,9 @@ after an accepted step, and the witness's certificate reads them.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ _RADIUS = 1.0  # longest Newton step (radians, the norm of the coordinates x)
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in the Newton step
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
 _MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
+_FIXED = np.array([0, 1])  # the fixed starts' places in the start set
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,9 @@ class SearchConfig:
     seed: int = 1
     refine_steps: int = 100  # most descent rounds per start
     chunk_size: int = 2048  # samples made and scored at a time; never affects results
-    # dims -> the read-only factor stacks of a one-chunk search and their projectors (`core.kept`)
-    _samples: Dict[Tuple[int, ...], Tuple[List[np.ndarray], List[np.ndarray]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # ("samples", dims) -> a one-chunk search's factor stacks and their projectors; ("plan", dims) -> its
+    # `_plan`; each read-only (`core.kept`)
+    _kept: Dict[Hashable, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_samples < 0 or self.refine_steps < 0:
@@ -89,9 +93,14 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
     S, blocks, factors = len(N), np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1), [None] * len(dims)
     for d in set(dims):
         ks = [k for k, dk in enumerate(dims) if dk == d]
-        # Q[c, r, s] is entry (r, c) of sample s (of subsystem ks[s // S]), and reduce(np.add, ...) sums over r in order
-        Q = np.empty((d, d, len(ks) * S), dtype=np.complex128)  # C order: a column's samples are contiguous
-        np.concatenate([blocks[k].view(np.complex128).reshape(-1, d, d).T for k in ks], axis=2, out=Q)
+        # Q[c, r, s] is entry (r, c) of sample s (of subsystem ks[s // S]), and reduce(np.add, ...) sums over r in order;
+        # Q is C-ordered, so a column's samples are contiguous
+        cs = [blocks[k].view(np.complex128).reshape(-1, d, d).T for k in ks]
+        if len(ks) == 1:
+            Q = np.ascontiguousarray(cs[0])
+        else:
+            Q = np.empty((d, d, len(ks) * S), dtype=np.complex128)
+            np.concatenate(cs, axis=2, out=Q)
         for c in range(d):
             v = Q[c]
             for _ in range(2):
@@ -168,12 +177,40 @@ def _lie(dims: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]
     return bases, take, np.concatenate(coefs)[:, None, :]
 
 
-def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], lie: Tuple[List[np.ndarray], np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Plan(NamedTuple):
+    """What the D search derives from the dims alone, made by `_plan`."""
+
+    dims: Tuple[int, ...]
+    eye: Tuple[np.ndarray, ...]  # the computational basis's factors
+    take: np.ndarray  # `_lie`'s gather table
+    coef: np.ndarray
+    # per subsystem: d, the dimensions before and after it, and its `_lie_basis` G as the (d^2, d^2 - d)
+    # matrix G.transpose(2, 1, 0), whose row (x, y) holds every G_b[y, x]
+    subs: List[Tuple[int, int, int, np.ndarray]]
+    # per dimension d: its `_lie_basis`, its subsystems and their columns of the coordinates x
+    groups: List[Tuple[int, np.ndarray, List[int], List[slice]]]
+
+
+def _plan(dims: Tuple[int, ...]) -> _Plan:
+    """The descent plan of dims: `_lie`'s tables and every subsystem list and slice the descent reads."""
+    bases, take, coef = _lie(dims)
+    ends = np.cumsum([len(G) for G in bases]).tolist()
+    cols = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+    subs = [(d, math.prod(dims[:k]), math.prod(dims[k + 1 :]), G.transpose(2, 1, 0).reshape(d * d, -1))
+            for k, (d, G) in enumerate(zip(dims, bases))]
+    groups = []
+    for d in set(dims):
+        ks = [k for k, dk in enumerate(dims) if dk == d]
+        groups.append((d, bases[ks[0]], ks, [cols[k] for k in ks]))
+    return _Plan(dims, computational_basis(dims).factors, take, coef, subs, groups)
+
+
+def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], plan: _Plan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of the diagonal entropy f(U_k exp(A_k)) at A = 0, for a batch of product bases.
 
     A factor moves as U_k exp(A_k), and A = sum_a x_a G^_a runs over the
     `_lie_basis` of each subsystem in turn, lifted to the whole space as
-    G^_a = 1 x G_a x 1: sum(d_k^2 - d_k) coordinates.  `lie` is `_lie(dims)`.
+    G^_a = 1 x G_a x 1: sum(d_k^2 - d_k) coordinates.  `plan` is `_plan(dims)`.
     With R = B^dag rho B, p = diag R, lambda = log2 p and M_a = [R, G^_a]
     (the first derivative of R):
 
@@ -182,7 +219,7 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], lie: 
                - sum_i (M_a)_ii (M_b)_ii / (p_i ln 2)
 
     G^_a is never formed.  M_a = X_a + X_a^dag with X_a = R G^_a, which is
-    one gather of R's entries by `_lie`'s table and one multiply by its
+    one gather of R's entries by the plan's `_lie` table and one multiply by its
     coefficients for all a at once; it equals the matmul, as each entry is a
     single product.  As lambda_i - lambda_j is antisymmetric and G^_b
     anti-Hermitian, the X_a^dag half of each sum
@@ -192,8 +229,7 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], lie: 
     batch axis, so a row does not depend on its batch.  Returns g (S, n),
     H (S, n, n) and p (S, d_tot).
     """
-    dims, (bases, take, coef) = [F.shape[-1] for F in factor_stacks], lie
-    S, d_tot = len(factor_stacks[0]), rho_mat.shape[0]
+    S = len(factor_stacks[0])
     B = factor_stacks[0]
     for F in factor_stacks[1:]:
         a, d = B.shape[-1], F.shape[-1]
@@ -203,19 +239,17 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], lie: 
     # where p_i = 0, row and column i of R vanish, so any finite floor will do
     pc = np.maximum(p, 1e-300)
     lam = np.log2(pc)
-    # each subsystem's dimension, basis and the dimensions before and after it
-    subs = [(d, G, math.prod(dims[:k]), math.prod(dims[k + 1 :])) for k, (d, G) in enumerate(zip(dims, bases))]
-    X = np.take(R.reshape(S, -1), take, axis=1)
-    X *= coef
+    X = np.take(R.reshape(S, -1), plan.take, axis=1)
+    X *= plan.coef
     J = 2.0 * X.diagonal(axis1=2, axis2=3).real
     g = -(J @ lam[:, :, None])[:, :, 0]
     N = X
     N *= (lam[:, :, None] - lam[:, None, :])[:, None]
     W = []
-    for d, G, lo, hi in subs:
+    for d, lo, hi, Gt in plan.subs:
         # sum_ij N_ij (G^_b)_ji = sum_xy Tr_{not k}(N)[x, y] G_b[y, x]
         Nk = np.einsum("saljhlkh->sajk", N.reshape(S, -1, lo, d, hi, lo, d, hi))
-        W.append(Nk.reshape(S, -1, d * d) @ G.transpose(2, 1, 0).reshape(d * d, -1))
+        W.append(Nk.reshape(S, -1, d * d) @ Gt)
     W = np.concatenate(W, axis=2).real
     H = -(W + W.swapaxes(1, 2)) - (J / (pc * np.log(2.0))[:, None]) @ J.swapaxes(1, 2)
     return g, H, p
@@ -249,7 +283,7 @@ def _newton(g: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 
 def _descend(
-    rho_mat: np.ndarray, stacks: Sequence[np.ndarray], h: np.ndarray, max_rounds: int
+    rho_mat: np.ndarray, stacks: Sequence[np.ndarray], h: np.ndarray, max_rounds: int, plan: _Plan
 ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
     """Saddle-free Newton descent on the product of unitary groups, from every start at once.
 
@@ -264,22 +298,17 @@ def _descend(
     one and leaves its factors, entropy and derivatives as they were.  Every
     per-start array is indexed by start number for the whole call, and
     `_lie`'s tables, each subsystem's columns of x and the subsystems of
-    each dimension are found once.  A round gathers the live starts by
-    index, turns the factors of every subsystem of dimension d, subsystem by
-    subsystem, in one `_rotate` call, and writes the accepted steps back.
+    each dimension are read from `plan`, `_plan(dims)`, which the config
+    keeps.  A round gathers the live starts by index, turns the factors of
+    every subsystem of dimension d, subsystem by subsystem, in one `_rotate`
+    call, and writes the accepted steps back.
     Returns new factor stacks, entropies, rounds, accepted rounds, and the
     derivatives at every start and at every end (its last accepted
     position), each a new (g, H, p).
     """
-    dims = [F.shape[-1] for F in stacks]
-    lie = _lie(dims)
-    bases = lie[0]
-    ends = np.cumsum([len(G) for G in bases])
-    cols = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-    groups = [(d, [k for k, dk in enumerate(dims) if dk == d]) for d in set(dims)]
     n = len(h)
     U, h = [np.array(F) for F in stacks], np.array(h)
-    first = _derivatives(rho_mat, U, lie)
+    first = _derivatives(rho_mat, U, plan)
     g, H, p = (np.array(v) for v in first)
     rounds, accepts, live = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(n, max_rounds > 0)
     while True:
@@ -288,11 +317,11 @@ def _descend(
         if not len(i):
             return U, h, rounds, accepts, first, (g, H, p)
         m, trials, xi = len(i), {}, _newton(g[i], H[i])
-        for d, ks in groups:
-            A = np.einsum("sa,aij->sij", np.concatenate([xi[:, cols[k]] for k in ks]), bases[ks[0]])
+        for d, G, ks, cols in plan.groups:
+            A = np.einsum("sa,aij->sij", np.concatenate([xi[:, c] for c in cols]), G)
             moved = _rotate(np.concatenate([U[k][i] for k in ks]), A, _TRIALS)
             trials.update((k, moved[j * m : (j + 1) * m]) for j, k in enumerate(ks))
-        stepped = qmat.projectors([trials[k].reshape(-1, d, d) for k, d in enumerate(dims)])
+        stepped = qmat.projectors([trials[k].reshape(-1, d, d) for k, d in enumerate(plan.dims)])
         ent = _batch_entropies(rho_mat, stepped).reshape(m, -1)
         step = np.argmin(ent, axis=1)
         low = ent[np.arange(m), step]
@@ -304,7 +333,7 @@ def _descend(
             F[a] = trials[k][ok, step[ok]]
         h[a], live[i] = low[ok], ok
         if len(a):
-            g[a], H[a], p[a] = _derivatives(rho_mat, [F[a] for F in U], lie)
+            g[a], H[a], p[a] = _derivatives(rho_mat, [F[a] for F in U], plan)
 
 
 def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
@@ -326,7 +355,7 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     to the set, which is then trimmed back, so memory does not grow with
     the number of samples.  A search of one chunk keeps its samples and
     their projectors on cfg (`core.kept`), and a longer one makes them chunk
-    by chunk on every call.
+    by chunk on every call.  Every search keeps its dims' `_plan` on cfg.
     The first lowest start is the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
@@ -339,20 +368,22 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     regardless of chunk size.
     """
     dims, n = rho.dims, cfg.n_samples
-    rng = np.random.default_rng(cfg.seed % 2 ** 64)  # the samples' stream, so a kept set is its first n draws
-    stacks = [np.stack(f) for f in zip(computational_basis(dims).factors, marginal_eigenbasis(rho).factors)]
+    plan = kept(cfg._kept, ("plan", dims), lambda: _plan(dims))
+    # the samples' stream, made at the first draw, so a kept set is its first n draws
+    rng = cache(lambda: np.random.default_rng(cfg.seed % 2 ** 64))
+    stacks = [np.array(f) for f in zip(plan.eye, marginal_eigenbasis(rho).factors)]
     h, idx = _batch_entropies(rho.mat, qmat.projectors(stacks)), np.array([-2, -1])
     for lo in range(0, n, cfg.chunk_size):
         new = np.arange(lo, min(lo + cfg.chunk_size, n))
-        make = lambda: _samples(rng, dims, len(new))
-        facs, projs = kept(cfg._samples, dims, make) if len(new) == n else make()
+        make = lambda: _samples(rng(), dims, len(new))
+        facs, projs = kept(cfg._kept, ("samples", dims), make) if len(new) == n else make()
         h, idx = np.concatenate([h, _batch_entropies(rho.mat, projs)]), np.concatenate([idx, new])
         # kept samples precede the chunk's and have lower indices, so a stable sort ties by index
-        keep = np.r_[0, 1, 2 + np.argsort(h[2:], kind="stable")[:_N_STARTS]]
+        keep = np.concatenate([_FIXED, 2 + np.argsort(h[2:], kind="stable")[:_N_STARTS]])
         h, idx, stacks = h[keep], idx[keep], [np.concatenate(pair)[keep] for pair in zip(stacks, facs)]
 
     sources = ["computational", "marginal-eigenbasis", *(f"sample:{i}" for i in idx[2:])]
-    descended, h_desc, rounds, accepts, at_start, at_end = _descend(rho.mat, stacks, h, cfg.refine_steps)
+    descended, h_desc, rounds, accepts, at_start, at_end = _descend(rho.mat, stacks, h, cfg.refine_steps, plan)
     first, i = int(np.argmin(h)), int(np.argmin(h_desc))
     if h_desc[i] < h[first] - _MARGIN:
         j, best, at, best_source = i, descended, at_end, "refine"

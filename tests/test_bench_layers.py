@@ -52,16 +52,25 @@ def stub_layers(pkgs, costs, outputs):
 def test_alternating_pairs_with_a_stubbed_timer(pkgs):
     todo, timer = stub_layers(pkgs, {"parent": 2.0, "change": 1.5, "aa": 2.0},
                               {side: np.array([1.0, -0.0]) for side in bench_layers.SIDES})
-    timed = bench_layers.time_layers(pkgs, todo, rounds=4, timer=timer)
-    assert timed["stub"]["change"] == {"parent": [2.0] * 4, "change": [1.5] * 4}
-    assert timed["stub"]["aa"] == {"parent": [2.0] * 4, "aa": [2.0] * 4}
+    timed = bench_layers.time_layers(pkgs, todo, rounds=10, timer=timer)
+    assert timed["stub"]["change"] == {"parent": [2.0] * 10, "change": [1.5] * 10}
+    assert timed["stub"]["aa"] == {"parent": [2.0] * 10, "aa": [2.0] * 10}
     s = bench_layers.summarize(timed)["stub"]
-    assert s["rounds"] == 4 and s["change_wins"] == 4 and s["aa_wins"] == 0
+    assert s["rounds"] == 10 and s["change_wins"] == 10 and s["aa_wins"] == 0
     assert s["ratio_median"] == 0.75 and s["ratio_quartiles"] == [0.75] * 3
     assert s["aa_ratio_quartiles"] == [1.0] * 3
     assert s["parent_median_s"] == 2.0 and s["change_median_s"] == 1.5
     assert s["outputs_equal"] and s["aa_outputs_equal"] and s["gain_shown"]
     assert bench_layers.verdict_lines({"stub": s})[0].startswith("stub: parent 2000000.0 us, change 1500000.0 us")
+
+
+def test_nine_won_rounds_of_nine_show_no_gain(pkgs):
+    # every round won by a wide margin, but fewer rounds than a gain needs
+    todo, timer = stub_layers(pkgs, {"parent": 2.0, "change": 1.0, "aa": 2.0},
+                              {side: 1.0 for side in bench_layers.SIDES})
+    s = bench_layers.summarize(bench_layers.time_layers(pkgs, todo, rounds=9, timer=timer))["stub"]
+    assert s["rounds"] == 9 and s["change_wins"] == 9 and s["ratio_median"] == 0.5
+    assert not s["gain_shown"]
 
 
 def test_a_slower_or_different_change_shows_no_gain(pkgs):
@@ -125,7 +134,8 @@ def test_the_layer_list_covers_both_modes_and_the_measures():
                 assert f"herm_eig[{kind}{rot}, vectors={vectors}]" in names
     measures = ["measure_G", "measure_DG", "measure_K", "negativity"]
     assert names[names.index("measure_G") : names.index("measure_G") + 4] == measures
-    assert names[-7:] == ["min_diag_entropy[families, reused config]",
+    assert names[-10:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
+                           "min_diag_entropy[families, reused config]",
                           "min_diag_entropy[measure-cold states, fresh config]",
                           "measure_D[measure-cold states, fresh config]",
                           *(f"_haar_batch[{dims}, 512 samples]" for dims in bench_layers.STATE_DIMS)]
@@ -140,6 +150,6 @@ def test_rotated_inputs_are_inexact_and_the_others_exact(pkgs):
 def test_the_d_search_layers_run_on_both_copies_and_agree(pkgs):
     # each D-search layer's call works on a loaded copy and gives the other
     # copy's outputs; the reused config is filled before the call
-    for name, setup in bench_layers.layers()[-7:]:
+    for name, setup in bench_layers.layers()[-10:]:
         a, b = (setup(pkgs[side])() for side in ("parent", "change"))
         assert a and bench_layers.same(a, b), name

@@ -64,6 +64,15 @@ def test_gain_shown_needs_nine_tenths_won_and_a_median_past_the_parent_spread(sh
     assert p50["gain_shown"] is shown
 
 
+def test_nine_won_pairs_of_nine_show_no_gain():
+    parent = [10.0 + i for i in range(9)]
+    runs = [run("parent", i, 1.0, p) for i, p in enumerate(parent)]
+    runs += [run("change", i, 1.0, p - 20.0) for i, p in enumerate(parent)]
+    p50 = bench_pairs.summarize(runs, BETTER)["w"]["metrics"]["op_p50_ms"]
+    assert p50["change_wins"] == 9 and p50["change_median"] == p50["parent_median"] - 20.0
+    assert p50["gain_shown"] is False
+
+
 def test_unpaired_runs_are_left_out_and_workloads_kept_apart():
     runs = [run("parent", 1, 10.0, 5.0), run("change", 1, 20.0, 4.0, failed=2),
             run("parent", 2, 99.0, 1.0),
@@ -211,7 +220,8 @@ def test_main_runs_a_traced_pair_per_seed_after_the_pairs(tmp_path, monkeypatch,
     verdict = lines[-len(end_to_end):]
     for name, line in zip(end_to_end, verdict):
         won = 2 if report["summary"]["w"]["metrics"][name]["better"] == "lower" else 0
-        assert line == f"w {name}: parent 10.5 [10.25, 10.75], change 6.5, won {won}/2, gain_shown {won == 2}"
+        # two pairs won are too few to show a gain
+        assert line == f"w {name}: parent 10.5 [10.25, 10.75], change 6.5, won {won}/2, gain_shown False"
 
 
 def test_outputs_sha256_hashes_what_each_command_prints_in_sorted_order(tmp_path, monkeypatch):

@@ -207,9 +207,9 @@ class TestMinDiagEntropy:
         real, real_descend, seen = search._batch_entropies, search._descend, []
         monkeypatch.setattr(search, "_batch_entropies", lambda m, f: np.round(real(m, f), 1))
 
-        def capture(rho_mat, stacks, h, max_rounds):
+        def capture(rho_mat, stacks, h, max_rounds, plan):
             seen.append([np.array(F) for F in stacks])
-            return real_descend(rho_mat, stacks, h, max_rounds)
+            return real_descend(rho_mat, stacks, h, max_rounds, plan)
 
         monkeypatch.setattr(search, "_descend", capture)
         rho, n = nc.random_density_matrix((2, 3), 6, 21), 300
@@ -278,7 +278,7 @@ class TestDescent:
         # of the scorer, at eps = 1e-5 for g and 1e-4 for H
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 5)
         factors = search._haar_batch(dims, normals(dims, 1, 3))
-        g, H, p = search._derivatives(rho.mat, factors, search._lie(dims))
+        g, H, p = search._derivatives(rho.mat, factors, search._plan(dims))
         n = sum(d * d - d for d in dims)
         assert g.shape == (1, n) and H.shape == (1, n, n)
         assert np.max(np.abs(p - qmat.product_diagonals(rho.mat, qmat.projectors(factors)))) <= 1e-15
@@ -296,7 +296,7 @@ class TestDescent:
         # descended witness is a strict local minimum
         rho = nc.make_horodecki(0.52)
         for basis, least in [(nc.computational_basis(rho.dims), -0.2985), (search.marginal_eigenbasis(rho), -0.01736)]:
-            g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors], search._lie(rho.dims))
+            g, H, _ = search._derivatives(rho.mat, [f[None] for f in basis.factors], search._plan(rho.dims))
             assert np.sqrt(g[0] @ g[0]) <= search._GRAD_TOL
             assert np.linalg.eigvalsh(H[0])[0] == pytest.approx(least, abs=1e-4)
         rep = nc.measure_D(rho, nc.SearchConfig())
@@ -354,16 +354,17 @@ class TestDescent:
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 7)
         starts = search._haar_batch(dims, normals(dims, 4, 1))
         h = search._batch_entropies(rho.mat, qmat.projectors(starts))
-        U, *_ = search._descend(rho.mat, starts, h, 100)
-        norms = np.sqrt((np.abs(search._derivatives(rho.mat, U, search._lie(dims))[0]) ** 2).sum(1))
+        plan = search._plan(dims)
+        U, *_ = search._descend(rho.mat, starts, h, 100, plan)
+        norms = np.sqrt((np.abs(search._derivatives(rho.mat, U, plan)[0]) ** 2).sum(1))
         stationary = [F[[np.argmin(norms)]] for F in U]
         assert norms.min() <= search._GRAD_TOL
         starts = [np.concatenate([F[:2], S, F[2:]]) for F, S in zip(starts, stationary)]
         h = search._batch_entropies(rho.mat, qmat.projectors(starts))
-        U, h_end, rounds, *_ = search._descend(rho.mat, starts, h, 100)
+        U, h_end, rounds, *_ = search._descend(rho.mat, starts, h, 100, plan)
         assert rounds[2] == 0 and len(set(rounds.tolist())) > 2
         for i in range(5):
-            U_i, h_i, rounds_i, *_ = search._descend(rho.mat, [F[i : i + 1] for F in starts], h[i : i + 1], 100)
+            U_i, h_i, rounds_i, *_ = search._descend(rho.mat, [F[i : i + 1] for F in starts], h[i : i + 1], 100, plan)
             assert h_i[0] == h_end[i] and rounds_i[0] == rounds[i]
             for F, F_i in zip(U, U_i):
                 assert np.array_equal(F_i[0], F[i])
@@ -389,14 +390,14 @@ class TestDescent:
                 ent[reject[1] * T : (reject[1] + 1) * T] = np.inf
             return ent
 
-        def spy_derivatives(rho_mat, stacks, bases):
+        def spy_derivatives(rho_mat, stacks, plan):
             derived.append([F.copy() for F in stacks])
-            return derivatives(rho_mat, stacks, bases)
+            return derivatives(rho_mat, stacks, plan)
 
         monkeypatch.setattr(search, "_rotate", spy_rotate)
         monkeypatch.setattr(search, "_batch_entropies", spy_score)
         monkeypatch.setattr(search, "_derivatives", spy_derivatives)
-        out = search._descend(rho_mat, starts, h, max_rounds)
+        out = search._descend(rho_mat, starts, h, max_rounds, search._plan(tuple(F.shape[-1] for F in starts)))
         monkeypatch.undo()
         return out, rotated, derived, scores
 
@@ -442,7 +443,7 @@ class TestDescent:
         before = [a.copy() for a in (*starts, h)]
         for a in (*starts, h):
             a.setflags(write=False)
-        U, h_end, rounds, _, first, last = search._descend(rho.mat, starts, h, max_rounds)
+        U, h_end, rounds, _, first, last = search._descend(rho.mat, starts, h, max_rounds, search._plan((2, 2, 2)))
         assert rounds.any() == (max_rounds > 0)
         for a, b in zip((*starts, h), before):
             assert np.array_equal(a, b)
@@ -503,8 +504,8 @@ class TestDescent:
         ends = []
         descend = search._descend
 
-        def spy(rho_mat, stacks, h, max_rounds):
-            out = descend(rho_mat, stacks, h, max_rounds)
+        def spy(rho_mat, stacks, h, max_rounds, plan):
+            out = descend(rho_mat, stacks, h, max_rounds, plan)
             ends.append((rho_mat, out[0], out[2]))
             return out
 
@@ -512,7 +513,7 @@ class TestDescent:
         for b in (0.94, 0.95, 0.96, 0.97, 0.98, 0.99):
             rep = nc.measure_D(nc.make_horodecki(b), nc.SearchConfig(seed=seed))
             rho_mat, U, rounds = ends[-1]
-            g = search._derivatives(rho_mat, U, search._lie([F.shape[-1] for F in U]))[0]
+            g = search._derivatives(rho_mat, U, search._plan(tuple(F.shape[-1] for F in U)))[0]
             assert np.sqrt((g * g).sum(1)).max() <= search._GRAD_TOL
             assert rounds.max() < 100
             assert rep.diagnostics["converged"] is True and rep.diagnostics["hessian_min_eig"] > 0
@@ -526,12 +527,12 @@ class TestDescent:
         rho = nc.random_density_matrix(dims, int(np.prod(dims)), 9)
         starts = search._haar_batch(dims, normals(dims, 4, 2))
         h = search._batch_entropies(rho.mat, qmat.projectors(starts))
-        U, _, rounds, accepts, first, last = search._descend(rho.mat, starts, h, 100)
+        plan = search._plan(dims)
+        U, _, rounds, accepts, first, last = search._descend(rho.mat, starts, h, 100, plan)
         assert accepts.all() and len(set(rounds.tolist())) > 1
-        lie = search._lie(dims)
         for at, F in ((first, starts), (last, U)):
             for i in range(4):
-                for x, y in zip(at, search._derivatives(rho.mat, [G[i : i + 1] for G in F], lie)):
+                for x, y in zip(at, search._derivatives(rho.mat, [G[i : i + 1] for G in F], plan)):
                     assert np.array_equal(x[i], y[0])
 
     @pytest.mark.parametrize("rho, cfg, source", [
@@ -547,7 +548,7 @@ class TestDescent:
         # witness alone must give the same bits
         _, basis, diag = nc.min_diag_entropy(rho, cfg)
         assert diag["best_source"].startswith(source)
-        g, H, p = (x[0] for x in search._derivatives(rho.mat, [f[None] for f in basis.factors], search._lie(rho.dims)))
+        g, H, p = (x[0] for x in search._derivatives(rho.mat, [f[None] for f in basis.factors], search._plan(rho.dims)))
         assert diag["gradient_norm"] == float(np.sqrt(g @ g))
         assert diag["hessian_min_eig"] == (float(np.linalg.eigvalsh(H)[0]) if p.min() >= search._SMOOTH_FLOOR else None)
         assert (diag["hessian_min_eig"] is None) == (source == "marginal-eigenbasis")
@@ -744,19 +745,20 @@ class TestSingleScorer:
         rep = nc.measure_D(rho, cfg)
         assert made == []
         assert rep.diagnostics["best_source"].startswith("sample:")
-        kept = [np.array(F) for F in cfg._samples[(2, 2, 2)][0]]
+        kept = [np.array(F) for F in cfg._kept["samples", (2, 2, 2)][0]]
         rep.witness.factors[0][:] = np.eye(2)
         again = nc.measure_D(rho, cfg)
         assert again.value == rep.value
         assert again.witness.factors[0].tobytes() != rep.witness.factors[0].tobytes()
-        for F, K in zip(cfg._samples[(2, 2, 2)][0], kept):
+        for F, K in zip(cfg._kept["samples", (2, 2, 2)][0], kept):
             assert np.array_equal(F, K)
 
 
 class TestConcurrentCallers:
-    """The only state the search keeps between calls is the sample sets on
-    its config, which depend on the config and the dims alone, so callers on
-    several threads get what they would get one after another."""
+    """The only state the search keeps between calls is the sample sets and
+    descent plans on its config, which depend on the config and the dims
+    alone, so callers on several threads get what they would get one after
+    another."""
 
     def test_concurrent_callers_get_serial_results(self):
         jobs = [
@@ -813,7 +815,7 @@ class TestConcurrentCallers:
         assert len(reports) == 4 * 3 * len(cfgs)
         # concurrent first calls may each make a config's set, later ones none
         assert len(cfgs) <= len(made) <= 4 * len(cfgs)
-        assert all(list(cfg._samples) == [(2, 3)] for cfg in cfgs)
+        assert all(sorted(cfg._kept) == [("plan", (2, 3)), ("samples", (2, 3))] for cfg in cfgs)
         for c, got in reports:
             want = serial[c]
             assert got.value == want.value
@@ -837,27 +839,27 @@ class TestConfigSampleSets:
             nc.measure_D(nc.random_density_matrix((2, 4), 3, 60 + k), cfg)
             assert made == want
             made.clear()
-        assert list(cfg._samples) == [(2, 4)]
+        assert list(cfg._kept) == [("plan", (2, 4)), ("samples", (2, 4))]
         # other dims on the same config get a set of their own, beside the first
         nc.measure_D(nc.random_density_matrix((2, 2, 2), 3, 60), cfg)
         assert made == [64]
         made.clear()
-        assert [F.shape for F in cfg._samples[(2, 2, 2)][0]] == [(64, 2, 2)] * 3
-        assert [F.shape for F in cfg._samples[(2, 4)][0]] == [(64, 2, 2), (64, 4, 4)]
+        assert [F.shape for F in cfg._kept["samples", (2, 2, 2)][0]] == [(64, 2, 2)] * 3
+        assert [F.shape for F in cfg._kept["samples", (2, 4)][0]] == [(64, 2, 2), (64, 4, 4)]
         # another seed or n is another config, and seed 1 + 2**64 draws seed 1's samples
         for seed, n in [(2, 64), (1, 65), (1 + 2 ** 64, 64)]:
             other = nc.SearchConfig(n_samples=n, seed=seed, refine_steps=5)
             nc.measure_D(nc.random_density_matrix((2, 4), 3, 60), other)
             assert made == [n]
             made.clear()
-        for F, G in zip(other._samples[(2, 4)][0], cfg._samples[(2, 4)][0]):
+        for F, G in zip(other._kept["samples", (2, 4)][0], cfg._kept["samples", (2, 4)][0]):
             assert np.array_equal(F, G)
 
     def test_equality_hash_and_repr_ignore_the_sets(self):
         cfg = nc.SearchConfig()
         before = hash(cfg), repr(cfg)
         nc.measure_D(nc.random_density_matrix((2, 2), 4, 64), cfg)
-        assert list(cfg._samples) == [(2, 2)]
+        assert list(cfg._kept) == [("plan", (2, 2)), ("samples", (2, 2))]
         assert cfg == nc.SearchConfig()
         assert (hash(cfg), repr(cfg)) == before
 
@@ -865,14 +867,14 @@ class TestConfigSampleSets:
         # a copy that shared the sets would serve seed 1's samples to seed 2
         cfg = nc.SearchConfig(n_samples=64, refine_steps=5)
         nc.measure_D(nc.random_density_matrix((2, 2), 4, 65), cfg)
-        assert cfg._samples
+        assert cfg._kept
         for other in (dataclasses.replace(cfg), dataclasses.replace(cfg, seed=2), nc.SearchConfig()):
-            assert other._samples == {}
+            assert other._kept == {}
 
     def test_kept_stacks_die_with_their_config(self):
         cfg = nc.SearchConfig(n_samples=16, refine_steps=0)
         nc.measure_D(nc.random_density_matrix((2, 3), 6, 66), cfg)
-        facs, projs = cfg._samples[(2, 3)]
+        facs, projs = cfg._kept["samples", (2, 3)]
         refs = [weakref.ref(F) for F in (*facs, *projs)]
         del cfg, facs, projs
         gc.collect()
@@ -881,7 +883,7 @@ class TestConfigSampleSets:
     def test_kept_arrays_are_read_only(self):
         cfg = nc.SearchConfig(n_samples=16, refine_steps=0)
         nc.measure_D(nc.random_density_matrix((2, 3, 2), 4, 62), cfg)
-        [(facs, projs)] = cfg._samples.values()
+        facs, projs = cfg._kept["samples", (2, 3, 2)]
         assert [F.shape for F in facs] == [(16, 2, 2), (16, 3, 3), (16, 2, 2)]
         assert [P.shape for P in projs] == [(16, 2, 4), (16, 3, 9), (16, 2, 4)]
         for F in (*facs, *projs):
@@ -895,7 +897,7 @@ class TestConfigSampleSets:
         # those `qmat.projectors` makes of its factors, byte for byte
         cfg = nc.SearchConfig(n_samples=64, refine_steps=0)
         nc.measure_D(nc.random_density_matrix(dims, math.prod(dims), 67), cfg)
-        facs, projs = cfg._samples[dims]
+        facs, projs = cfg._kept["samples", dims]
         fresh = qmat.projectors(facs)
         assert len(projs) == len(fresh) == len(dims)
         for P, Q in zip(projs, fresh):
@@ -909,11 +911,12 @@ class TestConfigSampleSets:
                    for rank in (1, 2, math.prod(dims))]
         cfg = nc.SearchConfig()
         kept = [self.report(nc.measure_D(rho, cfg)) for rho in states]
-        assert set(cfg._samples) == {(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)}
+        assert set(cfg._kept) == {(kind, dims) for kind in ("plan", "samples")
+                                  for dims in [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2), (2, 3, 2)]}
         for rho, want in zip(states, kept):
             assert self.report(nc.measure_D(rho, nc.SearchConfig())) == want
 
-    def test_several_chunks_keep_nothing(self, made):
+    def test_several_chunks_keep_no_samples(self, made):
         rho = nc.random_density_matrix((3, 3), 9, 63)
         one = self.report(nc.measure_D(rho, nc.SearchConfig(n_samples=300, refine_steps=20)))
         cfg = nc.SearchConfig(n_samples=300, refine_steps=20, chunk_size=128)
@@ -921,4 +924,68 @@ class TestConfigSampleSets:
         for _ in range(3):
             assert self.report(nc.measure_D(rho, cfg)) == one
         assert made == [128, 128, 44] * 3
-        assert cfg._samples == {}
+        assert list(cfg._kept) == [("plan", (3, 3))]
+
+
+class TestConfigPlans:
+    """Every search keeps its dims' descent plan (`search._plan`) on its
+    SearchConfig, read-only, for as long as the config lives."""
+
+    @staticmethod
+    def arrays(x):
+        """Every array in a plan, through tuples and lists."""
+        if isinstance(x, np.ndarray):
+            return [x]
+        return [a for v in x for a in TestConfigPlans.arrays(v)] if isinstance(x, (tuple, list)) else []
+
+    def test_a_second_search_on_one_config_makes_no_lie_tables(self, monkeypatch):
+        tables, lie = [], search._lie
+        monkeypatch.setattr(search, "_lie", lambda dims: tables.append(tuple(dims)) or lie(dims))
+        cfg = nc.SearchConfig(n_samples=64, refine_steps=5)
+        for seed in (1, 2):
+            nc.min_diag_entropy(nc.random_density_matrix((2, 4), 8, seed), cfg)
+        assert tables == [(2, 4)]
+        nc.min_diag_entropy(nc.random_density_matrix((2, 4), 8, 3), nc.SearchConfig(n_samples=64, refine_steps=5))
+        assert tables == [(2, 4)] * 2
+
+    def test_a_sweep_makes_one_plan_per_dims(self, monkeypatch):
+        plans, plan = [], search._plan
+        monkeypatch.setattr(search, "_plan", lambda dims: plans.append(dims) or plan(dims))
+        cfg = nc.SearchConfig(n_samples=64, refine_steps=5)
+        for family in ("ps", "horodecki"):
+            _, lo, hi = sweep.FAMILIES[family]
+            rows = sweep.sweep_rows(sweep.SweepSpec(family, lo, hi, 5, search=cfg))
+            assert len(rows) == 5 and all("D" in vals for _, vals in rows)
+        assert plans == [(2, 2), (2, 4)]
+        assert set(cfg._kept) == {(kind, dims) for kind in ("plan", "samples") for dims in [(2, 2), (2, 4)]}
+
+    def test_plan_arrays_are_read_only_and_die_with_their_config(self):
+        cfg = nc.SearchConfig(n_samples=16, refine_steps=5)
+        nc.min_diag_entropy(nc.random_density_matrix((2, 3, 2), 12, 68), cfg)
+        plan = cfg._kept["plan", (2, 3, 2)]
+        arrays = self.arrays(plan)
+        # the computational basis's factors, the gather table and its coefficients,
+        # each subsystem's transposed basis and each dimension's basis
+        assert len(arrays) == 3 + 2 + 3 + 2
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1
+        refs = [weakref.ref(a) for a in arrays]
+        del cfg, plan, arrays, a
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_a_reused_config_reports_what_a_fresh_one_does(self):
+        # one config serves every dims, twice over, so each plan and sample set
+        # is read back beside those of other dims, two of them the same sizes in another order
+        dims_list = [(2, 2), (2, 4), (4, 2), (3, 3), (2, 2, 2), (2, 2, 2, 2)]
+        cfg = nc.SearchConfig(n_samples=128, refine_steps=30)
+        for seed in (1, 2):
+            for dims in dims_list:
+                rho = nc.random_density_matrix(dims, math.prod(dims), seed)
+                got, want = (nc.measure_D(rho, c) for c in (cfg, nc.SearchConfig(n_samples=128, refine_steps=30)))
+                assert got.value.hex() == want.value.hex(), dims
+                assert [f.tobytes() for f in got.witness.factors] == [f.tobytes() for f in want.witness.factors]
+                assert got.diagnostics == want.diagnostics
+        assert {dims for kind, dims in cfg._kept if kind == "plan"} == set(dims_list)

@@ -16,10 +16,12 @@ partial transposes), and on a copy of each turned by a random unitary, which
 is Hermitian only up to rounding; numpy's own `eigvalsh` on rho, the floor
 `herm_eig` adds its checks and sort to; and `measure_G`, `measure_DG`,
 `measure_K` and `negativity`, each on states made fresh for the call, so no
-spectrum kept on a state is reused.  The D search has four kinds of layer:
+spectrum kept on a state is reused.  The D search has five kinds of layer:
+`sweep.evaluate_point` with all five measures on fresh points of one family
+(one layer per family), with a config filled by the family's first point
+before the timed call, as a `sweep-families` op reuses its config;
 `min_diag_entropy` on fresh family points (`sweep.FAMILIES`) with one
-config whose sample sets are filled before the timed call, as a sweep
-reuses its config; `min_diag_entropy` and `measure_D` on fresh
+config filled before the timed call; `min_diag_entropy` and `measure_D` on fresh
 `measure-cold` states (each dims at full rank) with a new config per state,
 as `nccorr measure` makes its samples anew; and `_haar_batch` on 512
 samples' normals per dims.  Every layer calls only functions and signatures
@@ -31,8 +33,9 @@ gives each side's median time, the median and quartiles of the round ratios
 change/parent, the rounds the change won (a strictly lower time), the same
 three for the A/A pair, and whether the two sides' outputs of the untimed
 call are equal: arrays byte for byte, reports field by field.  A layer gain
-is shown if the change won at least nine tenths of the rounds and its median
-ratio lies below the A/A lower quartile.
+is shown if there are at least `bench_pairs.MIN_PAIRS` rounds, the change
+won at least nine tenths of them, and its median ratio lies below the A/A
+lower quartile.
 
 The result is stored under the key `layers` of the output file, which keeps
 its other keys (`tools/bench_pairs.py` writes the same file), with the
@@ -135,6 +138,16 @@ def layers() -> List[Layer]:
         inputs = herm_inputs(nc)["rho"]
         return lambda: [np.linalg.eigvalsh(H) for H in inputs]
 
+    def family_point(family):
+        def setup(nc):
+            cfg, (ctor, lo, hi) = nc.SearchConfig(seed=7), nc.sweep.FAMILIES[family]
+            point = lambda rho: nc.sweep.evaluate_point(rho, nc.sweep.MEASURE_ORDER, cfg,
+                                                        nc.measures.DEFAULT_PARTITION_CAP)
+            point(ctor(lo))  # fills cfg, as a sweep's first point does
+            fresh = [ctor(float(p)) for p in np.linspace(lo, hi, FAMILY_POINTS)]
+            return lambda: [point(rho) for rho in fresh]
+        return setup
+
     def family_search(nc):
         cfg = nc.SearchConfig(seed=7)
         for dims in {ctor(lo).dims for ctor, lo, _ in nc.sweep.FAMILIES.values()}:  # fills cfg's sample sets
@@ -161,6 +174,8 @@ def layers() -> List[Layer]:
            for kind in kinds for rot in ("", "-rotated") for vectors in (False, True)]
     out.append(("numpy.linalg.eigvalsh[rho]", eigvalsh))
     out += [(name, measure(name)) for name in ("measure_G", "measure_DG", "measure_K", "negativity")]
+    out += [(f"sweep.evaluate_point[{family}, reused config]", family_point(family))
+            for family in ("ps", "sigma", "horodecki")]
     out.append(("min_diag_entropy[families, reused config]", family_search))
     out += [(f"{fn}[measure-cold states, fresh config]", cold_search(fn)) for fn in ("min_diag_entropy", "measure_D")]
     out += [(f"_haar_batch[{dims}, 512 samples]", haar(dims)) for dims in STATE_DIMS]
@@ -225,7 +240,8 @@ def summarize(timed: dict) -> dict:
             "aa_wins": sum(r < 1.0 for r in ratios["aa"]),
             "outputs_equal": t["outputs_equal"]["change"],
             "aa_outputs_equal": t["outputs_equal"]["aa"],
-            "gain_shown": 10 * wins >= 9 * len(ratios["change"]) and q[1] < aa_q[0],
+            "gain_shown": (len(ratios["change"]) >= bench_pairs.MIN_PAIRS and 10 * wins >= 9 * len(ratios["change"])
+                           and q[1] < aa_q[0]),
         }
     return out
 

@@ -15,9 +15,10 @@ workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the pairs the change won (strictly better in the metric's
 direction), the relative change of the medians, the number of seeds whose
 two values differ and the largest difference among them.  `gain_shown` says
-whether the change may claim a gain on the metric: it won at least nine
-tenths of the pairs, and its median is better than the parent's by more than
-the parent's interquartile range.  For every seed, each checkout also runs
+whether the change may claim a gain on the metric: there are at least
+`MIN_PAIRS` pairs, the change won at least nine tenths of them, and its
+median is better than the parent's by more than the parent's interquartile
+range.  For every seed, each checkout also runs
 `nccorr verify` once, in the same order, and its per-criterion seconds are
 stored with their medians per side.  The report also gives each side's
 source line count (perfbench's `meta.nccorr_src_lines`).  After each
@@ -49,6 +50,7 @@ from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # the fewest pairs (or rounds) a gain can be shown from: nine tenths of them must be won
 # the states and family sweeps `outputs_sha256` runs `nccorr` on
 OUTPUT_DIMS = ("2,4", "3,3", "2,2,2", "2,2,2,2", "2,3,2")
 OUTPUT_SWEEPS = (("ps", "1"), ("sigma", "0.5"), ("horodecki", "1"))
@@ -105,7 +107,8 @@ def summarize(runs: Sequence[dict], better: Dict[str, str]) -> dict:
                 "change_median": c_med,
                 "change_quartiles": quartiles(change),
                 "change_wins": wins,
-                "gain_shown": 10 * wins >= 9 * len(pairs) and sign * (c_med - p_med) > p_q[2] - p_q[0],
+                "gain_shown": (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
+                               and sign * (c_med - p_med) > p_q[2] - p_q[0]),
                 "median_change": (c_med - p_med) / p_med if p_med else None,
                 "seeds_differing": len(diffs),
                 "max_abs_diff": max(diffs, default=0.0),
