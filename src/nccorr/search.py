@@ -16,12 +16,16 @@ batch either.
 A sample set depends only on the SearchConfig and the dims, never on rho, so
 a search of one chunk keeps its samples, their factor stacks and their
 projectors, on the config with `core.kept`, read-only, in `cfg._kept`: one
-set per dims for as long as the config lives.  Beside it, every search keeps
-its dims' descent `_plan` there, the tables the descent derives from the dims
-alone.  A sweep passes one config to every point, so it makes each dims'
-samples, projectors and plan once.  Those sets and plans are the only state
-the search keeps between calls.  A search of more than one chunk makes its
-samples anew on every call.
+set per dims for as long as the config lives.  Beside it, a search of any
+number of chunks keeps its dims' descent `_plan` there, the tables the
+descent derives from the dims alone, if the plan takes at most
+`_KEPT_PLAN_BYTES` (1 MiB: six qubits or (2,8), not seven qubits), so a
+config that lives as long as the process, such as `measure_D`'s default,
+holds at most that per dims.  A larger plan is made on every call, where
+the descent's own arrays dwarf it.  A sweep passes one config to every
+point, so it makes each dims' samples, projectors and plan once.  Those
+sets and plans are the only state the search keeps between calls.  A search
+of more than one chunk makes its samples anew on every call.
 
 Within a call, `_descend` takes each start's derivatives once and again only
 after an accepted step, and the witness's certificate reads them.
@@ -46,6 +50,7 @@ _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in t
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
 _MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
 _FIXED = np.array([0, 1])  # the fixed starts' places in the start set
+_KEPT_PLAN_BYTES = 2 ** 20  # a config keeps the plan of dims only if `_plan_bytes(dims)` is at most this
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class SearchConfig:
     refine_steps: int = 100  # most descent rounds per start
     chunk_size: int = 2048  # samples made and scored at a time; never affects results
     # ("samples", dims) -> a one-chunk search's factor stacks and their projectors; ("plan", dims) -> its
-    # `_plan`; each read-only (`core.kept`)
+    # `_plan`, if at most `_KEPT_PLAN_BYTES`; each read-only (`core.kept`)
     _kept: Dict[Hashable, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,14 +98,9 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
     S, blocks, factors = len(N), np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1), [None] * len(dims)
     for d in set(dims):
         ks = [k for k, dk in enumerate(dims) if dk == d]
-        # Q[c, r, s] is entry (r, c) of sample s (of subsystem ks[s // S]), and reduce(np.add, ...) sums over r in order;
-        # Q is C-ordered, so a column's samples are contiguous
-        cs = [blocks[k].view(np.complex128).reshape(-1, d, d).T for k in ks]
-        if len(ks) == 1:
-            Q = np.ascontiguousarray(cs[0])
-        else:
-            Q = np.empty((d, d, len(ks) * S), dtype=np.complex128)
-            np.concatenate(cs, axis=2, out=Q)
+        # Q[c, r, s] is entry (r, c) of sample s (of subsystem ks[s // S]), and reduce(np.add, ...) sums over r in order
+        Q = np.empty((d, d, len(ks) * S), dtype=np.complex128)  # C order: a column's samples are contiguous
+        np.concatenate([blocks[k].view(np.complex128).reshape(-1, d, d).T for k in ks], axis=2, out=Q)
         for c in range(d):
             v = Q[c]
             for _ in range(2):
@@ -205,6 +205,14 @@ def _plan(dims: Tuple[int, ...]) -> _Plan:
     return _Plan(dims, computational_basis(dims).factors, take, coef, subs, groups)
 
 
+def _plan_bytes(dims: Sequence[int]) -> int:
+    """An upper bound on the bytes of `_plan(dims)`'s arrays: the gather table, 8 n d_tot^2 bytes for the
+    n = sum(d_k^2 - d_k) coordinates, its coefficients, and per subsystem its factor of the computational
+    basis and its `_lie_basis` in both layouts."""
+    n, d_tot = sum(d * d - d for d in dims), math.prod(dims)
+    return 8 * n * d_tot * d_tot + 16 * n * d_tot + sum(16 * d * d + 32 * (d * d - d) * d * d for d in dims)
+
+
 def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], plan: _Plan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of the diagonal entropy f(U_k exp(A_k)) at A = 0, for a batch of product bases.
 
@@ -299,7 +307,7 @@ def _descend(
     per-start array is indexed by start number for the whole call, and
     `_lie`'s tables, each subsystem's columns of x and the subsystems of
     each dimension are read from `plan`, `_plan(dims)`, which the config
-    keeps.  A round gathers the live starts by index, turns the factors of
+    keeps up to `_KEPT_PLAN_BYTES`.  A round gathers the live starts by index, turns the factors of
     every subsystem of dimension d, subsystem by subsystem, in one `_rotate`
     call, and writes the accepted steps back.
     Returns new factor stacks, entropies, rounds, accepted rounds, and the
@@ -355,7 +363,8 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     to the set, which is then trimmed back, so memory does not grow with
     the number of samples.  A search of one chunk keeps its samples and
     their projectors on cfg (`core.kept`), and a longer one makes them chunk
-    by chunk on every call.  Every search keeps its dims' `_plan` on cfg.
+    by chunk on every call.  Every search keeps its dims' `_plan` on cfg if
+`_plan_bytes(dims)` is at most `_KEPT_PLAN_BYTES`, and makes it otherwise.
     The first lowest start is the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
@@ -368,7 +377,8 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     regardless of chunk size.
     """
     dims, n = rho.dims, cfg.n_samples
-    plan = kept(cfg._kept, ("plan", dims), lambda: _plan(dims))
+    make_plan = lambda: _plan(dims)
+    plan = kept(cfg._kept, ("plan", dims), make_plan) if _plan_bytes(dims) <= _KEPT_PLAN_BYTES else make_plan()
     # the samples' stream, made at the first draw, so a kept set is its first n draws
     rng = cache(lambda: np.random.default_rng(cfg.seed % 2 ** 64))
     stacks = [np.array(f) for f in zip(plan.eye, marginal_eigenbasis(rho).factors)]

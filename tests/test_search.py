@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import threading
@@ -472,14 +473,19 @@ class TestDescent:
 
     def test_lie_tables_are_made_once_per_search(self, monkeypatch):
         # one basis per subsystem and one gather table serve every round of
-        # the descent and the witness's certificate, however many rounds run
+        # the descent and the witness's certificate, however many rounds run;
+        # a second search on the config makes none, and a new config its own
         calls, lie_basis, tables, lie = [], search._lie_basis, [], search._lie
         monkeypatch.setattr(search, "_lie_basis", lambda d: calls.append(d) or lie_basis(d))
         monkeypatch.setattr(search, "_lie", lambda dims: tables.append(list(dims)) or lie(dims))
-        rho = nc.random_density_matrix((2, 2, 2, 2), 16, 7)
-        _, _, diag = nc.min_diag_entropy(rho, nc.SearchConfig())
+        rho, cfg = nc.random_density_matrix((2, 2, 2, 2), 16, 7), nc.SearchConfig()
+        _, _, diag = nc.min_diag_entropy(rho, cfg)
         assert max(diag["start_rounds"]) > 2
         assert calls == [2] * 4 and tables == [[2, 2, 2, 2]]
+        nc.min_diag_entropy(nc.random_density_matrix((2, 2, 2, 2), 16, 8), cfg)
+        assert calls == [2] * 4 and tables == [[2, 2, 2, 2]]
+        nc.min_diag_entropy(rho, nc.SearchConfig())
+        assert calls == [2] * 8 and tables == [[2, 2, 2, 2]] * 2
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_gathered_x_equals_the_matmul_x(self, dims):
@@ -929,7 +935,8 @@ class TestConfigSampleSets:
 
 class TestConfigPlans:
     """Every search keeps its dims' descent plan (`search._plan`) on its
-    SearchConfig, read-only, for as long as the config lives."""
+    SearchConfig, read-only, for as long as the config lives, if the plan
+    takes at most `search._KEPT_PLAN_BYTES`."""
 
     @staticmethod
     def arrays(x):
@@ -938,15 +945,36 @@ class TestConfigPlans:
             return [x]
         return [a for v in x for a in TestConfigPlans.arrays(v)] if isinstance(x, (tuple, list)) else []
 
-    def test_a_second_search_on_one_config_makes_no_lie_tables(self, monkeypatch):
-        tables, lie = [], search._lie
-        monkeypatch.setattr(search, "_lie", lambda dims: tables.append(tuple(dims)) or lie(dims))
-        cfg = nc.SearchConfig(n_samples=64, refine_steps=5)
-        for seed in (1, 2):
-            nc.min_diag_entropy(nc.random_density_matrix((2, 4), 8, seed), cfg)
-        assert tables == [(2, 4)]
-        nc.min_diag_entropy(nc.random_density_matrix((2, 4), 8, 3), nc.SearchConfig(n_samples=64, refine_steps=5))
-        assert tables == [(2, 4)] * 2
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3, 2), (2, 8), (3, 4, 5), (2,) * 6])
+    def test_plan_bytes_bound_the_plan(self, dims):
+        # exact where no dimension repeats; a repeated one's basis is shared
+        got = sum(a.nbytes for a in self.arrays(search._plan(dims)))
+        assert got <= search._plan_bytes(dims)
+        assert (got == search._plan_bytes(dims)) == (len(set(dims)) == len(dims))
+
+    def test_the_bound_keeps_six_qubits_and_not_seven(self):
+        assert search._plan_bytes((2,) * 6) <= search._KEPT_PLAN_BYTES < search._plan_bytes((2,) * 7)
+        assert search._plan_bytes((2, 8)) <= search._KEPT_PLAN_BYTES < search._plan_bytes((8, 8))
+
+    def test_a_plan_over_the_bound_is_made_per_search_and_kept_nowhere(self, monkeypatch):
+        # measure_D's default config lives as long as the process, so it must keep
+        # no plan over the bound either; results do not depend on keeping
+        rhos = [nc.random_density_matrix(dims, 4, 9) for dims in [(2, 2), (2, 4), (2, 4)]]
+        want = [nc.measure_D(rho, nc.SearchConfig()) for rho in rhos]
+        plans, plan = [], search._plan
+        monkeypatch.setattr(search, "_plan", lambda dims: plans.append(dims) or plan(dims))
+        monkeypatch.setattr(search, "_KEPT_PLAN_BYTES", search._plan_bytes((2, 2)))
+        default = inspect.signature(nc.measure_D).parameters["cfg"].default
+        for key in list(default._kept):  # other tests may have filled it; put back afterwards
+            monkeypatch.delitem(default._kept, key)
+        for cfg in (nc.SearchConfig(), default):
+            plans.clear()
+            got = [nc.measure_D(rho, cfg) for rho in rhos]
+            assert plans == [(2, 2), (2, 4), (2, 4)]
+            assert ("plan", (2, 2)) in cfg._kept and ("plan", (2, 4)) not in cfg._kept
+            for g, w in zip(got, want):
+                assert g.value.hex() == w.value.hex() and g.diagnostics == w.diagnostics
+                assert [f.tobytes() for f in g.witness.factors] == [f.tobytes() for f in w.witness.factors]
 
     def test_a_sweep_makes_one_plan_per_dims(self, monkeypatch):
         plans, plan = [], search._plan
