@@ -68,6 +68,14 @@ def _read_only(x: Any) -> Any:
     return x
 
 
+def checked_dims(dims) -> Tuple[int, ...]:
+    """dims as a tuple of ints; DimensionMismatch if it is empty or any d is below 2."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 2 for d in dims):
+        raise DimensionMismatch(f"subsystem dims must all be >= 2, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Multipartite state: subsystem dimensions plus the full matrix.
@@ -82,9 +90,7 @@ class DensityMatrix:
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 for d in dims):
-            raise DimensionMismatch(f"subsystem dims must all be >= 2, got {dims}")
+        dims = checked_dims(self.dims)
         mat = _read_only(np.array(self.mat, dtype=np.complex128))
         d_tot = math.prod(dims)
         if mat.shape != (d_tot, d_tot):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,13 +190,14 @@ def _bipartite_splittings(m: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, 
         yield tuple(side_a), tuple(side_b)
 
 
-def measure_D(rho: DensityMatrix, cfg: SearchConfig = SearchConfig()) -> MeasureReport:
+def measure_D(rho: DensityMatrix, cfg: Optional[SearchConfig] = None) -> MeasureReport:
     """Minimum product-basis diagonal entropy minus the von Neumann entropy.
 
-    It depends on rho alone; cfg sets how hard `min_diag_entropy` searches.
+    It depends on rho alone; cfg sets how hard `min_diag_entropy` searches,
+    and None means a fresh `SearchConfig()` for this call alone.
     Search-based: the reported value is an upper bound on the true D.
     """
-    h_min, basis, diag = min_diag_entropy(rho, cfg)
+    h_min, basis, diag = min_diag_entropy(rho, SearchConfig() if cfg is None else cfg)
     s_vn = qmat.von_neumann_entropy(rho)
     diag = dict(diag, min_diag_entropy=h_min, von_neumann_entropy=s_vn)
     return MeasureReport("D", h_min - s_vn, basis, diag)

@@ -14,18 +14,10 @@ rank-one projectors (`qmat.projectors`), and its rows do not depend on the
 batch either.
 
 A sample set depends only on the SearchConfig and the dims, never on rho, so
-a search of one chunk keeps its samples, their factor stacks and their
-projectors, on the config with `core.kept`, read-only, in `cfg._kept`: one
-set per dims for as long as the config lives.  Beside it, a search of any
-number of chunks keeps its dims' descent `_plan` there, the tables the
-descent derives from the dims alone, if the plan takes at most
-`_KEPT_PLAN_BYTES` (1 MiB: six qubits or (2,8), not seven qubits), so a
-config that lives as long as the process, such as `measure_D`'s default,
-holds at most that per dims.  A larger plan is made on every call, where
-the descent's own arrays dwarf it.  A sweep passes one config to every
-point, so it makes each dims' samples, projectors and plan once.  Those
-sets and plans are the only state the search keeps between calls.  A search
-of more than one chunk makes its samples anew on every call.
+a search of one chunk keeps its samples and their projectors on the config
+(`SearchConfig` says what it keeps and for how long); a longer search makes
+them anew on every call.  Every search keeps its dims' descent `_plan` there.
+A sweep passes one config to every point, so it makes each once per dims.
 
 Within a call, `_descend` takes each start's derivatives once and again only
 after an accepted step, and the witness's certificate reads them.
@@ -39,7 +31,7 @@ from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis, kept
+from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis, checked_dims, kept
 from . import qmat
 
 _N_STARTS = 6  # best samples the descent starts from, besides the fixed candidates
@@ -50,17 +42,27 @@ _EIG_FLOOR = 1e-8  # Hessian eigenvalues smaller in magnitude count as this in t
 _SMOOTH_FLOOR = 1e-9  # a witness diagonal entry below this makes its Hessian "not smooth" (None)
 _MARGIN = 1e-12  # bits a descended basis must gain over the best start, so rounding never wins
 _FIXED = np.array([0, 1])  # the fixed starts' places in the start set
-_KEPT_PLAN_BYTES = 2 ** 20  # a config keeps the plan of dims only if `_plan_bytes(dims)` is at most this
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """How hard the D search looks, and what it keeps for the searches it serves.
+
+    Each search draws `n_samples` Haar product bases from the Generator
+    seeded by `seed`, `chunk_size` at a time, and descends at most
+    `refine_steps` rounds from each start.  `_kept` holds per dims,
+    read-only, under ("plan", dims) the search's `_plan`, always, and under
+    ("samples", dims) its samples and their projectors if they fit one
+    chunk, both for as long as the config lives.  At large dims the plan's
+    gather table dominates: 8 n d_tot^2 bytes for n = sum(d_k^2 - d_k),
+    1.8 MB on seven qubits and 37.7 MB on nine.  A config is owned by its
+    caller: a CLI command, a sweep, a `verify` run or a `measure_D` call.
+    """
+
     n_samples: int = 512
     seed: int = 1
     refine_steps: int = 100  # most descent rounds per start
     chunk_size: int = 2048  # samples made and scored at a time; never affects results
-    # ("samples", dims) -> a one-chunk search's factor stacks and their projectors; ("plan", dims) -> its
-    # `_plan`, if at most `_KEPT_PLAN_BYTES`; each read-only (`core.kept`)
     _kept: Dict[Hashable, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -120,8 +122,8 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
 
 
 def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductBasis:
-    """Haar-uniform local basis per subsystem, deterministic per sample_seed (any integer)."""
-    dims = tuple(int(d) for d in dims)
+    """Haar-uniform local basis per subsystem, deterministic per sample_seed (any integer); dims as for a state."""
+    dims = checked_dims(dims)
     facs = _haar_batch(dims, _ginibre(np.random.default_rng(sample_seed % 2 ** 64), dims, 1))
     return ProductBasis(tuple(f[0] for f in facs))
 
@@ -203,14 +205,6 @@ def _plan(dims: Tuple[int, ...]) -> _Plan:
         ks = [k for k, dk in enumerate(dims) if dk == d]
         groups.append((d, bases[ks[0]], ks, [cols[k] for k in ks]))
     return _Plan(dims, computational_basis(dims).factors, take, coef, subs, groups)
-
-
-def _plan_bytes(dims: Sequence[int]) -> int:
-    """An upper bound on the bytes of `_plan(dims)`'s arrays: the gather table, 8 n d_tot^2 bytes for the
-    n = sum(d_k^2 - d_k) coordinates, its coefficients, and per subsystem its factor of the computational
-    basis and its `_lie_basis` in both layouts."""
-    n, d_tot = sum(d * d - d for d in dims), math.prod(dims)
-    return 8 * n * d_tot * d_tot + 16 * n * d_tot + sum(16 * d * d + 32 * (d * d - d) * d * d for d in dims)
 
 
 def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], plan: _Plan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,12 +298,10 @@ def _descend(
     gradient norm `_GRAD_TOL`, at `max_rounds` rounds, or after its first
     round with no lower step, which counts as a round but not as an accepted
     one and leaves its factors, entropy and derivatives as they were.  Every
-    per-start array is indexed by start number for the whole call, and
-    `_lie`'s tables, each subsystem's columns of x and the subsystems of
-    each dimension are read from `plan`, `_plan(dims)`, which the config
-    keeps up to `_KEPT_PLAN_BYTES`.  A round gathers the live starts by index, turns the factors of
-    every subsystem of dimension d, subsystem by subsystem, in one `_rotate`
-    call, and writes the accepted steps back.
+    per-start array is indexed by start number for the whole call; every
+    table of the dims alone is read from `plan`, `_plan(dims)`.  A round
+    gathers the live starts by index, turns the factors of every subsystem
+    of dimension d in one `_rotate` call, and writes the accepted steps back.
     Returns new factor stacks, entropies, rounds, accepted rounds, and the
     derivatives at every start and at every end (its last accepted
     position), each a new (g, H, p).
@@ -361,11 +353,9 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     marginal eigenbasis, then the best `_N_STARTS` samples by (entropy,
     index).  Each chunk of `chunk_size` samples is scored once and appended
     to the set, which is then trimmed back, so memory does not grow with
-    the number of samples.  A search of one chunk keeps its samples and
-    their projectors on cfg (`core.kept`), and a longer one makes them chunk
-    by chunk on every call.  Every search keeps its dims' `_plan` on cfg if
-`_plan_bytes(dims)` is at most `_KEPT_PLAN_BYTES`, and makes it otherwise.
-    The first lowest start is the best start.
+    the number of samples.  The plan, and the samples of a search of one
+    chunk, are kept on cfg (see `SearchConfig`).  The first lowest start is
+    the best start.
     `_descend` runs from every start; its first lowest basis replaces the
     best start if it is lower by more than `_MARGIN`.  Only the witness goes
     through the checked `qmat.diag_probs`, and its gradient norm and least
@@ -377,8 +367,7 @@ def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, Prod
     regardless of chunk size.
     """
     dims, n = rho.dims, cfg.n_samples
-    make_plan = lambda: _plan(dims)
-    plan = kept(cfg._kept, ("plan", dims), make_plan) if _plan_bytes(dims) <= _KEPT_PLAN_BYTES else make_plan()
+    plan = kept(cfg._kept, ("plan", dims), lambda: _plan(dims))
     # the samples' stream, made at the first draw, so a kept set is its first n draws
     rng = cache(lambda: np.random.default_rng(cfg.seed % 2 ** 64))
     stacks = [np.array(f) for f in zip(plan.eye, marginal_eigenbasis(rho).factors)]

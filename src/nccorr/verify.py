@@ -337,8 +337,10 @@ def criterion_9(cfg: SearchConfig) -> List[Check]:
 # --------------------------------------------------------------------- driver
 
 
-def run_all(cfg: SearchConfig = SearchConfig(), seconds: Optional[Dict[str, float]] = None) -> List[Check]:
-    """Every check of criteria 1-9; `seconds`, if given, gets each criterion's wall time."""
+def run_all(cfg: Optional[SearchConfig] = None, seconds: Optional[Dict[str, float]] = None) -> List[Check]:
+    """Every check of criteria 1-9 on one config, by default a fresh `SearchConfig()` for this run alone;
+    `seconds`, if given, gets each criterion's wall time."""
+    cfg = SearchConfig() if cfg is None else cfg
     seconds = {} if seconds is None else seconds
 
     def timed(n: int, run, *args):

@@ -134,8 +134,9 @@ def test_the_layer_list_covers_both_modes_and_the_measures():
                 assert f"herm_eig[{kind}{rot}, vectors={vectors}]" in names
     measures = ["measure_G", "measure_DG", "measure_K", "negativity"]
     assert names[names.index("measure_G") : names.index("measure_G") + 4] == measures
-    assert names[-10:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
+    assert names[-11:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
                            "min_diag_entropy[families, reused config]",
+                           "min_diag_entropy[seven qubits, reused config]",
                           "min_diag_entropy[measure-cold states, fresh config]",
                           "measure_D[measure-cold states, fresh config]",
                           *(f"_haar_batch[{dims}, 512 samples]" for dims in bench_layers.STATE_DIMS)]
@@ -150,6 +151,6 @@ def test_rotated_inputs_are_inexact_and_the_others_exact(pkgs):
 def test_the_d_search_layers_run_on_both_copies_and_agree(pkgs):
     # each D-search layer's call works on a loaded copy and gives the other
     # copy's outputs; the reused config is filled before the call
-    for name, setup in bench_layers.layers()[-10:]:
+    for name, setup in bench_layers.layers()[-11:]:
         a, b = (setup(pkgs[side])() for side in ("parent", "change"))
         assert a and bench_layers.same(a, b), name

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nccorr as nc
-from nccorr import cli, qmat, search, sweep
+from nccorr import cli, qmat, search, sweep, verify
 
 
 def s(x):
@@ -83,6 +83,12 @@ class TestHaarSampling:
             diag = R[:, np.arange(d), np.arange(d)]
             out.append(Q * (diag / np.abs(diag))[:, None, :])
         return out
+
+    @pytest.mark.parametrize("dims", [(0,), (2, -1), (), (1,)])
+    def test_bad_dims_are_a_dimension_mismatch(self, dims):
+        # no state has these dims, so neither may a basis; numpy's own errors must not leak
+        with pytest.raises(nc.DimensionMismatch, match="subsystem dims must all be >= 2"):
+            nc.haar_random_product_basis(dims, 1)
 
     @pytest.mark.parametrize("dims", HAAR_DIMS)
     def test_row_alone_in_slice_and_in_batch_identical(self, dims):
@@ -935,8 +941,7 @@ class TestConfigSampleSets:
 
 class TestConfigPlans:
     """Every search keeps its dims' descent plan (`search._plan`) on its
-    SearchConfig, read-only, for as long as the config lives, if the plan
-    takes at most `search._KEPT_PLAN_BYTES`."""
+    SearchConfig, read-only, for as long as the config lives, whatever its size."""
 
     @staticmethod
     def arrays(x):
@@ -945,36 +950,25 @@ class TestConfigPlans:
             return [x]
         return [a for v in x for a in TestConfigPlans.arrays(v)] if isinstance(x, (tuple, list)) else []
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3, 2), (2, 8), (3, 4, 5), (2,) * 6])
-    def test_plan_bytes_bound_the_plan(self, dims):
-        # exact where no dimension repeats; a repeated one's basis is shared
-        got = sum(a.nbytes for a in self.arrays(search._plan(dims)))
-        assert got <= search._plan_bytes(dims)
-        assert (got == search._plan_bytes(dims)) == (len(set(dims)) == len(dims))
+    @staticmethod
+    def reports_equal(got, want):
+        assert got.value.hex() == want.value.hex() and got.diagnostics == want.diagnostics
+        assert [f.tobytes() for f in got.witness.factors] == [f.tobytes() for f in want.witness.factors]
 
-    def test_the_bound_keeps_six_qubits_and_not_seven(self):
-        assert search._plan_bytes((2,) * 6) <= search._KEPT_PLAN_BYTES < search._plan_bytes((2,) * 7)
-        assert search._plan_bytes((2, 8)) <= search._KEPT_PLAN_BYTES < search._plan_bytes((8, 8))
+    def test_no_default_config_outlives_its_call(self):
+        # a default-argument config would live, with every plan it keeps, as long as the process
+        assert inspect.signature(nc.measure_D).parameters["cfg"].default is None
+        assert inspect.signature(verify.run_all).parameters["cfg"].default is None
 
-    def test_a_plan_over_the_bound_is_made_per_search_and_kept_nowhere(self, monkeypatch):
-        # measure_D's default config lives as long as the process, so it must keep
-        # no plan over the bound either; results do not depend on keeping
-        rhos = [nc.random_density_matrix(dims, 4, 9) for dims in [(2, 2), (2, 4), (2, 4)]]
-        want = [nc.measure_D(rho, nc.SearchConfig()) for rho in rhos]
+    def test_a_config_less_call_makes_its_own_samples_and_plan(self, made, monkeypatch):
+        rho = nc.random_density_matrix((2, 4), 8, 9)
+        want = nc.measure_D(rho, nc.SearchConfig())
         plans, plan = [], search._plan
         monkeypatch.setattr(search, "_plan", lambda dims: plans.append(dims) or plan(dims))
-        monkeypatch.setattr(search, "_KEPT_PLAN_BYTES", search._plan_bytes((2, 2)))
-        default = inspect.signature(nc.measure_D).parameters["cfg"].default
-        for key in list(default._kept):  # other tests may have filled it; put back afterwards
-            monkeypatch.delitem(default._kept, key)
-        for cfg in (nc.SearchConfig(), default):
-            plans.clear()
-            got = [nc.measure_D(rho, cfg) for rho in rhos]
-            assert plans == [(2, 2), (2, 4), (2, 4)]
-            assert ("plan", (2, 2)) in cfg._kept and ("plan", (2, 4)) not in cfg._kept
-            for g, w in zip(got, want):
-                assert g.value.hex() == w.value.hex() and g.diagnostics == w.diagnostics
-                assert [f.tobytes() for f in g.witness.factors] == [f.tobytes() for f in w.witness.factors]
+        made.clear()
+        for _ in range(2):
+            self.reports_equal(nc.measure_D(rho), want)
+        assert made == [512, 512] and plans == [(2, 4), (2, 4)]
 
     def test_a_sweep_makes_one_plan_per_dims(self, monkeypatch):
         plans, plan = [], search._plan
@@ -987,14 +981,19 @@ class TestConfigPlans:
         assert plans == [(2, 2), (2, 4)]
         assert set(cfg._kept) == {(kind, dims) for kind in ("plan", "samples") for dims in [(2, 2), (2, 4)]}
 
-    def test_plan_arrays_are_read_only_and_die_with_their_config(self):
-        cfg = nc.SearchConfig(n_samples=16, refine_steps=5)
-        nc.min_diag_entropy(nc.random_density_matrix((2, 3, 2), 12, 68), cfg)
-        plan = cfg._kept["plan", (2, 3, 2)]
+    @pytest.mark.parametrize("dims, rounds", [((2, 3, 2), 5), ((2,) * 7, 2)], ids=["2x3x2", "seven-qubits"])
+    def test_plan_arrays_are_read_only_and_die_with_their_config(self, dims, rounds, monkeypatch):
+        cfg = nc.SearchConfig(n_samples=16, refine_steps=rounds)
+        nc.min_diag_entropy(nc.random_density_matrix(dims, math.prod(dims), 68), cfg)
+        plan = cfg._kept["plan", dims]
+        plans, make = [], search._plan
+        monkeypatch.setattr(search, "_plan", lambda dims: plans.append(dims) or make(dims))
+        nc.min_diag_entropy(nc.random_density_matrix(dims, math.prod(dims), 69), cfg)
+        assert plans == [] and cfg._kept["plan", dims] is plan
         arrays = self.arrays(plan)
         # the computational basis's factors, the gather table and its coefficients,
         # each subsystem's transposed basis and each dimension's basis
-        assert len(arrays) == 3 + 2 + 3 + 2
+        assert len(arrays) == len(dims) + 2 + len(dims) + len(set(dims))
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -1012,8 +1011,5 @@ class TestConfigPlans:
         for seed in (1, 2):
             for dims in dims_list:
                 rho = nc.random_density_matrix(dims, math.prod(dims), seed)
-                got, want = (nc.measure_D(rho, c) for c in (cfg, nc.SearchConfig(n_samples=128, refine_steps=30)))
-                assert got.value.hex() == want.value.hex(), dims
-                assert [f.tobytes() for f in got.witness.factors] == [f.tobytes() for f in want.witness.factors]
-                assert got.diagnostics == want.diagnostics
+                self.reports_equal(*(nc.measure_D(rho, c) for c in (cfg, nc.SearchConfig(n_samples=128, refine_steps=30))))
         assert {dims for kind, dims in cfg._kept if kind == "plan"} == set(dims_list)

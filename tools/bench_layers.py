@@ -16,12 +16,14 @@ partial transposes), and on a copy of each turned by a random unitary, which
 is Hermitian only up to rounding; numpy's own `eigvalsh` on rho, the floor
 `herm_eig` adds its checks and sort to; and `measure_G`, `measure_DG`,
 `measure_K` and `negativity`, each on states made fresh for the call, so no
-spectrum kept on a state is reused.  The D search has five kinds of layer:
+spectrum kept on a state is reused.  The D search has six kinds of layer:
 `sweep.evaluate_point` with all five measures on fresh points of one family
 (one layer per family), with a config filled by the family's first point
 before the timed call, as a `sweep-families` op reuses its config;
 `min_diag_entropy` on fresh family points (`sweep.FAMILIES`) with one
-config filled before the timed call; `min_diag_entropy` and `measure_D` on fresh
+config filled before the timed call; `min_diag_entropy` on two fresh full-rank
+seven-qubit states with a config filled the same way, where the plan's gather
+table is largest; `min_diag_entropy` and `measure_D` on fresh
 `measure-cold` states (each dims at full rank) with a new config per state,
 as `nccorr measure` makes its samples anew; and `_haar_batch` on 512
 samples' normals per dims.  Every layer calls only functions and signatures
@@ -156,6 +158,12 @@ def layers() -> List[Layer]:
                  for p in np.linspace(lo, hi, FAMILY_POINTS)]
         return lambda: [nc.min_diag_entropy(rho, cfg) for rho in fresh]
 
+    def seven_qubits(nc):
+        cfg, dims = nc.SearchConfig(n_samples=16, refine_steps=2, seed=7), (2,) * 7
+        nc.min_diag_entropy(nc.random_density_matrix(dims, 2 ** 7, 3), cfg)  # fills cfg
+        fresh = [nc.random_density_matrix(dims, 2 ** 7, seed) for seed in STATE_SEEDS]
+        return lambda: [nc.min_diag_entropy(rho, cfg) for rho in fresh]
+
     def cold_search(fn):
         def setup(nc):
             fresh = [nc.random_density_matrix(dims, math.prod(dims), seed) for dims in STATE_DIMS for seed in STATE_SEEDS]
@@ -177,6 +185,7 @@ def layers() -> List[Layer]:
     out += [(f"sweep.evaluate_point[{family}, reused config]", family_point(family))
             for family in ("ps", "sigma", "horodecki")]
     out.append(("min_diag_entropy[families, reused config]", family_search))
+    out.append(("min_diag_entropy[seven qubits, reused config]", seven_qubits))
     out += [(f"{fn}[measure-cold states, fresh config]", cold_search(fn)) for fn in ("min_diag_entropy", "measure_D")]
     out += [(f"_haar_batch[{dims}, 512 samples]", haar(dims)) for dims in STATE_DIMS]
     return out
