@@ -970,6 +970,16 @@ class TestConfigPlans:
             self.reports_equal(nc.measure_D(rho), want)
         assert made == [512, 512] and plans == [(2, 4), (2, 4)]
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3, 2), (2, 8), (3, 4, 5), (2,) * 6, (2,) * 7])
+    def test_the_gather_table_takes_8_n_d_tot_squared_bytes(self, dims):
+        # the memory a kept plan costs, as SearchConfig states it; from 60 levels on
+        # the table is nearly all of the plan
+        plan = search._plan(dims)
+        n, d_tot = sum(d * d - d for d in dims), math.prod(dims)
+        assert plan.take.nbytes == 8 * n * d_tot * d_tot
+        if d_tot >= 60:
+            assert plan.take.nbytes > 0.9 * sum(a.nbytes for a in self.arrays(plan))
+
     def test_a_sweep_makes_one_plan_per_dims(self, monkeypatch):
         plans, plan = [], search._plan
         monkeypatch.setattr(search, "_plan", lambda dims: plans.append(dims) or plan(dims))
