@@ -55,15 +55,13 @@ _pos_int = _at_least(1)
 
 
 def _dims(text: str) -> tuple:
+    """Comma-separated integers; `random_density_matrix` checks them as dims."""
     try:
-        dims = tuple(int(d) for d in text.split(","))
+        return tuple(int(d) for d in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers such as 2,2, got {text!r}"
         ) from None
-    if any(d < 2 for d in dims):
-        raise argparse.ArgumentTypeError(f"subsystem dims must all be >= 2, got {text!r}")
-    return dims
 
 
 class _Parser(argparse.ArgumentParser):

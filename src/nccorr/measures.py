@@ -47,9 +47,7 @@ def _neg_entropy_seq(vals: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _grow(
-    fill: np.ndarray, idx: np.ndarray, full: np.ndarray, gate_bin_1: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _grow(fill: np.ndarray, full: np.ndarray, gate_bin_1: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extend every row by one digit whose bin has room, in counter order.
 
     ``fill[r, b]`` is b + d * (the eigenvalues row r has put in bin b): the
@@ -58,7 +56,7 @@ def _grow(
     row only once bin 0 holds an eigenvalue, so of two rows that swap bins 0
     and 1 (same adds, bit-identical sums) only the counter-first grows.  Past
     level (d-2)*bin_size every row has bin 0 filled, so the caller drops the gate.
-    Returns the new rows' fill and counter indices, each new row's parent
+    Returns the new rows' fill (in counter order), each new row's parent
     row, and each new digit's slot code: its bin's fill before the digit.
     """
     d = len(full)
@@ -66,75 +64,71 @@ def _grow(
     if gate_bin_1:
         room[:, 1] &= fill[:, 0] > 0
     parent, digit = np.divmod(np.flatnonzero(room), d)
-    idx = idx[parent] * d + digit
     # take() returns a new C-contiguous array, so ravel() below is a view of
     # it; flat indexing is several times faster than [rows, digit] here.
     fill = fill.take(parent, axis=0)
     flat = np.arange(0, fill.size, d) + digit
     code = fill.ravel()[flat]
     fill.ravel()[flat] = code + d
-    return fill, idx, parent, code
-
-
-def _completions(room: np.ndarray) -> int:
-    """Number of ways to fill the remaining bin room: a multinomial coefficient."""
-    return math.factorial(int(room.sum())) // math.prod(math.factorial(int(r)) for r in room)
+    return fill, parent, code
 
 
 def _kept_completions(counts: np.ndarray, bin_size: int) -> int:
     """Completions that `_grow` keeps of a prefix whose bins hold `counts`.
 
-    It keeps half of them while bin 0 (and so bin 1) is empty.
+    The ways to fill the remaining bin room are a multinomial coefficient;
+    it keeps half of them while bin 0 (and so bin 1) is empty.
     """
-    return _completions(bin_size - counts) // (2 if counts[0] == 0 else 1)
+    room = [int(r) for r in bin_size - counts]
+    ways = math.factorial(sum(room)) // math.prod(math.factorial(r) for r in room)
+    return ways // (2 if counts[0] == 0 else 1)
 
 
 # (d_tot, d, _ENUM_CHUNK) -> the one chunk of its `_walk`: structure only, never a spectrum
-_WALKS: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+_WALKS: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
-def _walk(d_tot: int, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield the balanced assignments in counter order, one chunk of (members, counter indices) at a time.
+def _walk(d_tot: int, d: int) -> Iterator[np.ndarray]:
+    """Yield the balanced assignments in counter order, one chunk of member tables at a time.
 
     An assignment places the d_tot total eigenvalues into d equal-size bins
     (d_tot/d each).  Only balanced assignments are generated, one eigenvalue
-    (digit) at a time and only into bins with room; each row carries its bin
-    fill and base-d counter index (eigenvalue 0 is the most significant
-    digit).  Of two that swap bins 0 and 1 only the counter-first is made
-    (`_grow`): half of all d_tot!/((d_tot/d)!)^d.  A prefix with more than
-    ``_ENUM_CHUNK`` kept completions is split on its next digit, so at most
-    ``_ENUM_CHUNK`` rows are yielded at once.
+    (digit) at a time and only into bins with room; the base-d counter reads
+    eigenvalue 0 as the most significant digit.  Of two that swap bins 0
+    and 1 only the counter-first is made (`_grow`): half of all
+    d_tot!/((d_tot/d)!)^d.  A prefix with more than ``_ENUM_CHUNK`` kept
+    completions is split on its next digit, so at most ``_ENUM_CHUNK`` rows
+    are yielded at once.
 
-    Each row also carries its member slots, as a split prefix does: digit j
-    goes to slot b + d * m, bin b's fill (`_grow`).  ``members[m, b, r]`` is
-    then the m-th lowest eigenvalue index that row r puts in bin b.  A walk
-    of one chunk (no prefix split) is kept, read-only, in `_WALKS` for later
-    calls (`core.kept`; of concurrent first calls the first stored serves).
+    Each row carries its bin fill and its member slots, as a split prefix
+    does: digit j goes to slot b + d * m, bin b's fill (`_grow`).
+    ``members[m, b, r]`` is then the m-th lowest eigenvalue index that row r
+    puts in bin b; the table is all a row holds.  A walk of one chunk (no
+    prefix split) is kept, read-only, in `_WALKS` for later calls
+    (`core.kept`; of concurrent first calls the first stored serves).
     """
     bin_size = d_tot // d
     # fill stays below d_tot + d, so the smallest dtype holding that serves
     full = np.arange(d, dtype=np.min_scalar_type(d_tot + d)) + d * bin_size
     slots = np.zeros((1, d_tot), dtype=np.min_scalar_type(d_tot - 1))
-    prefixes = [(0, full[None] - d * bin_size, np.zeros(1, dtype=np.int64), slots)]
+    prefixes = [(0, full[None] - d * bin_size, slots)]
     while prefixes:
-        start, fill, idx, slots = prefixes.pop()
+        start, fill, slots = prefixes.pop()
         split = _kept_completions(fill[0] // d, bin_size) > _ENUM_CHUNK
         for j in range(start, start + 1 if split else d_tot):
-            fill, idx, parent, code = _grow(fill, idx, full, j <= (d - 2) * bin_size)
+            fill, parent, code = _grow(fill, full, j <= (d - 2) * bin_size)
             slots = slots.take(parent, axis=0)
             slots.ravel()[np.arange(0, slots.size, d_tot) + code] = j
         if split:
             # one prefix per row, last row on top, so rows are walked in counter order
-            prefixes.extend(
-                (start + 1, f, i, s) for f, i, s in zip(fill[::-1, None], idx[::-1, None], slots[::-1, None])
-            )
+            prefixes.extend((start + 1, f, s) for f, s in zip(fill[::-1, None], slots[::-1, None]))
             continue
-        members = np.ascontiguousarray(slots.T).reshape(bin_size, d, len(idx))
-        yield kept(_WALKS, (d_tot, d, _ENUM_CHUNK), lambda: (members, idx)) if start == 0 else (members, idx)
+        members = np.ascontiguousarray(slots.T).reshape(bin_size, d, len(slots))
+        yield kept(_WALKS, (d_tot, d, _ENUM_CHUNK), lambda: members) if start == 0 else members
 
 
 def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield (bin sums, counter indices) of `_walk`'s chunks, in counter order.
+    """Yield (bin sums, members) of `_walk`'s chunks, in counter order.
 
     A walk kept in `_WALKS` is read from there, else `_walk` runs.  Every
     bin sum adds ``e_tot[j]`` of its members in ascending j, onto 0.0: one
@@ -143,11 +137,11 @@ def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarra
     last axis of 8 or more terms would use.
     """
     table = _WALKS.get((len(e_tot), d, _ENUM_CHUNK))
-    for members, idx in _walk(len(e_tot), d) if table is None else [table]:
+    for members in _walk(len(e_tot), d) if table is None else [table]:
         sums = e_tot.take(members[0]) + 0.0  # the first add onto 0.0
         for m in members[1:]:
             sums += e_tot.take(m)
-        yield sums.T, idx
+        yield sums.T, members
 
 
 def _min_balanced_partition(
@@ -163,20 +157,21 @@ def _min_balanced_partition(
     swap partner and ties it bit for bit (bins 0 and 1 are added first, onto
     0.0, and addition commutes), so the result is bit-identical to a plain
     counter loop over all balanced assignments (``verify.naive_measure_G``).
+    A new minimum's assignment is read off its member column at once (place
+    (m, b) is flat position m * d + b), so no chunk outlives its turn.
     Returns one (minimum, assignment) per target and the number evaluated.
     """
-    best = [(np.inf, 0)] * len(targets)
+    best = [(np.inf, (0,) * len(e_tot))] * len(targets)
     evaluated = 0
-    for sums, idx in _balanced_assignments(e_tot, d):
+    for sums, members in _balanced_assignments(e_tot, d):
         T = _neg_entropy_seq(sums)
         for t, s_red in enumerate(targets):
             vals = np.abs(T - s_red)
             i = int(np.argmin(vals))
             if vals[i] < best[t][0]:
-                best[t] = (vals[i], idx[i])
-        evaluated += len(idx)
-    shape = (d,) * len(e_tot)
-    return [(v, tuple(map(int, np.unravel_index(i, shape)))) for v, i in best], evaluated
+                best[t] = (vals[i], tuple((np.argsort(members[:, :, i], axis=None) % d).tolist()))
+        evaluated += len(T)
+    return best, evaluated
 
 
 def _bipartite_splittings(m: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

@@ -15,6 +15,7 @@ from .core import (
     ParseError,
     ProductBasis,
     ValidationFailure,
+    checked_dims,
 )
 from . import qmat
 
@@ -77,7 +78,7 @@ def make_classically_correlated(local_bases: ProductBasis, probs: np.ndarray) ->
 
 def random_density_matrix(dims: Sequence[int], rank: int, seed: int) -> DensityMatrix:
     """Wishart-style random state: GG^dag normalized, G complex Gaussian."""
-    dims = tuple(int(d) for d in dims)
+    dims = checked_dims(dims)
     d_tot = math.prod(dims)
     if not 1 <= rank <= d_tot:
         raise ParamOutOfRange(f"rank={rank} outside [1, {d_tot}]")

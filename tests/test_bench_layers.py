@@ -132,8 +132,9 @@ def test_the_layer_list_covers_both_modes_and_the_measures():
         for rot in ("", "-rotated"):
             for vectors in (False, True):
                 assert f"herm_eig[{kind}{rot}, vectors={vectors}]" in names
-    measures = ["measure_G", "measure_DG", "measure_K", "negativity"]
-    assert names[names.index("measure_G") : names.index("measure_G") + 4] == measures
+    measures = ["measure_G", "measure_DG", "measure_K", "negativity",
+                "measure_G[fresh walk tables]", "measure_G[(3,4), several chunks]"]
+    assert names[names.index("measure_G") : names.index("measure_G") + 6] == measures
     assert names[-11:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
                            "min_diag_entropy[families, reused config]",
                            "min_diag_entropy[seven qubits, reused config]",
@@ -154,3 +155,19 @@ def test_the_d_search_layers_run_on_both_copies_and_agree(pkgs):
     for name, setup in bench_layers.layers()[-11:]:
         a, b = (setup(pkgs[side])() for side in ("parent", "change"))
         assert a and bench_layers.same(a, b), name
+
+
+def test_the_walk_layers_build_their_tables_and_agree(pkgs):
+    # the fresh-walk layer clears the kept tables before each state, so its
+    # call ends with only the last state's walks kept; the (3,4) layer's
+    # d = 4 walk is several chunks and is never kept
+    layer = dict(bench_layers.layers())
+    for side in ("parent", "change"):
+        pkgs[side].measures._WALKS[("stale",)] = None
+    a, b = (layer["measure_G[fresh walk tables]"](pkgs[side])() for side in ("parent", "change"))
+    assert len(a) == 16 and bench_layers.same(a, b)
+    chunk = pkgs["parent"].measures._ENUM_CHUNK
+    assert set(pkgs["parent"].measures._WALKS) == {(16, 2, chunk)}
+    a, b = (layer["measure_G[(3,4), several chunks]"](pkgs[side])() for side in ("parent", "change"))
+    assert len(a) == 2 and bench_layers.same(a, b)
+    assert (12, 4, chunk) not in pkgs["parent"].measures._WALKS

@@ -219,7 +219,7 @@ class TestMeasureG:
     ], ids=["(2,5)-d5", "(3,4)-d4"])
     def test_walk_splits_on_the_kept_completions(self, dims, d, chunks, rows):
         e_tot = qmat.density_spectrum(nc.random_density_matrix(dims, int(np.prod(dims)), 95))
-        sizes = [len(idx) for _, idx in measures._balanced_assignments(e_tot, d)]
+        sizes = [members.shape[2] for _, members in measures._balanced_assignments(e_tot, d)]
         assert (len(sizes), sum(sizes)) == (chunks, rows)
         assert max(sizes) <= measures._ENUM_CHUNK
 
@@ -293,8 +293,29 @@ class TestMeasureG:
             assert len(walks) == expected
 
 
+def kept_counter_indices(members: np.ndarray, d: int) -> np.ndarray:
+    """Each row's base-d counter index, after checking that the row is a kept balanced assignment.
+
+    ``members[m, b, r]`` must list bin b's eigenvalues of row r in ascending
+    order, every eigenvalue in one place, and the row's first digit in
+    {0, 1} must be 0: of two rows that swap bins 0 and 1, the walk keeps
+    the counter-first.
+    """
+    bin_size, _, rows = members.shape
+    d_tot = bin_size * d
+    assert members.shape[1] == d
+    flat = members.reshape(d_tot, rows).astype(np.int64)
+    assert (np.sort(flat, axis=0) == np.arange(d_tot)[:, None]).all()
+    assert (np.diff(members.astype(np.int64), axis=0) > 0).all()
+    digits = np.empty((rows, d_tot), dtype=np.int64)
+    np.put_along_axis(digits, flat.T, np.tile(np.arange(d), bin_size)[None], axis=1)
+    first_low = np.argmax(digits <= 1, axis=1)
+    assert (digits[np.arange(rows), first_low] == 0).all()
+    return digits @ d ** np.arange(d_tot - 1, -1, -1, dtype=np.int64)
+
+
 class TestWalkTable:
-    """G keeps the structure of each walk of one chunk, per (d_tot, d, _ENUM_CHUNK)."""
+    """G keeps the member table of each walk of one chunk, per (d_tot, d, _ENUM_CHUNK); a row holds only its members."""
 
     @pytest.fixture(autouse=True)
     def no_kept_tables(self, monkeypatch):
@@ -321,8 +342,8 @@ class TestWalkTable:
         for dims in [(2, 2, 2, 2), (2, 4), (3, 3), (2, 2, 3)]:
             nc.measure_G(nc.random_density_matrix(dims, 2, 71))
         assert len(measures._WALKS) == 6
-        for members, idx in measures._WALKS.values():
-            assert not members.flags.writeable and not idx.flags.writeable
+        for members in measures._WALKS.values():
+            assert isinstance(members, np.ndarray) and not members.flags.writeable
             with pytest.raises(ValueError):
                 members[0, 0, 0] = 1
 
@@ -381,15 +402,13 @@ class TestWalkTable:
         # Bins of 8 eigenvalues: numpy's pairwise sum, which a reduce over a
         # last axis uses from 8 terms, groups them differently.
         e_tot = qmat.density_spectrum(nc.random_density_matrix((2, 2, 2, 2), rank, 33))
-        [(sums, idx)] = measures._balanced_assignments(e_tot, 2)
+        [(sums, members)] = measures._balanced_assignments(e_tot, 2)
         assert sums.shape == (6435, 2)
         for r in list(range(0, 6435, 37)) + [6434]:
-            digits = np.unravel_index(idx[r], (2,) * 16)
             for b in range(2):
                 total = 0.0
-                for j in range(16):
-                    if digits[j] == b:
-                        total += float(e_tot[j])
+                for j in sorted(members[:, b, r]):
+                    total += float(e_tot[j])
                 assert sums[r, b] == total, (r, b)
 
     @pytest.mark.parametrize("rank", [1, 2, 12])
@@ -398,15 +417,31 @@ class TestWalkTable:
         e_tot = qmat.density_spectrum(nc.random_density_matrix((3, 4), rank, 95))
         chunks = list(measures._balanced_assignments(e_tot, 4))
         assert len(chunks) == 6
-        for sums, idx in chunks:
-            for r in list(range(0, len(idx), 997)) + [len(idx) - 1]:
-                digits = np.unravel_index(idx[r], (4,) * 12)
+        for sums, members in chunks:
+            for r in list(range(0, len(sums), 997)) + [len(sums) - 1]:
                 for b in range(4):
                     total = 0.0
-                    for j in range(12):
-                        if digits[j] == b:
-                            total += float(e_tot[j])
+                    for j in sorted(members[:, b, r]):
+                        total += float(e_tot[j])
                     assert sums[r, b] == total, (r, b)
+
+    @pytest.mark.parametrize("d_tot, d, chunk", [
+        (16, 2, None), (8, 2, None), (8, 4, None), (9, 3, None), (12, 2, None), (12, 3, None),
+        (10, 2, None), (10, 5, None), (12, 4, None),
+        (16, 2, 7), (8, 2, 7), (8, 4, 7), (9, 3, 7), (12, 2, 7), (12, 3, 7),
+    ])
+    def test_walk_rows_are_the_kept_assignments_in_counter_order(self, monkeypatch, d_tot, d, chunk):
+        # Rows in strictly rising counter order, each a kept balanced
+        # assignment, and as many as there are kept assignments: that is
+        # every kept assignment, once, in counter order, and every chunk.
+        if chunk is not None:
+            monkeypatch.setattr(measures, "_ENUM_CHUNK", chunk)
+        chunks = list(measures._walk(d_tot, d))
+        one_chunk = chunk is None and (d_tot, d) != (12, 4)
+        assert (len(chunks) == 1) == one_chunk
+        counters = np.concatenate([kept_counter_indices(members, d) for members in chunks])
+        assert (np.diff(counters) > 0).all()
+        assert 2 * len(counters) == math.factorial(d_tot) // math.factorial(d_tot // d) ** d
 
 
 class TestMeasureDG:

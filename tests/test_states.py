@@ -160,6 +160,15 @@ class TestRandomDensityMatrix:
         with pytest.raises(nc.ParamOutOfRange):
             nc.random_density_matrix((2, 2), 4, -1)
 
+    @pytest.mark.parametrize("dims", [(0,), (2, -1), (), (1,)])
+    def test_bad_dims_raise_the_state_dims_error(self, dims):
+        # checked before the rank, so (0,) is not reported as rank 1 outside [1, 0]
+        with pytest.raises(nc.DimensionMismatch) as want:
+            nc.DensityMatrix(dims, np.eye(1))
+        with pytest.raises(nc.DimensionMismatch) as got:
+            nc.random_density_matrix(dims, 1, 1)
+        assert str(got.value) == str(want.value)
+
     def test_seed_past_2_64_is_its_own_stream(self):
         # no reduction mod 2^64: numpy seeds a Generator with any integer >= 0
         big = nc.random_density_matrix((2, 2), 4, 2 ** 64 + 7)

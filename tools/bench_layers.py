@@ -16,7 +16,12 @@ partial transposes), and on a copy of each turned by a random unitary, which
 is Hermitian only up to rounding; numpy's own `eigvalsh` on rho, the floor
 `herm_eig` adds its checks and sort to; and `measure_G`, `measure_DG`,
 `measure_K` and `negativity`, each on states made fresh for the call, so no
-spectrum kept on a state is reused.  The D search has six kinds of layer:
+spectrum kept on a state is reused.  Those G calls gather from walk tables
+kept by the untimed call, so two more G layers time the walk itself:
+`measure_G` on the same states with `measures._WALKS` cleared before each
+state, so every table is built again, and on two fresh full-rank (3,4)
+states, whose d = 4 walk is several chunks and so is never kept.  The D
+search has six kinds of layer:
 `sweep.evaluate_point` with all five measures on fresh points of one family
 (one layer per family), with a config filled by the family's first point
 before the timed call, as a `sweep-families` op reuses its config;
@@ -136,6 +141,21 @@ def layers() -> List[Layer]:
             return lambda: [fn(rho) for rho in fresh]
         return setup
 
+    def fresh_walks(nc):
+        fresh = [nc.DensityMatrix(rho.dims, rho.mat) for rho in states(nc)]
+
+        def call():
+            reports = []
+            for rho in fresh:
+                nc.measures._WALKS.clear()
+                reports.append(nc.measures.measure_G(rho))
+            return reports
+        return call
+
+    def several_chunks(nc):
+        fresh = [nc.random_density_matrix((3, 4), 12, seed) for seed in STATE_SEEDS]
+        return lambda: [nc.measures.measure_G(rho) for rho in fresh]
+
     def eigvalsh(nc):
         inputs = herm_inputs(nc)["rho"]
         return lambda: [np.linalg.eigvalsh(H) for H in inputs]
@@ -182,6 +202,7 @@ def layers() -> List[Layer]:
            for kind in kinds for rot in ("", "-rotated") for vectors in (False, True)]
     out.append(("numpy.linalg.eigvalsh[rho]", eigvalsh))
     out += [(name, measure(name)) for name in ("measure_G", "measure_DG", "measure_K", "negativity")]
+    out += [("measure_G[fresh walk tables]", fresh_walks), ("measure_G[(3,4), several chunks]", several_chunks)]
     out += [(f"sweep.evaluate_point[{family}, reused config]", family_point(family))
             for family in ("ps", "sigma", "horodecki")]
     out.append(("min_diag_entropy[families, reused config]", family_search))

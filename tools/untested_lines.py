@@ -31,7 +31,7 @@ PACKAGE = ROOT / "src" / "nccorr"
 
 # (file, statement) pairs left untested on purpose, keyed by text so that
 # they survive line shifts.  Both are the fallbacks of seeded draws whose
-# pinned seeds succeed on the first try (verify.py:163 and 217).
+# pinned seeds succeed on the first try (verify.py:163 and 216).
 ALLOWED = {
     ("verify.py", 'raise RuntimeError("could not draw a generic probability tensor")'),
     ("verify.py", 'raise RuntimeError("could not draw a nondegenerate-marginal state")'),
