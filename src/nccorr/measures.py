@@ -89,7 +89,7 @@ _WALKS: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
 def _walk(d_tot: int, d: int) -> Iterator[np.ndarray]:
-    """Yield the balanced assignments in counter order, one chunk of member tables at a time.
+    """Yield the balanced assignments in counter order, one chunk's member table at a time.
 
     An assignment places the d_tot total eigenvalues into d equal-size bins
     (d_tot/d each).  Only balanced assignments are generated, one eigenvalue
