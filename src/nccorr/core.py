@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -68,12 +69,25 @@ def _read_only(x: Any) -> Any:
     return x
 
 
+def checked_int(v, error: Type[NccorrError], rule: str) -> int:
+    """v by `operator.index`, so Python and numpy ints pass and floats and strings raise error, naming v after the rule."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise error(f"{rule}, got non-integer {v!r}") from None
+
+
 def checked_dims(dims) -> Tuple[int, ...]:
-    """dims as a tuple of ints; DimensionMismatch if it is empty or any d is below 2."""
-    dims = tuple(int(d) for d in dims)
+    """dims as a tuple of ints; DimensionMismatch if it is empty or any d is not an integer or is below 2."""
+    dims = tuple(checked_int(d, DimensionMismatch, "subsystem dims must all be >= 2") for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise DimensionMismatch(f"subsystem dims must all be >= 2, got {dims}")
     return dims
+
+
+def dim_groups(dims: Sequence[int]) -> Dict[int, List[int]]:
+    """{d: the subsystems of dimension d, ascending}, the dimensions in order of first appearance."""
+    return {d: [k for k, dk in enumerate(dims) if dk == d] for d in dict.fromkeys(dims)}
 
 
 @dataclass(frozen=True, eq=False)

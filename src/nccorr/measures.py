@@ -73,17 +73,6 @@ def _grow(fill: np.ndarray, full: np.ndarray, gate_bin_1: bool) -> Tuple[np.ndar
     return fill, parent, code
 
 
-def _kept_completions(counts: np.ndarray, bin_size: int) -> int:
-    """Completions that `_grow` keeps of a prefix whose bins hold `counts`.
-
-    The ways to fill the remaining bin room are a multinomial coefficient;
-    it keeps half of them while bin 0 (and so bin 1) is empty.
-    """
-    room = [int(r) for r in bin_size - counts]
-    ways = math.factorial(sum(room)) // math.prod(math.factorial(r) for r in room)
-    return ways // (2 if counts[0] == 0 else 1)
-
-
 # (d_tot, d, _ENUM_CHUNK) -> the one chunk of its `_walk`: structure only, never a spectrum
 _WALKS: Dict[Tuple[int, int, int], np.ndarray] = {}
 
@@ -98,7 +87,8 @@ def _walk(d_tot: int, d: int) -> Iterator[np.ndarray]:
     and 1 only the counter-first is made (`_grow`): half of all
     d_tot!/((d_tot/d)!)^d.  A prefix with more than ``_ENUM_CHUNK`` kept
     completions is split on its next digit, so at most ``_ENUM_CHUNK`` rows
-    are yielded at once.
+    are yielded at once; of the multinomial number of ways to fill its bins'
+    room, half are kept while bin 0 (and so bin 1) is empty.
 
     Each row carries its bin fill and its member slots, as a split prefix
     does: digit j goes to slot b + d * m, bin b's fill (`_grow`).
@@ -114,7 +104,9 @@ def _walk(d_tot: int, d: int) -> Iterator[np.ndarray]:
     prefixes = [(0, full[None] - d * bin_size, slots)]
     while prefixes:
         start, fill, slots = prefixes.pop()
-        split = _kept_completions(fill[0] // d, bin_size) > _ENUM_CHUNK
+        room = [int(r) for r in bin_size - fill[0] // d]  # bin 0 is empty while its room is bin_size
+        ways = math.factorial(sum(room)) // math.prod(math.factorial(r) for r in room)
+        split = ways // (2 if room[0] == bin_size else 1) > _ENUM_CHUNK
         for j in range(start, start + 1 if split else d_tot):
             fill, parent, code = _grow(fill, full, j <= (d - 2) * bin_size)
             slots = slots.take(parent, axis=0)

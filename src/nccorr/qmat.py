@@ -23,6 +23,8 @@ from .core import (
     NonHermitian,
     NotAProbabilityVector,
     ProductBasis,
+    checked_int,
+    dim_groups,
     kept,
 )
 
@@ -134,7 +136,7 @@ def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _check_subsystems(dims: Sequence[int], idx: Iterable[int]) -> Tuple[int, ...]:
-    idx = tuple(int(k) for k in idx)
+    idx = tuple(checked_int(k, BadSubsystemIndex, "subsystem indices must be integers") for k in idx)
     m = len(dims)
     for k in idx:
         if k < 0 or k >= m:
@@ -165,7 +167,7 @@ def _reduced(rho: DensityMatrix, keep_sorted: Sequence[int]) -> np.ndarray:
 def marginal_stacks(rho: DensityMatrix) -> Dict[int, np.ndarray]:
     """{d: (count, d, d)}: the marginals ``partial_trace(rho, [k]).mat`` of each dimension d, in subsystem order; kept on rho."""
     return kept(rho._kept, "marginals", lambda: {
-        d: np.stack([_reduced(rho, [k]) for k, dk in enumerate(rho.dims) if dk == d]) for d in dict.fromkeys(rho.dims)
+        d: np.stack([_reduced(rho, [k]) for k in ks]) for d, ks in dim_groups(rho.dims).items()
     })
 
 

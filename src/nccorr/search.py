@@ -31,7 +31,7 @@ from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis, checked_dims, kept
+from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis, checked_dims, dim_groups, kept
 from . import qmat
 
 _N_STARTS = 6  # best samples the descent starts from, besides the fixed candidates
@@ -98,8 +98,7 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
     NoConvergence.
     """
     S, blocks, factors = len(N), np.split(N, np.cumsum([2 * d * d for d in dims])[:-1], axis=1), [None] * len(dims)
-    for d in set(dims):
-        ks = [k for k, dk in enumerate(dims) if dk == d]
+    for d, ks in dim_groups(dims).items():
         # Q[c, r, s] is entry (r, c) of sample s (of subsystem ks[s // S]), and reduce(np.add, ...) sums over r in order
         Q = np.empty((d, d, len(ks) * S), dtype=np.complex128)  # C order: a column's samples are contiguous
         np.concatenate([blocks[k].view(np.complex128).reshape(-1, d, d).T for k in ks], axis=2, out=Q)
@@ -158,53 +157,41 @@ def _lie_basis(d: int) -> np.ndarray:
     return G
 
 
-def _lie(dims: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
-    """Each subsystem's `_lie_basis`, and the table (take, coef) that gathers X_a = R G^_a.
-
-    G^_a = 1 x G_a x 1 has at most one nonzero per column, so column c of
-    R G^_a is coef[a, 0, c] times one column of R.  take[a] holds the flat
-    index into R of every entry of X_a: (n, d_tot, d_tot) for the n =
-    sum(d_k^2 - d_k) generators in subsystem order.
-    """
-    bases, cols, coefs = [_lie_basis(d) for d in dims], [], []
-    for k, (d, G) in enumerate(zip(dims, bases)):
-        lo, hi = math.prod(dims[:k]), math.prod(dims[k + 1 :])
-        row = np.argmax(G != 0, axis=1)  # (a, y): the row of G_a's nonzero in column y, or 0
-        # column (l, y, h) of X_a is column (l, row[a, y], h) of R times G_a[row[a, y], y]
-        cols.append(((np.arange(lo)[:, None, None] * d + row[:, None, :, None]) * hi + np.arange(hi)).reshape(len(G), -1))
-        coef = G.sum(axis=1)  # the one nonzero of each column, or 0
-        coefs.append(np.broadcast_to(coef[:, None, :, None], (len(G), lo, d, hi)).reshape(len(G), -1))
-    d_tot = math.prod(dims)
-    take = np.arange(d_tot)[:, None] * d_tot + np.concatenate(cols)[:, None, :]
-    return bases, take, np.concatenate(coefs)[:, None, :]
-
-
 class _Plan(NamedTuple):
     """What the D search derives from the dims alone, made by `_plan`."""
 
     dims: Tuple[int, ...]
     eye: Tuple[np.ndarray, ...]  # the computational basis's factors
-    take: np.ndarray  # `_lie`'s gather table
+    take: np.ndarray  # the gather table of X_a = R G^_a, (n, d_tot, d_tot), and its coefficients, (n, 1, d_tot): see `_plan`
     coef: np.ndarray
     # per subsystem: d, the dimensions before and after it, and its `_lie_basis` G as the (d^2, d^2 - d)
     # matrix G.transpose(2, 1, 0), whose row (x, y) holds every G_b[y, x]
     subs: List[Tuple[int, int, int, np.ndarray]]
-    # per dimension d: its `_lie_basis`, its subsystems and their columns of the coordinates x
+    # per dimension d (`core.dim_groups`): its `_lie_basis`, its subsystems and their columns of the coordinates x
     groups: List[Tuple[int, np.ndarray, List[int], List[slice]]]
 
 
 def _plan(dims: Tuple[int, ...]) -> _Plan:
-    """The descent plan of dims: `_lie`'s tables and every subsystem list and slice the descent reads."""
-    bases, take, coef = _lie(dims)
-    ends = np.cumsum([len(G) for G in bases]).tolist()
-    cols = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-    subs = [(d, math.prod(dims[:k]), math.prod(dims[k + 1 :]), G.transpose(2, 1, 0).reshape(d * d, -1))
-            for k, (d, G) in enumerate(zip(dims, bases))]
-    groups = []
-    for d in set(dims):
-        ks = [k for k, dk in enumerate(dims) if dk == d]
-        groups.append((d, bases[ks[0]], ks, [cols[k] for k in ks]))
-    return _Plan(dims, computational_basis(dims).factors, take, coef, subs, groups)
+    """The descent plan of dims: the gather table and every subsystem list and slice the descent reads.
+
+    G^_a = 1 x G_a x 1, for the n = sum(d_k^2 - d_k) `_lie_basis` elements in
+    subsystem order, has at most one nonzero per column, so column c of
+    X_a = R G^_a is coef[a, 0, c] times one column of R; take[a] holds the
+    flat index into R of every entry of X_a.
+    """
+    bases, take, coef, subs, cols, at = [_lie_basis(d) for d in dims], [], [], [], [], 0
+    for k, (d, G) in enumerate(zip(dims, bases)):
+        lo, hi, n = math.prod(dims[:k]), math.prod(dims[k + 1 :]), len(G)
+        row = np.argmax(G != 0, axis=1)  # (a, y): the row of G_a's nonzero in column y, or 0
+        # column (l, y, h) of X_a is column (l, row[a, y], h) of R times G_a[row[a, y], y] = G.sum(axis=1)[a, y]
+        take.append(((np.arange(lo)[:, None, None] * d + row[:, None, :, None]) * hi + np.arange(hi)).reshape(n, -1))
+        coef.append(np.broadcast_to(G.sum(axis=1)[:, None, :, None], (n, lo, d, hi)).reshape(n, -1))
+        subs.append((d, lo, hi, G.transpose(2, 1, 0).reshape(d * d, -1)))
+        cols.append(slice(at, at := at + n))
+    d_tot = math.prod(dims)
+    take = np.arange(d_tot)[:, None] * d_tot + np.concatenate(take)[:, None, :]
+    groups = [(d, bases[ks[0]], ks, [cols[k] for k in ks]) for d, ks in dim_groups(dims).items()]
+    return _Plan(dims, computational_basis(dims).factors, take, np.concatenate(coef)[:, None, :], subs, groups)
 
 
 def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], plan: _Plan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,9 +208,9 @@ def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], plan:
                - sum_i (M_a)_ii (M_b)_ii / (p_i ln 2)
 
     G^_a is never formed.  M_a = X_a + X_a^dag with X_a = R G^_a, which is
-    one gather of R's entries by the plan's `_lie` table and one multiply by its
-    coefficients for all a at once; it equals the matmul, as each entry is a
-    single product.  As lambda_i - lambda_j is antisymmetric and G^_b
+    one gather of R's entries by the plan's gather table and one multiply by
+    its coefficients for all a at once; it equals the matmul, as each entry
+    is a single product.  As lambda_i - lambda_j is antisymmetric and G^_b
     anti-Hermitian, the X_a^dag half of each sum
     is the conjugate of the X_a half, so X_a alone gives both: (M_a)_ii =
     2 Re (X_a)_ii, and the sum against G^_b is 2 Re of a partial trace onto

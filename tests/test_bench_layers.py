@@ -135,12 +135,13 @@ def test_the_layer_list_covers_both_modes_and_the_measures():
     measures = ["measure_G", "measure_DG", "measure_K", "negativity",
                 "measure_G[fresh walk tables]", "measure_G[(3,4), several chunks]"]
     assert names[names.index("measure_G") : names.index("measure_G") + 6] == measures
-    assert names[-11:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
+    assert names[-16:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
                            "min_diag_entropy[families, reused config]",
                            "min_diag_entropy[seven qubits, reused config]",
                           "min_diag_entropy[measure-cold states, fresh config]",
                           "measure_D[measure-cold states, fresh config]",
-                          *(f"_haar_batch[{dims}, 512 samples]" for dims in bench_layers.STATE_DIMS)]
+                          *(f"_haar_batch[{dims}, 512 samples]" for dims in bench_layers.STATE_DIMS),
+                          *(f"search._plan[{dims}]" for dims in (*bench_layers.STATE_DIMS, (2,) * 7))]
 
 
 def test_rotated_inputs_are_inexact_and_the_others_exact(pkgs):
@@ -152,7 +153,7 @@ def test_rotated_inputs_are_inexact_and_the_others_exact(pkgs):
 def test_the_d_search_layers_run_on_both_copies_and_agree(pkgs):
     # each D-search layer's call works on a loaded copy and gives the other
     # copy's outputs; the reused config is filled before the call
-    for name, setup in bench_layers.layers()[-11:]:
+    for name, setup in bench_layers.layers()[-16:]:
         a, b = (setup(pkgs[side])() for side in ("parent", "change"))
         assert a and bench_layers.same(a, b), name
 

@@ -332,6 +332,13 @@ class TestPartialTrace:
             qmat.partial_trace(nc.make_sigma(0.1), [])
         with pytest.raises(nc.BadSubsystemIndex):
             qmat.partial_trace(nc.make_sigma(0.1), [0, 0])
+        # a non-integer index is refused, not truncated to a subsystem
+        rho = nc.random_density_matrix((2, 3), 2, 1)
+        with pytest.raises(nc.BadSubsystemIndex, match="1.7"):
+            qmat.partial_trace(rho, [1.7])
+        with pytest.raises(nc.BadSubsystemIndex, match="0.9"):
+            qmat.partial_transpose(rho, [0.9])
+        assert qmat.partial_trace(rho, [np.int64(1)]).dims == (3,)
 
 
 class TestPartialTranspose:

@@ -84,7 +84,7 @@ class TestHaarSampling:
             out.append(Q * (diag / np.abs(diag))[:, None, :])
         return out
 
-    @pytest.mark.parametrize("dims", [(0,), (2, -1), (), (1,)])
+    @pytest.mark.parametrize("dims", [(0,), (2, -1), (), (1,), (2.5, 2)])
     def test_bad_dims_are_a_dimension_mismatch(self, dims):
         # no state has these dims, so neither may a basis; numpy's own errors must not leak
         with pytest.raises(nc.DimensionMismatch, match="subsystem dims must all be >= 2"):
@@ -481,9 +481,9 @@ class TestDescent:
         # one basis per subsystem and one gather table serve every round of
         # the descent and the witness's certificate, however many rounds run;
         # a second search on the config makes none, and a new config its own
-        calls, lie_basis, tables, lie = [], search._lie_basis, [], search._lie
+        calls, lie_basis, tables, plan = [], search._lie_basis, [], search._plan
         monkeypatch.setattr(search, "_lie_basis", lambda d: calls.append(d) or lie_basis(d))
-        monkeypatch.setattr(search, "_lie", lambda dims: tables.append(list(dims)) or lie(dims))
+        monkeypatch.setattr(search, "_plan", lambda dims: tables.append(list(dims)) or plan(dims))
         rho, cfg = nc.random_density_matrix((2, 2, 2, 2), 16, 7), nc.SearchConfig()
         _, _, diag = nc.min_diag_entropy(rho, cfg)
         assert max(diag["start_rounds"]) > 2
@@ -495,19 +495,29 @@ class TestDescent:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
     def test_gathered_x_equals_the_matmul_x(self, dims):
-        # X_a = R G^_a with G^_a = 1 x G_a x 1, gathered by `_lie`'s table as
+        # X_a = R G^_a with G^_a = 1 x G_a x 1, gathered by the plan's table as
         # `_derivatives` does, equals the dense matmul against `_lie_basis` (==:
         # only the sign of an exact zero may differ)
         d_tot, rng = math.prod(dims), np.random.default_rng(sum(dims))
         R = rng.standard_normal((3, d_tot, d_tot)) + 1j * rng.standard_normal((3, d_tot, d_tot))
-        bases, take, coef = search._lie(dims)
-        X = np.take(R.reshape(3, -1), take, axis=1)
-        X *= coef
+        plan = search._plan(dims)
+        X = np.take(R.reshape(3, -1), plan.take, axis=1)
+        X *= plan.coef
         lifted = [np.kron(np.kron(np.eye(math.prod(dims[:k])), G), np.eye(math.prod(dims[k + 1 :])))
-                  for k, Gs in enumerate(bases) for G in Gs]
+                  for k, d in enumerate(dims) for G in search._lie_basis(d)]
         assert X.shape == (3, len(lifted), d_tot, d_tot)
         for a, G in enumerate(lifted):
             assert np.array_equal(X[:, a], R @ G)
+
+    @pytest.mark.parametrize("dims", [(4, 2), (3, 2, 3)])
+    def test_subsystems_are_grouped_by_dimension_in_order_of_first_appearance(self, dims):
+        # one rule, `core.dim_groups`, batches the subsystems of one dimension
+        # for the plan and the marginal stacks alike
+        assert list(nc.core.dim_groups((3, 2, 3, 4, 2)).items()) == [(3, [0, 2]), (2, [1, 4]), (4, [3])]
+        order = list(dict.fromkeys(dims))
+        assert [d for d, _, _, _ in search._plan(dims).groups] == order
+        assert [ks for _, _, ks, _ in search._plan(dims).groups] == list(nc.core.dim_groups(dims).values())
+        assert list(qmat.marginal_stacks(nc.random_density_matrix(dims, 2, 3))) == order
 
     @pytest.mark.parametrize("seed, bound", [(1, None), (2006, 0.4422745949546236)])
     def test_every_start_converges_near_horodecki_one(self, monkeypatch, seed, bound):

@@ -160,7 +160,7 @@ class TestRandomDensityMatrix:
         with pytest.raises(nc.ParamOutOfRange):
             nc.random_density_matrix((2, 2), 4, -1)
 
-    @pytest.mark.parametrize("dims", [(0,), (2, -1), (), (1,)])
+    @pytest.mark.parametrize("dims", [(0,), (2, -1), (), (1,), (2.5, 2)])
     def test_bad_dims_raise_the_state_dims_error(self, dims):
         # checked before the rank, so (0,) is not reported as rank 1 outside [1, 0]
         with pytest.raises(nc.DimensionMismatch) as want:
@@ -168,6 +168,16 @@ class TestRandomDensityMatrix:
         with pytest.raises(nc.DimensionMismatch) as got:
             nc.random_density_matrix(dims, 1, 1)
         assert str(got.value) == str(want.value)
+
+    def test_numpy_int_dims_are_plain_int_dims(self):
+        dims = (np.int64(2), np.int64(3))
+        rho = nc.random_density_matrix(dims, 2, 4)
+        assert rho.dims == (2, 3) and all(type(d) is int for d in rho.dims)
+        assert np.array_equal(rho.mat, nc.random_density_matrix((2, 3), 2, 4).mat)
+        assert nc.DensityMatrix(np.array([2, 3]), rho.mat).dims == (2, 3)
+        basis = nc.haar_random_product_basis(dims, 5)
+        for F, G in zip(basis.factors, nc.haar_random_product_basis((2, 3), 5).factors):
+            assert np.array_equal(F, G)
 
     def test_seed_past_2_64_is_its_own_stream(self):
         # no reduction mod 2^64: numpy seeds a Generator with any integer >= 0

@@ -30,8 +30,11 @@ config filled before the timed call; `min_diag_entropy` on two fresh full-rank
 seven-qubit states with a config filled the same way, where the plan's gather
 table is largest; `min_diag_entropy` and `measure_D` on fresh
 `measure-cold` states (each dims at full rank) with a new config per state,
-as `nccorr measure` makes its samples anew; and `_haar_batch` on 512
-samples' normals per dims.  Every layer calls only functions and signatures
+as `nccorr measure` makes its samples anew; `_haar_batch` on 512
+samples' normals per dims; and `search._plan`, the descent plan a fresh
+config makes, built anew per call for each `STATE_DIMS` and for seven
+qubits, its output the plan as a plain tuple, since the two packages'
+plan classes differ.  Every layer calls only functions and signatures
 that both revisions have.  Every side runs every layer once untimed first.
 In each round, every layer is timed as a parent/change pair and then as a
 parent/parent pair, each pair in an order that alternates with
@@ -209,6 +212,8 @@ def layers() -> List[Layer]:
     out.append(("min_diag_entropy[seven qubits, reused config]", seven_qubits))
     out += [(f"{fn}[measure-cold states, fresh config]", cold_search(fn)) for fn in ("min_diag_entropy", "measure_D")]
     out += [(f"_haar_batch[{dims}, 512 samples]", haar(dims)) for dims in STATE_DIMS]
+    out += [(f"search._plan[{dims}]", lambda nc, dims=dims: lambda: tuple(nc.search._plan(dims)))
+            for dims in (*STATE_DIMS, (2,) * 7)]
     return out
 
 
