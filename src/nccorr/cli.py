@@ -94,8 +94,9 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measures", default=names, help=f"comma-separated subset of {names}")
     _add_search_flags(p)
     p.add_argument("--partition-cap", type=_pos_int, default=measures.DEFAULT_PARTITION_CAP,
-                   help="G refuses subsystem k when dims[k]^d_tot exceeds this; only the "
-                        "balanced assignments are enumerated")
+                   help="G refuses a state when a subsystem's walk evaluates more balanced "
+                        "assignments than this, half of d_tot!/((d_tot/d_k)!)^d_k; the walk keeps "
+                        "a table of d_tot bytes per assignment")
     p.add_argument("--chunk-size", type=_pos_int, default=SearchConfig.chunk_size,
                    help="samples the D search makes and scores at a time, on one thread; "
                         "bounds a call's memory (never changes results); a search of one "

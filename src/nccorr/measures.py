@@ -11,8 +11,7 @@ from .core import DensityMatrix, DimensionMismatch, PartitionCapExceeded, kept
 from . import qmat
 from .search import SearchConfig, marginal_eigenbasis, min_diag_entropy
 
-DEFAULT_PARTITION_CAP = 1 << 24
-_ENUM_CHUNK = 1 << 16
+DEFAULT_PARTITION_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,67 +72,52 @@ def _grow(fill: np.ndarray, full: np.ndarray, gate_bin_1: bool) -> Tuple[np.ndar
     return fill, parent, code
 
 
-# (d_tot, d, _ENUM_CHUNK) -> the one chunk of its `_walk`: structure only, never a spectrum
-_WALKS: Dict[Tuple[int, int, int], np.ndarray] = {}
+# (d_tot, d) -> the member table of its `_walk`: structure only, never a spectrum
+_WALKS: Dict[Tuple[int, int], np.ndarray] = {}
 
 
-def _walk(d_tot: int, d: int) -> Iterator[np.ndarray]:
-    """Yield the balanced assignments in counter order, one chunk's member table at a time.
+def _walk(d_tot: int, d: int) -> np.ndarray:
+    """The member table of the balanced assignments, one row per kept assignment, in counter order.
 
     An assignment places the d_tot total eigenvalues into d equal-size bins
     (d_tot/d each).  Only balanced assignments are generated, one eigenvalue
     (digit) at a time and only into bins with room; the base-d counter reads
     eigenvalue 0 as the most significant digit.  Of two that swap bins 0
     and 1 only the counter-first is made (`_grow`): half of all
-    d_tot!/((d_tot/d)!)^d.  A prefix with more than ``_ENUM_CHUNK`` kept
-    completions is split on its next digit, so at most ``_ENUM_CHUNK`` rows
-    are yielded at once; of the multinomial number of ways to fill its bins'
-    room, half are kept while bin 0 (and so bin 1) is empty.
+    d_tot!/((d_tot/d)!)^d, the count `measure_G`'s cap bounds.
 
-    Each row carries its bin fill and its member slots, as a split prefix
-    does: digit j goes to slot b + d * m, bin b's fill (`_grow`).
+    Digit j goes to slot b + d * m, bin b's fill (`_grow`).
     ``members[m, b, r]`` is then the m-th lowest eigenvalue index that row r
-    puts in bin b; the table is all a row holds.  A walk of one chunk (no
-    prefix split) is kept, read-only, in `_WALKS` for later calls
-    (`core.kept`; of concurrent first calls the first stored serves).
+    puts in bin b; the table is all a row holds.
     """
     bin_size = d_tot // d
     # fill stays below d_tot + d, so the smallest dtype holding that serves
     full = np.arange(d, dtype=np.min_scalar_type(d_tot + d)) + d * bin_size
+    fill = full[None] - d * bin_size
     slots = np.zeros((1, d_tot), dtype=np.min_scalar_type(d_tot - 1))
-    prefixes = [(0, full[None] - d * bin_size, slots)]
-    while prefixes:
-        start, fill, slots = prefixes.pop()
-        room = [int(r) for r in bin_size - fill[0] // d]  # bin 0 is empty while its room is bin_size
-        ways = math.factorial(sum(room)) // math.prod(math.factorial(r) for r in room)
-        split = ways // (2 if room[0] == bin_size else 1) > _ENUM_CHUNK
-        for j in range(start, start + 1 if split else d_tot):
-            fill, parent, code = _grow(fill, full, j <= (d - 2) * bin_size)
-            slots = slots.take(parent, axis=0)
-            slots.ravel()[np.arange(0, slots.size, d_tot) + code] = j
-        if split:
-            # one prefix per row, last row on top, so rows are walked in counter order
-            prefixes.extend((start + 1, f, s) for f, s in zip(fill[::-1, None], slots[::-1, None]))
-            continue
-        members = np.ascontiguousarray(slots.T).reshape(bin_size, d, len(slots))
-        yield kept(_WALKS, (d_tot, d, _ENUM_CHUNK), lambda: members) if start == 0 else members
+    for j in range(d_tot):
+        fill, parent, code = _grow(fill, full, j <= (d - 2) * bin_size)
+        slots = slots.take(parent, axis=0)
+        slots.ravel()[np.arange(0, slots.size, d_tot) + code] = j
+    return np.ascontiguousarray(slots.T).reshape(bin_size, d, len(slots))
 
 
-def _balanced_assignments(e_tot: np.ndarray, d: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield (bin sums, members) of `_walk`'s chunks, in counter order.
+def _bin_sums(e_tot: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(bin sums, members) of every kept balanced assignment, in counter order.
 
-    A walk kept in `_WALKS` is read from there, else `_walk` runs.  Every
+    The member table depends only on (d_tot, d), so it is kept, read-only,
+    in `_WALKS` for later calls (`core.kept`; of concurrent first calls the
+    first stored serves), and `_walk` runs only when it is not there.  Every
     bin sum adds ``e_tot[j]`` of its members in ascending j, onto 0.0: one
     member place of every row and bin is gathered at a time and added
     elementwise, never through numpy's pairwise sum, which a reduce over a
     last axis of 8 or more terms would use.
     """
-    table = _WALKS.get((len(e_tot), d, _ENUM_CHUNK))
-    for members in _walk(len(e_tot), d) if table is None else [table]:
-        sums = e_tot.take(members[0]) + 0.0  # the first add onto 0.0
-        for m in members[1:]:
-            sums += e_tot.take(m)
-        yield sums.T, members
+    members = kept(_WALKS, (len(e_tot), d), lambda: _walk(len(e_tot), d))
+    sums = e_tot.take(members[0]) + 0.0  # the first add onto 0.0
+    for m in members[1:]:
+        sums += e_tot.take(m)
+    return sums.T, members
 
 
 def _min_balanced_partition(
@@ -141,29 +125,25 @@ def _min_balanced_partition(
 ) -> Tuple[List[Tuple[np.float64, Tuple[int, ...]]], int]:
     """Minimize |sum etilde log etilde - s| over partitions, for each target s.
 
-    The bin sums of `_balanced_assignments` are the mimic eigenvalues.  They
-    depend only on e_tot and d, so one walk serves every target
-    s = sum e_red log e_red of the subsystems of dimension d.  Each target
-    keeps its own first minimum in counter order (``np.argmin`` within a
-    chunk, a strict ``<`` across chunks).  A skipped assignment comes after its
-    swap partner and ties it bit for bit (bins 0 and 1 are added first, onto
-    0.0, and addition commutes), so the result is bit-identical to a plain
-    counter loop over all balanced assignments (``verify.naive_measure_G``).
-    A new minimum's assignment is read off its member column at once (place
-    (m, b) is flat position m * d + b), so no chunk outlives its turn.
+    The bin sums of `_bin_sums` are the mimic eigenvalues.  They depend only
+    on e_tot and d, so one walk serves every target s = sum e_red log e_red
+    of the subsystems of dimension d.  Each target keeps its own first
+    minimum in counter order (one ``np.argmin``).  A skipped assignment comes
+    after its swap partner and ties it bit for bit (bins 0 and 1 are added
+    first, onto 0.0, and addition commutes), so the result is bit-identical
+    to a plain counter loop over all balanced assignments
+    (``verify.naive_measure_G``).  A minimum's assignment is read off its
+    member column (place (m, b) is flat position m * d + b).
     Returns one (minimum, assignment) per target and the number evaluated.
     """
-    best = [(np.inf, (0,) * len(e_tot))] * len(targets)
-    evaluated = 0
-    for sums, members in _balanced_assignments(e_tot, d):
-        T = _neg_entropy_seq(sums)
-        for t, s_red in enumerate(targets):
-            vals = np.abs(T - s_red)
-            i = int(np.argmin(vals))
-            if vals[i] < best[t][0]:
-                best[t] = (vals[i], tuple((np.argsort(members[:, :, i], axis=None) % d).tolist()))
-        evaluated += len(T)
-    return best, evaluated
+    sums, members = _bin_sums(e_tot, d)
+    T = _neg_entropy_seq(sums)
+    best = []
+    for s_red in targets:
+        vals = np.abs(T - s_red)
+        i = int(np.argmin(vals))
+        best.append((vals[i], tuple((np.argsort(members[:, :, i], axis=None) % d).tolist())))
+    return best, len(T)
 
 
 def _bipartite_splittings(m: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -193,14 +173,17 @@ def measure_D(rho: DensityMatrix, cfg: Optional[SearchConfig] = None) -> Measure
 def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) -> MeasureReport:
     """max over subsystems k of the minimal mimic-eigenvalue discrepancy F_k.
 
-    The cap (on d_k^d_tot) is checked for every subsystem before any walk.
-    Subsystems of one dimension share one walk; F_k, the witnesses and
-    ``assignments_evaluated`` (per subsystem, half its balanced count) stay in k order.
+    The cap bounds the assignments evaluated per subsystem, half of
+    d_tot!/((d_tot/d_k)!)^d_k, which is also the row count of the walk's kept
+    table; every subsystem is checked before any walk.  Subsystems of one
+    dimension share one walk; F_k, the witnesses and ``assignments_evaluated``
+    (per subsystem) stay in k order.
     """
     e_tot = qmat.density_spectrum(rho)
     for d in rho.dims:
-        if d ** rho.d_tot > partition_cap:
-            raise PartitionCapExceeded(f"{d}^{rho.d_tot} = {d ** rho.d_tot} exceeds cap {partition_cap}")
+        count = math.factorial(rho.d_tot) // math.factorial(rho.d_tot // d) ** d // 2
+        if count > partition_cap:
+            raise PartitionCapExceeded(f"G at d = {d} evaluates {count} assignments, more than cap {partition_cap}")
     walks = {}
     for d, (spectra, _) in qmat.marginal_eigs(rho, vectors=False).items():
         targets = [_neg_entropy_seq(qmat.clamped_probs(w)) for w in spectra]

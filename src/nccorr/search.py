@@ -330,7 +330,8 @@ def marginal_eigenbasis(rho: DensityMatrix) -> ProductBasis:
 
 
 def computational_basis(dims: Sequence[int]) -> ProductBasis:
-    return ProductBasis(tuple(np.eye(int(d), dtype=np.complex128) for d in dims))
+    """The identity factor per subsystem; dims as for a state."""
+    return ProductBasis(tuple(np.eye(d, dtype=np.complex128) for d in checked_dims(dims)))
 
 
 def min_diag_entropy(rho: DensityMatrix, cfg: SearchConfig) -> Tuple[float, ProductBasis, dict]:

@@ -133,7 +133,7 @@ def test_the_layer_list_covers_both_modes_and_the_measures():
             for vectors in (False, True):
                 assert f"herm_eig[{kind}{rot}, vectors={vectors}]" in names
     measures = ["measure_G", "measure_DG", "measure_K", "negativity",
-                "measure_G[fresh walk tables]", "measure_G[(3,4), several chunks]"]
+                "measure_G[fresh walk tables]", "measure_G[(3,4)]"]
     assert names[names.index("measure_G") : names.index("measure_G") + 6] == measures
     assert names[-16:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
                            "min_diag_entropy[families, reused config]",
@@ -160,15 +160,14 @@ def test_the_d_search_layers_run_on_both_copies_and_agree(pkgs):
 
 def test_the_walk_layers_build_their_tables_and_agree(pkgs):
     # the fresh-walk layer clears the kept tables before each state, so its
-    # call ends with only the last state's walks kept; the (3,4) layer's
-    # d = 4 walk is several chunks and is never kept
+    # call ends with only the last state's walks kept; the (3,4) layer keeps
+    # both of its walks, the d = 4 one the largest the default cap admits
     layer = dict(bench_layers.layers())
     for side in ("parent", "change"):
         pkgs[side].measures._WALKS[("stale",)] = None
     a, b = (layer["measure_G[fresh walk tables]"](pkgs[side])() for side in ("parent", "change"))
     assert len(a) == 16 and bench_layers.same(a, b)
-    chunk = pkgs["parent"].measures._ENUM_CHUNK
-    assert set(pkgs["parent"].measures._WALKS) == {(16, 2, chunk)}
-    a, b = (layer["measure_G[(3,4), several chunks]"](pkgs[side])() for side in ("parent", "change"))
+    assert set(pkgs["parent"].measures._WALKS) == {(16, 2)}
+    a, b = (layer["measure_G[(3,4)]"](pkgs[side])() for side in ("parent", "change"))
     assert len(a) == 2 and bench_layers.same(a, b)
-    assert (12, 4, chunk) not in pkgs["parent"].measures._WALKS
+    assert set(pkgs["parent"].measures._WALKS) == {(16, 2), (12, 3), (12, 4)}

@@ -240,11 +240,11 @@ def test_outputs_sha256_hashes_what_each_command_prints_in_sorted_order(tmp_path
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     first = bench_pairs.outputs_sha256(tmp_path)
     kinds = [args[0] for args in calls]
-    assert kinds == ["gen-state"] * 30 + ["measure"] * 30 + ["sweep"] * 3
+    assert kinds == ["gen-state"] * 36 + ["measure"] * 36 + ["sweep"] * 3
     assert all(args[2:] == ("--measures", "D,G,DG,K,N") for args in calls if args[0] == "measure")
     assert {args[1:] for args in calls if args[0] == "measure"} == {
         (args[-1], "--measures", "D,G,DG,K,N") for args in calls if args[0] == "gen-state"}
-    assert sum("--rank" in args for args in calls) == 20
+    assert sum("--rank" in args for args in calls) == 24
     assert calls[-1] == ("sweep", "--family", "horodecki", "--from", "0", "--to", "1", "--steps", "101", "--seed", "1")
     # the same outputs in another run order give the same hash
     monkeypatch.setattr(bench_pairs, "OUTPUT_DIMS", bench_pairs.OUTPUT_DIMS[::-1])

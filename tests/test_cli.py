@@ -313,7 +313,7 @@ class TestErrorHandling:
         assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_partition_cap_refuses_before_any_walk_exit_2(self, tmp_path, monkeypatch, capsys):
-        # Subsystem 0 (2^12 = 4096) fits the cap; subsystem 1 (3^12) does not.
+        # The qubits' walk (462 kept assignments) fits the cap; the qutrit's (17,325) does not.
         state = tmp_path / "s.json"
         assert run(["gen-state", "--dims", "2,3,2", "--rank", 3, "--out", state]) == 0
         walks = []
@@ -322,7 +322,7 @@ class TestErrorHandling:
         assert walks == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: 3^12 = 531441 exceeds cap 4096\n"
+        assert captured.err == "error: G at d = 3 evaluates 17325 assignments, more than cap 4096\n"
 
     def test_eigensolver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         state = tmp_path / "s.json"

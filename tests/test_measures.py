@@ -139,8 +139,52 @@ class TestMeasureG:
         assert nc.measure_G(nc.tensor_state(a, b)).value <= 1e-12
 
     def test_partition_cap(self):
+        # a (2,2) subsystem has 3 kept assignments
         with pytest.raises(nc.PartitionCapExceeded):
-            nc.measure_G(nc.make_sigma(0.2), partition_cap=8)
+            nc.measure_G(nc.make_sigma(0.2), partition_cap=2)
+
+    # the multi-subsystem dims with d_tot <= 64 that the default cap admits, in any order
+    ADMITTED = {(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)}
+
+    @staticmethod
+    def dims_up_to(n_max, lead=()):
+        """Every dims (ordered, each d >= 2) whose product is at most n_max, after lead."""
+        for d in range(2, n_max // math.prod(lead) + 1):
+            yield lead + (d,)
+            yield from TestMeasureG.dims_up_to(n_max, lead + (d,))
+
+    @staticmethod
+    def walked_dims(monkeypatch, dims, cap=measures.DEFAULT_PARTITION_CAP):
+        """The dimensions measure_G walks on I/d_tot, or None if the cap refuses it first."""
+        walks = []
+        monkeypatch.setattr(measures, "_min_balanced_partition",
+                            lambda e_tot, targets, d: walks.append(d) or ([(0.0, ())] * len(targets), 0))
+        d_tot = math.prod(dims)
+        try:
+            nc.measure_G(nc.DensityMatrix(dims, np.eye(d_tot) / d_tot), partition_cap=cap)
+        except nc.PartitionCapExceeded:
+            assert walks == []
+            return None
+        return walks
+
+    @pytest.mark.parametrize("n_subsystems", [1, 2, 3, 4, 5, 6])
+    def test_default_cap_admits_exactly_the_listed_dims(self, monkeypatch, n_subsystems):
+        # single subsystems up to (9,), 181,440 kept assignments; (2,6) would
+        # need 3,742,200, (2,3,3) 8,576,568 and (4,4) 31,531,500
+        admitted = {dims for dims in self.dims_up_to(64) if len(dims) == n_subsystems
+                    and self.walked_dims(monkeypatch, dims) is not None}
+        expected = ({(d,) for d in range(2, 10)} if n_subsystems == 1 else
+                    {dims for dims in self.dims_up_to(64)
+                     if len(dims) == n_subsystems and tuple(sorted(dims)) in self.ADMITTED})
+        assert admitted == expected
+        for refused in [(2, 6), (6, 2), (2, 3, 3), (3, 2, 3), (4, 4)]:
+            assert len(refused) != n_subsystems or self.walked_dims(monkeypatch, refused) is None
+
+    @pytest.mark.parametrize("dims, rows", [((2, 3), 45), ((3, 4), 184800), ((2, 2, 2, 2), 6435)],
+                             ids=["(2,3)", "(3,4)", "(2,2,2,2)"])
+    def test_a_cap_of_the_kept_count_admits_and_one_less_refuses(self, monkeypatch, dims, rows):
+        assert self.walked_dims(monkeypatch, dims, cap=rows) == list(dict.fromkeys(dims))
+        assert self.walked_dims(monkeypatch, dims, cap=rows - 1) is None
 
     def test_rejects_what_d_and_dg_reject(self):
         rho = nc.DensityMatrix((2, 2), np.diag([0.6, 0.3, 0.2, 0.1]))  # trace 1.2
@@ -162,7 +206,7 @@ class TestMeasureG:
             (3, 3): {0: 840, 1: 840},
             (2, 4): {0: 35, 1: 1260},
             (2, 2, 2): {0: 35, 1: 35, 2: 35},
-            (3, 4): {0: 17325, 1: 184800},  # the d = 4 walk splits at the default chunk
+            (3, 4): {0: 17325, 1: 184800},  # the largest walk the default cap admits
         }
         for dims, counts in expected.items():
             rep = nc.measure_G(nc.random_density_matrix(dims, 2, 71))
@@ -213,49 +257,29 @@ class TestMeasureG:
         rep = nc.measure_G(nc.DensityMatrix((2, 2, 2, 2), np.eye(16) / 16))
         assert rep.witness == [measures.Partition(k, (0,) * 8 + (1,) * 8) for k in range(4)]
 
-    @pytest.mark.parametrize("dims, d, chunks, rows", [
-        ((2, 5), 5, 1, 56700),   # 113,400 balanced, half of them kept: one chunk
-        ((3, 4), 4, 6, 184800),
+    @pytest.mark.parametrize("dims, d, rows", [
+        ((2, 5), 5, 56700),   # 113,400 balanced, half of them kept
+        ((3, 4), 4, 184800),
     ], ids=["(2,5)-d5", "(3,4)-d4"])
-    def test_walk_splits_on_the_kept_completions(self, dims, d, chunks, rows):
+    def test_walk_is_one_table_of_the_kept_assignments(self, dims, d, rows):
         e_tot = qmat.density_spectrum(nc.random_density_matrix(dims, int(np.prod(dims)), 95))
-        sizes = [members.shape[2] for _, members in measures._balanced_assignments(e_tot, d)]
-        assert (len(sizes), sum(sizes)) == (chunks, rows)
-        assert max(sizes) <= measures._ENUM_CHUNK
+        sums, members = measures._bin_sums(e_tot, d)
+        assert sums.shape == (rows, d) and members.shape == (len(e_tot) // d, d, rows)
 
-    def test_prefix_split_matches_single_pass(self, monkeypatch):
-        # Every (2,4), (3,3) and (2,2,2,2) subsystem has more balanced
-        # assignments than the patched chunk, so the walk splits prefixes.
-        cases = [
-            nc.random_density_matrix(dims, rank, 90)
-            for dims in ((2, 4), (3, 3), (2, 2, 2, 2))
-            for rank in (int(np.prod(dims)), 1)
-        ]
-        whole = [nc.measure_G(rho) for rho in cases]
-        monkeypatch.setattr(measures, "_ENUM_CHUNK", 7)
-        for rho, ref in zip(cases, whole):
-            rep = nc.measure_G(rho)
-            assert rep.value == ref.value
-            assert rep.witness == ref.witness
-            assert rep.diagnostics == ref.diagnostics
-
-    def test_prefix_split_at_the_production_chunk_size(self, monkeypatch):
-        # The d = 4 walk of (3,4) keeps 184,800 assignments, more than the
-        # default chunk, so the default splits it; the patched chunk does not.
+    def test_largest_admitted_walk_matches_its_balanced_count(self):
+        # The d = 4 walk of (3,4) keeps 184,800 assignments, the most of any
+        # dims the default cap admits; a second call reads the kept table.
         rho = nc.random_density_matrix((3, 4), 12, 95)
-        e_tot = qmat.density_spectrum(rho)
-        assert len(list(measures._balanced_assignments(e_tot, 4))) > 1
-        split = nc.measure_G(rho)
-        evaluated = split.diagnostics["assignments_evaluated"]
+        first = nc.measure_G(rho)
+        evaluated = first.diagnostics["assignments_evaluated"]
         assert evaluated == {0: 17325, 1: 184800}
         assert 2 * evaluated[0] == math.factorial(12) // math.factorial(4) ** 3
         assert 2 * evaluated[1] == math.factorial(12) // math.factorial(3) ** 4
-        monkeypatch.setattr(measures, "_ENUM_CHUNK", 1 << 20)
-        assert len(list(measures._balanced_assignments(e_tot, 4))) == 1
-        whole = nc.measure_G(rho)
-        assert split.value == whole.value
-        assert split.witness == whole.witness
-        assert split.diagnostics == whole.diagnostics
+        assert max(evaluated.values()) <= measures.DEFAULT_PARTITION_CAP
+        again = nc.measure_G(nc.DensityMatrix(rho.dims, rho.mat))
+        assert first.value == again.value
+        assert first.witness == again.witness
+        assert first.diagnostics == again.diagnostics
 
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2), (3, 3), (2, 2, 2)])
     def test_shared_walk_matches_one_walk_per_subsystem(self, dims):
@@ -315,7 +339,7 @@ def kept_counter_indices(members: np.ndarray, d: int) -> np.ndarray:
 
 
 class TestWalkTable:
-    """G keeps the member table of each walk of one chunk, per (d_tot, d, _ENUM_CHUNK); a row holds only its members."""
+    """G keeps the member table of each walk, per (d_tot, d); a row holds only its members."""
 
     @pytest.fixture(autouse=True)
     def no_kept_tables(self, monkeypatch):
@@ -360,14 +384,14 @@ class TestWalkTable:
             assert a.witness == b.witness == c.witness
             assert a.diagnostics == b.diagnostics == c.diagnostics
 
-    def test_a_walk_of_several_chunks_is_not_kept(self):
+    def test_both_walks_of_3_4_are_kept(self):
         rep = nc.measure_G(nc.random_density_matrix((3, 4), 12, 95))
         assert rep.diagnostics["assignments_evaluated"] == {0: 17325, 1: 184800}
-        assert set(measures._WALKS) == {(12, 3, measures._ENUM_CHUNK)}
+        assert set(measures._WALKS) == {(12, 3), (12, 4)}
+        assert measures._WALKS[(12, 4)].shape == (3, 4, 184800)
 
     def test_concurrent_callers_get_serial_results(self):
-        # Threads build, keep and read the tables at once, starting from none;
-        # (3,4)'s d = 4 walk is several chunks, so it is walked on every call.
+        # Threads build, keep and read the tables at once, starting from none.
         rhos = [nc.random_density_matrix(dims, rank, 71)
                 for dims in [(2, 2, 2, 2), (2, 4), (2, 2, 3), (3, 4)] for rank in (2, math.prod(dims))]
         serial = [nc.measure_G(rho) for rho in rhos]
@@ -394,15 +418,14 @@ class TestWalkTable:
         for c, got in reports:
             want = serial[c]
             assert (got.value, got.witness, got.diagnostics) == (want.value, want.witness, want.diagnostics)
-        chunk = measures._ENUM_CHUNK
-        assert set(measures._WALKS) == {(16, 2, chunk), (8, 2, chunk), (8, 4, chunk), (12, 2, chunk), (12, 3, chunk)}
+        assert set(measures._WALKS) == {(16, 2), (8, 2), (8, 4), (12, 2), (12, 3), (12, 4)}
 
     @pytest.mark.parametrize("rank", [1, 2, 16])
     def test_bin_sums_add_their_members_left_to_right(self, rank):
         # Bins of 8 eigenvalues: numpy's pairwise sum, which a reduce over a
         # last axis uses from 8 terms, groups them differently.
         e_tot = qmat.density_spectrum(nc.random_density_matrix((2, 2, 2, 2), rank, 33))
-        [(sums, members)] = measures._balanced_assignments(e_tot, 2)
+        sums, members = measures._bin_sums(e_tot, 2)
         assert sums.shape == (6435, 2)
         for r in list(range(0, 6435, 37)) + [6434]:
             for b in range(2):
@@ -412,34 +435,28 @@ class TestWalkTable:
                 assert sums[r, b] == total, (r, b)
 
     @pytest.mark.parametrize("rank", [1, 2, 12])
-    def test_bin_sums_of_a_walk_of_several_chunks_add_left_to_right(self, rank):
-        # Each chunk's rows carry the digits of its split prefix in their slots.
+    def test_bin_sums_of_the_largest_admitted_walk_add_left_to_right(self, rank):
         e_tot = qmat.density_spectrum(nc.random_density_matrix((3, 4), rank, 95))
-        chunks = list(measures._balanced_assignments(e_tot, 4))
-        assert len(chunks) == 6
-        for sums, members in chunks:
-            for r in list(range(0, len(sums), 997)) + [len(sums) - 1]:
-                for b in range(4):
-                    total = 0.0
-                    for j in sorted(members[:, b, r]):
-                        total += float(e_tot[j])
-                    assert sums[r, b] == total, (r, b)
+        sums, members = measures._bin_sums(e_tot, 4)
+        assert sums.shape == (184800, 4)
+        for r in list(range(0, len(sums), 997)) + [len(sums) - 1]:
+            for b in range(4):
+                total = 0.0
+                for j in sorted(members[:, b, r]):
+                    total += float(e_tot[j])
+                assert sums[r, b] == total, (r, b)
 
-    @pytest.mark.parametrize("d_tot, d, chunk", [
-        (16, 2, None), (8, 2, None), (8, 4, None), (9, 3, None), (12, 2, None), (12, 3, None),
-        (10, 2, None), (10, 5, None), (12, 4, None),
-        (16, 2, 7), (8, 2, 7), (8, 4, 7), (9, 3, 7), (12, 2, 7), (12, 3, 7),
+    @pytest.mark.parametrize("d_tot, d", [
+        (16, 2), (8, 2), (8, 4), (9, 3), (12, 2), (12, 3), (10, 2), (10, 5), (12, 4),
+        (4, 2), (6, 2), (6, 3), (14, 2), (8, 8), (2, 2),
     ])
-    def test_walk_rows_are_the_kept_assignments_in_counter_order(self, monkeypatch, d_tot, d, chunk):
+    def test_walk_rows_are_the_kept_assignments_in_counter_order(self, d_tot, d):
         # Rows in strictly rising counter order, each a kept balanced
         # assignment, and as many as there are kept assignments: that is
-        # every kept assignment, once, in counter order, and every chunk.
-        if chunk is not None:
-            monkeypatch.setattr(measures, "_ENUM_CHUNK", chunk)
-        chunks = list(measures._walk(d_tot, d))
-        one_chunk = chunk is None and (d_tot, d) != (12, 4)
-        assert (len(chunks) == 1) == one_chunk
-        counters = np.concatenate([kept_counter_indices(members, d) for members in chunks])
+        # every kept assignment, once, in counter order.
+        members = measures._walk(d_tot, d)
+        assert members.dtype == np.min_scalar_type(d_tot - 1) and members.flags.c_contiguous
+        counters = kept_counter_indices(members, d)
         assert (np.diff(counters) > 0).all()
         assert 2 * len(counters) == math.factorial(d_tot) // math.factorial(d_tot // d) ** d
 

@@ -84,11 +84,18 @@ class TestHaarSampling:
             out.append(Q * (diag / np.abs(diag))[:, None, :])
         return out
 
+    @pytest.mark.parametrize("make", [lambda dims: nc.haar_random_product_basis(dims, 1), nc.computational_basis],
+                             ids=["haar", "computational"])
     @pytest.mark.parametrize("dims", [(0,), (2, -1), (), (1,), (2.5, 2)])
-    def test_bad_dims_are_a_dimension_mismatch(self, dims):
+    def test_bad_dims_are_a_dimension_mismatch(self, make, dims):
         # no state has these dims, so neither may a basis; numpy's own errors must not leak
         with pytest.raises(nc.DimensionMismatch, match="subsystem dims must all be >= 2"):
-            nc.haar_random_product_basis(dims, 1)
+            make(dims)
+
+    def test_numpy_int_dims_give_plain_int_factors(self):
+        basis = nc.computational_basis(np.array([2, 3], dtype=np.int64))
+        assert basis.dims == (2, 3) and all(type(d) is int for d in basis.dims)
+        assert all(np.array_equal(f, np.eye(d)) for f, d in zip(basis.factors, (2, 3)))
 
     @pytest.mark.parametrize("dims", HAAR_DIMS)
     def test_row_alone_in_slice_and_in_batch_identical(self, dims):

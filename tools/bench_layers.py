@@ -20,8 +20,8 @@ spectrum kept on a state is reused.  Those G calls gather from walk tables
 kept by the untimed call, so two more G layers time the walk itself:
 `measure_G` on the same states with `measures._WALKS` cleared before each
 state, so every table is built again, and on two fresh full-rank (3,4)
-states, whose d = 4 walk is several chunks and so is never kept.  The D
-search has six kinds of layer:
+states, whose d = 4 walk (184,800 rows) is the largest the default cap
+admits.  The D search has six kinds of layer:
 `sweep.evaluate_point` with all five measures on fresh points of one family
 (one layer per family), with a config filled by the family's first point
 before the timed call, as a `sweep-families` op reuses its config;
@@ -155,7 +155,7 @@ def layers() -> List[Layer]:
             return reports
         return call
 
-    def several_chunks(nc):
+    def three_by_four(nc):
         fresh = [nc.random_density_matrix((3, 4), 12, seed) for seed in STATE_SEEDS]
         return lambda: [nc.measures.measure_G(rho) for rho in fresh]
 
@@ -205,7 +205,7 @@ def layers() -> List[Layer]:
            for kind in kinds for rot in ("", "-rotated") for vectors in (False, True)]
     out.append(("numpy.linalg.eigvalsh[rho]", eigvalsh))
     out += [(name, measure(name)) for name in ("measure_G", "measure_DG", "measure_K", "negativity")]
-    out += [("measure_G[fresh walk tables]", fresh_walks), ("measure_G[(3,4), several chunks]", several_chunks)]
+    out += [("measure_G[fresh walk tables]", fresh_walks), ("measure_G[(3,4)]", three_by_four)]
     out += [(f"sweep.evaluate_point[{family}, reused config]", family_point(family))
             for family in ("ps", "sigma", "horodecki")]
     out.append(("min_diag_entropy[families, reused config]", family_search))

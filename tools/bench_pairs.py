@@ -52,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # the fewest pairs (or rounds) a gain can be shown from: nine tenths of them must be won
 # the states and family sweeps `outputs_sha256` runs `nccorr` on
-OUTPUT_DIMS = ("2,4", "3,3", "2,2,2", "2,2,2,2", "2,3,2")
+OUTPUT_DIMS = ("2,4", "3,3", "2,2,2", "2,2,2,2", "2,3,2", "3,4")
 OUTPUT_SWEEPS = (("ps", "1"), ("sigma", "0.5"), ("horodecki", "1"))
 
 
