@@ -17,11 +17,11 @@ is Hermitian only up to rounding; numpy's own `eigvalsh` on rho, the floor
 `herm_eig` adds its checks and sort to; and `measure_G`, `measure_DG`,
 `measure_K` and `negativity`, each on states made fresh for the call, so no
 spectrum kept on a state is reused.  Those G calls gather from walk tables
-kept by the untimed call, so two more G layers time the walk itself:
+kept by the untimed call, so one more G layer times the walk itself:
 `measure_G` on the same states with `measures._WALKS` cleared before each
-state, so every table is built again, and on two fresh full-rank (3,4)
-states, whose d = 4 walk (184,800 rows) is the largest the default cap
-admits.  The D search has six kinds of layer:
+state, so every table is built again.  A last G layer runs on two fresh
+full-rank (3,4) states, whose d = 4 walk (184,800 rows) is the largest the
+default cap admits.  The D search has six kinds of layer:
 `sweep.evaluate_point` with all five measures on fresh points of one family
 (one layer per family), with a config filled by the family's first point
 before the timed call, as a `sweep-families` op reuses its config;
