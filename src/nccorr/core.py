@@ -70,11 +70,13 @@ def _read_only(x: Any) -> Any:
 
 
 def checked_int(v, error: Type[NccorrError], rule: str) -> int:
-    """v by `operator.index`, so Python and numpy ints pass and floats and strings raise error, naming v after the rule."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise error(f"{rule}, got non-integer {v!r}") from None
+    """v as a plain int by `operator.index`, so Python and numpy ints pass and bools, floats and strings raise error, naming v after the rule."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise error(f"{rule}, got non-integer {v!r}")
 
 
 def checked_dims(dims) -> Tuple[int, ...]:

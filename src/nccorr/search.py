@@ -31,7 +31,7 @@ from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis, checked_dims, dim_groups, kept
+from .core import DensityMatrix, NoConvergence, ParamOutOfRange, ProductBasis, checked_dims, checked_int, dim_groups, kept
 from . import qmat
 
 _N_STARTS = 6  # best samples the descent starts from, besides the fixed candidates
@@ -66,6 +66,8 @@ class SearchConfig:
     _kept: Dict[Hashable, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "refine_steps", "chunk_size"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), ParamOutOfRange, f"{name} must be an integer"))
         if self.n_samples < 0 or self.refine_steps < 0:
             raise ParamOutOfRange("n_samples and refine_steps must be >= 0")
         if self.chunk_size < 1:
@@ -122,7 +124,7 @@ def _haar_batch(dims: Sequence[int], N: np.ndarray) -> List[np.ndarray]:
 
 def haar_random_product_basis(dims: Sequence[int], sample_seed: int) -> ProductBasis:
     """Haar-uniform local basis per subsystem, deterministic per sample_seed (any integer); dims as for a state."""
-    dims = checked_dims(dims)
+    dims, sample_seed = checked_dims(dims), checked_int(sample_seed, ParamOutOfRange, "sample_seed must be an integer")
     facs = _haar_batch(dims, _ginibre(np.random.default_rng(sample_seed % 2 ** 64), dims, 1))
     return ProductBasis(tuple(f[0] for f in facs))
 
@@ -191,7 +193,8 @@ def _plan(dims: Tuple[int, ...]) -> _Plan:
     d_tot = math.prod(dims)
     take = np.arange(d_tot)[:, None] * d_tot + np.concatenate(take)[:, None, :]
     groups = [(d, bases[ks[0]], ks, [cols[k] for k in ks]) for d, ks in dim_groups(dims).items()]
-    return _Plan(dims, computational_basis(dims).factors, take, np.concatenate(coef)[:, None, :], subs, groups)
+    eye = tuple(np.eye(d, dtype=np.complex128) for d in dims)
+    return _Plan(dims, eye, take, np.concatenate(coef)[:, None, :], subs, groups)
 
 
 def _derivatives(rho_mat: np.ndarray, factor_stacks: Sequence[np.ndarray], plan: _Plan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

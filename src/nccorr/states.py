@@ -16,6 +16,7 @@ from .core import (
     ProductBasis,
     ValidationFailure,
     checked_dims,
+    checked_int,
 )
 from . import qmat
 
@@ -79,6 +80,8 @@ def make_classically_correlated(local_bases: ProductBasis, probs: np.ndarray) ->
 def random_density_matrix(dims: Sequence[int], rank: int, seed: int) -> DensityMatrix:
     """Wishart-style random state: GG^dag normalized, G complex Gaussian."""
     dims = checked_dims(dims)
+    rank = checked_int(rank, ParamOutOfRange, "rank must be an integer")
+    seed = checked_int(seed, ParamOutOfRange, "seed must be an integer >= 0")
     d_tot = math.prod(dims)
     if not 1 <= rank <= d_tot:
         raise ParamOutOfRange(f"rank={rank} outside [1, {d_tot}]")

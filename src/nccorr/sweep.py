@@ -6,7 +6,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, ParamOutOfRange
+from .core import DensityMatrix, ParamOutOfRange, checked_int
 from . import measures as _measures
 from . import states
 from .search import SearchConfig
@@ -40,6 +40,7 @@ class SweepSpec:
                 raise ParamOutOfRange(
                     f"parameter {v!r} outside [{lo}, {hi}] for family {self.family!r}"
                 )
+        object.__setattr__(self, "steps", checked_int(self.steps, ParamOutOfRange, "steps must be an integer >= 2"))
         if self.steps < 2:
             raise ParamOutOfRange(f"steps must be >= 2, got {self.steps}")
         if self.steps > np.iinfo(np.intp).max // 8:

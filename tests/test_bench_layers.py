@@ -135,6 +135,8 @@ def test_the_layer_list_covers_both_modes_and_the_measures():
     measures = ["measure_G", "measure_DG", "measure_K", "negativity",
                 "measure_G[fresh walk tables]", "measure_G[(3,4)]"]
     assert names[names.index("measure_G") : names.index("measure_G") + 6] == measures
+    assert names[names.index("measure_G[(3,4)]") + 1 : names.index("measure_G[(3,4)]") + 3] == [
+        "states.product_eigenbasis[measure-cold states]", "states.product_eigenbasis[rotated classical states]"]
     assert names[-16:] == [*(f"sweep.evaluate_point[{family}, reused config]" for family in ("ps", "sigma", "horodecki")),
                            "min_diag_entropy[families, reused config]",
                            "min_diag_entropy[seven qubits, reused config]",
@@ -171,3 +173,11 @@ def test_the_walk_layers_build_their_tables_and_agree(pkgs):
     a, b = (layer["measure_G[(3,4)]"](pkgs[side])() for side in ("parent", "change"))
     assert len(a) == 2 and bench_layers.same(a, b)
     assert set(pkgs["parent"].measures._WALKS) == {(16, 2), (12, 3), (12, 4)}
+
+
+def test_the_product_eigenbasis_layers_reject_the_cold_states_and_accept_the_classical_ones(pkgs):
+    layer = dict(bench_layers.layers())
+    cold, classical = ([layer[f"states.product_eigenbasis[{kind}]"](pkgs[side])() for side in ("parent", "change")]
+                       for kind in ("measure-cold states", "rotated classical states"))
+    assert len(cold[0]) == 8 and cold[0] == [None] * 8 and bench_layers.same(*cold)
+    assert len(classical[0]) == 4 and None not in classical[0] and bench_layers.same(*classical)

@@ -151,6 +151,32 @@ class TestSearchConfig:
         with pytest.raises(nc.ParamOutOfRange):
             nc.SearchConfig(**field)
 
+    # counts and seeds pass `core.checked_int` where they are constructed
+    INTEGER_PROBES = {
+        "n_samples-float": lambda: nc.SearchConfig(n_samples=2.5),
+        "n_samples-bool": lambda: nc.SearchConfig(n_samples=True),
+        "chunk_size-float": lambda: nc.SearchConfig(chunk_size=2.5),
+        "refine_steps-float": lambda: nc.SearchConfig(refine_steps=2.5),
+        "seed-float": lambda: nc.SearchConfig(seed=1.5),
+        "seed-str": lambda: nc.SearchConfig(seed="3"),
+        "sweep-steps-float": lambda: nc.SweepSpec("ps", 0, 1, 2.5),
+        "random-rank-float": lambda: nc.random_density_matrix((2, 2), 2.5, 1),
+        "random-seed-float": lambda: nc.random_density_matrix((2, 2), 2, 1.5),
+        "haar-seed-float": lambda: nc.haar_random_product_basis((2, 2), 1.5),
+    }
+
+    @pytest.mark.parametrize("make", INTEGER_PROBES.values(), ids=INTEGER_PROBES.keys())
+    def test_a_non_integer_count_or_seed_is_param_out_of_range(self, make):
+        with pytest.raises(nc.ParamOutOfRange, match="got non-integer"):
+            make()
+
+    def test_numpy_int_counts_are_plain_ints(self):
+        cfg = nc.SearchConfig(n_samples=np.int64(8), seed=np.int64(-3), refine_steps=np.int64(2), chunk_size=np.int64(4))
+        assert [type(v) for v in (cfg.n_samples, cfg.seed, cfg.refine_steps, cfg.chunk_size)] == [int] * 4
+        assert cfg == nc.SearchConfig(n_samples=8, seed=-3, refine_steps=2, chunk_size=4)
+        json.dumps(nc.measure_D(nc.make_sigma(0.2), cfg).diagnostics)
+        assert type(nc.SweepSpec("ps", 0, 1, np.int64(3)).steps) is int
+
 
 class TestMinDiagEntropy:
     def test_diagonal_state_exact(self):

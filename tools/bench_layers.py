@@ -21,7 +21,11 @@ kept by the untimed call, so one more G layer times the walk itself:
 `measure_G` on the same states with `measures._WALKS` cleared before each
 state, so every table is built again.  A last G layer runs on two fresh
 full-rank (3,4) states, whose d = 4 walk (184,800 rows) is the largest the
-default cap admits.  The D search has six kinds of layer:
+default cap admits.  `states.product_eigenbasis`, the paradigm's exact
+test, has two layers: on the `measure-cold` kinds of state, which it
+rejects, and on four-qubit classical states (|0000><0000| + |1111><1111|)/2
+turned by Haar local frames, which it accepts.  The D search has six kinds
+of layer:
 `sweep.evaluate_point` with all five measures on fresh points of one family
 (one layer per family), with a config filled by the family's first point
 before the timed call, as a `sweep-families` op reuses its config;
@@ -79,6 +83,7 @@ SIDES = ("parent", "change", "aa")
 STATE_DIMS = ((2, 4), (3, 3), (2, 2, 2), (2, 2, 2, 2))
 STATE_SEEDS = (1, 2)
 FAMILY_POINTS = 5  # per family, evenly over its parameter range
+CLASSICAL_SEEDS = (501, 502, 503, 504)  # the local frames of `classical_states`
 
 
 def load(name: str, src: Path):
@@ -95,6 +100,21 @@ def states(nc) -> list:
     """The benchmark states, made by `nc` itself, in a fixed order."""
     return [nc.random_density_matrix(dims, rank, seed) for dims in STATE_DIMS
             for rank in (math.prod(dims), 2) for seed in STATE_SEEDS]
+
+
+def cold_states(nc) -> list:
+    """perfbench's measure-cold kinds of state: each `STATE_DIMS` at full rank, one per seed."""
+    return [nc.random_density_matrix(dims, math.prod(dims), seed) for dims in STATE_DIMS for seed in STATE_SEEDS]
+
+
+def classical_states(nc) -> list:
+    """(|0000><0000| + |1111><1111|)/2 in Haar local frames: classical states with degenerate marginals."""
+    import numpy as np
+
+    probs = np.zeros((2,) * 4)
+    probs[0, 0, 0, 0] = probs[1, 1, 1, 1] = 0.5
+    return [nc.make_classically_correlated(nc.haar_random_product_basis((2,) * 4, seed), probs)
+            for seed in CLASSICAL_SEEDS]
 
 
 def _rotated(H):
@@ -187,9 +207,15 @@ def layers() -> List[Layer]:
         fresh = [nc.random_density_matrix(dims, 2 ** 7, seed) for seed in STATE_SEEDS]
         return lambda: [nc.min_diag_entropy(rho, cfg) for rho in fresh]
 
+    def product_eigenbasis(make):
+        def setup(nc):
+            fresh = make(nc)
+            return lambda: [nc.states.product_eigenbasis(rho) for rho in fresh]
+        return setup
+
     def cold_search(fn):
         def setup(nc):
-            fresh = [nc.random_density_matrix(dims, math.prod(dims), seed) for dims in STATE_DIMS for seed in STATE_SEEDS]
+            fresh = cold_states(nc)
             call = getattr(nc, fn)
             return lambda: [call(rho, nc.SearchConfig(seed=seed)) for seed, rho in enumerate(fresh)]
         return setup
@@ -206,6 +232,8 @@ def layers() -> List[Layer]:
     out.append(("numpy.linalg.eigvalsh[rho]", eigvalsh))
     out += [(name, measure(name)) for name in ("measure_G", "measure_DG", "measure_K", "negativity")]
     out += [("measure_G[fresh walk tables]", fresh_walks), ("measure_G[(3,4)]", three_by_four)]
+    out += [("states.product_eigenbasis[measure-cold states]", product_eigenbasis(cold_states)),
+            ("states.product_eigenbasis[rotated classical states]", product_eigenbasis(classical_states))]
     out += [(f"sweep.evaluate_point[{family}, reused config]", family_point(family))
             for family in ("ps", "sigma", "horodecki")]
     out.append(("min_diag_entropy[families, reused config]", family_search))
