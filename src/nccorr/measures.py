@@ -84,7 +84,10 @@ def _walk(d_tot: int, d: int) -> np.ndarray:
     (digit) at a time and only into bins with room; the base-d counter reads
     eigenvalue 0 as the most significant digit.  Of two that swap bins 0
     and 1 only the counter-first is made (`_grow`): half of all
-    d_tot!/((d_tot/d)!)^d, the count `measure_G`'s cap bounds.
+    d_tot!/((d_tot/d)!)^d, the count `measure_G`'s cap bounds.  No other
+    relabelling of the bins is exact, since ((t0 + t1) + t2) and
+    ((t0 + t2) + t1) can differ in the last bit, so the d! orders of one
+    unordered partition are not all skipped.
 
     Digit j goes to slot b + d * m, bin b's fill (`_grow`).
     ``members[m, b, r]`` is then the m-th lowest eigenvalue index that row r
@@ -161,7 +164,10 @@ def measure_D(rho: DensityMatrix, cfg: Optional[SearchConfig] = None) -> Measure
     """Minimum product-basis diagonal entropy minus the von Neumann entropy.
 
     It depends on rho alone; cfg sets how hard `min_diag_entropy` searches,
-    and None means a fresh `SearchConfig()` for this call alone.
+    and None means a fresh `SearchConfig()` for this call alone, which makes
+    its samples and descent plan anew.  A caller that measures many states
+    passes one config, which keeps them per dims (`SearchConfig`), as the
+    CLI, a sweep and `verify` do.
     Search-based: the reported value is an upper bound on the true D.
     """
     h_min, basis, diag = min_diag_entropy(rho, SearchConfig() if cfg is None else cfg)
@@ -177,7 +183,10 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
     d_tot!/((d_tot/d_k)!)^d_k, which is also the row count of the walk's kept
     table; every subsystem is checked before any walk.  Subsystems of one
     dimension share one walk; F_k, the witnesses and ``assignments_evaluated``
-    (per subsystem) stay in k order.
+    (per subsystem) stay in k order.  Where several assignments reach the
+    minimum, the first in counter order is the witness.  Near-ties are
+    decided by round-off, so the witness, unlike the value, is reproducible
+    only within one numpy/LAPACK build.
     """
     e_tot = qmat.density_spectrum(rho)
     for d in rho.dims:
@@ -196,7 +205,17 @@ def measure_G(rho: DensityMatrix, partition_cap: int = DEFAULT_PARTITION_CAP) ->
 
 
 def measure_DG(rho: DensityMatrix) -> MeasureReport:
-    """Entropy gained by dephasing in the product basis of the marginal eigenbases."""
+    """Entropy gained by dephasing in the product basis of the marginal eigenbases.
+
+    Where a marginal is degenerate, D_G takes `qmat.herm_eig`'s canonical
+    basis of the eigenspace.  Two limits remain.  D_G is discontinuous where
+    a marginal's degeneracy splits: any gap past `qmat.TIE_TOL` lets the
+    eigenvectors jump.  And at a degenerate marginal it is not local-unitary
+    invariant, since a local unitary maps the eigenspace to one whose
+    canonical basis is in general not the image of the old one; `verify`'s
+    criterion 5 tests D_G's invariance only where the marginals are
+    nondegenerate.
+    """
     basis = marginal_eigenbasis(rho)
     h = float(qmat.entropy_bits(qmat.diag_probs(rho, basis)))  # diag_probs has checked the vector
     s_vn = qmat.von_neumann_entropy(rho)
@@ -235,7 +254,11 @@ def measure_K(rho: DensityMatrix) -> MeasureReport:
 
 
 def negativity(rho: DensityMatrix) -> MeasureReport:
-    """Absolute sum of the negative partial-transpose eigenvalues (no factor 2)."""
+    """Absolute sum of the negative partial-transpose eigenvalues (no factor 2).
+
+    Each splitting's negatives are summed on their own, as ``np.sum`` sums
+    them; a masked sum over whole rows would group the terms differently.
+    """
     return _min_over_splittings("N", rho, lambda E: [abs(et[et < 0.0].sum()) for et in E])
 
 

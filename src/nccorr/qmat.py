@@ -58,7 +58,8 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     diag(exp(j/n)), j < n: another basis V_c U gives U^dag Q.  Q is unique up
     to phases unless Z compresses to a multiple of the identity on the
     eigenspace, which Lindemann-Weierstrass rules out when vectors with
-    algebraic entries span it.  Each vector's lowest-index component within
+    algebraic entries span it; equal spacing would not do, as Z = diag(1, 2,
+    3) ties on the plane orthogonal to (1, 0, -1)/sqrt(2).  Each vector's lowest-index component within
     `TIE_TOL` of its largest magnitude is then made real and non-negative.
     With ``vectors=False`` one ``eigvalsh`` call gives the eigenvalues alone,
     and None.  A stack takes one LAPACK call and gives each matrix's result
@@ -172,7 +173,11 @@ def marginal_stacks(rho: DensityMatrix) -> Dict[int, np.ndarray]:
 
 
 def marginal_eigs(rho: DensityMatrix, vectors: bool = True) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """{d: `herm_eig` of ``marginal_stacks(rho)[d]``}, kept per `vectors`, as the two modes' eigenvalues can differ."""
+    """{d: `herm_eig` of ``marginal_stacks(rho)[d]``}, kept per `vectors`, as the two modes' eigenvalues can differ.
+
+    G reads the eigenvalues of ``vectors=False``, which must stay ``eigvalsh``
+    values for `verify`'s bit-exact check against its naive enumerator.
+    """
     return kept(rho._kept, ("marginal_eigs", vectors), lambda: {d: herm_eig(S, vectors) for d, S in marginal_stacks(rho).items()})
 
 

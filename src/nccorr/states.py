@@ -150,6 +150,15 @@ def _entry(e) -> complex:
 
 
 def load_state(path) -> DensityMatrix:
+    """The state `store_state` wrote at path, every entry read back bit for bit.
+
+    ParseError unless the file is a JSON object whose 'dims' is a list of
+    integers and whose 'matrix' entries are [real, imag] pairs of numbers.
+    Every error, `DensityMatrix`'s on dims, shape or a non-finite entry
+    included, starts with the path.  A state that passes `validate` comes
+    back as its Hermitian part (M + M^dag)/2, which is the stored matrix
+    itself when the file is exactly Hermitian.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.loads(fh.read())

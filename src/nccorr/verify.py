@@ -1,7 +1,20 @@
 """Closed-form regression suite: every acceptance check, no golden files.
 
 Each check compares pipeline output against independently coded closed-form
-expressions or module invariants and reports the worst deviation.
+expressions or module invariants and reports the worst deviation, taken with
+one NaN-propagating maximum, so a non-finite deviation fails its check.
+
+1-3. Sweeps of `ps`, `sigma` and `horodecki` over each family's whole
+     `FAMILIES` range: criteria 1 and 2 compare every measure that has a
+     closed form with it at every point, at `TOL`, and criterion 3 checks
+     that K and N vanish and 0 <= D <= D_G.
+4.   Every measure vanishes on generic classical states.
+5.   G, K, N and D_G are local-unitary invariant (D_G where the marginals
+     are nondegenerate).
+6.   D_G is additive and G subadditive on product states.
+7.   G equals `naive_measure_G`, value and witness, bit for bit.
+8.   A repeated sweep, and one at another chunk size, is byte-identical.
+9.   D of Bell-diagonal states in random local frames equals its closed form.
 """
 from __future__ import annotations
 

@@ -941,6 +941,8 @@ class TestConfigSampleSets:
         facs, projs = cfg._kept["samples", (2, 3, 2)]
         assert [F.shape for F in facs] == [(16, 2, 2), (16, 3, 3), (16, 2, 2)]
         assert [P.shape for P in projs] == [(16, 2, 4), (16, 3, 9), (16, 2, 4)]
+        # n_samples sum(d_k^2 + d_k^3) complex entries, as README states
+        assert sum(F.nbytes for F in (*facs, *projs)) == 16 * 16 * sum(d * d + d ** 3 for d in (2, 3, 2))
         for F in (*facs, *projs):
             assert not F.flags.writeable
             with pytest.raises(ValueError):
