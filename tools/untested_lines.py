@@ -30,8 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nccorr"
 
 # (file, statement) pairs left untested on purpose, keyed by text so that
-# they survive line shifts.  Both are the fallbacks of seeded draws whose
-# pinned seeds succeed on the first try (verify.py:163 and 216).
+# they survive line shifts.  Both are the fallbacks, in verify.py, of seeded
+# draws whose pinned seeds succeed on the first try.
 ALLOWED = {
     ("verify.py", 'raise RuntimeError("could not draw a generic probability tensor")'),
     ("verify.py", 'raise RuntimeError("could not draw a nondegenerate-marginal state")'),
