@@ -52,7 +52,8 @@ def blocks(lang):
 
 def where(code) -> str:
     """README.md:<line of the block's first line>, the block's test id."""
-    return f"README.md:{TEXT[:TEXT.index(code)].count(chr(10)) + 1}"
+    line = TEXT[:TEXT.index(code)].count("\n") + 1
+    return f"README.md:{line}"
 
 
 def test_every_block_is_python_or_sh():
