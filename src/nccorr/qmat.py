@@ -58,9 +58,10 @@ def herm_eig(H: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[
     diag(exp(j/n)), j < n: another basis V_c U gives U^dag Q.  Q is unique up
     to phases unless Z compresses to a multiple of the identity on the
     eigenspace, which Lindemann-Weierstrass rules out when vectors with
-    algebraic entries span it; equal spacing would not do, as Z = diag(1, 2,
-    3) ties on the plane orthogonal to (1, 0, -1)/sqrt(2).  Each vector's lowest-index component within
-    `TIE_TOL` of its largest magnitude is then made real and non-negative.
+    algebraic entries span it; equal spacing would not do, as
+    Z = diag(1, 2, 3) ties on the plane orthogonal to (1, 0, -1)/sqrt(2).
+    Each vector's lowest-index component within `TIE_TOL` of its largest
+    magnitude is then made real and non-negative.
     With ``vectors=False`` one ``eigvalsh`` call gives the eigenvalues alone,
     and None.  A stack takes one LAPACK call and gives each matrix's result
     along the leading axis; a single matrix takes that path as a stack of one.
